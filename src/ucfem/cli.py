@@ -27,7 +27,7 @@ from .forms import ProblemSpec, constant_field, swirl_field, zero_field, \
 from .fem import interpolate
 from .mesh import Region, build_unit_square_mesh
 from .saddle import (NumericalFailure, build_system, estimate_condition_number,
-                     exact_condition_number, solve)
+                     exact_condition_number, factorize, solve)
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
                         probe_fem_solution)
@@ -274,10 +274,12 @@ def _cmd_solve(args, case: CaseDefinition) -> int:
         sol.z.to_csv(out / f"z_N{n_cells}.csv")
         diag = _strip_timings(sol.diagnostics)
         diag["peclet"] = blocks.peclet
-        if args.cond != "none":
-            diag["cond"] = float(exact_condition_number(system)
-                                 if args.cond == "exact"
-                                 else estimate_condition_number(system).value)
+        if args.cond == "exact":
+            diag["cond"] = exact_condition_number(system)
+        elif args.cond == "estimate":
+            diag["cond"] = estimate_condition_number(
+                system, factorization=sol.factorization).value
+        sol.factorization = None  # release the factors before the next rung
         with open(out / f"diagnostics_N{n_cells}.json", "w") as fh:
             json.dump(diag, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -322,8 +324,9 @@ def _cmd_condnum(args, case: CaseDefinition) -> int:
             import warnings as _warnings
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore")
-                est = estimate_condition_number(system, tol=args.cond_tol,
-                                                max_iter=args.cond_cap)
+                est = estimate_condition_number(
+                    system, tol=args.cond_tol, max_iter=args.cond_cap,
+                    factorization=factorize(system, mesh))
             value, converged, bracket = est.value, est.converged, \
                 list(est.bracket)
         rows.append({"N": n_cells, "h": h, "cond": value,

@@ -25,7 +25,8 @@ from .mesh import Mesh, Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
 from .fem import FeFunction, interpolate, l2_project, norms, quad_points, \
     triangle_geometry, triangle_rule
 from .forms import ProblemSpec, assemble_all, constant_field, swirl_field
-from .saddle import build_system, solve, condition_number
+from .saddle import (build_system, estimate_condition_number,
+                     exact_condition_number, solve)
 
 __all__ = [
     "ExactSolution",
@@ -337,6 +338,14 @@ def run_case(case: CaseDefinition, cond: str = "none",
         sol = solve(system, mesh)
         if solution_hook is not None:
             solution_hook(n_cells, mesh, sol)
+        kappa = None
+        if cond == "exact":
+            kappa = exact_condition_number(system)
+        elif cond == "estimate":
+            kappa = estimate_condition_number(
+                system, cond_tol, cond_max_iter,
+                factorization=sol.factorization).value
+        sol.factorization = None  # release the factors before the next rung
 
         if projection == "l2":
             compare = l2_project(case.exact.value, mesh, quad_degree)
@@ -353,10 +362,6 @@ def run_case(case: CaseDefinition, cond: str = "none",
             err_h1, ref_h1 = _seminorm_variant(case.exact, sol.u,
                                                case.spec.target, quad_degree)
 
-        kappa = None
-        if cond != "none":
-            kappa = condition_number(system, mode=cond, tol=cond_tol,
-                                     max_iter=cond_max_iter)
         rows.append(ConvergenceRow(n_cells, h, err_l2 / ref_l2,
                                    err_h1 / ref_h1, s_norm, sstar_norm,
                                    kappa, blocks.peclet))

@@ -8,7 +8,10 @@ optimality system reads
 
 with S the primal stabilizer (data mass + jump penalty), A the PDE form
 and S_* the dual stabilizer.  The matrix is symmetric (indefinite) and is
-factorized directly.
+factorized directly: on the structured mesh in a nested-dissection order
+without pivoting, otherwise (or when that factorization fails or misses
+the residual gate) in SuperLU's default COLAMD order with partial
+pivoting.  One factorization serves the solve and the condition estimate.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import FeFunction
-from .mesh import Mesh
+from .mesh import Mesh, _nested_dissection
 
 __all__ = [
     "SaddleSystem",
     "Solution",
+    "Factorization",
     "build_system",
+    "factorize",
     "solve",
     "condition_number",
     "exact_condition_number",
@@ -73,55 +78,134 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
 
 
 @dataclass
-class Solution:
-    """Primal/dual pair with solver diagnostics."""
+class Factorization:
+    """Sparse LU factors of a saddle matrix, applied in the original order.
 
-    u: FeFunction
-    z: FeFunction
-    diagnostics: dict
-
-
-def solve(system: SaddleSystem, mesh: Mesh) -> Solution:
-    """Direct sparse LU solve with one step of iterative refinement.
-
-    The relative algebraic residual is checked against 1e-8; failure to
-    reach it raises NumericalFailure.
+    ``p`` is the symmetric permutation the factors were computed in
+    (``None`` when SuperLU chose its own ordering), ``ordering`` names it
+    (``"nested_dissection"`` or ``"colamd"``) and ``lu_nnz`` is the fill:
+    the entries SuperLU stores for L and U.  It is read from the factors
+    rather than from ``lu.L.nnz + lu.U.nnz``, because those properties
+    copy the factors into new matrices.
     """
-    t0 = time.perf_counter()
+
+    lu: spla.SuperLU
+    p: Optional[np.ndarray]
+    ordering: str
+    lu_nnz: int
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve ``M x = b`` (``trans="T"``: ``M^T x = b``)."""
+        if self.p is None:
+            return self.lu.solve(b, trans=trans)
+        x = np.empty_like(b)
+        x[self.p] = self.lu.solve(b[self.p], trans=trans)
+        return x
+
+
+def _factorize_colamd(system: SaddleSystem) -> Factorization:
     try:
         lu = spla.splu(system.matrix.tocsc())
     except RuntimeError as exc:
         raise NumericalFailure(f"factorization failed: {exc}") from exc
-    t_factor = time.perf_counter() - t0
+    return Factorization(lu, None, "colamd", int(lu.nnz))
 
-    t0 = time.perf_counter()
-    x = lu.solve(system.rhs)
+
+def factorize(system: SaddleSystem,
+              mesh: Optional[Mesh] = None) -> Factorization:
+    """LU factorization of the saddle matrix.
+
+    When ``mesh`` is the structured mesh the system was assembled on, the
+    unknowns are ordered by nested dissection of its node grid, with
+    ``u_k`` and ``z_k`` of each node side by side, and factorized without
+    pivoting.  The matrix is symmetric but not quasi-definite, so that
+    factorization can break down; it then falls back, as it does without
+    a matching mesh, to SuperLU's COLAMD ordering with partial pivoting.
+    Raises NumericalFailure when that fails too.
+    """
+    if mesh is not None and 2 * mesh.n_nodes == system.matrix.shape[0]:
+        q = _nested_dissection(mesh.cells_per_side)
+        p = np.column_stack([q, q + system.n]).ravel()
+        try:
+            lu = spla.splu(system.matrix[p][:, p].tocsc(),
+                           permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
+            pass
+        else:
+            return Factorization(lu, p, "nested_dissection", int(lu.nnz))
+    return _factorize_colamd(system)
+
+
+@dataclass
+class Solution:
+    """Primal/dual pair with solver diagnostics.
+
+    ``factorization`` is the LU the solution was computed with, kept so
+    that a condition estimate can reuse it; set it to ``None`` to release
+    the factors.
+    """
+
+    u: FeFunction
+    z: FeFunction
+    diagnostics: dict
+    factorization: Optional[Factorization] = None
+
+
+def _refined_solve(system: SaddleSystem, fact: Factorization):
+    """LU solve with up to two refinement steps; returns (x, rel. residual)."""
+    x = fact.solve(system.rhs)
     bnorm = np.linalg.norm(system.rhs)
-    rel = 0.0
-    if bnorm > 0:
-        for _ in range(2):
-            r = system.rhs - system.matrix @ x
-            rel = np.linalg.norm(r) / bnorm
-            if rel <= 1e-12:
-                break
-            x = x + lu.solve(r)
+    if bnorm == 0:
+        return x, 0.0
+    for _ in range(2):
         r = system.rhs - system.matrix @ x
-        rel = np.linalg.norm(r) / bnorm
-        if rel > 1e-8:
-            raise NumericalFailure(f"relative residual {rel:.3e} exceeds 1e-8")
+        if np.linalg.norm(r) / bnorm <= 1e-12:
+            break
+        x = x + fact.solve(r)
+    r = system.rhs - system.matrix @ x
+    return x, float(np.linalg.norm(r) / bnorm)
+
+
+def solve(system: SaddleSystem, mesh: Mesh) -> Solution:
+    """Direct sparse LU solve with iterative refinement.
+
+    The relative algebraic residual is checked against 1e-8.  A
+    nested-dissection factorization that misses it is replaced by the
+    COLAMD one; when that misses it too, NumericalFailure is raised.
+    ``factor_seconds`` covers ordering, permutation and factorization.
+    """
+    t0 = time.perf_counter()
+    fact = factorize(system, mesh)
+    t_factor = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    x, rel = _refined_solve(system, fact)
     t_solve = time.perf_counter() - t0
+
+    if not rel <= 1e-8 and fact.ordering != "colamd":
+        fact = None  # release the failed factors before refactorizing
+        t0 = time.perf_counter()
+        fact = _factorize_colamd(system)
+        t_factor += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        x, rel = _refined_solve(system, fact)
+        t_solve += time.perf_counter() - t0
+    if not rel <= 1e-8:
+        raise NumericalFailure(f"relative residual {rel:.3e} exceeds 1e-8")
 
     n = system.n
     diagnostics = {
         "dimension": 2 * n,
         "nnz": int(system.matrix.nnz),
-        "relative_residual": float(rel),
+        "lu_nnz": fact.lu_nnz,
+        "ordering": fact.ordering,
+        "relative_residual": rel,
         "symmetry_defect": system.symmetry_defect(),
         "factor_seconds": t_factor,
         "solve_seconds": t_solve,
     }
     return Solution(FeFunction(mesh, x[:n]), FeFunction(mesh, x[n:]),
-                    diagnostics)
+                    diagnostics, fact)
 
 
 def exact_condition_number(system: SaddleSystem) -> float:
@@ -140,7 +224,8 @@ class CondEstimate:
     """Iterative condition-number estimate with convergence metadata.
 
     ``bracket`` holds the last two iterates of the condition estimate; it
-    tracks progress, it is not a rigorous enclosure.
+    tracks progress, it is not a rigorous enclosure.  ``ordering`` and
+    ``lu_nnz`` describe the factorization the inverse iteration ran on.
     """
 
     value: float
@@ -149,6 +234,8 @@ class CondEstimate:
     converged: bool
     bracket: tuple
     iterations: tuple
+    ordering: str
+    lu_nnz: int
 
     def __float__(self):
         return self.value
@@ -173,15 +260,15 @@ def _power_sigma_max(mat, tol, max_iter, rng):
     return est, prev, max_iter, False
 
 
-def _inverse_sigma_min(lu, dim, tol, max_iter, rng):
+def _inverse_sigma_min(fact, dim, tol, max_iter, rng):
     """Inverse iteration on M^T M through the LU factors."""
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     est = prev = np.inf
     for it in range(1, max_iter + 1):
-        y = lu.solve(v, trans="T")
+        y = fact.solve(v, trans="T")
         s = 1.0 / np.linalg.norm(y)
-        w = lu.solve(y)
+        w = fact.solve(y)
         v = w / np.linalg.norm(w)
         prev, est = est, s
         if np.isfinite(prev) and abs(est - prev) <= tol * est:
@@ -189,26 +276,26 @@ def _inverse_sigma_min(lu, dim, tol, max_iter, rng):
     return est, prev, max_iter, False
 
 
-def estimate_condition_number(system: SaddleSystem, tol: float = 1e-3,
-                              max_iter: int = 5000,
-                              seed: int = 0) -> CondEstimate:
+def estimate_condition_number(
+        system: SaddleSystem, tol: float = 1e-3, max_iter: int = 5000,
+        seed: int = 0,
+        factorization: Optional[Factorization] = None) -> CondEstimate:
     """Estimate the two-norm condition number without dense linear algebra.
 
     The largest singular value comes from power iteration on M^T M, the
-    smallest from inverse iteration through the sparse LU factorization.
+    smallest from inverse iteration through the sparse LU factorization:
+    ``factorization`` when given (typically the one ``solve`` used, from
+    ``Solution.factorization``), otherwise ``factorize(system)``.
     Hitting the iteration cap emits a warning and marks the estimate as
     unconverged.
     """
+    fact = factorization if factorization is not None \
+        else factorize(system)
     mat = system.matrix.tocsc()
-    try:
-        lu = spla.splu(mat)
-    except RuntimeError as exc:
-        raise NumericalFailure(f"factorization failed: {exc}") from exc
-
     rng = np.random.default_rng(seed)
     smax, smax_prev, it_max, ok_max = _power_sigma_max(mat, tol, max_iter, rng)
-    smin, smin_prev, it_min, ok_min = _inverse_sigma_min(lu, mat.shape[0], tol,
-                                                         max_iter, rng)
+    smin, smin_prev, it_min, ok_min = _inverse_sigma_min(fact, mat.shape[0],
+                                                         tol, max_iter, rng)
     converged = ok_max and ok_min
     value = smax / smin
     lo = (smax_prev if np.isfinite(smax_prev) else smax) \
@@ -219,7 +306,7 @@ def estimate_condition_number(system: SaddleSystem, tol: float = 1e-3,
             f"condition estimate hit the iteration cap ({max_iter}); "
             f"best bracket {bracket}", stacklevel=2)
     return CondEstimate(float(value), float(smax), float(smin), converged,
-                        bracket, (it_max, it_min))
+                        bracket, (it_max, it_min), fact.ordering, fact.lu_nnz)
 
 
 def condition_number(system: SaddleSystem, mode: str = "exact",

@@ -319,6 +319,7 @@ def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,
         system = build_system(blocks.pde, blocks.primal, blocks.dual,
                               blocks.b_data, blocks.b_source)
         sol = solve(system, mesh)
+        sol.factorization = None  # release the factors before the next rung
         ratio = three_ball_ratio(sol.u, sol.u.gradient, config, resolution,
                                  check_residual=False)
         out.append((n_cells, ratio))

@@ -62,6 +62,7 @@ def test_solve_writes_outputs_and_is_deterministic(tmp_path, capsys):
     diag = json.loads((d1 / "diagnostics_N8.json").read_text())
     assert not any(k.endswith("_seconds") for k in diag)
     assert diag["relative_residual"] <= 1e-8
+    assert diag["ordering"] == "nested_dissection" and diag["lu_nnz"] > 0
     assert "np.float64" not in (d1 / "u_N8.csv").read_text()
 
 
@@ -179,3 +180,19 @@ def test_boundary_factor_override_changes_solution(tmp_path):
     assert (d1 / "u_N8.csv").read_bytes() != (d2 / "u_N8.csv").read_bytes()
     with pytest.raises(SystemExit):
         main(["solve", "--boundary-factor", "abc"])
+
+
+def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
+    import ucfem.saddle as saddle
+    real, calls = saddle.spla.splu, []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", counting_splu)
+    assert main(["solve", "--case", "ex2-swirl", "--ladder", "4,8",
+                 "--cond", "estimate", "--out", str(tmp_path)]) == 0
+    assert calls == ["NATURAL", "NATURAL"]
+    diag = json.loads((tmp_path / "diagnostics_N8.json").read_text())
+    assert diag["cond"] > 1.0 and diag["ordering"] == "nested_dissection"

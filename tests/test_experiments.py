@@ -226,3 +226,21 @@ def test_convergence_table_csv_format():
     buf = io.StringIO()
     table.to_csv(buf)
     assert buf.getvalue() == text
+
+
+def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
+    import ucfem.saddle as saddle
+    real, calls, solutions = saddle.spla.splu, [], []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", counting_splu)
+    case = get_case("ex2-swirl")
+    table = run_case(case, ladder=(8,), cond="estimate",
+                     solution_hook=lambda n, mesh, sol: solutions.append(sol))
+    assert calls == ["NATURAL"]
+    assert solutions[0].factorization is None  # released after the rung
+    exact = run_case(case, ladder=(8,), cond="exact").rows[0].cond
+    assert table.rows[0].cond == pytest.approx(exact, rel=0.05)

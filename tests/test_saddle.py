@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ucfem.experiments import get_case, polynomial_bump
+import ucfem.saddle as saddle
+from ucfem.experiments import (apply_noise, builtin_cases, get_case,
+                               polynomial_bump)
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, pde_load_from_field
-from ucfem.mesh import build_unit_square_mesh
+from ucfem.mesh import _nested_dissection, build_unit_square_mesh, mesh_size
 from ucfem.saddle import (CondEstimate, NumericalFailure, build_system,
                           condition_number, estimate_condition_number,
-                          exact_condition_number, solve)
+                          exact_condition_number, factorize, solve)
 
 
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
@@ -20,6 +22,8 @@ def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
     spec = spec if spec is not None else case.spec
     mesh = build_unit_square_mesh(n)
     data = interpolate(data_fn or case.exact.value, mesh)
+    if case.noise is not None:
+        data = apply_noise(data, case.noise, spec.omega, mesh_size(mesh))
     blocks = assemble_all(spec, mesh, data, 4)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.b_data, blocks.b_source)
@@ -125,6 +129,8 @@ def test_solve_diagnostics_and_residual():
     assert diag["symmetry_defect"] <= 1e-10
     assert diag["nnz"] == system.matrix.nnz
     assert diag["factor_seconds"] >= 0.0
+    assert diag["ordering"] == "nested_dissection"
+    assert diag["lu_nnz"] == sol.factorization.lu_nnz >= system.matrix.nnz
 
 
 def test_solve_raises_on_singular_matrix():
@@ -197,3 +203,110 @@ def test_condition_number_mode_dispatch():
     assert abs(est - exact) <= 0.05 * exact
     with pytest.raises(ValueError):
         condition_number(system, mode="bogus")
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_nested_dissection_is_node_permutation(n):
+    order = _nested_dissection(n)
+    assert np.array_equal(np.sort(order), np.arange((n + 1) ** 2))
+
+
+def test_nested_dissection_top_split_decouples_halves():
+    _, mesh, _, system = case_system("ex1-swirl", n=8)
+    m = mesh.cells_per_side + 1
+    order = _nested_dissection(mesh.cells_per_side)
+    # the top-level separator comes last: two adjacent full node lines
+    sep = order[-2 * m:]
+    j, i = np.divmod(sep, m)
+    line, axis = (j, 1) if np.ptp(j) == 1 else (i, 0)
+    assert np.ptp(line) == 1
+    pos = np.divmod(np.arange(m * m), m)[1 - axis]
+    low = np.flatnonzero(pos < line.min())
+    high = np.flatnonzero(pos > line.max())
+    assert len(low) and len(high)
+    assert np.array_equal(np.sort(order[:len(low)]), low)
+    assert np.array_equal(np.sort(order[len(low):-2 * m]), high)
+    # fold the (u, z) blocks onto nodes: no nonzero couples the halves
+    n = system.n
+    mat = abs(system.matrix).tocsr()
+    nodes = mat[:n, :n] + mat[:n, n:] + mat[n:, :n] + mat[n:, n:]
+    assert nodes[low][:, high].nnz == 0
+    assert nodes[low][:, sep].nnz > 0 and nodes[high][:, sep].nnz > 0
+
+
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+def test_nested_dissection_matches_colamd(name):
+    _, mesh, _, system = case_system(name, n=8)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["ordering"] == "nested_dissection"
+    x = np.concatenate([sol.u.coefficients, sol.z.coefficients])
+    colamd = factorize(system)
+    assert colamd.ordering == "colamd"
+    ref = colamd.solve(system.rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert sol.diagnostics["lu_nnz"] < colamd.lu_nnz
+
+
+def test_factorize_falls_back_without_matching_mesh():
+    _, _, _, system = case_system(n=8)
+    assert factorize(system).ordering == "colamd"
+    fact = factorize(system, build_unit_square_mesh(4))
+    assert fact.ordering == "colamd" and fact.p is None
+
+
+def _patched_pivot_free_splu(monkeypatch, replacement):
+    real = saddle.spla.splu
+
+    def splu(mat, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL":
+            return replacement(real, mat, permc_spec, **kwargs)
+        return real(mat, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", splu)
+
+
+def test_pivot_free_breakdown_falls_back_to_colamd(monkeypatch):
+    def breakdown(real, mat, permc_spec, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    _patched_pivot_free_splu(monkeypatch, breakdown)
+    _, mesh, _, system = case_system("ex1-swirl", n=8)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["ordering"] == "colamd"
+    assert sol.diagnostics["relative_residual"] <= 1e-8
+
+
+def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
+    # factors of 1.5 M: refinement contracts the error by 1/3 per step
+    # only, so two steps leave the residual far above the 1e-8 gate
+    def inexact(real, mat, permc_spec, **kwargs):
+        return real(1.5 * mat, permc_spec=permc_spec, **kwargs)
+
+    _patched_pivot_free_splu(monkeypatch, inexact)
+    _, mesh, _, system = case_system("ex1-swirl", n=8)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["ordering"] == "colamd"
+    assert sol.diagnostics["relative_residual"] <= 1e-8
+
+
+def test_estimate_reuses_passed_factorization():
+    _, mesh, _, system = case_system("ex2-swirl", n=8)
+    own = estimate_condition_number(system, seed=3)
+    passed = estimate_condition_number(system, seed=3,
+                                       factorization=factorize(system))
+    assert (passed.value, passed.iterations) == (own.value, own.iterations)
+    assert passed.ordering == own.ordering == "colamd"
+    nd = estimate_condition_number(
+        system, seed=3, factorization=solve(system, mesh).factorization)
+    assert nd.ordering == "nested_dissection" and nd.lu_nnz < own.lu_nnz
+    assert nd.iterations == own.iterations
+    assert nd.value == pytest.approx(own.value, rel=1e-8)
+
+
+def test_singular_matrix_on_matching_mesh_raises():
+    # the 2x2 node grid matches, so the pivot-free factorization is tried
+    # first and the COLAMD fallback must fail too
+    zero = sp.csr_matrix(np.zeros((4, 4)))
+    bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
+    with pytest.raises(NumericalFailure, match="factorization failed"):
+        solve(bad, build_unit_square_mesh(1))
