@@ -82,17 +82,22 @@ class Factorization:
     """Sparse LU factors of a saddle matrix, applied in the original order.
 
     ``p`` is the symmetric permutation the factors were computed in
-    (``None`` when SuperLU chose its own ordering), ``ordering`` names it
-    (``"nested_dissection"`` or ``"colamd"``) and ``lu_nnz`` is the fill:
-    the entries SuperLU stores for L and U.  It is read from the factors
-    rather than from ``lu.L.nnz + lu.U.nnz``, because those properties
-    copy the factors into new matrices.
+    (``None`` when SuperLU chose its own ordering) and ``ordering`` names
+    it: ``"nested_dissection"`` or ``"colamd"``.
     """
 
     lu: spla.SuperLU
     p: Optional[np.ndarray]
     ordering: str
-    lu_nnz: int
+
+    @property
+    def lu_nnz(self) -> int:
+        """Fill: the entries SuperLU stores for L and U.
+
+        Read from the factors rather than as ``lu.L.nnz + lu.U.nnz``,
+        because those properties copy the factors into new matrices.
+        """
+        return int(self.lu.nnz)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve ``M x = b`` (``trans="T"``: ``M^T x = b``)."""
@@ -108,7 +113,7 @@ def _factorize_colamd(system: SaddleSystem) -> Factorization:
         lu = spla.splu(system.matrix.tocsc())
     except RuntimeError as exc:
         raise NumericalFailure(f"factorization failed: {exc}") from exc
-    return Factorization(lu, None, "colamd", int(lu.nnz))
+    return Factorization(lu, None, "colamd")
 
 
 def factorize(system: SaddleSystem,
@@ -133,7 +138,7 @@ def factorize(system: SaddleSystem,
         except RuntimeError:
             pass
         else:
-            return Factorization(lu, p, "nested_dissection", int(lu.nnz))
+            return Factorization(lu, p, "nested_dissection")
     return _factorize_colamd(system)
 
 
