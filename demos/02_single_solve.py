@@ -10,24 +10,16 @@ dual multiplier z_h.
 
 import numpy as np
 
-from ucfem.experiments import error_norms, get_case
-from ucfem.fem import interpolate
-from ucfem.forms import assemble_all
-from ucfem.mesh import build_unit_square_mesh
-from ucfem.saddle import build_system, solve
+from ucfem.experiments import discretize, error_norms, get_case
+from ucfem.saddle import solve
 
 case = get_case("ex1-const")
 print(f"case {case.name}: data on omega (area {case.spec.omega.area:.4f}), "
       f"errors on B (area {case.spec.target.area:.4f})")
 
-mesh = build_unit_square_mesh(32)
-data = interpolate(case.exact.value, mesh)
-
-blocks = assemble_all(case.spec, mesh, data, 4)
+# mesh, measurements on omega, assembled blocks and the saddle system
+mesh, blocks, system = discretize(case, 32)
 print(f"mesh Peclet number {blocks.peclet:.4f} (diffusion dominated)")
-
-system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                      blocks.b_data, blocks.b_source)
 print(f"saddle system: dimension {system.matrix.shape[0]}, "
       f"nnz {system.matrix.nnz}, symmetry defect {system.symmetry_defect():.1e}")
 

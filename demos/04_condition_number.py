@@ -7,22 +7,15 @@ systems are checked against a dense SVD; large ones use power iteration
 for sigma_max and inverse iteration through a sparse LU for sigma_min.
 """
 
-from ucfem.experiments import estimate_rate, get_case
-from ucfem.fem import interpolate
-from ucfem.forms import assemble_all
-from ucfem.mesh import build_unit_square_mesh, mesh_size
-from ucfem.saddle import (build_system, estimate_condition_number,
-                          exact_condition_number)
+from ucfem.experiments import discretize, estimate_rate, get_case
+from ucfem.saddle import estimate_condition_number, exact_condition_number
 
 case = get_case("ex1-const")
 
 
 def system_at(n):
-    mesh = build_unit_square_mesh(n)
-    data = interpolate(case.exact.value, mesh)
-    blocks = assemble_all(case.spec, mesh, data, 4)
-    return build_system(blocks.pde, blocks.primal, blocks.dual,
-                        blocks.b_data, blocks.b_source), mesh_size(mesh)
+    _, blocks, system = discretize(case, n)
+    return system, blocks.h
 
 
 # cross-check the iterative estimate against a dense SVD while feasible

@@ -10,10 +10,10 @@ stabilization.
 
 __version__ = "0.1.0"
 
-from .mesh import (Face, Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
-                   locate_points, locate_region, mesh_size)
+from .mesh import (Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
+                   locate_points, mesh_size)
 from .fem import (FeFunction, QuadratureRule, edge_rule, interpolate,
-                  l2_project, mass_matrix, norms, p1_gradients, triangle_rule)
+                  l2_project, mass_matrix, p1_gradients, triangle_rule)
 from .forms import (ProblemSpec, assemble_all, assemble_convection_diffusion,
                     assemble_data_mass, assemble_dual_stabilizer,
                     assemble_gradient_jump, assemble_loads, constant_field,
@@ -23,8 +23,8 @@ from .saddle import (NumericalFailure, SaddleSystem, Solution, build_system,
                      exact_condition_number, solve)
 from .experiments import (CaseDefinition, ConvergenceTable, ExactSolution,
                           NoiseModel, apply_noise, builtin_cases,
-                          derive_source, estimate_rate, get_case,
-                          polynomial_bump, run_case)
+                          derive_source, discretize, estimate_rate,
+                          get_case, polynomial_bump, run_case)
 from .stability import (LogConvexityInstance, ThreeBallConfig,
                         audit_log_convexity, harmonic_family_sweep,
                         harmonic_member, holder_exponent, log_convexity_bound,

@@ -13,21 +13,21 @@ import argparse
 import csv
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .experiments import (CaseDefinition, NoiseModel, builtin_cases,
-                          derive_source, estimate_rate, get_case,
+from .experiments import (CaseDefinition, NoiseModel, derive_source,
+                          discretize, estimate_rate, get_case,
                           polynomial_bump, run_case)
-from .forms import ProblemSpec, constant_field, swirl_field, zero_field, \
-    assemble_all
-from .fem import interpolate
+from .forms import ProblemSpec, constant_field, swirl_field, zero_field
 from .mesh import Region, build_unit_square_mesh
-from .saddle import (NumericalFailure, build_system, estimate_condition_number,
-                     exact_condition_number, factorize, solve)
+from .saddle import (DENSE_SVD_MAX_DIM, NumericalFailure, condition_number,
+                     estimate_condition_number, exact_condition_number, solve)
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
                         probe_fem_solution)
@@ -35,6 +35,15 @@ from .stability import (ThreeBallConfig, audit_log_convexity,
 
 class ConfigError(Exception):
     """Invalid command configuration; maps to exit code 2."""
+
+
+@contextmanager
+def _bad_input():
+    """Report a ValueError raised by the library as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _positive_int(text):
@@ -109,13 +118,13 @@ def _build_parser():
     probe_p = sub.add_parser("probe", help="stability probes")
     probe_p.add_argument("mode", choices=["audit", "kappa", "harmonic", "fem"])
     probe_p.add_argument("--config", default=None)
-    probe_p.add_argument("--samples", type=int, default=10_000)
+    probe_p.add_argument("--samples", type=_positive_int, default=10_000)
     probe_p.add_argument("--seed", type=int, default=2026)
     probe_p.add_argument("--radii", type=float, nargs=3,
                          default=(0.1, 0.2, 0.4))
     probe_p.add_argument("--center", type=float, nargs=2, default=(0.5, 0.5))
     probe_p.add_argument("--c3", type=float, default=1.0)
-    probe_p.add_argument("--kmax", type=int, default=8)
+    probe_p.add_argument("--kmax", type=_positive_int, default=8)
     probe_p.add_argument("--norm", choices=["l2", "h1"], default="l2")
     probe_p.add_argument("--resolution", type=int, nargs=2, default=(96, 192))
     probe_p.add_argument("--case", default="ex1-const")
@@ -225,6 +234,15 @@ def _resolve_case(args, problem) -> CaseDefinition:
     return CaseDefinition(case.name, spec, case.exact, tuple(ladder), noise)
 
 
+def _check_dense_ladder(ladder):
+    """Reject rungs whose system is too large for ``--cond exact``."""
+    too_big = [n for n in ladder if 2 * (n + 1) ** 2 > DENSE_SVD_MAX_DIM]
+    if too_big:
+        raise ConfigError(f"--cond exact takes a dense SVD, limited to "
+                          f"dimension 2(N+1)^2 <= {DENSE_SVD_MAX_DIM}; "
+                          f"ladder has N = {too_big}")
+
+
 def _echo_config(args, out: Path):
     payload = {}
     for key, val in sorted(vars(args).items()):
@@ -259,26 +277,15 @@ def _cmd_solve(args, case: CaseDefinition) -> int:
     out = Path(args.out)
     _echo_config(args, out)
     for n_cells in case.ladder:
-        mesh = build_unit_square_mesh(n_cells)
-        from .mesh import mesh_size
-        from .experiments import apply_noise
-        data = interpolate(case.exact.value, mesh)
-        if case.noise is not None:
-            data = apply_noise(data, case.noise, case.spec.omega,
-                               mesh_size(mesh))
-        blocks = assemble_all(case.spec, mesh, data, args.quad_degree)
-        system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                              blocks.b_data, blocks.b_source)
+        mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
         sol = solve(system, mesh)
         sol.u.to_csv(out / f"u_N{n_cells}.csv")
         sol.z.to_csv(out / f"z_N{n_cells}.csv")
         diag = _strip_timings(sol.diagnostics)
         diag["peclet"] = blocks.peclet
-        if args.cond == "exact":
-            diag["cond"] = exact_condition_number(system)
-        elif args.cond == "estimate":
-            diag["cond"] = estimate_condition_number(
-                system, factorization=sol.factorization).value
+        if args.cond != "none":
+            diag["cond"] = condition_number(system, args.cond,
+                                            factorization=sol.factorization)
         sol.factorization = None  # release the factors before the next rung
         with open(out / f"diagnostics_N{n_cells}.json", "w") as fh:
             json.dump(diag, fh, indent=2, sort_keys=True)
@@ -311,25 +318,20 @@ def _cmd_condnum(args, case: CaseDefinition) -> int:
     _echo_config(args, out)
     rows = []
     for n_cells in case.ladder:
-        mesh = build_unit_square_mesh(n_cells)
-        data = interpolate(case.exact.value, mesh)
-        blocks = assemble_all(case.spec, mesh, data, args.quad_degree)
-        system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                              blocks.b_data, blocks.b_source)
-        from .mesh import mesh_size
-        h = mesh_size(mesh)
+        mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
+        sol = solve(system, mesh)
         if args.cond == "exact":
             value, converged, bracket = exact_condition_number(system), True, None
         else:
-            import warnings as _warnings
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 est = estimate_condition_number(
                     system, tol=args.cond_tol, max_iter=args.cond_cap,
-                    factorization=factorize(system, mesh))
+                    factorization=sol.factorization)
             value, converged, bracket = est.value, est.converged, \
                 list(est.bracket)
-        rows.append({"N": n_cells, "h": h, "cond": value,
+        sol.factorization = None  # release the factors before the next rung
+        rows.append({"N": n_cells, "h": blocks.h, "cond": value,
                      "converged": converged, "bracket": bracket})
         flag = "" if converged else "  (cap hit, bracket "f"{bracket})"
         print(f"N={n_cells}: cond={value:.6e}{flag}")
@@ -365,7 +367,8 @@ def _cmd_probe(args) -> int:
         print(json.dumps(report, sort_keys=True))
         return 0 if report["violations"] == 0 else 3
     if args.mode == "kappa":
-        value = holder_exponent(*args.radii, args.c3)
+        with _bad_input():
+            value = holder_exponent(*args.radii, args.c3)
         payload = {"radii": list(args.radii), "c3": args.c3, "kappa": value}
         with open(out / "probe_kappa.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -373,9 +376,11 @@ def _cmd_probe(args) -> int:
         print(f"kappa = {value}")
         return 0
     if args.mode == "harmonic":
-        report = harmonic_family_sweep(tuple(args.center), tuple(args.radii),
-                                       args.kmax, args.norm,
-                                       tuple(args.resolution))
+        # its ValueErrors come from the disc geometry (ThreeBallConfig)
+        with _bad_input():
+            report = harmonic_family_sweep(tuple(args.center),
+                                           tuple(args.radii), args.kmax,
+                                           args.norm, tuple(args.resolution))
         with open(out / "probe_harmonic.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "ratio"])
@@ -393,9 +398,10 @@ def _cmd_probe(args) -> int:
         case = get_case(args.case)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
-    kappa = holder_exponent(*args.radii, args.c3)
-    config = ThreeBallConfig(tuple(args.center), tuple(args.radii), kappa,
-                             args.norm)
+    with _bad_input():
+        kappa = holder_exponent(*args.radii, args.c3)
+        config = ThreeBallConfig(tuple(args.center), tuple(args.radii),
+                                 kappa, args.norm)
     pairs = probe_fem_solution(case, config, tuple(args.resolution),
                                ladder=args.ladder)
     with open(out / "probe_fem.csv", "w", newline="") as fh:
@@ -419,6 +425,8 @@ def main(argv=None) -> int:
         if args.command == "probe":
             return _cmd_probe(args)
         case = _resolve_case(args, problem)
+        if args.cond == "exact":
+            _check_dense_ladder(case.ladder)
         if args.command == "solve":
             return _cmd_solve(args, case)
         if args.command == "convergence":

@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mesh import Mesh, Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
-from .fem import FeFunction, interpolate, l2_project, norms, quad_points, \
+from .mesh import Mesh, Region, build_unit_square_mesh, mesh_size
+from .fem import FeFunction, interpolate, l2_project, quad_points, \
     triangle_geometry, triangle_rule
-from .forms import ProblemSpec, assemble_all, constant_field, swirl_field
-from .saddle import (build_system, estimate_condition_number,
-                     exact_condition_number, solve)
+from .forms import (AssembledForms, ProblemSpec, assemble_all, constant_field,
+                    swirl_field)
+from .saddle import SaddleSystem, build_system, condition_number, solve
 
 __all__ = [
     "ExactSolution",
@@ -41,6 +41,7 @@ __all__ = [
     "estimate_rate",
     "ConvergenceRow",
     "ConvergenceTable",
+    "discretize",
     "run_case",
     "error_norms",
     "CSV_HEADER",
@@ -251,11 +252,12 @@ class ConvergenceTable:
 
 
 def error_norms(exact: ExactSolution, fe: FeFunction, region,
-                degree: int = 4):
+                degree: int = 4, h1: str = "full"):
     """Absolute and reference norms of (exact - fe) over a region.
 
     Returns (err_l2, err_h1, ref_l2, ref_h1) where the reference norms are
-    those of the exact solution; the H1 entries are full norms.
+    those of the exact solution; the H1 entries are full norms, or H1
+    seminorms when ``h1`` is 'semi'.
     """
     mesh = fe.mesh
     rule = triangle_rule(degree)
@@ -280,27 +282,28 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region,
     err_semi_sq = float(np.sum(w * np.einsum("tqd,tqd->tq", gdiff, gdiff)))
     ref_l2_sq = float(np.sum(w * uex**2))
     ref_semi_sq = float(np.sum(w * np.einsum("tqd,tqd->tq", gex, gex)))
+    if h1 == "semi":
+        return (np.sqrt(err_l2_sq), np.sqrt(err_semi_sq),
+                np.sqrt(ref_l2_sq), np.sqrt(ref_semi_sq))
     return (np.sqrt(err_l2_sq), np.sqrt(err_l2_sq + err_semi_sq),
             np.sqrt(ref_l2_sq), np.sqrt(ref_l2_sq + ref_semi_sq))
 
 
-def _seminorm_variant(exact, fe, region, degree):
-    """As error_norms but with H1 seminorms in place of full H1 norms."""
-    mesh = fe.mesh
-    rule = triangle_rule(degree)
-    grads, areas = triangle_geometry(mesh)
-    pts = quad_points(mesh, rule)
-    flat = pts.reshape(-1, 2)
-    gex = np.asarray(exact.gradient(flat),
-                     dtype=float).reshape(*pts.shape[:2], 2)
-    gh = np.einsum("tk,tkd->td", fe.coefficients[mesh.triangles], grads)
-    mask = region.contains(flat).reshape(pts.shape[:2]) if region is not None \
-        else np.ones(pts.shape[:2], dtype=bool)
-    w = rule.weights[None, :] * areas[:, None] * mask
-    gdiff = gex - gh[:, None, :]
-    err = np.sqrt(float(np.sum(w * np.einsum("tqd,tqd->tq", gdiff, gdiff))))
-    ref = np.sqrt(float(np.sum(w * np.einsum("tqd,tqd->tq", gex, gex))))
-    return err, ref
+def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
+               ) -> tuple[Mesh, AssembledForms, SaddleSystem]:
+    """Mesh, assembled blocks and saddle system of one ladder rung.
+
+    The data are the nodal interpolant of the exact solution, perturbed by
+    the case's noise model when it has one.
+    """
+    mesh = build_unit_square_mesh(n_cells)
+    data = interpolate(case.exact.value, mesh)
+    if case.noise is not None:
+        data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
+    blocks = assemble_all(case.spec, mesh, data, quad_degree)
+    system = build_system(blocks.pde, blocks.primal, blocks.dual,
+                          blocks.b_data, blocks.b_source)
+    return mesh, blocks, system
 
 
 def run_case(case: CaseDefinition, cond: str = "none",
@@ -326,25 +329,14 @@ def run_case(case: CaseDefinition, cond: str = "none",
 
     rows = []
     for n_cells in (ladder if ladder is not None else case.ladder):
-        mesh = build_unit_square_mesh(n_cells)
-        h = mesh_size(mesh)
-        data = interpolate(case.exact.value, mesh)
-        if case.noise is not None:
-            data = apply_noise(data, case.noise, case.spec.omega, h)
-
-        blocks = assemble_all(case.spec, mesh, data, quad_degree)
-        system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                              blocks.b_data, blocks.b_source)
+        mesh, blocks, system = discretize(case, n_cells, quad_degree)
         sol = solve(system, mesh)
         if solution_hook is not None:
             solution_hook(n_cells, mesh, sol)
         kappa = None
-        if cond == "exact":
-            kappa = exact_condition_number(system)
-        elif cond == "estimate":
-            kappa = estimate_condition_number(
-                system, cond_tol, cond_max_iter,
-                factorization=sol.factorization).value
+        if cond != "none":
+            kappa = condition_number(system, cond, cond_tol, cond_max_iter,
+                                     factorization=sol.factorization)
         sol.factorization = None  # release the factors before the next rung
 
         if projection == "l2":
@@ -357,12 +349,9 @@ def run_case(case: CaseDefinition, cond: str = "none",
         sstar_norm = float(np.sqrt(zc @ (blocks.dual @ zc)))
 
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
-            case.exact, sol.u, case.spec.target, quad_degree)
-        if h1 == "semi":
-            err_h1, ref_h1 = _seminorm_variant(case.exact, sol.u,
-                                               case.spec.target, quad_degree)
+            case.exact, sol.u, case.spec.target, quad_degree, h1)
 
-        rows.append(ConvergenceRow(n_cells, h, err_l2 / ref_l2,
+        rows.append(ConvergenceRow(n_cells, blocks.h, err_l2 / ref_l2,
                                    err_h1 / ref_h1, s_norm, sstar_norm,
                                    kappa, blocks.peclet))
 

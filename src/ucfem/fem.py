@@ -1,8 +1,8 @@
 """Piecewise-linear (P1) finite element machinery on triangulations.
 
-Quadrature rules, hat-function gradients, nodal interpolation, consistent
-L2 projection and region-restricted norms.  All assembly downstream builds
-on the cached per-triangle geometry computed here.
+Quadrature rules, hat-function gradients, nodal interpolation and
+consistent L2 projection.  All assembly downstream builds on the cached
+per-triangle geometry computed here.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "interpolate",
     "mass_matrix",
     "l2_project",
-    "norms",
 ]
 
 
@@ -99,6 +98,13 @@ def edge_rule(degree: int = 4) -> QuadratureRule:
     return QuadratureRule((t + 1.0) / 2.0, w / 2.0, "edge", 2 * npts - 1)
 
 
+def _hat_gradients(v, det):
+    """Hat gradients (t, 3, 2) of triangles with vertices ``v`` (t, 3, 2)
+    and doubled signed areas ``det`` (t,)."""
+    d = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+    return np.stack([-d[..., 1], d[..., 0]], axis=-1) / det[:, None, None]
+
+
 def p1_gradients(vertices) -> np.ndarray:
     """Constant gradients of the three hat functions on one triangle.
 
@@ -110,25 +116,15 @@ def p1_gradients(vertices) -> np.ndarray:
         - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
     if abs(det) < 1e-14:
         raise ValueError("degenerate triangle")
-    g = np.empty((3, 2))
-    for i in range(3):
-        d = v[(i + 2) % 3] - v[(i + 1) % 3]
-        g[i, 0] = -d[1] / det
-        g[i, 1] = d[0] / det
-    return g
+    return _hat_gradients(v[None], np.array([det]))[0]
 
 
 def triangle_geometry(mesh: Mesh):
     """Cached per-triangle hat gradients (t, 3, 2) and areas (t,)."""
     cached = mesh._cache.get("p1geom")
     if cached is None:
-        v = mesh.nodes[mesh.triangles]
-        det = 2.0 * mesh.tri_areas
-        grads = np.empty((mesh.n_triangles, 3, 2))
-        for i in range(3):
-            d = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
-            grads[:, i, 0] = -d[:, 1] / det
-            grads[:, i, 1] = d[:, 0] / det
+        grads = _hat_gradients(mesh.nodes[mesh.triangles],
+                               2.0 * mesh.tri_areas)
         cached = (grads, mesh.tri_areas)
         mesh._cache["p1geom"] = cached
     return cached
@@ -223,48 +219,3 @@ def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
         if rel > 1e-12:
             raise RuntimeError(f"mass solve residual {rel:.3e} exceeds 1e-12")
     return FeFunction(mesh, coeffs)
-
-
-def norms(v, mesh: Mesh | None = None, region=None, gradient=None,
-          degree: int = 4):
-    """L2 norm, H1 seminorm and full H1 norm, optionally region-restricted.
-
-    ``v`` is an FeFunction (its mesh is used) or a callable on (n, 2) point
-    arrays, in which case ``mesh`` is required and ``gradient`` must supply
-    the (n, 2)-valued derivative.  ``region`` restricts the quadrature to
-    points inside the region.
-    """
-    if isinstance(v, FeFunction):
-        mesh = v.mesh
-    elif mesh is None:
-        raise ValueError("a mesh is required for callable inputs")
-    elif gradient is None:
-        raise ValueError("callable inputs need a gradient callable")
-
-    rule = triangle_rule(degree)
-    grads, areas = triangle_geometry(mesh)
-    pts = quad_points(mesh, rule)
-    flat = pts.reshape(-1, 2)
-
-    if isinstance(v, FeFunction):
-        cf = v.coefficients[mesh.triangles]
-        vals = np.einsum("qk,tk->tq", rule.points, cf)
-        gr = np.einsum("tk,tkd->td", cf, grads)
-        gsq = np.broadcast_to(np.einsum("td,td->t", gr, gr)[:, None],
-                              vals.shape)
-    else:
-        vals = np.asarray(v(flat), dtype=float).reshape(pts.shape[:2])
-        gv = np.asarray(gradient(flat), dtype=float).reshape(*pts.shape[:2], 2)
-        gsq = np.einsum("tqd,tqd->tq", gv, gv)
-
-    if region is not None:
-        mask = region.contains(flat).reshape(pts.shape[:2])
-    else:
-        mask = np.ones(pts.shape[:2], dtype=bool)
-
-    w = rule.weights[None, :] * areas[:, None] * mask
-    l2_sq = float(np.sum(w * vals**2))
-    semi_sq = float(np.sum(w * gsq))
-    l2 = np.sqrt(l2_sq)
-    semi = np.sqrt(semi_sq)
-    return l2, semi, np.sqrt(l2_sq + semi_sq)

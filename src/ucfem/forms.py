@@ -124,6 +124,12 @@ def _resolve(spec, mesh, h, degree):
     return h, resolved_beta_sup(spec, mesh, degree)
 
 
+def _stiffness(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
+    """Local diffusion blocks mu (grad phi_j, grad phi_i), shape (t, 3, 3)."""
+    grads, areas = triangle_geometry(mesh)
+    return spec.mu * np.einsum("tid,tjd,t->tij", grads, grads, areas)
+
+
 def assemble_convection_diffusion(spec: ProblemSpec, mesh: Mesh,
                                   h: float | None = None,
                                   degree: int = 4) -> sp.csr_matrix:
@@ -132,6 +138,11 @@ def assemble_convection_diffusion(spec: ProblemSpec, mesh: Mesh,
     Volume advection and diffusion plus the consistency boundary term
     -<mu dn(trial), test> that replaces boundary conditions.
     """
+    return _pde_matrix(spec, mesh, degree, _stiffness(spec, mesh))
+
+
+def _pde_matrix(spec, mesh, degree, stiff):
+    """PDE form from the local stiffness blocks ``stiff``."""
     rule = triangle_rule(degree)
     grads, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
@@ -141,7 +152,6 @@ def assemble_convection_diffusion(spec: ProblemSpec, mesh: Mesh,
     # (beta.grad phi_j) phi_i: rows are test functions
     conv = np.einsum("q,tqd,tjd,qi,t->tij", rule.weights, bvals, grads,
                      rule.points, areas)
-    stiff = spec.mu * np.einsum("tid,tjd,t->tij", grads, grads, areas)
     mat = _scatter(mesh, conv + stiff)
 
     return (mat + _boundary_flux(spec, mesh, degree)).tocsr()
@@ -225,8 +235,12 @@ def assemble_dual_stabilizer(spec: ProblemSpec, mesh: Mesh,
     on the primal side (with its own gamma).
     """
     h, bsup = _resolve(spec, mesh, h, degree)
-    grads, areas = triangle_geometry(mesh)
+    return _dual_matrix(spec, mesh, h, bsup, degree, _stiffness(spec, mesh),
+                        assemble_gradient_jump(spec, mesh, h, degree))
 
+
+def _dual_matrix(spec, mesh, h, bsup, degree, stiff, jumps):
+    """Dual stabilizer from the local stiffness blocks and the jump matrix."""
     erule = edge_rule(degree)
     hat = np.stack([1.0 - erule.points, erule.points])      # (2, q)
     edge_mass = np.einsum("q,iq,jq->ij", erule.weights, hat, hat)
@@ -236,11 +250,8 @@ def assemble_dual_stabilizer(spec: ProblemSpec, mesh: Mesh,
     cols = np.tile(mesh.bnd_nodes, (1, 2)).ravel()
     nn = mesh.n_nodes
     bnd = sp.coo_matrix((local_bnd.ravel(), (rows, cols)), shape=(nn, nn))
-
-    stiff = _scatter(mesh, spec.mu * np.einsum("tid,tjd,t->tij",
-                                               grads, grads, areas))
-    jumps = assemble_gradient_jump(spec, mesh, h)
-    return (spec.gamma_star * (bnd.tocsr() + stiff + jumps)).tocsr()
+    return (spec.gamma_star * (bnd.tocsr() + _scatter(mesh, stiff)
+                               + jumps)).tocsr()
 
 
 def assemble_loads(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
@@ -327,13 +338,18 @@ class AssembledForms:
 
 def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
                  degree: int = 4) -> AssembledForms:
-    """Assemble every block of the saddle-point system in one pass."""
+    """Assemble every block of the saddle-point system in one pass.
+
+    The diffusion blocks and the jump matrix are computed once and shared
+    by the PDE form and the dual stabilizer.
+    """
     h = mesh_size(mesh)
     bsup = resolved_beta_sup(spec, mesh, degree)
-    pde = assemble_convection_diffusion(spec, mesh, h, degree)
+    stiff = _stiffness(spec, mesh)
+    pde = _pde_matrix(spec, mesh, degree, stiff)
     s_data = assemble_data_mass(spec, mesh, h, degree)
     s_jump = assemble_gradient_jump(spec, mesh, h, degree)
-    s_dual = assemble_dual_stabilizer(spec, mesh, h, degree)
+    s_dual = _dual_matrix(spec, mesh, h, bsup, degree, stiff, s_jump)
     b_source, b_data = assemble_loads(spec, mesh, data, h, degree)
     return AssembledForms(pde, s_data, s_jump, (s_data + s_jump).tocsr(),
                           s_dual, b_source, b_data, h, bsup,

@@ -3,43 +3,25 @@
 A mesh with ``n`` cells per side carries ``(n+1)**2`` nodes and ``2*n**2``
 triangles.  Each square cell is cut along one diagonal, and the diagonal
 direction alternates in a checkerboard pattern so that no two neighbouring
-cells share the same split.  Face and boundary-edge connectivity is built
-once at construction for use in interior-penalty and boundary assembly.
+cells share the same split.  Interior-edge and boundary-edge connectivity
+is built once at construction for use in interior-penalty and boundary
+assembly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Face",
     "Mesh",
     "Region",
     "UNIT_SQUARE",
     "build_unit_square_mesh",
     "mesh_size",
-    "locate_region",
     "locate_points",
 ]
-
-
-@dataclass(frozen=True)
-class Face:
-    """Interior face shared by two triangles.
-
-    ``normal`` is the unit vector pointing from ``left_tri`` into
-    ``right_tri``.  Swapping the two triangles while negating the normal
-    leaves every assembled jump product unchanged.
-    """
-
-    nodes: tuple[int, int]
-    normal: np.ndarray
-    length: float
-    left_tri: int
-    right_tri: int
 
 
 class Mesh:
@@ -152,24 +134,6 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
-    def interior_faces(self) -> list[Face]:
-        faces = self._cache.get("faces")
-        if faces is None:
-            faces = [
-                Face((int(a), int(b)), nrm, float(ln), int(tl), int(tr))
-                for (a, b), nrm, ln, (tl, tr) in zip(
-                    self.face_nodes, self.face_normals,
-                    self.face_lengths, self.face_tris)
-            ]
-            self._cache["faces"] = faces
-        return faces
-
-    @property
-    def boundary_edges(self) -> list[tuple[tuple[int, int], np.ndarray]]:
-        return [((int(a), int(b)), nrm)
-                for (a, b), nrm in zip(self.bnd_nodes, self.bnd_normals)]
-
     def summary(self) -> dict:
         """Counts and mesh size, JSON-ready."""
         return {
@@ -281,17 +245,6 @@ class Region:
 
 
 UNIT_SQUARE = Region([(0.0, 1.0, 0.0, 1.0)])
-
-
-def locate_region(mesh: Mesh, region: Region):
-    """Return the membership predicate of ``region`` for quadrature points.
-
-    Warns when the region is invisible on this mesh (zero area, hence no
-    quadrature point can fall inside it).
-    """
-    if region.is_empty:
-        warnings.warn("region has zero measure on this mesh", stacklevel=2)
-    return region.contains
 
 
 def locate_points(mesh: Mesh, points):

@@ -213,11 +213,17 @@ def solve(system: SaddleSystem, mesh: Mesh) -> Solution:
                     diagnostics, fact)
 
 
+# largest dimension exact_condition_number accepts: a dense SVD costs
+# O(dim**3) time and O(dim**2) memory
+DENSE_SVD_MAX_DIM = 2000
+
+
 def exact_condition_number(system: SaddleSystem) -> float:
-    """Two-norm condition number by dense SVD; guarded to dimension 2000."""
+    """Two-norm condition number by dense SVD, up to DENSE_SVD_MAX_DIM."""
     dim = system.matrix.shape[0]
-    if dim > 2000:
-        raise ValueError(f"dense SVD guarded to dimension 2000, got {dim}")
+    if dim > DENSE_SVD_MAX_DIM:
+        raise ValueError(f"dense SVD guarded to dimension "
+                         f"{DENSE_SVD_MAX_DIM}, got {dim}")
     svals = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
     if svals[-1] == 0:
         raise NumericalFailure("system matrix is singular")
@@ -315,10 +321,15 @@ def estimate_condition_number(
 
 
 def condition_number(system: SaddleSystem, mode: str = "exact",
-                     tol: float = 1e-3, max_iter: int = 5000) -> float:
-    """Condition number in the requested mode ('exact' or 'estimate')."""
+                     tol: float = 1e-3, max_iter: int = 5000,
+                     factorization: Optional[Factorization] = None) -> float:
+    """Condition number in the requested mode ('exact' or 'estimate').
+
+    ``factorization`` is passed on to the estimate.
+    """
     if mode == "exact":
         return exact_condition_number(system)
     if mode == "estimate":
-        return estimate_condition_number(system, tol, max_iter).value
+        return estimate_condition_number(
+            system, tol, max_iter, factorization=factorization).value
     raise ValueError(f"unknown mode {mode!r}")

@@ -23,11 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .experiments import CaseDefinition, apply_noise
-from .fem import interpolate
-from .forms import assemble_all
-from .mesh import build_unit_square_mesh, mesh_size
-from .saddle import build_system, solve
+from .experiments import CaseDefinition, discretize
+from .saddle import solve
 
 __all__ = [
     "LogConvexityInstance",
@@ -310,14 +307,7 @@ def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,
     """
     out = []
     for n_cells in (ladder if ladder is not None else case.ladder):
-        mesh = build_unit_square_mesh(n_cells)
-        data = interpolate(case.exact.value, mesh)
-        if case.noise is not None:
-            data = apply_noise(data, case.noise, case.spec.omega,
-                               mesh_size(mesh))
-        blocks = assemble_all(case.spec, mesh, data, quad_degree)
-        system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                              blocks.b_data, blocks.b_source)
+        mesh, _, system = discretize(case, n_cells, quad_degree)
         sol = solve(system, mesh)
         sol.factorization = None  # release the factors before the next rung
         ratio = three_ball_ratio(sol.u, sol.u.gradient, config, resolution,

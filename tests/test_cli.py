@@ -183,6 +183,16 @@ def test_boundary_factor_override_changes_solution(tmp_path):
 
 
 def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
+    calls = _count_splu(monkeypatch)
+    assert main(["solve", "--case", "ex2-swirl", "--ladder", "4,8",
+                 "--cond", "estimate", "--out", str(tmp_path)]) == 0
+    assert calls == ["NATURAL", "NATURAL"]
+    diag = json.loads((tmp_path / "diagnostics_N8.json").read_text())
+    assert diag["cond"] > 1.0 and diag["ordering"] == "nested_dissection"
+
+
+def _count_splu(monkeypatch):
+    """Record the ordering of every sparse LU the program computes."""
     import ucfem.saddle as saddle
     real, calls = saddle.spla.splu, []
 
@@ -191,8 +201,70 @@ def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(saddle.spla, "splu", counting_splu)
-    assert main(["solve", "--case", "ex2-swirl", "--ladder", "4,8",
+    return calls
+
+
+def test_condnum_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
+    calls = _count_splu(monkeypatch)
+    assert main(["condnum", "--case", "ex1-const-noise-h", "--ladder", "4,8",
                  "--cond", "estimate", "--out", str(tmp_path)]) == 0
     assert calls == ["NATURAL", "NATURAL"]
-    diag = json.loads((tmp_path / "diagnostics_N8.json").read_text())
-    assert diag["cond"] > 1.0 and diag["ordering"] == "nested_dissection"
+    summary = json.loads((tmp_path / "condition.json").read_text())
+    assert all(row["converged"] for row in summary["rows"])
+
+
+def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
+    import ucfem.cli as cli
+    from test_saddle import force_pivot_free_gate_miss
+
+    clean = tmp_path / "clean"
+    assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
+                 "--out", str(clean)]) == 0
+    force_pivot_free_gate_miss(monkeypatch)
+    real, orderings = cli.estimate_condition_number, []
+
+    def recording_estimate(system, **kwargs):
+        orderings.append(kwargs["factorization"].ordering)
+        return real(system, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_condition_number", recording_estimate)
+    missed = tmp_path / "missed"
+    assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
+                 "--out", str(missed)]) == 0
+    assert orderings == ["colamd"]
+    cond = [json.loads((d / "condition.json").read_text())["rows"][0]["cond"]
+            for d in (clean, missed)]
+    assert cond[1] == pytest.approx(cond[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "condnum"])
+def test_cond_exact_rejects_rungs_beyond_the_dense_limit(tmp_path, capsys,
+                                                         command):
+    # N = 30 gives dimension 1922 <= 2000, N = 31 gives 2048
+    code = main([command, "--case", "ex1-const", "--ladder", "4,31",
+                 "--cond", "exact", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "N = [31]" in err["detail"]
+    assert not any(tmp_path.iterdir())  # rejected before any rung ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--c3", "0"],
+    ["kappa", "--radii", "0.3", "0.2", "0.1"],
+    ["fem", "--radii", "0.3", "0.2", "0.1"],
+    ["fem", "--radii", "0.1", "0.2", "0.9"],
+    ["harmonic", "--radii", "0.1", "0.2", "0.9"],
+])
+def test_probe_bad_geometry_exits_two(tmp_path, capsys, argv):
+    assert main(["probe", *argv, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("flag", ["--kmax", "--samples"])
+def test_probe_counts_must_be_positive(tmp_path, flag):
+    mode = "harmonic" if flag == "--kmax" else "audit"
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", mode, flag, "0", "--out", str(tmp_path)])
+    assert exc.value.code == 2

@@ -7,10 +7,12 @@ import pytest
 
 from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, NoiseModel,
                                apply_noise, builtin_cases, derive_source,
-                               error_norms, estimate_rate, get_case,
-                               polynomial_bump, run_case, ExactSolution)
+                               discretize, error_norms, estimate_rate,
+                               get_case, polynomial_bump, run_case,
+                               ExactSolution)
 from ucfem.fem import interpolate
-from ucfem.forms import constant_field, swirl_field
+from ucfem.forms import assemble_all, constant_field, swirl_field
+from ucfem.saddle import build_system
 from ucfem.mesh import Region, build_unit_square_mesh, mesh_size
 
 
@@ -169,6 +171,50 @@ def test_error_norms_affine_oracle():
     half = Region([(0.0, 0.5, 0.0, 1.0)])
     _, _, ref_l2_half, _ = error_norms(affine, fe, half)
     assert ref_l2_half == pytest.approx(np.sqrt(1.0 / 24.0), abs=1e-12)
+
+
+def test_error_norms_of_fe_function_on_subregion():
+    # against a zero exact solution the error norms are those of fe itself
+    zero = ExactSolution(
+        value=lambda p: np.zeros(len(np.atleast_2d(p))),
+        gradient=lambda p: np.zeros((len(np.atleast_2d(p)), 2)),
+        laplacian=lambda p: np.zeros(len(np.atleast_2d(p))))
+    mesh = build_unit_square_mesh(64)
+    fh = interpolate(lambda p: p[:, 0], mesh)
+    box = Region([(0.0, 0.5, 0.0, 1.0)])
+    l2, h1, ref_l2, ref_h1 = error_norms(zero, fh, box, degree=4)
+    _, semi, _, ref_semi = error_norms(zero, fh, box, degree=4, h1="semi")
+    # integral of x^2 over [0,.5]x[0,1] = 1/24; gradient (1,0) on area 1/2
+    assert np.isclose(l2, np.sqrt(1.0 / 24.0), atol=1e-12)
+    assert np.isclose(semi, np.sqrt(0.5), atol=1e-12)
+    assert np.isclose(h1, np.sqrt(1.0 / 24.0 + 0.5), atol=1e-12)
+    assert ref_l2 == ref_h1 == ref_semi == 0.0
+
+
+def test_error_norms_semi_drops_the_l2_part_of_h1():
+    case = get_case("ex1-swirl")
+    fe = interpolate(case.exact.value, build_unit_square_mesh(8))
+    full = error_norms(case.exact, fe, case.spec.target)
+    semi = error_norms(case.exact, fe, case.spec.target, h1="semi")
+    assert semi[0] == full[0] and semi[2] == full[2]
+    assert np.isclose(semi[1] ** 2 + full[0] ** 2, full[1] ** 2, rtol=1e-12)
+    assert np.isclose(semi[3] ** 2 + full[2] ** 2, full[3] ** 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ex1-swirl", "ex1-const-noise-sqrt"])
+def test_discretize_matches_the_pipeline_written_out(name):
+    case = get_case(name)
+    mesh, blocks, system = discretize(case, 8, quad_degree=2)
+    assert mesh.cells_per_side == 8
+    data = interpolate(case.exact.value, mesh)
+    if case.noise is not None:
+        data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
+    ref = assemble_all(case.spec, mesh, data, 2)
+    ref_system = build_system(ref.pde, ref.primal, ref.dual, ref.b_data,
+                              ref.b_source)
+    assert np.array_equal(system.rhs, ref_system.rhs)
+    assert (system.matrix != ref_system.matrix).nnz == 0
+    assert np.array_equal(blocks.b_data, ref.b_data)
 
 
 def test_run_case_argument_validation():

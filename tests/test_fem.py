@@ -1,4 +1,4 @@
-"""Quadrature, P1 basis machinery, interpolation, projection, norms."""
+"""Quadrature, P1 basis machinery, interpolation, projection."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ucfem.fem import (FeFunction, edge_rule, interpolate, l2_project,
-                       mass_matrix, norms, p1_gradients, quad_points,
+                       mass_matrix, p1_gradients, quad_points,
                        triangle_geometry, triangle_rule)
-from ucfem.mesh import Region, build_unit_square_mesh
+from ucfem.mesh import build_unit_square_mesh
 
 
 def reference_monomial_integral(a, b):
@@ -58,6 +58,12 @@ def test_p1_gradients_partition_of_unity():
         except ValueError:
             continue
         assert np.allclose(g.sum(axis=0), 0.0, atol=1e-10)
+        # per-vertex reference: rotate the opposite edge, divide by 2|T|
+        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        for i in range(3):
+            d = verts[(i + 2) % 3] - verts[(i + 1) % 3]
+            assert np.allclose(g[i], [-d[1] / det, d[0] / det], rtol=1e-13)
 
 
 def test_p1_gradients_exact_for_affine():
@@ -67,8 +73,11 @@ def test_p1_gradients_exact_for_affine():
     coeffs = 2.0 + 3.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1]
     per_tri = np.einsum("tk,tkd->td", coeffs[mesh.triangles], grads)
     assert np.allclose(per_tri, [3.0, -0.5])
+    # one triangle at a time gives the same bits as the whole mesh
     single = p1_gradients(mesh.nodes[mesh.triangles[0]])
-    assert np.allclose(single, grads[0])
+    assert np.array_equal(single, grads[0])
+    with pytest.raises(ValueError, match="degenerate"):
+        p1_gradients([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
 
 
 def test_quad_points_cover_domain():
@@ -151,17 +160,6 @@ def test_mass_matrix_row_sums_give_areas():
     ones = np.ones(mesh.n_nodes)
     assert np.isclose(ones @ (mass @ ones), 1.0)
     assert np.all(mass.diagonal() > 0)
-
-
-def test_norms_of_known_function_on_subregion():
-    mesh = build_unit_square_mesh(64)
-    fh = interpolate(lambda p: p[:, 0], mesh)
-    box = Region([(0.0, 0.5, 0.0, 1.0)])
-    l2, semi, h1 = norms(fh, mesh, region=box, degree=4)
-    # integral of x^2 over [0,.5]x[0,1] = 1/24; gradient (1,0) on area 1/2
-    assert np.isclose(l2, np.sqrt(1.0 / 24.0), atol=1e-12)
-    assert np.isclose(semi, np.sqrt(0.5), atol=1e-12)
-    assert np.isclose(h1, np.sqrt(1.0 / 24.0 + 0.5), atol=1e-12)
 
 
 def test_fe_function_subtraction_and_validation():

@@ -240,6 +240,41 @@ def test_assemble_all_collects_consistent_blocks():
     assert np.abs((blocks.primal - primal).toarray()).max() < 1e-14
 
 
+def test_dual_jump_part_is_the_primal_jump_at_sampled_beta_sup():
+    # the jump part of the dual is the part linear in gamma; with |beta|
+    # sampled at the degree-2 points it must be gamma_* times the primal
+    # jump matrix, sampled at the same points
+    spec = make_spec(beta=swirl_field(), beta_sup=None, gamma_star=0.5,
+                     f=lambda p: np.ones(len(np.atleast_2d(p))))
+    mesh = build_unit_square_mesh(4)
+    data = interpolate(polynomial_bump().value, mesh)
+    blocks = assemble_all(spec, mesh, data, 2)
+    doubled = assemble_all(dataclasses.replace(spec, gamma=2.0), mesh, data,
+                           2)
+    jump_part = (doubled.dual - blocks.dual).toarray()
+    assert blocks.beta_sup < 200.0  # sampled, not declared
+    assert np.abs(jump_part - spec.gamma_star * blocks.jump.toarray()).max() \
+        <= 1e-12 * np.abs(blocks.dual.toarray()).max()
+
+
+def test_assemble_all_assembles_the_jump_matrix_once(monkeypatch):
+    real, calls = forms.assemble_gradient_jump, []
+
+    def counting_jump(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "assemble_gradient_jump", counting_jump)
+    case = get_case("ex1-swirl")
+    mesh = build_unit_square_mesh(4)
+    blocks = assemble_all(case.spec, mesh,
+                          interpolate(case.exact.value, mesh), 4)
+    assert len(calls) == 1
+    # composed from the shared blocks, the dual equals the standalone one
+    alone = assemble_dual_stabilizer(case.spec, mesh, degree=4)
+    assert (blocks.dual != alone).nnz == 0
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         make_spec(mu=0.0)

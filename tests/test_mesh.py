@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ucfem.mesh import (Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
-                        locate_points, locate_region, mesh_size)
+                        locate_points, mesh_size)
 
 
 def test_counts_match_structured_grid_formulas():
@@ -118,13 +118,13 @@ def test_empty_region_warns():
     assert region.is_empty
 
 
-def test_locate_region_predicate_on_centroids():
+def test_region_contains_on_centroids():
     mesh = build_unit_square_mesh(8)
-    inside = locate_region(mesh, UNIT_SQUARE)
     centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-    assert inside(centroids).all()
-    corner = locate_region(mesh, Region([(0.0, 0.25, 0.0, 0.25)]))
-    assert corner(centroids).sum() == 2 * 2 * 2  # 2x2 cells, 2 tris each
+    assert UNIT_SQUARE.contains(centroids).all()
+    # 2x2 cells of the corner box, 2 triangles each
+    corner = Region([(0.0, 0.25, 0.0, 0.25)])
+    assert corner.contains(centroids).sum() == 2 * 2 * 2
 
 
 def test_summary_contents():

@@ -12,9 +12,10 @@ from ucfem.experiments import (apply_noise, builtin_cases, get_case,
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, pde_load_from_field
 from ucfem.mesh import _nested_dissection, build_unit_square_mesh, mesh_size
-from ucfem.saddle import (CondEstimate, NumericalFailure, build_system,
-                          condition_number, estimate_condition_number,
-                          exact_condition_number, factorize, solve)
+from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
+                          build_system, condition_number,
+                          estimate_condition_number, exact_condition_number,
+                          factorize, solve)
 
 
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
@@ -154,7 +155,6 @@ def test_build_system_validates_shapes():
 
 def test_condition_number_diagonal_oracle():
     diag = np.array([4.0, 2.0, 1.0, 0.5])
-    from ucfem.saddle import SaddleSystem
     sys_diag = SaddleSystem(sp.csr_matrix(np.diag(diag)), np.zeros(4), 2)
     assert exact_condition_number(sys_diag) == pytest.approx(8.0)
     est = estimate_condition_number(sys_diag, tol=1e-10, seed=1)
@@ -201,6 +201,11 @@ def test_condition_number_mode_dispatch():
     exact = condition_number(system, mode="exact")
     est = condition_number(system, mode="estimate", tol=1e-6)
     assert abs(est - exact) <= 0.05 * exact
+    # the estimate runs on the passed factors: those of 2 M halve it
+    doubled = factorize(SaddleSystem(2 * system.matrix, system.rhs, system.n))
+    halved = condition_number(system, "estimate", tol=1e-6,
+                              factorization=doubled)
+    assert halved == pytest.approx(est / 2, rel=1e-4)
     with pytest.raises(ValueError):
         condition_number(system, mode="bogus")
 
@@ -276,13 +281,20 @@ def test_pivot_free_breakdown_falls_back_to_colamd(monkeypatch):
     assert sol.diagnostics["relative_residual"] <= 1e-8
 
 
-def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
-    # factors of 1.5 M: refinement contracts the error by 1/3 per step
-    # only, so two steps leave the residual far above the 1e-8 gate
+def force_pivot_free_gate_miss(monkeypatch):
+    """Make every pivot-free factorization miss the solve's residual gate.
+
+    The factors are those of 1.5 M: refinement contracts the error by 1/3
+    per step only, so two steps leave the residual far above 1e-8.
+    """
     def inexact(real, mat, permc_spec, **kwargs):
         return real(1.5 * mat, permc_spec=permc_spec, **kwargs)
 
     _patched_pivot_free_splu(monkeypatch, inexact)
+
+
+def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
+    force_pivot_free_gate_miss(monkeypatch)
     _, mesh, _, system = case_system("ex1-swirl", n=8)
     sol = solve(system, mesh)
     assert sol.diagnostics["ordering"] == "colamd"
