@@ -172,16 +172,23 @@ def _apply_config_file(parser, commands, argv):
     return None
 
 
-def _region_from(payload) -> Region:
-    return Region(payload.get("boxes", []), payload.get("holes", []))
+def _region_from(payload, name) -> Region:
+    region = Region(payload.get("boxes", []), payload.get("holes", []))
+    if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
+           for x0, x1, y0, y1 in region.boxes):
+        raise ConfigError(f"{name} has a box outside the unit square")
+    if region.is_empty:
+        raise ConfigError(f"{name} has zero area")
+    return region
 
 
 def _field_from(payload):
     kind = payload.get("kind", "const")
     if kind == "const":
-        return constant_field(*payload.get("value", (1.0, 0.0)))
+        bx, by = payload.get("value", (1.0, 0.0))
+        return constant_field(float(bx), float(by))
     if kind == "swirl":
-        return swirl_field(payload.get("scale", 100.0))
+        return swirl_field(float(payload.get("scale", 100.0)))
     if kind == "zero":
         return zero_field()
     raise ConfigError(f"unknown advection field kind {kind!r}")
@@ -192,19 +199,21 @@ def _case_from_problem(payload: dict) -> CaseDefinition:
     try:
         beta = _field_from(payload.get("beta", {}))
         exact = polynomial_bump()
+        beta_sup = payload.get("beta_sup")
         spec = ProblemSpec(
-            mu=payload.get("mu", 1.0),
+            mu=float(payload.get("mu", 1.0)),
             beta=beta,
-            omega=_region_from(payload["omega"]),
-            target=_region_from(payload.get("target", {"boxes": [[0, 1, 0, 1]]})),
+            omega=_region_from(payload["omega"], "omega"),
+            target=_region_from(payload.get("target", {"boxes": [[0, 1, 0, 1]]}),
+                                "target"),
             f=None,
-            beta_sup=payload.get("beta_sup"),
-            gamma=payload.get("gamma", 1e-5),
-            gamma_star=payload.get("gamma_star", 1.0),
-            boundary_factor=payload.get("boundary_factor", 50.0),
+            beta_sup=None if beta_sup is None else float(beta_sup),
+            gamma=float(payload.get("gamma", 1e-5)),
+            gamma_star=float(payload.get("gamma_star", 1.0)),
+            boundary_factor=float(payload.get("boundary_factor", 50.0)),
         )
         spec = replace(spec, f=derive_source(exact, spec.mu, beta))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad inline problem: {exc}") from exc
     return CaseDefinition("custom", spec, exact)
 

@@ -20,7 +20,7 @@ stabilizer.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,18 +93,12 @@ class ProblemSpec:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.gamma <= 0 or self.gamma_star <= 0:
             raise ValueError("stabilization parameters must be positive")
+        if self.beta_sup is not None and self.beta_sup < 0:
+            raise ValueError(
+                f"beta_sup must be non-negative, got {self.beta_sup}")
         if self.boundary_factor < 1:
             raise ValueError(
                 f"boundary_factor must be >= 1, got {self.boundary_factor}")
-
-    def peclet(self, h: float, mesh: Mesh | None = None) -> float:
-        """Mesh Peclet number |beta| h / mu."""
-        sup = self.beta_sup
-        if sup is None:
-            if mesh is None:
-                raise ValueError("need a mesh to sample |beta|")
-            sup = _sampled_beta_sup(self, mesh, 4)
-        return sup * h / self.mu
 
 
 def _sampled_beta_sup(spec: ProblemSpec, mesh: Mesh, degree: int) -> float:
@@ -118,10 +112,9 @@ def resolved_beta_sup(spec: ProblemSpec, mesh: Mesh, degree: int = 4) -> float:
         else _sampled_beta_sup(spec, mesh, degree)
 
 
-def _resolve(spec, mesh, h, degree):
-    if h is None:
-        h = mesh_size(mesh)
-    return h, resolved_beta_sup(spec, mesh, degree)
+def _resolve(spec, mesh, degree):
+    """The constant weights: mesh size h and |beta|."""
+    return mesh_size(mesh), resolved_beta_sup(spec, mesh, degree)
 
 
 def _stiffness(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
@@ -131,7 +124,6 @@ def _stiffness(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 
 def assemble_convection_diffusion(spec: ProblemSpec, mesh: Mesh,
-                                  h: float | None = None,
                                   degree: int = 4) -> sp.csr_matrix:
     """PDE form matrix A[i, j] = a(phi_j, phi_i).
 
@@ -177,10 +169,9 @@ def _boundary_flux(spec, mesh, degree):
 
 
 def assemble_data_mass(spec: ProblemSpec, mesh: Mesh,
-                       h: float | None = None,
                        degree: int = 4) -> sp.csr_matrix:
     """Weighted mass matrix ((mu + |beta| h) v, w) over the data region."""
-    h, bsup = _resolve(spec, mesh, h, degree)
+    h, bsup = _resolve(spec, mesh, degree)
     rule = triangle_rule(degree)
     _, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
@@ -195,7 +186,6 @@ def assemble_data_mass(spec: ProblemSpec, mesh: Mesh,
 
 
 def assemble_gradient_jump(spec: ProblemSpec, mesh: Mesh,
-                           h: float | None = None,
                            degree: int = 4) -> sp.csr_matrix:
     """Interior-penalty matrix gamma * sum_F h (mu + |beta| h) int_F [dn v][dn w].
 
@@ -203,7 +193,7 @@ def assemble_gradient_jump(spec: ProblemSpec, mesh: Mesh,
     face contributes a rank-one block on the six hat functions of the two
     adjacent triangles.
     """
-    h, bsup = _resolve(spec, mesh, h, degree)
+    h, bsup = _resolve(spec, mesh, degree)
     grads, _ = triangle_geometry(mesh)
 
     t_minus, t_plus = mesh.face_tris[:, 0], mesh.face_tris[:, 1]
@@ -226,7 +216,6 @@ def assemble_gradient_jump(spec: ProblemSpec, mesh: Mesh,
 
 
 def assemble_dual_stabilizer(spec: ProblemSpec, mesh: Mesh,
-                             h: float | None = None,
                              degree: int = 4) -> sp.csr_matrix:
     """Stabilizer acting on the dual variable.
 
@@ -234,13 +223,14 @@ def assemble_dual_stabilizer(spec: ProblemSpec, mesh: Mesh,
     plus the full diffusion energy and the same gradient-jump penalty used
     on the primal side (with its own gamma).
     """
-    h, bsup = _resolve(spec, mesh, h, degree)
-    return _dual_matrix(spec, mesh, h, bsup, degree, _stiffness(spec, mesh),
-                        assemble_gradient_jump(spec, mesh, h, degree))
+    spec = replace(spec, beta_sup=resolved_beta_sup(spec, mesh, degree))
+    return _dual_matrix(spec, mesh, degree, _stiffness(spec, mesh),
+                        assemble_gradient_jump(spec, mesh, degree))
 
 
-def _dual_matrix(spec, mesh, h, bsup, degree, stiff, jumps):
+def _dual_matrix(spec, mesh, degree, stiff, jumps):
     """Dual stabilizer from the local stiffness blocks and the jump matrix."""
+    h, bsup = _resolve(spec, mesh, degree)
     erule = edge_rule(degree)
     hat = np.stack([1.0 - erule.points, erule.points])      # (2, q)
     edge_mass = np.einsum("q,iq,jq->ij", erule.weights, hat, hat)
@@ -255,7 +245,7 @@ def _dual_matrix(spec, mesh, h, bsup, degree, stiff, jumps):
 
 
 def assemble_loads(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
-                   h: float | None = None, degree: int = 4):
+                   degree: int = 4):
     """Right-hand sides (source load, data load).
 
     The source load is (f, phi_i) over the domain; the data load applies
@@ -263,7 +253,7 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
     """
     if spec.f is None:
         raise ValueError("spec has no source term f")
-    h, bsup = _resolve(spec, mesh, h, degree)
+    h, bsup = _resolve(spec, mesh, degree)
     rule = triangle_rule(degree)
     _, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
@@ -285,8 +275,7 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
 
 
 def pde_load_from_field(spec: ProblemSpec, mesh: Mesh, value: Callable,
-                        gradient: Callable, h: float | None = None,
-                        degree: int = 4) -> np.ndarray:
+                        gradient: Callable, degree: int = 4) -> np.ndarray:
     """Vector L[i] = a(u, phi_i) for an analytic field u.
 
     Used in consistency checks: for the exact solution this must equal the
@@ -341,16 +330,16 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
     """Assemble every block of the saddle-point system in one pass.
 
     The diffusion blocks and the jump matrix are computed once and shared
-    by the PDE form and the dual stabilizer.
+    by the PDE form and the dual stabilizer, and |beta| is resolved once.
     """
-    h = mesh_size(mesh)
-    bsup = resolved_beta_sup(spec, mesh, degree)
+    spec = replace(spec, beta_sup=resolved_beta_sup(spec, mesh, degree))
+    h, bsup = mesh_size(mesh), spec.beta_sup
     stiff = _stiffness(spec, mesh)
     pde = _pde_matrix(spec, mesh, degree, stiff)
-    s_data = assemble_data_mass(spec, mesh, h, degree)
-    s_jump = assemble_gradient_jump(spec, mesh, h, degree)
-    s_dual = _dual_matrix(spec, mesh, h, bsup, degree, stiff, s_jump)
-    b_source, b_data = assemble_loads(spec, mesh, data, h, degree)
+    s_data = assemble_data_mass(spec, mesh, degree)
+    s_jump = assemble_gradient_jump(spec, mesh, degree)
+    s_dual = _dual_matrix(spec, mesh, degree, stiff, s_jump)
+    b_source, b_data = assemble_loads(spec, mesh, data, degree)
     return AssembledForms(pde, s_data, s_jump, (s_data + s_jump).tocsr(),
                           s_dual, b_source, b_data, h, bsup,
                           bsup * h / spec.mu)

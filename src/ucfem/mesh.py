@@ -50,25 +50,20 @@ class Mesh:
         # node index = j*(n+1) + i for coordinate (i/n, j/n)
         self.nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-        tris = np.empty((2 * n * n, 3), dtype=np.int64)
-        for j in range(n):
-            for i in range(n):
-                ll = j * (n + 1) + i
-                lr = ll + 1
-                ul = ll + (n + 1)
-                ur = ul + 1
-                c = 2 * (j * n + i)
-                if (i + j) % 2 == 0:
-                    # diagonal from lower-left to upper-right
-                    tris[c] = (ll, lr, ur)
-                    tris[c + 1] = (ll, ur, ul)
-                else:
-                    # diagonal from lower-right to upper-left
-                    tris[c] = (ll, lr, ul)
-                    tris[c + 1] = (lr, ur, ul)
-        self.triangles = tris
+        # cell (i, j) has lower-left node j*(n+1) + i and owns triangles
+        # 2*(j*n + i) and 2*(j*n + i) + 1
+        j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        ll = j * (n + 1) + i
+        lr, ul = ll + 1, ll + (n + 1)
+        ur = ul + 1
+        # even cells: diagonal from lower-left to upper-right;
+        # odd cells: diagonal from lower-right to upper-left
+        even = np.array([[ll, lr, ur], [ll, ur, ul]])
+        odd = np.array([[ll, lr, ul], [lr, ur, ul]])
+        tris = np.where((i + j) % 2 == 0, even, odd)
+        self.triangles = tris.transpose(2, 0, 1).reshape(-1, 3)
 
-        v = self.nodes[tris]
+        v = self.nodes[self.triangles]
         e1 = v[:, 1] - v[:, 0]
         e2 = v[:, 2] - v[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -80,51 +75,45 @@ class Mesh:
         self._cache: dict = {}
 
     def _build_connectivity(self):
-        owners: dict[tuple[int, int], list[int]] = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (a, b) if a < b else (b, a)
-                owners.setdefault(key, []).append(t)
+        # half-edge 3*t + k joins vertices k and k+1 (mod 3) of triangle t;
+        # the stable sort lists the owners of an edge in triangle order
+        tris = self.triangles
+        a, b = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * self.n_nodes + hi
+        order = np.argsort(keys, kind="stable")
+        _, start, count = np.unique(keys[order], return_index=True,
+                                    return_counts=True)
+        if count.max() > 2:
+            e = order[start[count.argmax()]]
+            raise RuntimeError(f"edge {(int(lo[e]), int(hi[e]))} owned by "
+                               f"{count.max()} triangles")
+        first, last = order[start], order[start + count - 1]
+        lo, hi = lo[first], hi[first]
+        owners = np.column_stack([first, last]) // 3
 
-        centroids = self.nodes[self.triangles].mean(axis=1)
+        d = self.nodes[hi] - self.nodes[lo]
+        length = np.hypot(d[:, 0], d[:, 1])
+        nrm = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
+        mid = 0.5 * (self.nodes[lo] + self.nodes[hi])
+        centroids = self.nodes[tris].mean(axis=1)
+        # whether the normal points into the last owner, which on a
+        # boundary edge is the only one
+        into = np.einsum("ed,ed->e", nrm, centroids[owners[:, 1]] - mid) > 0
+        owners = np.where(into[:, None], owners, owners[:, ::-1])
 
-        f_nodes, f_norm, f_len, f_tris = [], [], [], []
-        b_nodes, b_norm, b_len, b_tris = [], [], [], []
-        for (a, b), tris in sorted(owners.items()):
-            d = self.nodes[b] - self.nodes[a]
-            length = float(np.hypot(d[0], d[1]))
-            nrm = np.array([d[1], -d[0]]) / length
-            mid = 0.5 * (self.nodes[a] + self.nodes[b])
-            if len(tris) == 2:
-                t0, t1 = tris
-                # orient the normal from t_left into t_right
-                if nrm @ (centroids[t1] - mid) > 0:
-                    left, right = t0, t1
-                else:
-                    left, right = t1, t0
-                f_nodes.append((a, b))
-                f_norm.append(nrm)
-                f_len.append(length)
-                f_tris.append((left, right))
-            elif len(tris) == 1:
-                t0 = tris[0]
-                if nrm @ (centroids[t0] - mid) > 0:
-                    nrm = -nrm
-                b_nodes.append((a, b))
-                b_norm.append(nrm)
-                b_len.append(length)
-                b_tris.append(t0)
-            else:
-                raise RuntimeError(f"edge {(a, b)} owned by {len(tris)} triangles")
-
-        self.face_nodes = np.array(f_nodes, dtype=np.int64)
-        self.face_normals = np.array(f_norm)
-        self.face_lengths = np.array(f_len)
-        self.face_tris = np.array(f_tris, dtype=np.int64)
-        self.bnd_nodes = np.array(b_nodes, dtype=np.int64)
-        self.bnd_normals = np.array(b_norm)
-        self.bnd_lengths = np.array(b_len)
-        self.bnd_tris = np.array(b_tris, dtype=np.int64)
+        # interior normals point from face_tris[:, 0] into face_tris[:, 1]
+        f = count == 2
+        self.face_nodes = np.column_stack([lo[f], hi[f]])
+        self.face_normals = nrm[f]
+        self.face_lengths = length[f]
+        self.face_tris = owners[f]
+        # boundary normals point outward
+        bnd = count == 1
+        self.bnd_nodes = np.column_stack([lo[bnd], hi[bnd]])
+        self.bnd_normals = np.where(into[bnd, None], -nrm[bnd], nrm[bnd])
+        self.bnd_lengths = length[bnd]
+        self.bnd_tris = owners[bnd, 0]
 
     @property
     def n_nodes(self) -> int:

@@ -171,6 +171,28 @@ def test_config_file_supplies_defaults_and_inline_problem(tmp_path):
     assert config["ladder"] == [8]
 
 
+SWIRL_PROBLEM = {"beta": {"kind": "swirl", "scale": 10.0},
+                 "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega", [1, 2]),
+    ("beta", {"kind": "swirl", "scale": "big"}),
+    ("omega", {"boxes": []}),
+    ("omega", {"boxes": [[2, 3, 2, 3]]}),
+    ("beta_sup", -5),
+])
+def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {**SWIRL_PROBLEM, key: value}}))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--ladder", "4",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not list(tmp_path.glob("**/u_N*.csv"))
+
+
 def test_boundary_factor_override_changes_solution(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--case", "ex1-const", "--ladder", "8",

@@ -275,13 +275,33 @@ def test_assemble_all_assembles_the_jump_matrix_once(monkeypatch):
     assert (blocks.dual != alone).nnz == 0
 
 
+def test_assemble_all_samples_beta_once(monkeypatch):
+    real, calls = forms._sampled_beta_sup, []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "_sampled_beta_sup", counting_sample)
+    bump = polynomial_bump()
+    spec = make_spec(beta=swirl_field(), beta_sup=None,
+                     f=derive_source(bump, 1.0, swirl_field()))
+    mesh = build_unit_square_mesh(4)
+    data = interpolate(bump.value, mesh)
+    for degree in (2, 4):
+        calls.clear()
+        blocks = assemble_all(spec, mesh, data, degree)
+        assert calls == [degree]
+        assert blocks.beta_sup == real(spec, mesh, degree)
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         make_spec(mu=0.0)
     with pytest.raises(ValueError):
         make_spec(gamma=-1.0)
-    spec = make_spec()
-    assert spec.peclet(0.1) == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="beta_sup"):
+        make_spec(beta_sup=-5.0)
 
 
 def test_resolved_beta_sup_samples_when_unset():

@@ -6,6 +6,8 @@ import pytest
 from ucfem.mesh import (Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
                         locate_points, mesh_size)
 
+import dense_oracle
+
 
 def test_counts_match_structured_grid_formulas():
     for n in (1, 2, 8):
@@ -54,6 +56,35 @@ def test_diagonals_alternate_between_adjacent_cells():
     assert len(diag_dirs) == n * n
     for (i, j), s in diag_dirs.items():
         assert s == (1 if (i + j) % 2 == 0 else -1)
+
+
+def _strictly_lexicographic(pairs):
+    a, b = pairs[:, 0], pairs[:, 1]
+    later = (a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))
+    return bool(np.all(a < b) and np.all(later))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+def test_connectivity_matches_oracle_edge_scan(n):
+    # assembly sums face contributions in this order, so it is pinned
+    mesh = build_unit_square_mesh(n)
+    assert _strictly_lexicographic(mesh.face_nodes)
+    assert _strictly_lexicographic(mesh.bnd_nodes)
+    interior, boundary = dense_oracle._scan_edges(mesh)
+    assert {(int(a), int(b), frozenset(map(int, tris)))
+            for (a, b), tris in interior} == \
+        {(a, b, frozenset(tris)) for (a, b), tris
+         in zip(mesh.face_nodes.tolist(), mesh.face_tris.tolist())}
+    assert {(int(a), int(b), int(t)) for (a, b), t in boundary} == \
+        {(a, b, t) for (a, b), t
+         in zip(mesh.bnd_nodes.tolist(), mesh.bnd_tris.tolist())}
+
+
+def test_edge_with_three_owners_is_rejected():
+    mesh = build_unit_square_mesh(1)
+    mesh.triangles = np.vstack([mesh.triangles, mesh.triangles[:1]])
+    with pytest.raises(RuntimeError, match="owned by 3 triangles"):
+        mesh._build_connectivity()
 
 
 def test_interior_face_normals_unit_and_consistent():
