@@ -19,8 +19,7 @@ from .forms import (ProblemSpec, assemble_all, assemble_convection_diffusion,
                     assemble_gradient_jump, assemble_loads, constant_field,
                     swirl_field, zero_field)
 from .saddle import (NumericalFailure, SaddleSystem, Solution, build_system,
-                     condition_number, estimate_condition_number,
-                     exact_condition_number, solve)
+                     estimate_condition_number, exact_condition_number, solve)
 from .experiments import (CaseDefinition, ConvergenceTable, ExactSolution,
                           NoiseModel, apply_noise, builtin_cases,
                           derive_source, discretize, estimate_rate,

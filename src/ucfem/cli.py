@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +25,7 @@ from .experiments import (CaseDefinition, NoiseModel, derive_source,
                           polynomial_bump, run_case)
 from .forms import ProblemSpec, constant_field, swirl_field, zero_field
 from .mesh import Region, build_unit_square_mesh
-from .saddle import (DENSE_SVD_MAX_DIM, NumericalFailure, condition_number,
-                     estimate_condition_number, exact_condition_number, solve)
+from .saddle import DENSE_SVD_MAX_DIM, NumericalFailure, solve
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
                         probe_fem_solution)
@@ -252,6 +250,19 @@ def _check_dense_ladder(ladder):
                           f"ladder has N = {too_big}")
 
 
+def _check_numbers(args):
+    """Reject a seed or an estimator setting that cannot run."""
+    seed = getattr(args, "seed", 0)
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {seed!r}")
+    cap = getattr(args, "cond_cap", 1)
+    if not isinstance(cap, int) or cap < 1:
+        raise ConfigError(f"--cond-cap must be an integer >= 1, got {cap!r}")
+    tol = getattr(args, "cond_tol", 1.0)
+    if not isinstance(tol, (int, float)) or not tol > 0:
+        raise ConfigError(f"--cond-tol must be > 0, got {tol!r}")
+
+
 def _echo_config(args, out: Path):
     payload = {}
     for key, val in sorted(vars(args).items()):
@@ -287,15 +298,13 @@ def _cmd_solve(args, case: CaseDefinition) -> int:
     _echo_config(args, out)
     for n_cells in case.ladder:
         mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
-        sol = solve(system, mesh)
+        sol = solve(system, mesh, args.cond)
         sol.u.to_csv(out / f"u_N{n_cells}.csv")
         sol.z.to_csv(out / f"z_N{n_cells}.csv")
         diag = _strip_timings(sol.diagnostics)
         diag["peclet"] = blocks.peclet
-        if args.cond != "none":
-            diag["cond"] = condition_number(system, args.cond,
-                                            factorization=sol.factorization)
-        sol.factorization = None  # release the factors before the next rung
+        if sol.cond is not None:
+            diag["cond"] = sol.cond.value
         with open(out / f"diagnostics_N{n_cells}.json", "w") as fh:
             json.dump(diag, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -328,22 +337,12 @@ def _cmd_condnum(args, case: CaseDefinition) -> int:
     rows = []
     for n_cells in case.ladder:
         mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
-        sol = solve(system, mesh)
-        if args.cond == "exact":
-            value, converged, bracket = exact_condition_number(system), True, None
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                est = estimate_condition_number(
-                    system, tol=args.cond_tol, max_iter=args.cond_cap,
-                    factorization=sol.factorization)
-            value, converged, bracket = est.value, est.converged, \
-                list(est.bracket)
-        sol.factorization = None  # release the factors before the next rung
-        rows.append({"N": n_cells, "h": blocks.h, "cond": value,
-                     "converged": converged, "bracket": bracket})
-        flag = "" if converged else "  (cap hit, bracket "f"{bracket})"
-        print(f"N={n_cells}: cond={value:.6e}{flag}")
+        est = solve(system, mesh, args.cond, args.cond_tol, args.cond_cap).cond
+        bracket = None if est.bracket is None else list(est.bracket)
+        rows.append({"N": n_cells, "h": blocks.h, "cond": est.value,
+                     "converged": est.converged, "bracket": bracket})
+        flag = "" if est.converged else f"  (cap hit, bracket {bracket})"
+        print(f"N={n_cells}: cond={est.value:.6e}{flag}")
 
     with open(out / "condition.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -429,6 +428,7 @@ def main(argv=None) -> int:
     try:
         problem = _apply_config_file(parser, commands, argv)
         args = parser.parse_args(argv)
+        _check_numbers(args)
         if args.command == "mesh-info":
             return _cmd_mesh_info(args)
         if args.command == "probe":

@@ -163,11 +163,6 @@ class FeFunction:
         return np.einsum("nk,nkd->nd", self.coefficients[self.mesh.triangles[tri]],
                          grads[tri])
 
-    def __sub__(self, other):
-        if not isinstance(other, FeFunction) or other.mesh is not self.mesh:
-            return NotImplemented
-        return FeFunction(self.mesh, self.coefficients - other.coefficients)
-
     def to_csv(self, path):
         """Write node index, coordinates and value, one row per node."""
         with open(path, "w") as fh:

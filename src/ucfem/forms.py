@@ -40,10 +40,8 @@ __all__ = [
     "assemble_gradient_jump",
     "assemble_dual_stabilizer",
     "assemble_loads",
-    "pde_load_from_field",
     "AssembledForms",
     "assemble_all",
-    "write_coo",
 ]
 
 
@@ -274,41 +272,6 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
     return b_source, b_data
 
 
-def pde_load_from_field(spec: ProblemSpec, mesh: Mesh, value: Callable,
-                        gradient: Callable, degree: int = 4) -> np.ndarray:
-    """Vector L[i] = a(u, phi_i) for an analytic field u.
-
-    Used in consistency checks: for the exact solution this must equal the
-    source load, since the two sides differ by an integration by parts.
-    """
-    rule = triangle_rule(degree)
-    grads, areas = triangle_geometry(mesh)
-    pts = quad_points(mesh, rule)
-    flat = pts.reshape(-1, 2)
-    gu = np.asarray(gradient(flat), dtype=float).reshape(*pts.shape[:2], 2)
-    bvals = np.asarray(spec.beta(flat), dtype=float).reshape(*pts.shape[:2], 2)
-
-    conv = np.einsum("q,tqd,tqd,qi,t->ti", rule.weights, bvals, gu,
-                     rule.points, areas)
-    stiff = spec.mu * np.einsum("q,tqd,tid,t->ti", rule.weights, gu,
-                                grads, areas)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.triangles.ravel(), (conv + stiff).ravel())
-
-    erule = edge_rule(degree)
-    a, b = mesh.bnd_nodes[:, 0], mesh.bnd_nodes[:, 1]
-    epts = (1.0 - erule.points)[None, :, None] * mesh.nodes[a][:, None, :] \
-        + erule.points[None, :, None] * mesh.nodes[b][:, None, :]
-    gu_e = np.asarray(gradient(epts.reshape(-1, 2)),
-                      dtype=float).reshape(len(a), len(erule.points), 2)
-    dn = np.einsum("eqd,ed->eq", gu_e, mesh.bnd_normals)
-    hat = np.stack([1.0 - erule.points, erule.points])
-    flux = -spec.mu * np.einsum("q,eq,iq,e->ei", erule.weights, dn, hat,
-                                mesh.bnd_lengths)
-    np.add.at(out, mesh.bnd_nodes.ravel(), flux.ravel())
-    return out
-
-
 @dataclass
 class AssembledForms:
     """All matrices and loads of one discrete problem, plus reporting data."""
@@ -343,12 +306,3 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
     return AssembledForms(pde, s_data, s_jump, (s_data + s_jump).tocsr(),
                           s_dual, b_source, b_data, h, bsup,
                           bsup * h / spec.mu)
-
-
-def write_coo(matrix, path):
-    """Dump a sparse matrix as 'row col value' lines."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")

@@ -11,13 +11,13 @@ and S_* the dual stabilizer.  The matrix is symmetric (indefinite) and is
 factorized directly: on the structured mesh in a nested-dissection order
 without pivoting, otherwise (or when that factorization fails or misses
 the residual gate) in SuperLU's default COLAMD order with partial
-pivoting.  One factorization serves the solve and the condition estimate.
+pivoting.  One factorization serves the solve and the condition estimate;
+it is released when ``solve`` returns.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +35,6 @@ __all__ = [
     "build_system",
     "factorize",
     "solve",
-    "condition_number",
     "exact_condition_number",
     "estimate_condition_number",
     "CondEstimate",
@@ -123,10 +122,14 @@ def factorize(system: SaddleSystem,
     When ``mesh`` is the structured mesh the system was assembled on, the
     unknowns are ordered by nested dissection of its node grid, with
     ``u_k`` and ``z_k`` of each node side by side, and factorized without
-    pivoting.  The matrix is symmetric but not quasi-definite, so that
-    factorization can break down; it then falls back, as it does without
-    a matching mesh, to SuperLU's COLAMD ordering with partial pivoting.
-    Raises NumericalFailure when that fails too.
+    pivoting.  The matrix is quasi-definite (S and S_* are positive
+    definite), so every symmetric permutation has an LDL^T factorization
+    (Vanderbei, SIAM J. Optim. 5, 1995); but the blocks are badly
+    conditioned, so the pivot-free factors can still break down or lose
+    accuracy.  On a breakdown, as without a matching mesh, this falls back
+    to SuperLU's COLAMD ordering with partial pivoting; ``solve`` does the
+    same when the factors miss its residual gate.  Raises NumericalFailure
+    when COLAMD fails too.
     """
     if mesh is not None and 2 * mesh.n_nodes == system.matrix.shape[0]:
         q = _nested_dissection(mesh.cells_per_side)
@@ -146,15 +149,13 @@ def factorize(system: SaddleSystem,
 class Solution:
     """Primal/dual pair with solver diagnostics.
 
-    ``factorization`` is the LU the solution was computed with, kept so
-    that a condition estimate can reuse it; set it to ``None`` to release
-    the factors.
+    ``cond`` is the condition number ``solve`` was asked for, or ``None``.
     """
 
     u: FeFunction
     z: FeFunction
     diagnostics: dict
-    factorization: Optional[Factorization] = None
+    cond: Optional[CondEstimate] = None
 
 
 def _refined_solve(system: SaddleSystem, fact: Factorization):
@@ -172,14 +173,22 @@ def _refined_solve(system: SaddleSystem, fact: Factorization):
     return x, float(np.linalg.norm(r) / bnorm)
 
 
-def solve(system: SaddleSystem, mesh: Mesh) -> Solution:
+def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
+          cond_tol: float = 1e-3, cond_max_iter: int = 5000) -> Solution:
     """Direct sparse LU solve with iterative refinement.
 
     The relative algebraic residual is checked against 1e-8.  A
     nested-dissection factorization that misses it is replaced by the
     COLAMD one; when that misses it too, NumericalFailure is raised.
     ``factor_seconds`` covers ordering, permutation and factorization.
+
+    ``cond`` adds the condition number as ``Solution.cond``: 'exact' by
+    dense SVD, 'estimate' by ``estimate_condition_number`` (with
+    ``cond_tol`` and ``cond_max_iter``) on the factors of the solve,
+    'none' leaves it out.
     """
+    if cond not in ("none", "exact", "estimate"):
+        raise ValueError(f"unknown cond mode {cond!r}")
     t0 = time.perf_counter()
     fact = factorize(system, mesh)
     t_factor = time.perf_counter() - t0
@@ -209,8 +218,15 @@ def solve(system: SaddleSystem, mesh: Mesh) -> Solution:
         "factor_seconds": t_factor,
         "solve_seconds": t_solve,
     }
+    kappa = None
+    if cond == "exact":
+        kappa = CondEstimate(exact_condition_number(system), converged=True)
+    elif cond == "estimate":
+        kappa = estimate_condition_number(system, tol=cond_tol,
+                                          max_iter=cond_max_iter,
+                                          factorization=fact)
     return Solution(FeFunction(mesh, x[:n]), FeFunction(mesh, x[n:]),
-                    diagnostics, fact)
+                    diagnostics, kappa)
 
 
 # largest dimension exact_condition_number accepts: a dense SVD costs
@@ -232,21 +248,23 @@ def exact_condition_number(system: SaddleSystem) -> float:
 
 @dataclass
 class CondEstimate:
-    """Iterative condition-number estimate with convergence metadata.
+    """Condition number with convergence metadata.
 
     ``bracket`` holds the last two iterates of the condition estimate; it
     tracks progress, it is not a rigorous enclosure.  ``ordering`` and
     ``lu_nnz`` describe the factorization the inverse iteration ran on.
+    An exact value (dense SVD) is converged and leaves the other fields
+    ``None``.
     """
 
     value: float
-    sigma_max: float
-    sigma_min: float
     converged: bool
-    bracket: tuple
-    iterations: tuple
-    ordering: str
-    lu_nnz: int
+    sigma_max: Optional[float] = None
+    sigma_min: Optional[float] = None
+    bracket: Optional[tuple] = None
+    iterations: Optional[tuple] = None
+    ordering: Optional[str] = None
+    lu_nnz: Optional[int] = None
 
     def __float__(self):
         return self.value
@@ -295,10 +313,9 @@ def estimate_condition_number(
 
     The largest singular value comes from power iteration on M^T M, the
     smallest from inverse iteration through the sparse LU factorization:
-    ``factorization`` when given (typically the one ``solve`` used, from
-    ``Solution.factorization``), otherwise ``factorize(system)``.
-    Hitting the iteration cap emits a warning and marks the estimate as
-    unconverged.
+    ``factorization`` when given (``solve`` passes its own), otherwise
+    ``factorize(system)``.  Hitting the iteration cap leaves ``converged``
+    False; ``bracket`` then shows how far the last two iterates were apart.
     """
     fact = factorization if factorization is not None \
         else factorize(system)
@@ -311,25 +328,6 @@ def estimate_condition_number(
     value = smax / smin
     lo = (smax_prev if np.isfinite(smax_prev) else smax) \
         / (smin_prev if np.isfinite(smin_prev) else smin)
-    bracket = (min(lo, value), max(lo, value))
-    if not converged:
-        warnings.warn(
-            f"condition estimate hit the iteration cap ({max_iter}); "
-            f"best bracket {bracket}", stacklevel=2)
-    return CondEstimate(float(value), float(smax), float(smin), converged,
+    bracket = (float(min(lo, value)), float(max(lo, value)))
+    return CondEstimate(float(value), converged, float(smax), float(smin),
                         bracket, (it_max, it_min), fact.ordering, fact.lu_nnz)
-
-
-def condition_number(system: SaddleSystem, mode: str = "exact",
-                     tol: float = 1e-3, max_iter: int = 5000,
-                     factorization: Optional[Factorization] = None) -> float:
-    """Condition number in the requested mode ('exact' or 'estimate').
-
-    ``factorization`` is passed on to the estimate.
-    """
-    if mode == "exact":
-        return exact_condition_number(system)
-    if mode == "estimate":
-        return estimate_condition_number(
-            system, tol, max_iter, factorization=factorization).value
-    raise ValueError(f"unknown mode {mode!r}")

@@ -32,10 +32,8 @@ __all__ = [
     "audit_log_convexity",
     "holder_exponent",
     "ThreeBallConfig",
-    "disc_quadrature",
     "three_ball_ratio",
     "harmonic_member",
-    "calibrate_exponent",
     "harmonic_family_sweep",
     "probe_fem_solution",
 ]
@@ -309,7 +307,6 @@ def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,
     for n_cells in (ladder if ladder is not None else case.ladder):
         mesh, _, system = discretize(case, n_cells, quad_degree)
         sol = solve(system, mesh)
-        sol.factorization = None  # release the factors before the next rung
         ratio = three_ball_ratio(sol.u, sol.u.gradient, config, resolution,
                                  check_residual=False)
         out.append((n_cells, ratio))

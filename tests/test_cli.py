@@ -101,6 +101,7 @@ def test_condnum_estimate_cap_reports_bracket(tmp_path, capsys):
                  "--cond-cap", "1", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "cap hit" in out and "bracket" in out
+    assert "np.float64" not in out
     summary = json.loads((tmp_path / "condition.json").read_text())
     row = summary["rows"][0]
     assert row["converged"] is False
@@ -236,20 +237,21 @@ def test_condnum_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
 
 
 def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
-    import ucfem.cli as cli
+    import ucfem.saddle as saddle
     from test_saddle import force_pivot_free_gate_miss
 
     clean = tmp_path / "clean"
     assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
                  "--out", str(clean)]) == 0
     force_pivot_free_gate_miss(monkeypatch)
-    real, orderings = cli.estimate_condition_number, []
+    real, orderings = saddle.estimate_condition_number, []
 
     def recording_estimate(system, **kwargs):
         orderings.append(kwargs["factorization"].ordering)
         return real(system, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_condition_number", recording_estimate)
+    monkeypatch.setattr(saddle, "estimate_condition_number",
+                        recording_estimate)
     missed = tmp_path / "missed"
     assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
                  "--out", str(missed)]) == 0
@@ -290,3 +292,25 @@ def test_probe_counts_must_be_positive(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["probe", mode, flag, "0", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["condnum", "--ladder", "4", "--cond-cap", "0"], None),
+    (["condnum", "--ladder", "4", "--cond-tol", "-1"], None),
+    (["solve", "--case", "ex1-const-noise-h", "--ladder", "4",
+      "--seed", "-1"], None),
+    (["probe", "audit", "--samples", "10", "--seed", "-1"], None),
+    (["convergence", "--ladder", "4"], {"seed": -2}),
+], ids=["cond-cap-0", "cond-tol-negative", "seed-noisy-solve",
+        "seed-probe-audit", "seed-config-file"])
+def test_bad_seed_or_estimator_setting_exits_two(tmp_path, capsys, argv,
+                                                 config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not out.exists()  # rejected before anything was written

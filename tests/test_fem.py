@@ -162,13 +162,8 @@ def test_mass_matrix_row_sums_give_areas():
     assert np.all(mass.diagonal() > 0)
 
 
-def test_fe_function_subtraction_and_validation():
+def test_fe_function_validation():
     mesh = build_unit_square_mesh(3)
-    a = interpolate(lambda p: p[:, 0], mesh)
-    b = interpolate(lambda p: p[:, 1], mesh)
-    d = a - b
-    assert np.allclose(d.coefficients,
-                       mesh.nodes[:, 0] - mesh.nodes[:, 1])
     with pytest.raises(ValueError):
         FeFunction(mesh, np.zeros(3))
 

@@ -1,6 +1,7 @@
 """Saddle-point assembly, direct solve, and condition-number machinery."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import ucfem.saddle as saddle
 from ucfem.experiments import (apply_noise, builtin_cases, get_case,
                                polynomial_bump)
 from ucfem.fem import interpolate
-from ucfem.forms import assemble_all, pde_load_from_field
+from ucfem.forms import assemble_all
 from ucfem.mesh import _nested_dissection, build_unit_square_mesh, mesh_size
 from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
-                          build_system, condition_number,
-                          estimate_condition_number, exact_condition_number,
-                          factorize, solve)
+                          build_system, estimate_condition_number,
+                          exact_condition_number, factorize, solve)
+
+from test_forms import pde_load_from_field
 
 
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
@@ -116,8 +118,7 @@ def test_solver_recovers_galerkin_identity():
     case, mesh, blocks, system = case_system("ex1-const", n=8)
     sol = solve(system, mesh)
     lhs = blocks.pde @ sol.u.coefficients - blocks.dual @ sol.z.coefficients
-    rhs = pde_load_from_field(case.spec, mesh, case.exact.value,
-                              case.exact.gradient, degree=4)
+    rhs = pde_load_from_field(case.spec, mesh, case.exact.gradient, degree=4)
     assert np.abs(lhs - rhs).max() <= 1e-8 * (1 + np.abs(rhs).max())
 
 
@@ -131,7 +132,17 @@ def test_solve_diagnostics_and_residual():
     assert diag["nnz"] == system.matrix.nnz
     assert diag["factor_seconds"] >= 0.0
     assert diag["ordering"] == "nested_dissection"
-    assert diag["lu_nnz"] == sol.factorization.lu_nnz >= system.matrix.nnz
+    assert diag["lu_nnz"] == factorize(system, mesh).lu_nnz >= system.matrix.nnz
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+def test_stabilizer_blocks_are_positive_definite(name, n):
+    # S and S_* positive definite make the saddle matrix quasi-definite
+    _, _, blocks, _ = case_system(name, n=n)
+    for block in (blocks.primal, blocks.dual):
+        eig = np.linalg.eigvalsh(block.toarray())
+        assert eig[0] > 1e-10 * eig[-1]
 
 
 def test_solve_raises_on_singular_matrix():
@@ -182,12 +193,14 @@ def test_estimate_deterministic_for_fixed_seed():
     assert a.iterations == b.iterations
 
 
-def test_estimate_warns_and_brackets_on_iteration_cap():
+def test_estimate_brackets_on_iteration_cap_without_warning():
     _, _, _, system = case_system("ex1-const", n=6)
-    with pytest.warns(UserWarning, match="iteration cap"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         est = estimate_condition_number(system, tol=1e-14, max_iter=1)
     assert not est.converged
     assert est.bracket[0] <= est.value <= est.bracket[1]
+    assert all(type(b) is float for b in est.bracket)
 
 
 def test_exact_condition_number_guards_dimension():
@@ -197,17 +210,19 @@ def test_exact_condition_number_guards_dimension():
 
 
 def test_condition_number_mode_dispatch():
-    _, _, _, system = case_system("ex1-const", n=4)
-    exact = condition_number(system, mode="exact")
-    est = condition_number(system, mode="estimate", tol=1e-6)
-    assert abs(est - exact) <= 0.05 * exact
-    # the estimate runs on the passed factors: those of 2 M halve it
-    doubled = factorize(SaddleSystem(2 * system.matrix, system.rhs, system.n))
-    halved = condition_number(system, "estimate", tol=1e-6,
-                              factorization=doubled)
-    assert halved == pytest.approx(est / 2, rel=1e-4)
-    with pytest.raises(ValueError):
-        condition_number(system, mode="bogus")
+    _, mesh, _, system = case_system("ex1-const", n=4)
+    assert solve(system, mesh).cond is None
+    exact = solve(system, mesh, cond="exact").cond
+    assert exact == CondEstimate(exact_condition_number(system), True)
+    assert exact.bracket is None and exact.iterations is None
+    est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond
+    assert est.converged and est.ordering == "nested_dissection"
+    assert abs(est.value - exact.value) <= 0.05 * exact.value
+    capped = solve(system, mesh, cond="estimate", cond_tol=1e-14,
+                   cond_max_iter=1).cond
+    assert not capped.converged and capped.iterations == (1, 1)
+    with pytest.raises(ValueError, match="bogus"):
+        solve(system, mesh, cond="bogus")
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -309,7 +324,7 @@ def test_estimate_reuses_passed_factorization():
     assert (passed.value, passed.iterations) == (own.value, own.iterations)
     assert passed.ordering == own.ordering == "colamd"
     nd = estimate_condition_number(
-        system, seed=3, factorization=solve(system, mesh).factorization)
+        system, seed=3, factorization=factorize(system, mesh))
     assert nd.ordering == "nested_dissection" and nd.lu_nnz < own.lu_nnz
     assert nd.iterations == own.iterations
     assert nd.value == pytest.approx(own.value, rel=1e-8)

@@ -50,6 +50,17 @@ def command_matrix() -> dict[str, list[str]]:
     runs["condnum-ex1-const"] = [
         "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
         "--cond", "estimate"]
+    runs["convergence-ex2-swirl-cond"] = [
+        "convergence", "--case", "ex2-swirl", "--ladder", "8,16,32",
+        "--cond", "estimate"]
+    for command in ("solve", "convergence", "condnum"):
+        runs[f"{command}-ex1-const-cond-exact"] = [
+            command, "--case", "ex1-const", "--ladder", "4,8",
+            "--cond", "exact"]
+    # the estimator hits its iteration cap on both rungs
+    runs["condnum-ex1-swirl-cap"] = [
+        "condnum", "--case", "ex1-swirl", "--ladder", "4,8",
+        "--cond-cap", "3"]
     runs["probe-fem"] = ["probe", "fem", "--ladder", "8,16,32"]
     runs["mesh-info-32"] = ["mesh-info", "32"]
     for degree in (2, 4):
