@@ -133,41 +133,64 @@ def _build_parser():
     return parser, commands
 
 
-def _apply_config_file(parser, commands, argv):
-    """Use values from --config as argparse defaults; flags still win.
+def _config_value(action, key, val):
+    """A config value converted as the flag's own text would be: a list
+    for an ``nargs`` flag, a list or a comma-separated string for the
+    ladder, a number or a string for any other flag."""
+    if action.dest == "ladder" and isinstance(val, list):
+        val = ",".join(str(v) for v in val)
+    many = isinstance(action.nargs, int)
+    items = val if many else [val]
+    scalar = str if action.dest == "ladder" else (int, float, str)
+    if not isinstance(items, list) or len(items) != (action.nargs or 1) \
+            or any(isinstance(v, bool) or not isinstance(v, scalar)
+                   for v in items):
+        raise ConfigError(f"config {key!r}: bad value {val!r}")
+    try:
+        items = [(action.type or str)(str(v)) for v in items]
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ConfigError(f"config {key!r}: {exc}") from exc
+    if action.choices is not None and any(v not in action.choices
+                                          for v in items):
+        raise ConfigError(f"config {key!r}: {val!r} is not one of "
+                          f"{list(action.choices)}")
+    return tuple(items) if many else items[0]
 
-    Defaults are installed on every subparser as well: a subparser fills
-    its own argument defaults into the shared namespace, so parent-level
-    defaults alone would be overwritten.
+
+def _apply_config_file(argv, commands):
+    """Use values from --config as defaults of the invoked command; flags
+    still win.
+
+    Every key must be ``problem`` or an option of the command, and every
+    value passes the option's type and choices.  Returns the inline
+    problem, if any.
     """
-    if argv and "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            raise ConfigError("--config needs a path")
-        path = argv[idx + 1]
-        try:
-            with open(path) as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigError("config file must hold a JSON object")
-        clean = {}
-        for key, val in values.items():
-            dest = key.replace("-", "_")
-            if dest == "ladder" and isinstance(val, (list, str)):
-                val = _ladder(",".join(str(v) for v in val)
-                              if isinstance(val, list) else val)
-            if dest in ("radii", "center", "resolution") \
-                    and isinstance(val, list):
-                val = tuple(val)
-            clean[dest] = val
-        problem = clean.pop("problem", None)
-        parser.set_defaults(**clean)
-        for sub_parser in commands.values():
-            sub_parser.set_defaults(**clean)
-        return problem
-    return None
+    if not argv or "--config" not in argv or argv[0] not in commands:
+        return None
+    idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise ConfigError("--config needs a path")
+    path = argv[idx + 1]
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("config file must hold a JSON object")
+    sub_parser = commands[argv[0]]
+    options = {action.dest: action for action in sub_parser._actions
+               if action.option_strings and action.dest != "help"}
+    problem = values.pop("problem", None)
+    defaults = {}
+    for key, val in values.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"config key {key!r} is not an option of "
+                              f"{argv[0]!r}")
+        defaults[action.dest] = _config_value(action, key, val)
+    sub_parser.set_defaults(**defaults)
+    return problem
 
 
 def _region_from(payload, name) -> Region:
@@ -253,13 +276,13 @@ def _check_dense_ladder(ladder):
 def _check_numbers(args):
     """Reject a seed or an estimator setting that cannot run."""
     seed = getattr(args, "seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, got {seed!r}")
     cap = getattr(args, "cond_cap", 1)
-    if not isinstance(cap, int) or cap < 1:
+    if cap < 1:
         raise ConfigError(f"--cond-cap must be an integer >= 1, got {cap!r}")
     tol = getattr(args, "cond_tol", 1.0)
-    if not isinstance(tol, (int, float)) or not tol > 0:
+    if not tol > 0:
         raise ConfigError(f"--cond-tol must be > 0, got {tol!r}")
 
 
@@ -426,7 +449,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
     try:
-        problem = _apply_config_file(parser, commands, argv)
+        problem = _apply_config_file(argv, commands)
         args = parser.parse_args(argv)
         _check_numbers(args)
         if args.command == "mesh-info":

@@ -141,7 +141,7 @@ def _pde_matrix(spec, mesh, degree, stiff):
 
     # (beta.grad phi_j) phi_i: rows are test functions
     conv = np.einsum("q,tqd,tjd,qi,t->tij", rule.weights, bvals, grads,
-                     rule.points, areas)
+                     rule.points, areas, optimize=True)
     mat = _scatter(mesh, conv + stiff)
 
     return (mat + _boundary_flux(spec, mesh, degree)).tocsr()
@@ -187,9 +187,10 @@ def assemble_gradient_jump(spec: ProblemSpec, mesh: Mesh,
                            degree: int = 4) -> sp.csr_matrix:
     """Interior-penalty matrix gamma * sum_F h (mu + |beta| h) int_F [dn v][dn w].
 
-    Normal-gradient jumps of P1 functions are facewise constant, so each
-    face contributes a rank-one block on the six hat functions of the two
-    adjacent triangles.
+    Normal-gradient jumps of P1 functions are facewise constant, so the
+    matrix is D^T W D: row F of the faces x nodes operator D holds the jump
+    [dn phi] of the six hat functions of the two adjacent triangles, and W
+    is the diagonal of face weights.
     """
     h, bsup = _resolve(spec, mesh, degree)
     grads, _ = triangle_geometry(mesh)
@@ -204,13 +205,12 @@ def assemble_gradient_jump(spec: ProblemSpec, mesh: Mesh,
     cols6 = np.concatenate([mesh.triangles[t_plus],
                             mesh.triangles[t_minus]], axis=1)       # (f, 6)
     wf = spec.gamma * h * (spec.mu + bsup * h) * mesh.face_lengths
-    local = wf[:, None, None] * jump[:, :, None] * jump[:, None, :]
 
-    rows = np.repeat(cols6, 6, axis=1).ravel()
-    cols = np.tile(cols6, (1, 6)).ravel()
-    nn = mesh.n_nodes
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(nn, nn)).tocsr()
+    nf = len(wf)
+    d = sp.csr_matrix((jump.ravel(), cols6.ravel(),
+                       np.arange(0, 6 * nf + 1, 6)),
+                      shape=(nf, mesh.n_nodes))
+    return (d.T @ sp.diags(wf) @ d).tocsr()
 
 
 def assemble_dual_stabilizer(spec: ProblemSpec, mesh: Mesh,

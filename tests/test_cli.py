@@ -172,6 +172,65 @@ def test_config_file_supplies_defaults_and_inline_problem(tmp_path):
     assert config["ladder"] == [8]
 
 
+def _run_with_config(tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+def _assert_config_error(tmp_path, capsys):
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not list(tmp_path.glob("**/u_N*.csv"))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("ladder", [8, 8.0, True, {"n": 8}, [8, "x"], [8.5],
+                                    []])
+def test_config_ladder_must_be_a_list_or_string(tmp_path, capsys, ladder):
+    assert _run_with_config(tmp_path, ["solve"], {"ladder": ladder}) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("config", [
+    {"quad_degree": 3}, {"quad-degree": "4x"}, {"noise": "loud"},
+    {"seed": 2.5}, {"seed": True}, {"boundary_factor": None},
+    {"case": ["ex1-const"]},
+])
+def test_config_values_pass_the_flag_type_and_choices(tmp_path, capsys,
+                                                      config):
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                            config) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["condnum", "--ladder", "4"], {"cond_tool": 1e-9}),
+    (["solve", "--ladder", "4"], {"cond_tol": 1e-9}),
+    (["solve", "--ladder", "4"], {"version": "0"}),
+], ids=["misspelt", "other-command", "not-an-option"])
+def test_config_keys_must_be_options_of_the_command(tmp_path, capsys, argv,
+                                                    config):
+    assert _run_with_config(tmp_path, argv, config) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
+def test_config_values_are_typed_and_flags_still_win(tmp_path):
+    out = tmp_path / "run"
+    config = {"cond_tol": 0.25, "cond-cap": 7, "quad_degree": "2",
+              "ladder": "4,8"}
+    assert _run_with_config(tmp_path, ["condnum", "--ladder", "4"],
+                            config) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed["cond_tol"] == 0.25 and echoed["cond_cap"] == 7
+    assert echoed["quad_degree"] == 2 and echoed["ladder"] == [4]
+    radii = [0.1, 0.2, 0.4]
+    assert _run_with_config(tmp_path, ["probe", "kappa"],
+                            {"radii": radii, "c3": 2}) == 0
+    kappa = json.loads((out / "probe_kappa.json").read_text())
+    assert kappa["radii"] == radii and kappa["c3"] == 2.0
+
+
 SWIRL_PROBLEM = {"beta": {"kind": "swirl", "scale": 10.0},
                  "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}}
 

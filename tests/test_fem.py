@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from ucfem import fem
+from ucfem.experiments import builtin_cases
 from ucfem.fem import (FeFunction, edge_rule, interpolate, l2_project,
                        mass_matrix, p1_gradients, quad_points,
                        triangle_geometry, triangle_rule)
@@ -152,6 +155,71 @@ def test_l2_projection_rate_two_for_smooth_field():
         hs.append(1.0 / (n + 1))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.1
+
+
+def _smooth(p):
+    return np.sin(2 * p[:, 0]) * p[:, 1] + 1.0
+
+
+def _spsolve_projection(mesh):
+    """Coefficients of _smooth's projection by a sparse direct solve."""
+    rule = triangle_rule(4)
+    pts = quad_points(mesh, rule)
+    _, areas = triangle_geometry(mesh)
+    uvals = _smooth(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    load = np.zeros(mesh.n_nodes)
+    local = np.einsum("q,tq,qi,t->ti", rule.weights, uvals, rule.points,
+                      areas)
+    np.add.at(load, mesh.triangles.ravel(), local.ravel())
+    return spla.spsolve(mass_matrix(mesh).tocsc(), load)
+
+
+def _rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("failure", ["info", "gate"])
+def test_l2_project_falls_back_to_direct_solve(monkeypatch, failure):
+    mesh = build_unit_square_mesh(12)
+    real_cg, real_spsolve = spla.cg, spla.spsolve
+    cg_calls, direct_calls = [], []
+
+    def failing_cg(a, b, **kwargs):
+        x, info = real_cg(a, b, **kwargs)
+        cg_calls.append(info)
+        if failure == "info":
+            return x, 1                 # a good vector, but reported failed
+        return x * (1 + 1e-6), 0        # reported converged, misses the gate
+
+    def counting_spsolve(a, b):
+        direct_calls.append(a.shape)
+        return real_spsolve(a, b)
+
+    monkeypatch.setattr(fem.spla, "cg", failing_cg)
+    monkeypatch.setattr(fem.spla, "spsolve", counting_spsolve)
+    coeffs = l2_project(_smooth, mesh).coefficients
+    assert cg_calls == [0] and len(direct_calls) == 1
+    assert _rel_diff(coeffs, _spsolve_projection(mesh)) <= 1e-12
+
+
+def test_l2_project_raises_when_both_paths_miss_the_gate(monkeypatch):
+    mesh = build_unit_square_mesh(6)
+    monkeypatch.setattr(fem.spla, "cg",
+                        lambda a, b, **kw: (np.zeros_like(b), 0))
+    monkeypatch.setattr(fem.spla, "spsolve", lambda a, b: np.zeros_like(b))
+    with pytest.raises(RuntimeError, match="exceeds 1e-12"):
+        l2_project(_smooth, mesh)
+
+
+@pytest.mark.parametrize("case", builtin_cases(), ids=lambda c: c.name)
+def test_l2_project_cg_agrees_with_direct_solve(monkeypatch, case):
+    mesh = build_unit_square_mesh(32)
+    cg_coeffs = l2_project(case.exact.value, mesh).coefficients
+    # CG reporting failure sends l2_project down its direct path
+    monkeypatch.setattr(fem.spla, "cg",
+                        lambda a, b, **kw: (np.zeros_like(b), 1))
+    direct = l2_project(case.exact.value, mesh).coefficients
+    assert _rel_diff(cg_coeffs, direct) <= 1e-12
 
 
 def test_mass_matrix_row_sums_give_areas():

@@ -185,6 +185,32 @@ def test_gradient_jump_corner_hat_value():
     assert np.isclose(hat @ (jump @ hat), np.sqrt(2.0), atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_gradient_jump_is_symmetric_positive_semidefinite(n):
+    mesh = build_unit_square_mesh(n)
+    jump = assemble_gradient_jump(get_case("ex1-swirl").spec, mesh).toarray()
+    scale = np.abs(jump).max()
+    assert np.abs(jump - jump.T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(jump).min() >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gradient_jump_pattern_is_the_union_of_face_blocks(n):
+    # every face couples the four nodes of its two triangles
+    mesh = build_unit_square_mesh(n)
+    nodes = np.concatenate([mesh.triangles[mesh.face_tris[:, 0]],
+                            mesh.triangles[mesh.face_tris[:, 1]]], axis=1)
+    rows = np.repeat(nodes, 6, axis=1).ravel()
+    cols = np.tile(nodes, (1, 6)).ravel()
+    blocks = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                           shape=(mesh.n_nodes,) * 2).tocsr()
+    jump = assemble_gradient_jump(get_case("ex1-swirl").spec, mesh)
+    for mat in (blocks, jump):
+        mat.sort_indices()
+    assert np.array_equal(jump.indptr, blocks.indptr)
+    assert np.array_equal(jump.indices, blocks.indices)
+
+
 def test_dual_stabilizer_on_constants_reduces_to_boundary_mass():
     # gradients and jumps vanish on constants, so s_*(1,1) is the weighted
     # boundary integral: bf * gamma_star * (mu/h) * |boundary|

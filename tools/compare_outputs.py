@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the command line writes the same bytes as another revision.
 
-Usage: python3 tools/compare_outputs.py <rev>
+Usage: python3 tools/compare_outputs.py <rev> [--rtol R]
 
 Unpacks ``<rev>`` with ``git archive <rev> | tar -x`` into a temporary
 directory, then runs one fixed matrix of ``ucfem`` command lines against that
@@ -14,19 +14,32 @@ the echoed ``config.json`` is comparable too.
 Prints every output that differs or exists on one side only, and exits 1
 on any difference, 0 when all outputs are byte-identical, 2 when ``<rev>``
 cannot be unpacked.  Nothing is left behind in the repository.
+
+With ``--rtol R`` an output whose bytes differ only in its numbers counts
+as equal when no number moved by more than ``R`` relative
+(``|a - b| / max(|a|, |b|)``); the largest difference is printed for every
+differing output, and a difference outside the numbers counts as
+infinite.  Two numbers closer than the double-precision epsilon (2.2e-16)
+count as equal.  The solver's relative residual and symmetry defect are
+relative errors of rounding size, which reordering a sum moves by a
+relative O(1); for them ``R`` bounds the absolute difference.
 """
 
 from __future__ import annotations
 
+import argparse
 import filecmp
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+EPS = sys.float_info.epsilon
 
 CASES = ("ex1-const", "ex1-swirl", "ex2-const", "ex2-swirl", "ex3-const",
          "ex3-swirl", "ex1-const-noise-h", "ex1-const-noise-sqrt")
@@ -93,7 +106,43 @@ def run_matrix(src: Path, workdir: Path) -> None:
         print(f"  {label}: exit {proc.returncode}", file=sys.stderr)
 
 
-def differences(a: Path, b: Path) -> list[str]:
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    rb"|-?\b(?:nan|NaN|inf|Infinity)\b")
+# diagnostics_N*.json fields and the residual that ``solve`` prints
+RELATIVE_ERROR = re.compile(
+    rb'(?:"relative_residual": |"symmetry_defect": |residual=)('
+    + NUMBER.pattern + rb")")
+
+
+def _split(text: bytes):
+    """The text with its numbers masked, its numbers, and its relative
+    errors."""
+    errors = RELATIVE_ERROR.findall(text)
+    rest = RELATIVE_ERROR.sub(b"<error>", text)
+    return NUMBER.sub(b"#", rest), NUMBER.findall(rest), errors
+
+
+def max_rel_diff(a: bytes, b: bytes) -> float:
+    """Largest difference between the numbers of two texts (relative, or
+    absolute for relative errors), ignoring differences up to EPS;
+    infinity when the texts differ outside their numbers."""
+    (shape_a, nums_a, errs_a), (shape_b, nums_b, errs_b) = _split(a), _split(b)
+    if shape_a != shape_b:
+        return math.inf
+    worst = max((abs(float(x) - float(y)) for x, y in zip(errs_a, errs_b)),
+                default=0.0)
+    for x, y in zip(nums_a, nums_b):
+        x, y = float(x), float(y)
+        if x == y or abs(x - y) <= EPS or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        worst = math.inf if math.isnan(rel) else max(worst, rel)
+    return worst
+
+
+def differences(a: Path, b: Path, rtol: float | None):
+    """Report lines for outputs that differ, and how many of them fail:
+    all of them, or those beyond ``rtol`` when it is given."""
     files = {p.relative_to(root) for root in (a, b)
              for p in root.rglob("*") if p.is_file()}
     report = []
@@ -102,16 +151,28 @@ def differences(a: Path, b: Path) -> list[str]:
             report.append(f"only in working tree: {rel}")
         elif not (b / rel).exists():
             report.append(f"only in revision: {rel}")
-        elif not filecmp.cmp(a / rel, b / rel, shallow=False):
+        elif filecmp.cmp(a / rel, b / rel, shallow=False):
+            continue
+        elif rtol is None:
             report.append(f"differs: {rel}")
-    return report
+        else:
+            worst = max_rel_diff((a / rel).read_bytes(),
+                                 (b / rel).read_bytes())
+            verdict = "within" if worst <= rtol else "differs:"
+            report.append(f"{verdict} {rel}  max diff {worst:.3e}")
+    return report, sum(not line.startswith("within") for line in report)
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    rev = argv[0]
+    parser = argparse.ArgumentParser(
+        description="Compare the command-line outputs of the working tree "
+                    "with those of a git revision.")
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="accept numbers that moved by at most this "
+                             "relative amount (default: byte-exact)")
+    args = parser.parse_args(argv)
+    rev = args.rev
     with tempfile.TemporaryDirectory(prefix="ucfem-compare-") as tmp:
         tmp = Path(tmp)
         try:
@@ -124,13 +185,15 @@ def main(argv: list[str]) -> int:
         run_matrix(tmp / "tree" / "src", tmp / "runs" / "rev")
         print("working tree:", file=sys.stderr)
         run_matrix(REPO / "src", tmp / "runs" / "work")
-        report = differences(tmp / "runs" / "rev", tmp / "runs" / "work")
+        report, failed = differences(tmp / "runs" / "rev",
+                                     tmp / "runs" / "work", args.rtol)
         n_files = sum(1 for p in (tmp / "runs" / "work").rglob("*")
                       if p.is_file())
     for line in report:
         print(line)
-    print(f"{len(report)} of {n_files} outputs differ from {rev}")
-    return 1 if report else 0
+    tolerance = "" if args.rtol is None else f" beyond rtol {args.rtol:g}"
+    print(f"{failed} of {n_files} outputs differ from {rev}{tolerance}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
