@@ -14,10 +14,8 @@ from .mesh import (Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
                    locate_points, mesh_size)
 from .fem import (FeFunction, QuadratureRule, edge_rule, interpolate,
                   l2_project, mass_matrix, p1_gradients, triangle_rule)
-from .forms import (ProblemSpec, assemble_all, assemble_convection_diffusion,
-                    assemble_data_mass, assemble_dual_stabilizer,
-                    assemble_gradient_jump, assemble_loads, constant_field,
-                    swirl_field, zero_field)
+from .forms import (ProblemSpec, assemble_all, constant_field, swirl_field,
+                    zero_field)
 from .saddle import (NumericalFailure, SaddleSystem, Solution, build_system,
                      estimate_condition_number, exact_condition_number, solve)
 from .experiments import (CaseDefinition, ConvergenceTable, ExactSolution,

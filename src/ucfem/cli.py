@@ -89,8 +89,6 @@ def _build_parser():
                        default=None, help="override the case noise model")
         p.add_argument("--boundary-factor", type=float, default=None,
                        help="override the dual boundary weight factor")
-        p.add_argument("--projection", choices=["l2", "nodal"], default="l2",
-                       help="comparison function for the stabilizer norm")
         p.add_argument("--quad-degree", type=int, choices=[2, 4], default=4)
         p.add_argument("--out", default=".", help="output directory")
 
@@ -104,6 +102,8 @@ def _build_parser():
     conv_p.add_argument("--cond", choices=["none", "exact", "estimate"],
                         default="none")
     conv_p.add_argument("--h1", choices=["full", "semi"], default="full")
+    conv_p.add_argument("--projection", choices=["l2", "nodal"], default="l2",
+                        help="comparison function for the stabilizer norm")
 
     cond_p = sub.add_parser("condnum", help="condition-number ladder")
     common(cond_p)
@@ -161,9 +161,9 @@ def _apply_config_file(argv, commands):
     """Use values from --config as defaults of the invoked command; flags
     still win.
 
-    Every key must be ``problem`` or an option of the command, and every
-    value passes the option's type and choices.  Returns the inline
-    problem, if any.
+    Every key must be an option of the command, or ``problem`` for solve,
+    convergence and condnum; every value passes the option's type and
+    choices.  Returns the inline problem, if any.
     """
     if not argv or "--config" not in argv or argv[0] not in commands:
         return None
@@ -181,7 +181,8 @@ def _apply_config_file(argv, commands):
     sub_parser = commands[argv[0]]
     options = {action.dest: action for action in sub_parser._actions
                if action.option_strings and action.dest != "help"}
-    problem = values.pop("problem", None)
+    problem = values.pop("problem", None) \
+        if argv[0] in ("solve", "convergence", "condnum") else None
     defaults = {}
     for key, val in values.items():
         action = options.get(key.replace("-", "_"))
@@ -289,8 +290,6 @@ def _check_numbers(args):
 def _echo_config(args, out: Path):
     payload = {}
     for key, val in sorted(vars(args).items()):
-        if key == "func":
-            continue
         if isinstance(val, tuple):
             val = list(val)
         payload[key] = val

@@ -14,13 +14,11 @@ import pytest
 import scipy.sparse as sp
 
 import dense_oracle
+from assembled import assembled
 from ucfem.experiments import (builtin_cases, estimate_rate, get_case,
                                polynomial_bump, run_case)
 from ucfem.fem import interpolate, mass_matrix, triangle_geometry
-from ucfem.forms import (assemble_all, assemble_convection_diffusion,
-                         assemble_data_mass, assemble_dual_stabilizer,
-                         assemble_gradient_jump, assemble_loads,
-                         constant_field, swirl_field)
+from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.mesh import UNIT_SQUARE, Region, build_unit_square_mesh, mesh_size
 from ucfem.saddle import (build_system, estimate_condition_number,
                           exact_condition_number, solve)
@@ -180,16 +178,15 @@ def test_criterion_4_property_suites(tables):
     t0 = time.perf_counter()
     mesh4 = build_unit_square_mesh(4)
     spec = get_case("ex1-const").spec
-    jump4 = assemble_gradient_jump(spec, mesh4).toarray()
+    jump4 = assembled(spec, mesh4).jump.toarray()
     eig = np.linalg.eigvalsh(jump4)
     if not (np.abs(eig[:3]).max() < 1e-12 * max(1, eig[-1]) and
             eig[3] > 1e-12 * eig[-1]):
         failures.append("jump-penalty kernel is not exactly the affines")
     mesh8 = build_unit_square_mesh(8)
-    for label, mat in (
-            ("s_omega", assemble_data_mass(spec, mesh8)),
-            ("s_jump", assemble_gradient_jump(spec, mesh8)),
-            ("s_star", assemble_dual_stabilizer(spec, mesh8))):
+    blocks8 = assembled(spec, mesh8)
+    for label, mat in (("s_omega", blocks8.data_mass),
+                       ("s_jump", blocks8.jump), ("s_star", blocks8.dual)):
         for _ in range(100):
             v = rng.standard_normal(mesh8.n_nodes)
             if v @ (mat @ v) < -1e-12 * (v @ v):
@@ -206,8 +203,7 @@ def test_criterion_4_property_suites(tables):
         for n in (8, 16, 32, 64):
             m = build_unit_square_mesh(n)
             h = mesh_size(m)
-            smat = (assemble_data_mass(pspec, m)
-                    + assemble_gradient_jump(pspec, m))
+            smat = assembled(pspec, m).primal
             grads, areas = triangle_geometry(m)
             local = np.einsum("tid,tjd,t->tij", grads, grads, areas)
             rows = np.repeat(m.triangles, 3, axis=1).ravel()
@@ -237,7 +233,7 @@ def test_criterion_4_property_suites(tables):
             m = build_unit_square_mesh(n)
             h = mesh_size(m)
             c = interpolate(bump.value, m).coefficients
-            jm = assemble_gradient_jump(jspec, m)
+            jm = assembled(jspec, m).jump
             worst = max(worst, (c @ (jm @ c))
                         / (jspec.gamma * (jspec.mu + jspec.beta_sup * h)
                            * h ** 2))
@@ -298,27 +294,27 @@ def test_criterion_6_dense_oracle_equivalence():
         for fname, (beta, bsup) in fields.items():
             spec = dataclasses.replace(base, beta=beta, beta_sup=bsup,
                                        omega=UNIT_SQUARE)
+            data = interpolate(bump.value, mesh)
+            blocks = assemble_all(spec, mesh, data)
             checks = {
-                "pde": (assemble_convection_diffusion(spec, mesh).toarray(),
+                "pde": (blocks.pde.toarray(),
                         dense_oracle.dense_convection_diffusion(
                             mesh, spec.mu, beta, h)),
-                "s_omega": (assemble_data_mass(spec, mesh).toarray(),
+                "s_omega": (blocks.data_mass.toarray(),
                             dense_oracle.dense_data_mass(
                                 mesh, spec.mu, bsup, h, UNIT_SQUARE)),
-                "s_jump": (assemble_gradient_jump(spec, mesh).toarray(),
+                "s_jump": (blocks.jump.toarray(),
                            dense_oracle.dense_gradient_jump(
                                mesh, spec.mu, bsup, h, spec.gamma)),
-                "s_star": (assemble_dual_stabilizer(spec, mesh).toarray(),
+                "s_star": (blocks.dual.toarray(),
                            dense_oracle.dense_dual_stabilizer(
                                mesh, spec.mu, bsup, h, spec.gamma,
                                spec.gamma_star, spec.boundary_factor)),
+                "b_source": (blocks.b_source, dense_oracle.dense_source_load(
+                    mesh, spec.f)),
+                "b_data": (blocks.b_data, dense_oracle.dense_data_load(
+                    mesh, spec.mu, bsup, h, UNIT_SQUARE, data.coefficients)),
             }
-            data = interpolate(bump.value, mesh)
-            b_source, b_data = assemble_loads(spec, mesh, data)
-            checks["b_source"] = (b_source, dense_oracle.dense_source_load(
-                mesh, spec.f))
-            checks["b_data"] = (b_data, dense_oracle.dense_data_load(
-                mesh, spec.mu, bsup, h, UNIT_SQUARE, data.coefficients))
             for label, (sparse, dense) in checks.items():
                 err = np.abs(sparse - dense).max()
                 tol = 1e-10 * (1.0 + np.abs(dense).max())

@@ -253,6 +253,27 @@ def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
     assert not list(tmp_path.glob("**/u_N*.csv"))
 
 
+def test_probe_rejects_an_inline_problem(tmp_path, capsys):
+    assert _run_with_config(tmp_path, ["probe", "fem", "--ladder", "4"],
+                            {"problem": SWIRL_PROBLEM}) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
+def test_projection_is_an_option_of_convergence_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--projection", "nodal", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_declared_beta_sup_below_the_sampled_one_warns(tmp_path):
+    # the swirl of scale 10 reaches |beta| near 20 at the quadrature points
+    problem = {**SWIRL_PROBLEM, "beta_sup": 1.0}
+    with pytest.warns(UserWarning, match="declared beta_sup 1.0 is below"):
+        assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                                {"problem": problem}) == 0
+    assert (tmp_path / "run" / "u_N4.csv").exists()
+
+
 def test_boundary_factor_override_changes_solution(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--case", "ex1-const", "--ladder", "8",

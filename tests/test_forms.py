@@ -5,18 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from ucfem import forms
 from ucfem.fem import (edge_rule, interpolate, mass_matrix, quad_points,
                        triangle_geometry, triangle_rule)
-from ucfem.forms import (ProblemSpec, assemble_all, assemble_convection_diffusion,
-                         assemble_data_mass, assemble_dual_stabilizer,
-                         assemble_gradient_jump, assemble_loads, constant_field,
+from ucfem.forms import (ProblemSpec, assemble_all, constant_field,
                          swirl_field, zero_field)
 from ucfem.mesh import Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
 from ucfem.experiments import derive_source, get_case, polynomial_bump
 
 import dense_oracle
+from assembled import assembled
 
 
 def make_spec(beta=None, beta_sup=1.0, omega=UNIT_SQUARE, mu=1.0,
@@ -74,7 +73,7 @@ def test_convection_diffusion_matches_dense_oracle(n, field):
     spec = make_spec(beta=beta, beta_sup=bsup)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assemble_convection_diffusion(spec, mesh).toarray()
+    sparse = assembled(spec, mesh).pde.toarray()
     dense = dense_oracle.dense_convection_diffusion(mesh, spec.mu, beta, h)
     scale = 1.0 + np.abs(dense).max()
     assert np.abs(sparse - dense).max() <= 1e-10 * scale
@@ -85,7 +84,7 @@ def test_data_mass_matches_dense_oracle_full_domain(n):
     spec = make_spec(beta_sup=2.0)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assemble_data_mass(spec, mesh).toarray()
+    sparse = assembled(spec, mesh).data_mass.toarray()
     dense = dense_oracle.dense_data_mass(mesh, spec.mu, spec.beta_sup, h,
                                          UNIT_SQUARE)
     assert np.abs(sparse - dense).max() <= 1e-10
@@ -98,7 +97,7 @@ def test_data_mass_matches_dense_oracle_aligned_subregion():
     spec = make_spec(beta_sup=1.0, omega=omega)
     mesh = build_unit_square_mesh(2)
     h = mesh_size(mesh)
-    sparse = assemble_data_mass(spec, mesh).toarray()
+    sparse = assembled(spec, mesh).data_mass.toarray()
     dense = dense_oracle.dense_data_mass(mesh, spec.mu, spec.beta_sup, h,
                                          omega)
     assert np.abs(sparse - dense).max() <= 1e-10
@@ -109,7 +108,7 @@ def test_gradient_jump_matches_dense_oracle(n):
     spec = make_spec(beta_sup=3.0, gamma=0.25)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assemble_gradient_jump(spec, mesh).toarray()
+    sparse = assembled(spec, mesh).jump.toarray()
     dense = dense_oracle.dense_gradient_jump(mesh, spec.mu, spec.beta_sup,
                                              h, spec.gamma)
     assert np.abs(sparse - dense).max() <= 1e-10
@@ -121,7 +120,7 @@ def test_dual_stabilizer_matches_dense_oracle(n):
                      boundary_factor=50.0)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assemble_dual_stabilizer(spec, mesh).toarray()
+    sparse = assembled(spec, mesh).dual.toarray()
     dense = dense_oracle.dense_dual_stabilizer(
         mesh, spec.mu, spec.beta_sup, h, spec.gamma, spec.gamma_star,
         spec.boundary_factor)
@@ -138,7 +137,8 @@ def test_loads_match_dense_oracle(n):
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
     data = interpolate(bump.value, mesh)
-    b_source, b_data = assemble_loads(spec, mesh, data)
+    blocks = assembled(spec, mesh, data)
+    b_source, b_data = blocks.b_source, blocks.b_data
     dense_src = dense_oracle.dense_source_load(mesh, spec.f)
     dense_dat = dense_oracle.dense_data_load(mesh, spec.mu, spec.beta_sup, h,
                                              UNIT_SQUARE, data.coefficients)
@@ -150,10 +150,8 @@ def test_stabilizers_symmetric_and_psd():
     rng = np.random.default_rng(0)
     case = get_case("ex1-swirl")
     mesh = build_unit_square_mesh(6)
-    s_omega = assemble_data_mass(case.spec, mesh)
-    s_jump = assemble_gradient_jump(case.spec, mesh)
-    s_star = assemble_dual_stabilizer(case.spec, mesh)
-    for mat in (s_omega, s_jump, s_star):
+    blocks = assembled(case.spec, mesh)
+    for mat in (blocks.data_mass, blocks.jump, blocks.dual):
         dense = mat.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-12 * (1 + np.abs(dense).max())
         for _ in range(100):
@@ -164,7 +162,7 @@ def test_stabilizers_symmetric_and_psd():
 def test_gradient_jump_kernel_is_exactly_the_affines():
     mesh = build_unit_square_mesh(4)
     spec = make_spec(beta_sup=0.0, beta=zero_field())
-    jump = assemble_gradient_jump(spec, mesh).toarray()
+    jump = assembled(spec, mesh).jump.toarray()
     eigvals = np.linalg.eigvalsh(jump)
     # kernel = span{1, x, y}: exactly three zero eigenvalues
     assert np.all(np.abs(eigvals[:3]) < 1e-12)
@@ -179,7 +177,7 @@ def test_gradient_jump_corner_hat_value():
     # gamma h (mu) sqrt(2) with h = 1/2
     mesh = build_unit_square_mesh(1)
     spec = make_spec(beta=zero_field(), beta_sup=0.0, gamma=1.0)
-    jump = assemble_gradient_jump(spec, mesh).toarray()
+    jump = assembled(spec, mesh).jump.toarray()
     hat = np.zeros(4)
     hat[1] = 1.0  # node (1, 0)
     assert np.isclose(hat @ (jump @ hat), np.sqrt(2.0), atol=1e-13)
@@ -188,7 +186,7 @@ def test_gradient_jump_corner_hat_value():
 @pytest.mark.parametrize("n", [4, 8])
 def test_gradient_jump_is_symmetric_positive_semidefinite(n):
     mesh = build_unit_square_mesh(n)
-    jump = assemble_gradient_jump(get_case("ex1-swirl").spec, mesh).toarray()
+    jump = assembled(get_case("ex1-swirl").spec, mesh).jump.toarray()
     scale = np.abs(jump).max()
     assert np.abs(jump - jump.T).max() <= 1e-12 * scale
     assert np.linalg.eigvalsh(jump).min() >= -1e-12 * scale
@@ -204,7 +202,7 @@ def test_gradient_jump_pattern_is_the_union_of_face_blocks(n):
     cols = np.tile(nodes, (1, 6)).ravel()
     blocks = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                            shape=(mesh.n_nodes,) * 2).tocsr()
-    jump = assemble_gradient_jump(get_case("ex1-swirl").spec, mesh)
+    jump = assembled(get_case("ex1-swirl").spec, mesh).jump
     for mat in (blocks, jump):
         mat.sort_indices()
     assert np.array_equal(jump.indptr, blocks.indptr)
@@ -218,21 +216,21 @@ def test_dual_stabilizer_on_constants_reduces_to_boundary_mass():
     h = mesh_size(mesh)
     ones = np.ones(mesh.n_nodes)
     spec = make_spec(beta=zero_field(), beta_sup=0.0)
-    s_star = assemble_dual_stabilizer(spec, mesh)
+    s_star = assembled(spec, mesh).dual
     assert np.isclose(ones @ (s_star @ ones), 4.0 / h, atol=1e-10)
     spec50 = make_spec(beta=zero_field(), beta_sup=0.0, boundary_factor=50.0,
                        gamma_star=2.0)
-    s_star50 = assemble_dual_stabilizer(spec50, mesh)
+    s_star50 = assembled(spec50, mesh).dual
     assert np.isclose(ones @ (s_star50 @ ones), 2.0 * 50.0 * 4.0 / h,
                       atol=1e-8)
 
 
 def test_data_mass_doubles_with_mu_at_zero_beta():
     mesh = build_unit_square_mesh(3)
-    m1 = assemble_data_mass(make_spec(beta=zero_field(), beta_sup=0.0,
-                                      mu=1.0), mesh)
-    m2 = assemble_data_mass(make_spec(beta=zero_field(), beta_sup=0.0,
-                                      mu=2.0), mesh)
+    m1 = assembled(make_spec(beta=zero_field(), beta_sup=0.0, mu=1.0),
+                   mesh).data_mass
+    m2 = assembled(make_spec(beta=zero_field(), beta_sup=0.0, mu=2.0),
+                   mesh).data_mass
     assert np.allclose(m2.toarray(), 2.0 * m1.toarray())
 
 
@@ -240,7 +238,7 @@ def test_data_mass_of_ones_approximates_weighted_region_area():
     case = get_case("ex1-const")
     mesh = build_unit_square_mesh(64)
     h = mesh_size(mesh)
-    s_omega = assemble_data_mass(case.spec, mesh)
+    s_omega = assembled(case.spec, mesh).data_mass
     ones = np.ones(mesh.n_nodes)
     total = ones @ (s_omega @ ones)
     target = (case.spec.mu + case.spec.beta_sup * h) * case.spec.omega.area
@@ -252,7 +250,7 @@ def test_empty_data_region_warns():
     spec = make_spec(omega=omega)
     mesh = build_unit_square_mesh(4)
     with pytest.warns(UserWarning):
-        mat = assemble_data_mass(spec, mesh)
+        mat = assembled(spec, mesh).data_mass
     assert mat.nnz == 0 or np.abs(mat.toarray()).max() == 0.0
 
 
@@ -266,10 +264,10 @@ def test_convection_diffusion_consistent_for_affine_solution():
                                      (np.atleast_2d(p).shape[0], 2))
     f = lambda p: np.asarray(beta(p)) @ np.array([2.0, -0.7])
     spec = make_spec(beta=beta, beta_sup=200.0, f=f)
-    amat = assemble_convection_diffusion(spec, mesh)
     data = interpolate(u, mesh)
-    b_source, _ = assemble_loads(spec, mesh, data)
-    assert np.abs(amat @ data.coefficients - b_source).max() < 1e-12
+    blocks = assembled(spec, mesh, data)
+    assert np.abs(blocks.pde @ data.coefficients
+                  - blocks.b_source).max() < 1e-12
 
 
 def test_pde_load_from_field_matches_source_load_for_exact_solution():
@@ -282,7 +280,7 @@ def test_pde_load_from_field_matches_source_load_for_exact_solution():
                      f=derive_source(bump, 1.0, beta))
     mesh = build_unit_square_mesh(8)
     data = interpolate(bump.value, mesh)
-    b_source, _ = assemble_loads(spec, mesh, data, degree=4)
+    b_source = assembled(spec, mesh, data, degree=4).b_source
     lhs = pde_load_from_field(spec, mesh, bump.gradient, degree=4)
     assert np.abs(lhs - b_source).max() < 1e-12
 
@@ -295,8 +293,7 @@ def test_assemble_all_collects_consistent_blocks():
     assert np.isclose(blocks.h, mesh_size(mesh))
     assert blocks.beta_sup == 200.0
     assert np.isclose(blocks.peclet, blocks.beta_sup * blocks.h / case.spec.mu)
-    primal = (assemble_data_mass(case.spec, mesh)
-              + assemble_gradient_jump(case.spec, mesh))
+    primal = blocks.data_mass + blocks.jump
     assert np.abs((blocks.primal - primal).toarray()).max() < 1e-14
 
 
@@ -317,42 +314,36 @@ def test_dual_jump_part_is_the_primal_jump_at_sampled_beta_sup():
         <= 1e-12 * np.abs(blocks.dual.toarray()).max()
 
 
-def test_assemble_all_assembles_the_jump_matrix_once(monkeypatch):
-    real, calls = forms.assemble_gradient_jump, []
+def test_assemble_all_samples_beta_once():
+    # beta is evaluated once per assemble_all; the sampled |beta| is the
+    # maximum over those same values
+    bump, calls = polynomial_bump(), []
 
-    def counting_jump(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_beta(pts):
+        calls.append(len(pts))
+        return swirl_field()(pts)
 
-    monkeypatch.setattr(forms, "assemble_gradient_jump", counting_jump)
-    case = get_case("ex1-swirl")
-    mesh = build_unit_square_mesh(4)
-    blocks = assemble_all(case.spec, mesh,
-                          interpolate(case.exact.value, mesh), 4)
-    assert len(calls) == 1
-    # composed from the shared blocks, the dual equals the standalone one
-    alone = assemble_dual_stabilizer(case.spec, mesh, degree=4)
-    assert (blocks.dual != alone).nnz == 0
-
-
-def test_assemble_all_samples_beta_once(monkeypatch):
-    real, calls = forms._sampled_beta_sup, []
-
-    def counting_sample(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(forms, "_sampled_beta_sup", counting_sample)
-    bump = polynomial_bump()
-    spec = make_spec(beta=swirl_field(), beta_sup=None,
-                     f=derive_source(bump, 1.0, swirl_field()))
     mesh = build_unit_square_mesh(4)
     data = interpolate(bump.value, mesh)
-    for degree in (2, 4):
-        calls.clear()
-        blocks = assemble_all(spec, mesh, data, degree)
-        assert calls == [degree]
-        assert blocks.beta_sup == real(spec, mesh, degree)
+    for beta_sup in (None, 200.0):
+        spec = make_spec(beta=counting_beta, beta_sup=beta_sup,
+                         f=derive_source(bump, 1.0, swirl_field()))
+        for degree in (2, 4):
+            calls.clear()
+            blocks = assemble_all(spec, mesh, data, degree)
+            assert len(calls) == 1
+            pts = quad_points(mesh, triangle_rule(degree)).reshape(-1, 2)
+            sampled = np.sqrt((swirl_field()(pts) ** 2).sum(axis=1)).max()
+            assert blocks.beta_sup == (sampled if beta_sup is None
+                                       else beta_sup)
+
+
+def test_declared_beta_sup_below_the_sampled_one_warns():
+    mesh = build_unit_square_mesh(4)
+    spec = make_spec(beta=swirl_field(10.0), beta_sup=1.0)
+    with pytest.warns(UserWarning, match="declared beta_sup 1.0 is below"):
+        blocks = assembled(spec, mesh)
+    assert blocks.beta_sup == 1.0
 
 
 def test_problem_spec_validation():
@@ -364,11 +355,11 @@ def test_problem_spec_validation():
         make_spec(beta_sup=-5.0)
 
 
-def test_resolved_beta_sup_samples_when_unset():
+def test_beta_sup_is_sampled_when_unset():
     mesh = build_unit_square_mesh(8)
     spec = ProblemSpec(mu=1.0, beta=swirl_field(), omega=UNIT_SQUARE,
                        target=UNIT_SQUARE, f=None, beta_sup=None)
-    sampled = forms.resolved_beta_sup(spec, mesh)
+    sampled = assembled(spec, mesh).beta_sup
     # sup over the closed square is 200, quadrature points approach it
     assert 150.0 < sampled <= 200.0
 
@@ -382,8 +373,7 @@ def test_discrete_poincare_ratio_stays_below_frozen_bound():
         for n in (8, 16, 32, 64):
             mesh = build_unit_square_mesh(n)
             h = mesh_size(mesh)
-            smat = (assemble_data_mass(spec, mesh)
-                    + assemble_gradient_jump(spec, mesh))
+            smat = assembled(spec, mesh).primal
             grads, areas = triangle_geometry(mesh)
             local = np.einsum("tid,tjd,t->tij", grads, grads, areas)
             rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
@@ -409,7 +399,7 @@ def test_jump_inequality_normalized_quantity_bounded():
         for n in (8, 16, 32, 64, 128):
             mesh = build_unit_square_mesh(n)
             h = mesh_size(mesh)
-            jump = assemble_gradient_jump(spec, mesh)
+            jump = assembled(spec, mesh).jump
             c = interpolate(bump.value, mesh).coefficients
             ratio = (c @ (jump @ c)) / (spec.gamma
                                         * (spec.mu + spec.beta_sup * h)
@@ -417,3 +407,36 @@ def test_jump_inequality_normalized_quantity_bounded():
             assert ratio < 600.0
             assert ratio < prev + 1e-9
             prev = ratio
+
+
+@st.composite
+def grid_box(draw):
+    """A mesh size N and a positive-area box with corners on the 1/N grid."""
+    n = draw(st.sampled_from((2, 4, 8)))
+    corners = st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True)
+    (x0, x1), (y0, y1) = sorted(draw(corners)), sorted(draw(corners))
+    return n, Region([(x0 / n, x1 / n, y0 / n, y1 / n)])
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=st.sampled_from(("ex1-const", "ex1-swirl")), grid=grid_box())
+def test_stabilizers_positive_definite_for_any_grid_box(name, grid):
+    n, omega = grid
+    spec = dataclasses.replace(get_case(name).spec, omega=omega)
+    blocks = assembled(spec, build_unit_square_mesh(n))
+    for label in ("primal", "dual"):
+        eig = np.linalg.eigvalsh(getattr(blocks, label).toarray())
+        assert eig[0] / eig[-1] > 1e-10, \
+            f"{label}: lambda_min/lambda_max {eig[0] / eig[-1]:.2e}"
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=st.sampled_from(("ex1-const", "ex1-swirl")), grid=grid_box())
+def test_data_mass_matches_dense_oracle_for_any_grid_box(name, grid):
+    n, omega = grid
+    spec = dataclasses.replace(get_case(name).spec, omega=omega)
+    mesh = build_unit_square_mesh(n)
+    blocks = assembled(spec, mesh)
+    dense = dense_oracle.dense_data_mass(mesh, spec.mu, blocks.beta_sup,
+                                         mesh_size(mesh), omega)
+    assert np.abs(blocks.data_mass.toarray() - dense).max() <= 1e-10

@@ -16,13 +16,16 @@ on any difference, 0 when all outputs are byte-identical, 2 when ``<rev>``
 cannot be unpacked.  Nothing is left behind in the repository.
 
 With ``--rtol R`` an output whose bytes differ only in its numbers counts
-as equal when no number moved by more than ``R`` relative
-(``|a - b| / max(|a|, |b|)``); the largest difference is printed for every
-differing output, and a difference outside the numbers counts as
-infinite.  Two numbers closer than the double-precision epsilon (2.2e-16)
-count as equal.  The solver's relative residual and symmetry defect are
-relative errors of rounding size, which reordering a sum moves by a
-relative O(1); for them ``R`` bounds the absolute difference.
+as equal when no number moved by more than ``R`` relative; the largest
+difference is printed for every differing output, and a difference outside
+the numbers counts as infinite.  In a ``.csv`` output each difference is
+relative to the largest magnitude in its column, taken over both sides, so
+a field's small entries weigh no more than its rounding; in JSON and
+stdout it is ``|a - b| / max(|a|, |b|)``.  Two numbers closer than the
+double-precision epsilon (2.2e-16) count as equal.  The solver's relative
+residual and symmetry defect are relative errors of rounding size, which
+reordering a sum moves by a relative O(1); for them ``R`` bounds the
+absolute difference.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -122,6 +126,18 @@ def _split(text: bytes):
     return NUMBER.sub(b"#", rest), NUMBER.findall(rest), errors
 
 
+def _worst(triples) -> float:
+    """Largest ``|a - b| / scale`` over ``(a, b, scale)``, ignoring
+    differences up to EPS; infinity for a NaN quotient."""
+    worst = 0.0
+    for x, y, scale in triples:
+        if x == y or abs(x - y) <= EPS or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = abs(x - y) / scale
+        worst = math.inf if math.isnan(rel) else max(worst, rel)
+    return worst
+
+
 def max_rel_diff(a: bytes, b: bytes) -> float:
     """Largest difference between the numbers of two texts (relative, or
     absolute for relative errors), ignoring differences up to EPS;
@@ -131,12 +147,28 @@ def max_rel_diff(a: bytes, b: bytes) -> float:
         return math.inf
     worst = max((abs(float(x) - float(y)) for x, y in zip(errs_a, errs_b)),
                 default=0.0)
-    for x, y in zip(nums_a, nums_b):
-        x, y = float(x), float(y)
-        if x == y or abs(x - y) <= EPS or (math.isnan(x) and math.isnan(y)):
-            continue
-        rel = abs(x - y) / max(abs(x), abs(y))
-        worst = math.inf if math.isnan(rel) else max(worst, rel)
+    pairs = [(float(x), float(y)) for x, y in zip(nums_a, nums_b)]
+    return max(worst, _worst((x, y, max(abs(x), abs(y))) for x, y in pairs))
+
+
+def max_csv_diff(a: bytes, b: bytes) -> float:
+    """Largest difference between the numbers of two CSV texts, each
+    relative to the largest magnitude in its column over both texts and
+    ignoring differences up to EPS; infinity when the texts differ outside
+    their numbers."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return math.inf
+    columns = defaultdict(list)
+    for line_a, line_b in zip(a.splitlines(), b.splitlines()):
+        for col, (cell_a, cell_b) in enumerate(zip(line_a.split(b","),
+                                                   line_b.split(b","))):
+            columns[col] += [(float(x), float(y)) for x, y in
+                             zip(NUMBER.findall(cell_a),
+                                 NUMBER.findall(cell_b))]
+    worst = 0.0
+    for pairs in columns.values():
+        scale = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+        worst = max(worst, _worst((x, y, scale) for x, y in pairs))
     return worst
 
 
@@ -156,8 +188,8 @@ def differences(a: Path, b: Path, rtol: float | None):
         elif rtol is None:
             report.append(f"differs: {rel}")
         else:
-            worst = max_rel_diff((a / rel).read_bytes(),
-                                 (b / rel).read_bytes())
+            measure = max_csv_diff if rel.suffix == ".csv" else max_rel_diff
+            worst = measure((a / rel).read_bytes(), (b / rel).read_bytes())
             verdict = "within" if worst <= rtol else "differs:"
             report.append(f"{verdict} {rel}  max diff {worst:.3e}")
     return report, sum(not line.startswith("within") for line in report)
