@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: mesh-info, solve, convergence, condnum, probe.  Every run
-echoes its resolved configuration to ``config.json`` in the output
-directory, and outputs are deterministic for a fixed configuration and
-seed (timings go to stderr only).  Exit codes: 0 on success, 2 on
-configuration errors, 3 on numerical failures.
+Subcommands: mesh-info, solve, convergence, condnum, probe.  ``main`` runs
+each the same way: parse; load ``--config PATH`` (or ``--config=PATH``)
+as the command's defaults and parse again, so flags win; check the
+numbers; resolve the case (solve, convergence, condnum, and ``probe fem``,
+whose ``--seed`` seeds a noisy case); echo the resolved configuration to
+``config.json`` in the output directory; run the handler.  Bad input
+exits with 2, and an unknown case does so before anything is written;
+numerical failures exit with 3.  ``convergence.csv`` ends with a
+``cond_converged`` column.  Outputs are deterministic for a fixed configuration and seed
+(timings go to stderr only).
 """
 
 from __future__ import annotations
@@ -157,38 +162,34 @@ def _config_value(action, key, val):
     return tuple(items) if many else items[0]
 
 
-def _apply_config_file(argv, commands):
-    """Use values from --config as defaults of the invoked command; flags
-    still win.
+_PROBLEM_COMMANDS = ("solve", "convergence", "condnum")
+
+
+def _apply_config_file(args, sub_parser):
+    """Use the values of the ``--config`` file as defaults of the invoked
+    command, so that flags parsed again still win.
 
     Every key must be an option of the command, or ``problem`` for solve,
     convergence and condnum; every value passes the option's type and
     choices.  Returns the inline problem, if any.
     """
-    if not argv or "--config" not in argv or argv[0] not in commands:
-        return None
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a path")
-    path = argv[idx + 1]
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError("config file must hold a JSON object")
-    sub_parser = commands[argv[0]]
     options = {action.dest: action for action in sub_parser._actions
                if action.option_strings and action.dest != "help"}
     problem = values.pop("problem", None) \
-        if argv[0] in ("solve", "convergence", "condnum") else None
+        if args.command in _PROBLEM_COMMANDS else None
     defaults = {}
     for key, val in values.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"config key {key!r} is not an option of "
-                              f"{argv[0]!r}")
+                              f"{args.command!r}")
         defaults[action.dest] = _config_value(action, key, val)
     sub_parser.set_defaults(**defaults)
     return problem
@@ -257,10 +258,8 @@ def _resolve_case(args, problem) -> CaseDefinition:
         noise = NoiseModel(noise.law, args.seed)
     spec = case.spec
     if getattr(args, "boundary_factor", None) is not None:
-        try:
+        with _bad_input():
             spec = replace(spec, boundary_factor=args.boundary_factor)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     ladder = args.ladder if getattr(args, "ladder", None) else case.ladder
     return CaseDefinition(case.name, spec, case.exact, tuple(ladder), noise)
 
@@ -287,49 +286,41 @@ def _check_numbers(args):
         raise ConfigError(f"--cond-tol must be > 0, got {tol!r}")
 
 
-def _echo_config(args, out: Path):
-    payload = {}
-    for key, val in sorted(vars(args).items()):
-        if isinstance(val, tuple):
-            val = list(val)
-        payload[key] = val
-    payload["version"] = __version__
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _strip_timings(diag: dict) -> dict:
-    return {k: v for k, v in diag.items() if not k.endswith("_seconds")}
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows, each float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
-def _cmd_mesh_info(args) -> int:
-    mesh = build_unit_square_mesh(args.cells)
-    text = json.dumps(mesh.summary(), indent=2, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "mesh.json").write_text(text + "\n")
+def _cmd_mesh_info(args, case, out) -> int:
+    summary = build_unit_square_mesh(args.cells).summary()
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    if out is not None:
+        _write_json(out / "mesh.json", summary)
     return 0
 
 
-def _cmd_solve(args, case: CaseDefinition) -> int:
-    out = Path(args.out)
-    _echo_config(args, out)
+def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
     for n_cells in case.ladder:
         mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
         sol = solve(system, mesh, args.cond)
         sol.u.to_csv(out / f"u_N{n_cells}.csv")
         sol.z.to_csv(out / f"z_N{n_cells}.csv")
-        diag = _strip_timings(sol.diagnostics)
+        diag = {k: v for k, v in sol.diagnostics.items()
+                if not k.endswith("_seconds")}  # timings go to stderr
         diag["peclet"] = blocks.peclet
         if sol.cond is not None:
             diag["cond"] = sol.cond.value
-        with open(out / f"diagnostics_N{n_cells}.json", "w") as fh:
-            json.dump(diag, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / f"diagnostics_N{n_cells}.json", diag)
         print(f"N={n_cells}: dim={sol.diagnostics['dimension']} "
               f"residual={sol.diagnostics['relative_residual']:.2e}")
         print(f"  factor {sol.diagnostics['factor_seconds']:.3f}s "
@@ -338,24 +329,18 @@ def _cmd_solve(args, case: CaseDefinition) -> int:
     return 0
 
 
-def _cmd_convergence(args, case: CaseDefinition) -> int:
-    out = Path(args.out)
-    _echo_config(args, out)
+def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     table = run_case(case, cond=args.cond, projection=args.projection,
                      quad_degree=args.quad_degree, h1=args.h1)
     table.to_csv(out / "convergence.csv")
-    with open(out / "rates.json", "w") as fh:
-        json.dump(table.rates_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "rates.json", table.rates_dict())
     print(table.to_csv_string(), end="")
     for name, fit in table.rates.items():
         print(f"rate[{name}] = {fit.slope:.3f}")
     return 0
 
 
-def _cmd_condnum(args, case: CaseDefinition) -> int:
-    out = Path(args.out)
-    _echo_config(args, out)
+def _cmd_condnum(args, case: CaseDefinition, out: Path) -> int:
     rows = []
     for n_cells in case.ladder:
         mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
@@ -366,12 +351,8 @@ def _cmd_condnum(args, case: CaseDefinition) -> int:
         flag = "" if est.converged else f"  (cap hit, bracket {bracket})"
         print(f"N={n_cells}: cond={est.value:.6e}{flag}")
 
-    with open(out / "condition.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "h", "cond"])
-        for row in rows:
-            writer.writerow([row["N"], repr(float(row["h"])),
-                             repr(float(row["cond"]))])
+    _write_csv(out / "condition.csv", ["N", "h", "cond"],
+               [[r["N"], r["h"], r["cond"]] for r in rows])
     summary = {"rows": rows}
     if len(rows) >= 2 and all(r["cond"] > 0 for r in rows):
         fit = estimate_rate([(r["h"], r["cond"]) for r in rows])
@@ -379,92 +360,82 @@ def _cmd_condnum(args, case: CaseDefinition) -> int:
         summary["per_step"] = list(fit.per_step)
         print(f"slope = {fit.slope:.3f}; per-step = "
               + ", ".join(f"{s:.3f}" for s in fit.per_step))
-    with open(out / "condition.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "condition.json", summary)
     return 0
 
 
-def _cmd_probe(args) -> int:
-    out = Path(args.out)
-    _echo_config(args, out)
-    if args.mode == "audit":
-        report = audit_log_convexity(args.samples, args.seed)
-        report = {k: v for k, v in report.items() if k != "worst_instance"}
-        with open(out / "probe_audit.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(json.dumps(report, sort_keys=True))
-        return 0 if report["violations"] == 0 else 3
-    if args.mode == "kappa":
-        with _bad_input():
-            value = holder_exponent(*args.radii, args.c3)
-        payload = {"radii": list(args.radii), "c3": args.c3, "kappa": value}
-        with open(out / "probe_kappa.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"kappa = {value}")
-        return 0
-    if args.mode == "harmonic":
-        # its ValueErrors come from the disc geometry (ThreeBallConfig)
-        with _bad_input():
-            report = harmonic_family_sweep(tuple(args.center),
-                                           tuple(args.radii), args.kmax,
-                                           args.norm, tuple(args.resolution))
-        with open(out / "probe_harmonic.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "ratio"])
-            for k, ratio in enumerate(report["ratios"], start=1):
-                writer.writerow([k, repr(float(ratio))])
-        meta = {k: v for k, v in report.items() if k != "ratios"}
-        with open(out / "probe_harmonic.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"kappa={report['kappa']:.6f} c3={report['c3']:.6f} "
-              f"max ratio={report['max_ratio']:.6f}")
-        return 0
-    # fem
-    try:
-        case = get_case(args.case)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+def _probe_audit(args, case, out: Path) -> int:
+    report = audit_log_convexity(args.samples, args.seed)
+    report = {k: v for k, v in report.items() if k != "worst_instance"}
+    _write_json(out / "probe_audit.json", report)
+    print(json.dumps(report, sort_keys=True))
+    return 0 if report["violations"] == 0 else 3
+
+
+def _probe_kappa(args, case, out: Path) -> int:
+    with _bad_input():
+        value = holder_exponent(*args.radii, args.c3)
+    _write_json(out / "probe_kappa.json",
+                {"radii": args.radii, "c3": args.c3, "kappa": value})
+    print(f"kappa = {value}")
+    return 0
+
+
+def _probe_harmonic(args, case, out: Path) -> int:
+    # its ValueErrors come from the disc geometry (ThreeBallConfig)
+    with _bad_input():
+        report = harmonic_family_sweep(tuple(args.center), tuple(args.radii),
+                                       args.kmax, args.norm,
+                                       tuple(args.resolution))
+    _write_csv(out / "probe_harmonic.csv", ["k", "ratio"],
+               enumerate(report["ratios"], start=1))
+    _write_json(out / "probe_harmonic.json",
+                {k: v for k, v in report.items() if k != "ratios"})
+    print(f"kappa={report['kappa']:.6f} c3={report['c3']:.6f} "
+          f"max ratio={report['max_ratio']:.6f}")
+    return 0
+
+
+def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
     with _bad_input():
         kappa = holder_exponent(*args.radii, args.c3)
         config = ThreeBallConfig(tuple(args.center), tuple(args.radii),
                                  kappa, args.norm)
-    pairs = probe_fem_solution(case, config, tuple(args.resolution),
-                               ladder=args.ladder)
-    with open(out / "probe_fem.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "ratio"])
-        for n_cells, ratio in pairs:
-            writer.writerow([n_cells, repr(float(ratio))])
+    pairs = probe_fem_solution(case, config, tuple(args.resolution))
+    _write_csv(out / "probe_fem.csv", ["N", "ratio"], pairs)
     for n_cells, ratio in pairs:
         print(f"N={n_cells}: ratio={ratio:.6f}")
     return 0
 
 
+# keyed by command, or by mode for probe
+_HANDLERS = {"solve": _cmd_solve, "convergence": _cmd_convergence,
+             "condnum": _cmd_condnum, "fem": _probe_fem,
+             "mesh-info": _cmd_mesh_info, "audit": _probe_audit,
+             "kappa": _probe_kappa, "harmonic": _probe_harmonic}
+_CASE_JOBS = ("solve", "convergence", "condnum", "fem")
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
     try:
-        problem = _apply_config_file(argv, commands)
         args = parser.parse_args(argv)
+        problem = None
+        if getattr(args, "config", None) is not None:
+            problem = _apply_config_file(args, commands[args.command])
+            args = parser.parse_args(argv)
         _check_numbers(args)
-        if args.command == "mesh-info":
-            return _cmd_mesh_info(args)
-        if args.command == "probe":
-            return _cmd_probe(args)
-        case = _resolve_case(args, problem)
-        if args.cond == "exact":
+        job = getattr(args, "mode", args.command)
+        case = _resolve_case(args, problem) if job in _CASE_JOBS else None
+        if getattr(args, "cond", None) == "exact":
             _check_dense_ladder(case.ladder)
-        if args.command == "solve":
-            return _cmd_solve(args, case)
-        if args.command == "convergence":
-            return _cmd_convergence(args, case)
-        if args.command == "condnum":
-            return _cmd_condnum(args, case)
-        raise ConfigError(f"unknown command {args.command!r}")
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            if job != "mesh-info":  # every other run echoes its config
+                _write_json(out / "config.json",
+                            {**vars(args), "version": __version__})
+        return _HANDLERS[job](args, case, out)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}),
               file=sys.stderr)

@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_LADDER = (8, 16, 32, 64, 128)
-CSV_HEADER = ("N", "h", "err_l2_B", "err_h1_B", "s_norm", "sstar_norm", "cond")
+CSV_HEADER = ("N", "h", "err_l2_B", "err_h1_B", "s_norm", "sstar_norm", "cond",
+              "cond_converged")
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,7 @@ class ConvergenceRow:
     sstar_norm: float
     cond: Optional[float] = None
     peclet: Optional[float] = None
+    cond_converged: Optional[bool] = None  # False: the estimate hit its cap
 
 
 @dataclass
@@ -221,9 +223,6 @@ class ConvergenceTable:
     case_name: str
     rows: list
     rates: dict
-
-    def column(self, name: str):
-        return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path_or_buf):
         if hasattr(path_or_buf, "write"):
@@ -237,9 +236,10 @@ class ConvergenceTable:
         writer.writerow(CSV_HEADER)
         for r in self.rows:
             cond = "" if r.cond is None else repr(float(r.cond))
+            converged = "" if r.cond_converged is None else r.cond_converged
             writer.writerow([r.N, repr(float(r.h)), repr(float(r.err_l2_B)),
                              repr(float(r.err_h1_B)), repr(float(r.s_norm)),
-                             repr(float(r.sstar_norm)), cond])
+                             repr(float(r.sstar_norm)), cond, converged])
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -344,10 +344,12 @@ def run_case(case: CaseDefinition, cond: str = "none",
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
             case.exact, sol.u, case.spec.target, quad_degree, h1)
 
+        est = sol.cond
         rows.append(ConvergenceRow(n_cells, blocks.h, err_l2 / ref_l2,
                                    err_h1 / ref_h1, s_norm, sstar_norm,
-                                   None if sol.cond is None else sol.cond.value,
-                                   blocks.peclet))
+                                   None if est is None else est.value,
+                                   blocks.peclet,
+                                   None if est is None else est.converged))
 
     rates = {}
     if len(rows) >= 2:

@@ -39,8 +39,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    kind: str
-    degree: int
 
 
 # 3-point midpoint rule, exact through degree 2
@@ -65,14 +63,14 @@ def triangle_rule(degree: int = 4, refine: int = 0) -> QuadratureRule:
     (region indicators) on a finer grid.
     """
     if degree <= 2:
-        pts, wts, deg = _TRI_P2, _TRI_W2, 2
+        pts, wts = _TRI_P2, _TRI_W2
     elif degree <= 4:
-        pts, wts, deg = _TRI_P4, _TRI_W4, 4
+        pts, wts = _TRI_P4, _TRI_W4
     else:
         raise ValueError(f"no triangle rule of degree {degree} available")
     for _ in range(refine):
         pts, wts = _subdivide(pts, wts)
-    return QuadratureRule(pts, wts, "triangle", deg)
+    return QuadratureRule(pts, wts)
 
 
 def _subdivide(pts, wts):
@@ -95,7 +93,7 @@ def edge_rule(degree: int = 4) -> QuadratureRule:
         raise ValueError("degree must be positive")
     npts = (degree + 2) // 2
     t, w = np.polynomial.legendre.leggauss(npts)
-    return QuadratureRule((t + 1.0) / 2.0, w / 2.0, "edge", 2 * npts - 1)
+    return QuadratureRule((t + 1.0) / 2.0, w / 2.0)
 
 
 def _hat_gradients(v, det):

@@ -6,6 +6,8 @@ import pytest
 
 from ucfem import __version__
 from ucfem.cli import main
+from ucfem.experiments import get_case
+from ucfem.stability import ThreeBallConfig, probe_fem_solution
 
 
 def test_mesh_info_outputs(tmp_path, capsys):
@@ -44,6 +46,10 @@ def test_unknown_case_exits_two(tmp_path, capsys):
     code = main(["convergence", "--case", "nope", "--out", str(tmp_path)])
     assert code == 2
     assert "unknown case" in capsys.readouterr().err
+    out = tmp_path / "probe"
+    assert main(["probe", "fem", "--case", "nope", "--out", str(out)]) == 2
+    assert "unknown case" in capsys.readouterr().err
+    assert not out.exists()  # rejected before config.json was written
 
 
 def test_solve_writes_outputs_and_is_deterministic(tmp_path, capsys):
@@ -84,7 +90,7 @@ def test_convergence_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     csv_text = (tmp_path / "convergence.csv").read_text()
     assert csv_text.splitlines()[0] == \
-        "N,h,err_l2_B,err_h1_B,s_norm,sstar_norm,cond"
+        "N,h,err_l2_B,err_h1_B,s_norm,sstar_norm,cond,cond_converged"
     assert "np.float64" not in csv_text
     assert "rate[err_l2_B]" in out
     rates = json.loads((tmp_path / "rates.json").read_text())
@@ -155,6 +161,22 @@ def test_probe_fem_ladder(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) > 0
 
 
+def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
+    def ratio(seed):
+        out = tmp_path / f"s{seed}"
+        assert main(["probe", "fem", "--case", "ex1-const-noise-h",
+                     "--ladder", "8", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        return (out / "probe_fem.csv").read_text().splitlines()[1]
+
+    assert ratio(1) != ratio(5)
+    # seed 0 is the built-in case's own noise seed
+    config = ThreeBallConfig((0.5, 0.5), (0.1, 0.2, 0.4), 0.5)
+    [(n_cells, value)] = probe_fem_solution(get_case("ex1-const-noise-h"),
+                                            config, ladder=(8,))
+    assert ratio(0) == f"{n_cells},{value!r}"
+
+
 def test_config_file_supplies_defaults_and_inline_problem(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -172,10 +194,11 @@ def test_config_file_supplies_defaults_and_inline_problem(tmp_path):
     assert config["ladder"] == [8]
 
 
-def _run_with_config(tmp_path, argv, config):
+def _run_with_config(tmp_path, argv, config, joined=False):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    return main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    flag = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+    return main([*argv, *flag, "--out", str(tmp_path / "run")])
 
 
 def _assert_config_error(tmp_path, capsys):
@@ -215,18 +238,20 @@ def test_config_keys_must_be_options_of_the_command(tmp_path, capsys, argv,
     _assert_config_error(tmp_path, capsys)
 
 
-def test_config_values_are_typed_and_flags_still_win(tmp_path):
+@pytest.mark.parametrize("joined", [False, True],
+                         ids=["separate", "joined"])
+def test_config_values_are_typed_and_flags_still_win(tmp_path, joined):
     out = tmp_path / "run"
     config = {"cond_tol": 0.25, "cond-cap": 7, "quad_degree": "2",
               "ladder": "4,8"}
     assert _run_with_config(tmp_path, ["condnum", "--ladder", "4"],
-                            config) == 0
+                            config, joined) == 0
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["cond_tol"] == 0.25 and echoed["cond_cap"] == 7
     assert echoed["quad_degree"] == 2 and echoed["ladder"] == [4]
     radii = [0.1, 0.2, 0.4]
     assert _run_with_config(tmp_path, ["probe", "kappa"],
-                            {"radii": radii, "c3": 2}) == 0
+                            {"radii": radii, "c3": 2}, joined) == 0
     kappa = json.loads((out / "probe_kappa.json").read_text())
     assert kappa["radii"] == radii and kappa["c3"] == 2.0
 

@@ -267,11 +267,18 @@ def test_convergence_table_csv_format():
     first = lines[1].split(",")
     assert int(first[0]) == 8
     assert float(first[1]) == pytest.approx(1.0 / 9.0)
-    # cond column stays empty when not requested
-    assert first[6] == ""
+    # cond and cond_converged stay empty when not requested
+    assert first[6:] == ["", ""]
     buf = io.StringIO()
     table.to_csv(buf)
     assert buf.getvalue() == text
+
+
+def test_unconverged_estimate_is_marked_in_row_and_csv():
+    table = run_case(get_case("ex1-swirl"), ladder=(4,), cond="estimate",
+                     cond_max_iter=3)
+    assert table.rows[0].cond_converged is False
+    assert table.to_csv_string().splitlines()[1].split(",")[-1] == "False"
 
 
 def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):

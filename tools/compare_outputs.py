@@ -79,6 +79,14 @@ def command_matrix() -> dict[str, list[str]]:
         "condnum", "--case", "ex1-swirl", "--ladder", "4,8",
         "--cond-cap", "3"]
     runs["probe-fem"] = ["probe", "fem", "--ladder", "8,16,32"]
+    # the noise of a noisy case is seeded by --seed
+    runs["probe-fem-noise-h-seed0"] = [
+        "probe", "fem", "--case", "ex1-const-noise-h", "--ladder", "8",
+        "--seed", "0"]
+    runs["probe-audit"] = ["probe", "audit", "--samples", "200"]
+    runs["probe-kappa"] = ["probe", "kappa"]
+    runs["probe-harmonic"] = ["probe", "harmonic", "--kmax", "3",
+                              "--resolution", "16", "32"]
     runs["mesh-info-32"] = ["mesh-info", "32"]
     for degree in (2, 4):
         runs[f"solve-inline-swirl-q{degree}"] = [
