@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: mesh-info, solve, convergence, condnum, probe.  ``main`` runs
-each the same way: parse; load ``--config PATH`` (or ``--config=PATH``)
-as the command's defaults and parse again, so flags win; check the
+Subcommands: mesh-info, solve, convergence, condnum, probe; each probe
+mode (audit, kappa, harmonic, fem) is a subcommand of ``probe`` with only
+the options it reads.  ``main`` runs each the same way: parse; load
+``--config PATH`` (or ``--config=PATH``) as the defaults of the command
+or probe mode and parse again, so flags win; check the
 numbers; resolve the case (solve, convergence, condnum, and ``probe fem``,
 whose ``--seed`` seeds a noisy case); echo the resolved configuration to
 ``config.json`` in the output directory; run the handler.  Bad input
@@ -69,6 +71,32 @@ def _ladder(text):
     return entries
 
 
+# every option of ``probe``; each mode takes only the ones it reads
+_PROBE_OPTIONS = {
+    "--config": dict(default=None, help="JSON file with flag defaults"),
+    "--samples": dict(type=_positive_int, default=10_000),
+    "--seed": dict(type=int, default=2026),
+    "--radii": dict(type=float, nargs=3, default=(0.1, 0.2, 0.4)),
+    "--center": dict(type=float, nargs=2, default=(0.5, 0.5)),
+    "--c3": dict(type=float, default=1.0),
+    "--kmax": dict(type=_positive_int, default=8),
+    "--norm": dict(choices=["l2", "h1"], default="l2"),
+    "--resolution": dict(type=int, nargs=2, default=(96, 192)),
+    "--case": dict(default="ex1-const"),
+    "--ladder": dict(type=_ladder, default=(8, 16, 32)),
+    "--out": dict(default=".", help="output directory"),
+}
+_PROBE_MODES = {
+    "audit": ("log-convexity audit", ("--samples", "--seed")),
+    "kappa": ("three-ball exponent", ("--radii", "--c3")),
+    "harmonic": ("three-ball ratios of a harmonic family",
+                 ("--radii", "--center", "--kmax", "--norm", "--resolution")),
+    "fem": ("three-ball ratios of reconstructions along a ladder",
+            ("--seed", "--radii", "--center", "--c3", "--norm",
+             "--resolution", "--case", "--ladder")),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ucfem",
@@ -119,22 +147,14 @@ def _build_parser():
                         help="iteration cap for the estimator")
 
     probe_p = sub.add_parser("probe", help="stability probes")
-    probe_p.add_argument("mode", choices=["audit", "kappa", "harmonic", "fem"])
-    probe_p.add_argument("--config", default=None)
-    probe_p.add_argument("--samples", type=_positive_int, default=10_000)
-    probe_p.add_argument("--seed", type=int, default=2026)
-    probe_p.add_argument("--radii", type=float, nargs=3,
-                         default=(0.1, 0.2, 0.4))
-    probe_p.add_argument("--center", type=float, nargs=2, default=(0.5, 0.5))
-    probe_p.add_argument("--c3", type=float, default=1.0)
-    probe_p.add_argument("--kmax", type=_positive_int, default=8)
-    probe_p.add_argument("--norm", choices=["l2", "h1"], default="l2")
-    probe_p.add_argument("--resolution", type=int, nargs=2, default=(96, 192))
-    probe_p.add_argument("--case", default="ex1-const")
-    probe_p.add_argument("--ladder", type=_ladder, default=(8, 16, 32))
-    probe_p.add_argument("--out", default=".")
+    modes = probe_p.add_subparsers(dest="mode", required=True)
     commands = {"mesh-info": mesh_p, "solve": solve_p, "convergence": conv_p,
-                "condnum": cond_p, "probe": probe_p}
+                "condnum": cond_p}
+    for mode, (help_text, flags) in _PROBE_MODES.items():
+        mode_p = modes.add_parser(mode, help=help_text)
+        for flag in ("--config", *flags, "--out"):
+            mode_p.add_argument(flag, **_PROBE_OPTIONS[flag])
+        commands[mode] = mode_p
     return parser, commands
 
 
@@ -167,7 +187,7 @@ _PROBLEM_COMMANDS = ("solve", "convergence", "condnum")
 
 def _apply_config_file(args, sub_parser):
     """Use the values of the ``--config`` file as defaults of the invoked
-    command, so that flags parsed again still win.
+    command (for ``probe``, its mode), so that flags parsed again still win.
 
     Every key must be an option of the command, or ``problem`` for solve,
     convergence and condnum; every value passes the option's type and
@@ -189,7 +209,7 @@ def _apply_config_file(args, sub_parser):
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"config key {key!r} is not an option of "
-                              f"{args.command!r}")
+                              f"{sub_parser.prog.removeprefix('ucfem ')!r}")
         defaults[action.dest] = _config_value(action, key, val)
     sub_parser.set_defaults(**defaults)
     return problem
@@ -420,12 +440,12 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        job = getattr(args, "mode", args.command)
         problem = None
         if getattr(args, "config", None) is not None:
-            problem = _apply_config_file(args, commands[args.command])
+            problem = _apply_config_file(args, commands[job])
             args = parser.parse_args(argv)
         _check_numbers(args)
-        job = getattr(args, "mode", args.command)
         case = _resolve_case(args, problem) if job in _CASE_JOBS else None
         if getattr(args, "cond", None) == "exact":
             _check_dense_ladder(case.ladder)

@@ -269,7 +269,7 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region,
     gex = np.asarray(exact.gradient(flat),
                      dtype=float).reshape(*pts.shape[:2], 2)
     cf = fe.coefficients[mesh.triangles]
-    uh = np.einsum("qk,tk->tq", rule.points, cf)
+    uh = cf @ rule.points.T                                          # (t, q)
     gh = np.einsum("tk,tkd->td", cf, grads)
 
     mask = region.contains(flat).reshape(pts.shape[:2]) if region is not None \

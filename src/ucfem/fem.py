@@ -97,10 +97,14 @@ def edge_rule(degree: int = 4) -> QuadratureRule:
 
 
 def _hat_gradients(v, det):
-    """Hat gradients (t, 3, 2) of triangles with vertices ``v`` (t, 3, 2)
-    and doubled signed areas ``det`` (t,)."""
-    d = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-    return np.stack([-d[..., 1], d[..., 0]], axis=-1) / det[:, None, None]
+    """Hat gradients (t, 3, 2), in C order, of triangles with vertices ``v``
+    (t, 3, 2) and doubled signed areas ``det`` (t,)."""
+    d = np.take(v, [2, 0, 1], axis=1) - np.take(v, [1, 2, 0], axis=1)
+    grads = np.empty_like(d)
+    np.negative(d[..., 1], out=grads[..., 0])
+    grads[..., 1] = d[..., 0]
+    grads /= det[:, None, None]
+    return grads
 
 
 def p1_gradients(vertices) -> np.ndarray:
@@ -133,7 +137,7 @@ def quad_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
     key = ("qpts", rule.points.tobytes())
     pts = mesh._cache.get(key)
     if pts is None:
-        pts = np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])
+        pts = rule.points @ mesh.nodes[mesh.triangles]
         mesh._cache[key] = pts
     return pts
 
@@ -162,12 +166,28 @@ class FeFunction:
                          grads[tri])
 
     def to_csv(self, path):
-        """Write node index, coordinates and value, one row per node."""
+        """Write node index, coordinates and value, one row per node, each
+        float as its ``repr``."""
+        rows = "".join([f"{head}{c!r}\n" for head, c in
+                        zip(_csv_heads(self.mesh), self.coefficients.tolist())])
         with open(path, "w") as fh:
-            fh.write("node,x,y,value\n")
-            for k, ((x, y), c) in enumerate(zip(self.mesh.nodes,
-                                                self.coefficients)):
-                fh.write(f"{k},{float(x)!r},{float(y)!r},{float(c)!r}\n")
+            fh.write("node,x,y,value\n" + rows)
+
+
+def _csv_heads(mesh: Mesh) -> list:
+    """The ``k,x,y,`` start of each node's CSV row, cached per mesh.  The
+    coordinates take few distinct values, and each is formatted once."""
+    heads = mesh._cache.get("csvheads")
+    if heads is None:
+        # equal bit patterns, and only they, have equal reprs (-0.0 too)
+        bits, inv = np.unique(mesh.nodes.ravel().view(np.int64),
+                              return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        heads = [f"{k},{x},{y}," for k, (x, y)
+                 in enumerate(text[inv].reshape(-1, 2).tolist())]
+        mesh._cache["csvheads"] = heads
+    return heads
 
 
 def interpolate(u, mesh: Mesh) -> FeFunction:
@@ -184,14 +204,49 @@ def mass_matrix(mesh: Mesh, degree: int = 4) -> sp.csr_matrix:
     return _scatter(mesh, vals)
 
 
+def _mass_tensor(rule: QuadratureRule) -> np.ndarray:
+    """(q, 9) tensor with ``[q, 3i + j] = w_q phi_i(x_q) phi_j(x_q)``, so
+    that a (t, q) array of weights times it gives the (t, 9) local masses."""
+    p = rule.points
+    return (rule.weights[:, None, None] * p[:, :, None]
+            * p[:, None, :]).reshape(len(p), 9)
+
+
+def _weighted_hats(rule: QuadratureRule) -> np.ndarray:
+    """(q, 3) tensor ``w_q phi_i(x_q)``: a (t, q) array of values times it
+    gives the (t, 3) local load vectors."""
+    return rule.weights[:, None] * rule.points
+
+
 def _scatter(mesh: Mesh, local_blocks) -> sp.csr_matrix:
-    """Accumulate (t, 3, 3) local blocks into a global sparse matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local_blocks.ravel(), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
+    """Sum (t, 3, 3) local blocks into the global P1 matrix.
+
+    The first call for a mesh caches in ``mesh._cache`` the CSR pattern of
+    the P1 stencil and the slot of each of the 9 t local entries in it;
+    every call then sums the blocks into that pattern with one bincount.
+    """
+    cached = mesh._cache.get("p1scatter")
+    if cached is None:
+        n, tri = mesh.n_nodes, mesh.triangles.astype(np.int64)
+        keys = (np.repeat(tri, 3, axis=1) * n + np.tile(tri, (1, 3))).ravel()
+        pattern, slot = np.unique(keys, return_inverse=True)
+        indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
+        index = np.int32 if len(pattern) < 2**31 else np.int64
+        cached = (indptr.astype(index), (pattern % n).astype(index),
+                  slot.astype(index))
+        mesh._cache["p1scatter"] = cached
+    indptr, indices, slot = cached
+    data = np.bincount(slot, weights=np.ravel(local_blocks),
+                       minlength=len(indices))
+    # the pattern is copied so that no caller can alter the cached one
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                         shape=(mesh.n_nodes,) * 2)
+
+
+def _scatter_load(mesh: Mesh, local) -> np.ndarray:
+    """Sum (t, 3) local load vectors into a global vector."""
+    return np.bincount(mesh.triangles.ravel(), weights=np.ravel(local),
+                       minlength=mesh.n_nodes)
 
 
 def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
@@ -205,9 +260,7 @@ def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
     _, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
     uvals = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    rhs_local = np.einsum("q,tq,qi->ti", rule.weights, uvals, rule.points)
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.triangles.ravel(), (areas[:, None] * rhs_local).ravel())
+    rhs = _scatter_load(mesh, (areas[:, None] * uvals) @ _weighted_hats(rule))
 
     mm = mass_matrix(mesh, degree)
     scale = np.linalg.norm(rhs)

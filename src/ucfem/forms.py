@@ -29,7 +29,8 @@ import scipy.sparse as sp
 
 from .mesh import Mesh, Region, mesh_size
 from .fem import (FeFunction, edge_rule, quad_points, triangle_geometry,
-                  triangle_rule, _scatter)
+                  triangle_rule, _mass_tensor, _scatter, _scatter_load,
+                  _weighted_hats)
 
 __all__ = [
     "ProblemSpec",
@@ -124,22 +125,27 @@ def _jump_matrix(mesh, grads, wf):
 
     Normal-gradient jumps of P1 functions are facewise constant, so row F
     of the faces x nodes operator D holds the jump [dn phi] of the six hat
-    functions of the two triangles sharing F.
+    functions of the two triangles sharing F.  The product is formed as
+    (W D)^T D, from the same six entries per face.
     """
     t_minus, t_plus = mesh.face_tris[:, 0], mesh.face_tris[:, 1]
     n = mesh.face_normals
-    dn_minus = np.einsum("fkd,fd->fk", grads[t_minus], n)
-    dn_plus = np.einsum("fkd,fd->fk", grads[t_plus], n)
-
     # jump = dn(plus side) - dn(minus side); shared endpoints accumulate
-    jump = np.concatenate([dn_plus, -dn_minus], axis=1)             # (f, 6)
-    cols6 = np.concatenate([mesh.triangles[t_plus],
-                            mesh.triangles[t_minus]], axis=1)       # (f, 6)
+    g6 = np.concatenate([np.take(grads, t_plus, axis=0),
+                         -np.take(grads, t_minus, axis=0)], axis=1)  # (f, 6, 2)
+    jump = g6[..., 0] * n[:, :1] + g6[..., 1] * n[:, 1:]            # (f, 6)
+    cols6 = np.concatenate([np.take(mesh.triangles, t_plus, axis=0),
+                            np.take(mesh.triangles, t_minus, axis=0)],
+                           axis=1).ravel()
     nf = len(wf)
-    d = sp.csr_matrix((jump.ravel(), cols6.ravel(),
-                       np.arange(0, 6 * nf + 1, 6)),
-                      shape=(nf, mesh.n_nodes))
-    return (d.T @ sp.diags(wf) @ d).tocsr()
+    rows = np.arange(0, 6 * nf + 1, 6)
+    d = sp.csr_matrix((jump.ravel(), cols6, rows), shape=(nf, mesh.n_nodes))
+    # (W D)^T: the arrays of W D in CSR order, read as a CSC matrix
+    wd_t = sp.csc_matrix(((wf[:, None] * jump).ravel(), cols6, rows),
+                         shape=(mesh.n_nodes, nf))
+    mat = wd_t.tocsr() @ d
+    mat.sort_indices()  # the sums and bmat with it take the fast path
+    return mat
 
 
 @dataclass
@@ -172,7 +178,8 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
     grads, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
     flat = pts.reshape(-1, 2)
-    stiff = spec.mu * np.einsum("tid,tjd,t->tij", grads, grads, areas)
+    stiff = (grads @ grads.transpose(0, 2, 1)) \
+        * (spec.mu * areas)[:, None, None]
     mask = spec.omega.contains(flat).reshape(pts.shape[:2])
     if not mask.any():
         warnings.warn("data region contains no quadrature point; "
@@ -188,17 +195,17 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
 
     # PDE form: (beta.grad phi_j) phi_i with rows as test functions, the
     # diffusion blocks and the boundary flux that replaces boundary data
-    bvals = beta_flat.reshape(*pts.shape[:2], 2)
-    conv = np.einsum("q,tqd,tjd,qi,t->tij", rule.weights, bvals, grads,
-                     rule.points, areas, optimize=True)
+    # conv[t, i, j] = area_t sum_q w_q phi_i(x_q) beta(x_q).grad phi_j
+    whats = _weighted_hats(rule)
+    bgrad = beta_flat.reshape(*pts.shape[:2], 2) @ grads.transpose(0, 2, 1)
+    conv = (whats.T @ bgrad) * areas[:, None, None]
     pde = (_scatter(mesh, conv + stiff)
            + _boundary_flux(spec.mu, mesh, grads, hat @ erule.weights)).tocsr()
-    del beta_flat, bvals, conv  # no (t, q) array outlives its own form
+    del beta_flat, bgrad, conv  # no (t, q) array outlives its own form
 
     w_data = spec.mu + bsup * h
-    s_data = _scatter(mesh, np.einsum("q,tq,qi,qj->tij", rule.weights,
-                                      w_data * areas[:, None] * mask,
-                                      rule.points, rule.points))
+    data_weight = w_data * areas[:, None] * mask                    # (t, q)
+    s_data = _scatter(mesh, data_weight @ _mass_tensor(rule))
     s_jump = _jump_matrix(mesh, grads,
                           spec.gamma * h * w_data * mesh.face_lengths)
     w_bnd = spec.boundary_factor * (spec.mu / h + bsup) * mesh.bnd_lengths
@@ -207,15 +214,9 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
                                  + _scatter(mesh, stiff) + s_jump)).tocsr()
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
-    local_f = np.einsum("q,tq,qi,t->ti", rule.weights, fvals,
-                        rule.points, areas)
-    dvals = np.einsum("qk,tk->tq", rule.points,
-                      data.coefficients[mesh.triangles])
-    local_d = np.einsum("q,tq,qi->ti", rule.weights,
-                        w_data * areas[:, None] * mask * dvals, rule.points)
-    b_source, b_data = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
-    np.add.at(b_source, mesh.triangles.ravel(), local_f.ravel())
-    np.add.at(b_data, mesh.triangles.ravel(), local_d.ravel())
+    b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ whats)
+    dvals = data.coefficients[mesh.triangles] @ rule.points.T        # (t, q)
+    b_data = _scatter_load(mesh, (data_weight * dvals) @ whats)
     return AssembledForms(pde, s_data, s_jump, (s_data + s_jump).tocsr(),
                           s_dual, b_source, b_data, h, bsup,
                           bsup * h / spec.mu)

@@ -158,7 +158,14 @@ class ThreeBallConfig:
 def disc_quadrature(center, radius: float, n_r: int = 64,
                     n_theta: int = 128):
     """Polar-grid quadrature on a disc: Gauss in r, uniform in angle."""
-    t, w = np.polynomial.legendre.leggauss(n_r)
+    return _polar_grid(center, radius, np.polynomial.legendre.leggauss(n_r),
+                       n_theta)
+
+
+def _polar_grid(center, radius, gauss, n_theta):
+    """``disc_quadrature`` with the Gauss-Legendre rule ``gauss`` = (t, w)
+    on [-1, 1] given, so that one rule serves several discs."""
+    t, w = gauss
     r = 0.5 * radius * (t + 1.0)
     wr = 0.5 * radius * w
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
@@ -170,14 +177,20 @@ def disc_quadrature(center, radius: float, n_r: int = 64,
     return pts, weights
 
 
-def _disc_norm(value, gradient, center, radius, norm, n_r, n_theta):
-    pts, w = disc_quadrature(center, radius, n_r, n_theta)
-    vals = np.asarray(value(pts), dtype=float)
-    total = float(np.sum(w * vals**2))
-    if norm == "h1":
-        g = np.asarray(gradient(pts), dtype=float)
-        total += float(np.sum(w * np.einsum("nd,nd->n", g, g)))
-    return np.sqrt(total)
+def _disc_norms(value, gradient, center, radii, norm, resolution):
+    """L2 or H1 norms of a field on the discs B(center, r), r in radii;
+    the Gauss rule in r is computed once for all of them."""
+    n_r, n_theta = resolution
+    gauss = np.polynomial.legendre.leggauss(n_r)
+    norms = []
+    for radius in radii:
+        pts, w = _polar_grid(center, radius, gauss, n_theta)
+        total = float(np.sum(w * np.asarray(value(pts), dtype=float)**2))
+        if norm == "h1":
+            g = np.asarray(gradient(pts), dtype=float)
+            total += float(np.sum(w * np.einsum("nd,nd->n", g, g)))
+        norms.append(np.sqrt(total))
+    return norms
 
 
 def _spot_check_residual(value, gradient, laplacian, mu, beta, config, rng,
@@ -221,12 +234,11 @@ def three_ball_ratio(value: Callable, gradient: Callable,
     disabled (as for discrete reconstructions, which satisfy the equation
     only weakly).  A vanishing smallest-disc norm is degenerate.
     """
-    n_r, n_theta = resolution
     if check_residual:
         rng = np.random.default_rng(seed)
         _spot_check_residual(value, gradient, laplacian, mu, beta, config, rng)
-    n1, n2, n3 = (_disc_norm(value, gradient, config.center, r, config.norm,
-                             n_r, n_theta) for r in config.radii)
+    n1, n2, n3 = _disc_norms(value, gradient, config.center, config.radii,
+                             config.norm, resolution)
     if n1 == 0.0 or n3 == 0.0:
         raise ValueError("degenerate field: zero norm on a probe disc")
     return float(n2 / (n1**config.kappa * n3 ** (1 - config.kappa)))
@@ -266,9 +278,8 @@ def calibrate_exponent(value, gradient, config_center, radii, norm="l2",
     Returns (kappa, c3) such that the given field attains ratio exactly one;
     c3 is the constant that reproduces this kappa through holder_exponent.
     """
-    n_r, n_theta = resolution
-    n1, n2, n3 = (_disc_norm(value, gradient, config_center, r, norm,
-                             n_r, n_theta) for r in radii)
+    n1, n2, n3 = _disc_norms(value, gradient, config_center, radii, norm,
+                             resolution)
     if n1 <= 0 or n2 <= 0 or n3 <= 0 or n1 == n3:
         raise ValueError("calibration field has degenerate disc norms")
     kappa = float(np.log(n3 / n2) / np.log(n3 / n1))

@@ -399,6 +399,31 @@ def test_probe_counts_must_be_positive(tmp_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("mode, foreign", [
+    ("audit", ["--norm", "h1"]),
+    ("kappa", ["--case", "nope"]),
+    ("harmonic", ["--ladder", "4"]),
+    ("fem", ["--samples", "50"]),
+])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
+                                             how):
+    out = tmp_path / "run"
+    if how == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", mode, *foreign, "--out", str(out)])
+        assert exc.value.code == 2
+    else:
+        key, value = foreign[0].lstrip("-"), foreign[1]
+        assert _run_with_config(tmp_path, ["probe", mode],
+                                {key: value}) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "config",
+                       "detail": f"config key {key!r} is not an option of "
+                                 f"'probe {mode}'"}
+    assert not out.exists()  # rejected before anything was written
+
+
 @pytest.mark.parametrize("argv, config", [
     (["condnum", "--ladder", "4", "--cond-cap", "0"], None),
     (["condnum", "--ladder", "4", "--cond-tol", "-1"], None),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ucfem import fem
@@ -93,6 +94,43 @@ def test_quad_points_cover_domain():
     _, areas = triangle_geometry(mesh)
     total = np.sum(areas[:, None] * rule.weights[None, :])
     assert np.isclose(total, 1.0)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_reference_tensors_match_their_einsum_definitions(degree):
+    rule = triangle_rule(degree)
+    w, p = rule.weights, rule.points
+    np.testing.assert_allclose(fem._mass_tensor(rule).reshape(-1, 3, 3),
+                               np.einsum("q,qi,qj->qij", w, p, p),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(fem._weighted_hats(rule),
+                                  np.einsum("q,qi->qi", w, p))
+    mesh = build_unit_square_mesh(5)
+    np.testing.assert_allclose(
+        quad_points(mesh, rule),
+        np.einsum("qk,tkd->tqd", p, mesh.nodes[mesh.triangles]),
+        rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_cells", range(1, 10))
+def test_scatter_matches_coo_assembly(n_cells):
+    mesh = build_unit_square_mesh(n_cells)
+    tri = mesh.triangles
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    rng = np.random.default_rng(n_cells)
+    for call in range(2):
+        blocks = rng.standard_normal((len(tri), 3, 3))
+        got = fem._scatter(mesh, blocks)
+        want = sp.coo_matrix((blocks.ravel(), (rows, cols)),
+                             shape=(mesh.n_nodes,) * 2).tocsr()
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() \
+            <= 1e-15 * np.abs(want.data).max()
+        if call == 0:
+            cached = mesh._cache["p1scatter"]
+            got.indices[:] = 0  # a caller's edit must not reach the cache
+    assert mesh._cache["p1scatter"] is cached  # the second call reused it
 
 
 def test_interpolate_exact_for_affine():
@@ -249,3 +287,20 @@ def test_fe_function_csv_round_trip(tmp_path):
     assert float(row[3]) == pytest.approx(
         mesh.nodes[k, 0] + 2 * mesh.nodes[k, 1])
     assert "np.float64" not in lines[4]
+
+    # the bytes of the row-by-row writer, for coordinates and values whose
+    # repr has an exponent or a sign
+    mesh = build_unit_square_mesh(2)
+    mesh.nodes = mesh.nodes.copy()
+    mesh.nodes[:3] = [[-0.0, 1e-05], [0.0, -0.0], [1e+16, 0.5]]
+    fh = FeFunction(mesh, np.linspace(-1.0, 1.0, mesh.n_nodes))
+    fh.coefficients[:5] = [1e-05, -0.0, 1e+16, -2.5e-300, 1 / 3]
+    for _ in range(2):  # the second call reuses the mesh's cached columns
+        fh.to_csv(path)
+        rows = "".join(f"{k},{float(x)!r},{float(y)!r},{float(c)!r}\n"
+                       for k, ((x, y), c) in enumerate(zip(mesh.nodes,
+                                                           fh.coefficients)))
+        assert path.read_bytes() == ("node,x,y,value\n" + rows).encode()
+        fh.coefficients[5] = -fh.coefficients[5]
+    assert rows.startswith("0,-0.0,1e-05,1e-05\n1,0.0,-0.0,-0.0\n"
+                           "2,1e+16,0.5,1e+16\n")

@@ -78,7 +78,13 @@ def command_matrix() -> dict[str, list[str]]:
     runs["condnum-ex1-swirl-cap"] = [
         "condnum", "--case", "ex1-swirl", "--ladder", "4,8",
         "--cond-cap", "3"]
+    # the degree-2 rule through l2_project and error_norms
+    runs["convergence-ex1-swirl-q2"] = [
+        "convergence", "--case", "ex1-swirl", "--ladder", "8,16,32",
+        "--quad-degree", "2"]
     runs["probe-fem"] = ["probe", "fem", "--ladder", "8,16,32"]
+    # the gradient term of the disc norms
+    runs["probe-fem-h1"] = ["probe", "fem", "--ladder", "8,16", "--norm", "h1"]
     # the noise of a noisy case is seeded by --seed
     runs["probe-fem-noise-h-seed0"] = [
         "probe", "fem", "--case", "ex1-const-noise-h", "--ladder", "8",
