@@ -28,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .experiments import (CaseDefinition, NoiseModel, derive_source,
-                          discretize, estimate_rate, get_case,
-                          polynomial_bump, run_case)
+                          estimate_rate, get_case, polynomial_bump, run_case,
+                          run_ladder)
 from .forms import ProblemSpec, constant_field, swirl_field, zero_field
 from .mesh import Region, build_unit_square_mesh
-from .saddle import DENSE_SVD_MAX_DIM, NumericalFailure, solve
+from .saddle import DENSE_SVD_MAX_DIM, NumericalFailure
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
                         probe_fem_solution)
@@ -330,22 +330,23 @@ def _cmd_mesh_info(args, case, out) -> int:
 
 
 def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
-    for n_cells in case.ladder:
-        mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
-        sol = solve(system, mesh, args.cond)
-        sol.u.to_csv(out / f"u_N{n_cells}.csv")
-        sol.z.to_csv(out / f"z_N{n_cells}.csv")
+    def visit(rung):
+        sol = rung.solution
+        sol.u.to_csv(out / f"u_N{rung.N}.csv")
+        sol.z.to_csv(out / f"z_N{rung.N}.csv")
         diag = {k: v for k, v in sol.diagnostics.items()
                 if not k.endswith("_seconds")}  # timings go to stderr
-        diag["peclet"] = blocks.peclet
+        diag["peclet"] = rung.peclet
         if sol.cond is not None:
             diag["cond"] = sol.cond.value
-        _write_json(out / f"diagnostics_N{n_cells}.json", diag)
-        print(f"N={n_cells}: dim={sol.diagnostics['dimension']} "
+        _write_json(out / f"diagnostics_N{rung.N}.json", diag)
+        print(f"N={rung.N}: dim={sol.diagnostics['dimension']} "
               f"residual={sol.diagnostics['relative_residual']:.2e}")
         print(f"  factor {sol.diagnostics['factor_seconds']:.3f}s "
               f"solve {sol.diagnostics['solve_seconds']:.3f}s",
               file=sys.stderr)
+
+    run_ladder(case, visit, quad_degree=args.quad_degree, cond=args.cond)
     return 0
 
 
@@ -361,15 +362,17 @@ def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
 
 
 def _cmd_condnum(args, case: CaseDefinition, out: Path) -> int:
-    rows = []
-    for n_cells in case.ladder:
-        mesh, blocks, system = discretize(case, n_cells, args.quad_degree)
-        est = solve(system, mesh, args.cond, args.cond_tol, args.cond_cap).cond
+    def visit(rung):
+        est = rung.solution.cond
         bracket = None if est.bracket is None else list(est.bracket)
-        rows.append({"N": n_cells, "h": blocks.h, "cond": est.value,
-                     "converged": est.converged, "bracket": bracket})
         flag = "" if est.converged else f"  (cap hit, bracket {bracket})"
-        print(f"N={n_cells}: cond={est.value:.6e}{flag}")
+        print(f"N={rung.N}: cond={est.value:.6e}{flag}")
+        return {"N": rung.N, "h": rung.h, "cond": est.value,
+                "converged": est.converged, "bracket": bracket}
+
+    rows = run_ladder(case, visit, quad_degree=args.quad_degree,
+                      cond=args.cond, cond_tol=args.cond_tol,
+                      cond_max_iter=args.cond_cap)
 
     _write_csv(out / "condition.csv", ["N", "h", "cond"],
                [[r["N"], r["h"], r["cond"]] for r in rows])

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .mesh import Mesh, Region, build_unit_square_mesh, mesh_size
+from .mesh import (Mesh, Region, _nested_dissection, build_unit_square_mesh,
+                   mesh_size)
 from .fem import FeFunction, interpolate, l2_project, quad_points, \
     triangle_geometry, triangle_rule
 from .forms import (AssembledForms, ProblemSpec, assemble_all, constant_field,
                     swirl_field)
-from .saddle import SaddleSystem, build_system, solve
+from .saddle import SaddleSystem, Solution, build_system, solve
 
 __all__ = [
     "ExactSolution",
@@ -42,6 +44,8 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "discretize",
+    "Rung",
+    "run_ladder",
     "run_case",
     "error_norms",
     "CSV_HEADER",
@@ -294,7 +298,9 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
     """Mesh, assembled blocks and saddle system of one ladder rung.
 
     The data are the nodal interpolant of the exact solution, perturbed by
-    the case's noise model when it has one.
+    the case's noise model when it has one.  The system is stored in the
+    nested-dissection order of the mesh nodes, the order it is factorized
+    in.
     """
     mesh = build_unit_square_mesh(n_cells)
     data = interpolate(case.exact.value, mesh)
@@ -302,8 +308,64 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
         data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
     blocks = assemble_all(case.spec, mesh, data, quad_degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source)
+                          blocks.b_data, blocks.b_source,
+                          _nested_dissection(n_cells))
     return mesh, blocks, system
+
+
+@dataclass
+class Rung:
+    """One solved ladder rung: what post-processing reads of it.
+
+    ``compare`` is what the ladder's ``compare(mesh)`` returned, computed
+    before the factorization, or ``None``.
+    """
+
+    N: int
+    mesh: Mesh
+    h: float
+    peclet: float
+    primal: sp.csr_matrix
+    dual: sp.csr_matrix
+    solution: Solution
+    compare: Optional[FeFunction] = None
+
+
+def _solve_rung(case, n_cells, quad_degree, compare, cond, cond_tol,
+                cond_max_iter) -> Rung:
+    mesh, blocks, system = discretize(case, n_cells, quad_degree)
+    reference = compare(mesh) if compare is not None else None
+    h, peclet, primal, dual = (blocks.h, blocks.peclet, blocks.primal,
+                               blocks.dual)
+    # nothing reads the other blocks after build_system, and
+    # post-processing rebuilds the mesh caches it needs
+    del blocks
+    mesh.drop_caches()
+    sol = solve(system, mesh, cond, cond_tol, cond_max_iter)
+    return Rung(n_cells, mesh, h, peclet, primal, dual, sol, reference)
+
+
+def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
+               ladder: Optional[Sequence[int]] = None, quad_degree: int = 4,
+               cond: str = "none", cond_tol: float = 1e-3,
+               cond_max_iter: int = 5000,
+               compare: Optional[Callable[[Mesh], FeFunction]] = None
+               ) -> list:
+    """Discretize and solve each rung of a mesh ladder (``case.ladder``
+    unless given); return what ``visit(rung)`` returns for each.
+
+    ``compare(mesh)``, when given, runs before the factorization, while
+    the mesh caches of assembly are still there.  Then the rung keeps of
+    the assembled forms only what post-processing reads (``h``,
+    ``peclet``, ``primal``, ``dual``) and drops the mesh caches, so the
+    factorization runs with little else alive.  A rung is released once
+    ``visit`` returns, before the next one is discretized; ``visit`` keeps
+    what it needs of it.  ``cond``, ``cond_tol`` and ``cond_max_iter`` go
+    to ``solve``.
+    """
+    return [visit(_solve_rung(case, n_cells, quad_degree, compare, cond,
+                              cond_tol, cond_max_iter))
+            for n_cells in (ladder if ladder is not None else case.ladder)]
 
 
 def run_case(case: CaseDefinition, cond: str = "none",
@@ -325,31 +387,32 @@ def run_case(case: CaseDefinition, cond: str = "none",
     if h1 not in ("full", "semi"):
         raise ValueError(f"unknown h1 mode {h1!r}")
 
-    rows = []
-    for n_cells in (ladder if ladder is not None else case.ladder):
-        mesh, blocks, system = discretize(case, n_cells, quad_degree)
-        sol = solve(system, mesh, cond, cond_tol, cond_max_iter)
-        if solution_hook is not None:
-            solution_hook(n_cells, mesh, sol)
-
+    def compare(mesh):
         if projection == "l2":
-            compare = l2_project(case.exact.value, mesh, quad_degree)
-        else:
-            compare = interpolate(case.exact.value, mesh)
-        e = compare.coefficients - sol.u.coefficients
-        s_norm = float(np.sqrt(e @ (blocks.primal @ e)))
+            return l2_project(case.exact.value, mesh, quad_degree)
+        return interpolate(case.exact.value, mesh)
+
+    def visit(rung: Rung) -> ConvergenceRow:
+        sol = rung.solution
+        if solution_hook is not None:
+            solution_hook(rung.N, rung.mesh, sol)
+        e = rung.compare.coefficients - sol.u.coefficients
+        s_norm = float(np.sqrt(e @ (rung.primal @ e)))
         zc = sol.z.coefficients
-        sstar_norm = float(np.sqrt(zc @ (blocks.dual @ zc)))
+        sstar_norm = float(np.sqrt(zc @ (rung.dual @ zc)))
 
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
             case.exact, sol.u, case.spec.target, quad_degree, h1)
 
         est = sol.cond
-        rows.append(ConvergenceRow(n_cells, blocks.h, err_l2 / ref_l2,
-                                   err_h1 / ref_h1, s_norm, sstar_norm,
-                                   None if est is None else est.value,
-                                   blocks.peclet,
-                                   None if est is None else est.converged))
+        return ConvergenceRow(rung.N, rung.h, err_l2 / ref_l2,
+                              err_h1 / ref_h1, s_norm, sstar_norm,
+                              None if est is None else est.value,
+                              rung.peclet,
+                              None if est is None else est.converged)
+
+    rows = run_ladder(case, visit, ladder, quad_degree, cond, cond_tol,
+                      cond_max_iter, compare)
 
     rates = {}
     if len(rows) >= 2:

@@ -115,6 +115,12 @@ class Mesh:
         self.bnd_lengths = length[bnd]
         self.bnd_tris = owners[bnd, 0]
 
+    def drop_caches(self):
+        """Forget the derived arrays cached on this mesh (geometry,
+        quadrature points, scatter pattern, CSV heads); they are rebuilt
+        when next asked for."""
+        self._cache.clear()
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -155,20 +161,26 @@ def _nested_dissection(cells_per_side: int) -> np.ndarray:
     # grid[j, i] is the index j*(n+1) + i of the node at (i/n, j/n)
     grid = np.arange(m * m, dtype=np.int64).reshape(m, m)
     parts = []
-
-    def visit(box):
-        if max(box.shape) < 4:
-            parts.append(box.ravel())
-            return
-        if box.shape[0] < box.shape[1]:
-            box = box.T
-        mid = (box.shape[0] - 2) // 2
-        visit(box[:mid])
-        visit(box[mid + 2:])
-        parts.append(box[mid:mid + 2].ravel())
-
-    visit(grid)
+    _dissect(grid, parts)
     return np.concatenate(parts)
+
+
+def _dissect(box: np.ndarray, parts: list):
+    """Append the nodes of ``box`` to ``parts`` in nested-dissection order.
+
+    A module function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which keeps ``parts`` alive until
+    the garbage collector runs.
+    """
+    if max(box.shape) < 4:
+        parts.append(box.ravel())
+        return
+    if box.shape[0] < box.shape[1]:
+        box = box.T
+    mid = (box.shape[0] - 2) // 2
+    _dissect(box[:mid], parts)
+    _dissect(box[mid + 2:], parts)
+    parts.append(box[mid:mid + 2].ravel())
 
 
 def mesh_size(mesh: Mesh) -> float:

@@ -7,16 +7,22 @@ optimality system reads
     [ A  -S_* ] [z] = [b_source]
 
 with S the primal stabilizer (data mass + jump penalty), A the PDE form
-and S_* the dual stabilizer.  The matrix is symmetric (indefinite) and is
-factorized directly: on the structured mesh in a nested-dissection order
-without pivoting, otherwise (or when that factorization fails or misses
-the residual gate) in SuperLU's default COLAMD order with partial
-pivoting.  One factorization serves the solve and the condition estimate;
-it is released when ``solve`` returns.
+and S_* the dual stabilizer.  The matrix M is symmetric (indefinite) and
+exists once, in the order it is factorized: given an elimination order of
+the mesh nodes (nested dissection in the pipeline), ``build_system``
+stores P M P^T, with u_k and z_k of each node side by side, and P b.
+SuperLU receives the CSR arrays of that matrix as the CSC arrays of its
+transpose, which is the matrix itself, so no copy is made for it.  An
+ordered system is factorized in its own order without pivoting; a system
+in the natural (u, z) layout, and an ordered one whose pivot-free
+factorization fails or misses the residual gate, in SuperLU's COLAMD
+order with partial pivoting.  One factorization serves the solve and the
+condition estimate; it is released when ``solve`` returns.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import FeFunction
-from .mesh import Mesh, _nested_dissection
+from .mesh import Mesh
 
 __all__ = [
     "SaddleSystem",
@@ -48,22 +54,54 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class SaddleSystem:
-    """Symmetric block system; unknowns are stacked as (u, z)."""
+    """Symmetric block system M x = b, stored as P M P^T and P b.
+
+    ``perm[k]`` is the index in the natural stacking (u, z) of stored
+    unknown k; ``None`` means the natural layout itself.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n: int
+    perm: Optional[np.ndarray] = None
 
     def symmetry_defect(self) -> float:
-        """Relative max-norm asymmetry of the assembled matrix."""
-        diff = (self.matrix - self.matrix.T).tocoo()
-        num = np.abs(diff.data).max() if diff.nnz else 0.0
-        den = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
+        """Relative max-norm asymmetry of the assembled matrix; 0.0 when
+        it equals its transpose bit for bit."""
+        mat = self.matrix
+        t = mat.T.tocsr()
+        if (np.array_equal(t.indptr, mat.indptr)
+                and np.array_equal(t.indices, mat.indices)):
+            diff = mat.data - t.data  # one pattern: compare entrywise
+        else:
+            diff = (mat - t).data
+        num = np.abs(diff).max() if diff.size else 0.0
+        den = np.abs(mat.data).max() if mat.nnz else 1.0
         return float(num / den)
 
+    def to_stored(self, v: np.ndarray) -> np.ndarray:
+        """A vector of natural-order unknowns, in the stored order."""
+        return v if self.perm is None else v[self.perm]
 
-def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
-    """Assemble the symmetric arrangement from the individual blocks."""
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (u, z) node values of a vector in the stored order."""
+        if self.perm is not None:
+            natural = np.empty_like(x)
+            natural[self.perm] = x
+            x = natural
+        return x[:self.n], x[self.n:]
+
+
+def build_system(pde, primal, dual, b_data, b_source,
+                 order: Optional[np.ndarray] = None) -> SaddleSystem:
+    """Assemble the symmetric arrangement from the individual blocks.
+
+    ``order`` is an elimination order of the n nodes.  With it, node
+    ``order[k]`` has its u in row 2k and its z in row 2k + 1: the block
+    triplets are renumbered before they are compressed, so no matrix in
+    the natural layout is formed; without it, the unknowns are stacked
+    (u, z).
+    """
     n = pde.shape[0]
     for name, block in (("pde", pde), ("primal", primal), ("dual", dual)):
         if block.shape != (n, n):
@@ -71,23 +109,35 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
                              f"expected {(n, n)}")
     if len(b_data) != n or len(b_source) != n:
         raise ValueError("right-hand side length mismatch")
-    mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="csr")
+    mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="coo")
     rhs = np.concatenate([b_data, b_source])
-    return SaddleSystem(mat, rhs, n)
+    if order is None:
+        return SaddleSystem(mat.tocsr(), rhs, n)
+    order = np.asarray(order)
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order is not a permutation of the {n} nodes")
+    perm = np.column_stack([order, order + n]).ravel()
+    position = np.empty(2 * n, dtype=mat.row.dtype)
+    position[perm] = np.arange(2 * n)
+    mat = sp.csr_matrix((mat.data, (position[mat.row], position[mat.col])),
+                        shape=mat.shape)
+    return SaddleSystem(mat, rhs[perm], n, perm)
 
 
 @dataclass
 class Factorization:
-    """Sparse LU factors of a saddle matrix, applied in the original order.
+    """Sparse LU factors of a stored saddle matrix, applied in its order.
 
-    ``p`` is the symmetric permutation the factors were computed in
-    (``None`` when SuperLU chose its own ordering) and ``ordering`` names
-    it: ``"nested_dissection"`` or ``"colamd"``.
+    ``ordering`` names the factorization: ``"nested_dissection"`` (the
+    stored order, no pivoting) or ``"colamd"``.  ``transposed`` is True
+    when the matrix is not symmetric, so that the factors SuperLU computed
+    from the CSC view are those of its transpose and are applied
+    transposed.
     """
 
     lu: spla.SuperLU
-    p: Optional[np.ndarray]
     ordering: str
+    transposed: bool
 
     @property
     def lu_nnz(self) -> int:
@@ -100,49 +150,79 @@ class Factorization:
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve ``M x = b`` (``trans="T"``: ``M^T x = b``)."""
-        if self.p is None:
-            return self.lu.solve(b, trans=trans)
-        x = np.empty_like(b)
-        x[self.p] = self.lu.solve(b[self.p], trans=trans)
-        return x
+        if self.transposed:
+            trans = "N" if trans == "T" else "T"
+        return self.lu.solve(b, trans=trans)
 
 
-def _factorize_colamd(system: SaddleSystem) -> Factorization:
+# factor inputs from this size on have the heap's free pages returned
+# first; below it (N < 90) assembly frees a few MB, which are cheaper to
+# keep than to fault back in
+_TRIM_MIN_BYTES = 4 * 2**20
+
+
+def _release_free_heap():
+    """Hand the C heap's free pages back to the operating system.
+
+    The arrays that assembly and ``build_system`` free lie between live
+    ones on glibc's heap and stay resident, while SuperLU maps fresh
+    memory for its factors; returned first, they do not add to the peak.
+    A no-op where the C library has no ``malloc_trim``.
+    """
     try:
-        lu = spla.splu(system.matrix.tocsc())
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+def _factorize_colamd(system: SaddleSystem,
+                      transposed: bool) -> Factorization:
+    try:
+        lu = spla.splu(system.matrix.T)
     except RuntimeError as exc:
         raise NumericalFailure(f"factorization failed: {exc}") from exc
-    return Factorization(lu, None, "colamd")
+    return Factorization(lu, "colamd", transposed)
 
 
-def factorize(system: SaddleSystem,
-              mesh: Optional[Mesh] = None) -> Factorization:
-    """LU factorization of the saddle matrix.
+def factorize(system: SaddleSystem) -> Factorization:
+    """LU factorization of the stored saddle matrix.
 
-    When ``mesh`` is the structured mesh the system was assembled on, the
-    unknowns are ordered by nested dissection of its node grid, with
-    ``u_k`` and ``z_k`` of each node side by side, and factorized without
-    pivoting.  The matrix is quasi-definite (S and S_* are positive
-    definite), so every symmetric permutation has an LDL^T factorization
-    (Vanderbei, SIAM J. Optim. 5, 1995); but the blocks are badly
-    conditioned, so the pivot-free factors can still break down or lose
-    accuracy.  On a breakdown, as without a matching mesh, this falls back
-    to SuperLU's COLAMD ordering with partial pivoting; ``solve`` does the
-    same when the factors miss its residual gate.  Raises NumericalFailure
-    when COLAMD fails too.
+    SuperLU receives ``system.matrix.T``: the CSC view of the stored CSR
+    arrays, without a copy.  For a symmetric matrix (a zero
+    ``symmetry_defect``; the assembled saddle matrix is symmetric bit for
+    bit on the power-of-two meshes of the built-in ladders, and up to
+    rounding on others) the view is the matrix itself; otherwise the
+    factors are those of the transpose, and ``Factorization.solve``
+    applies them transposed, so every system is solved exactly.  Before
+    SuperLU allocates the factors of a large system, the free pages of
+    the C heap are handed back to the operating system, so that what
+    assembly freed does not stay resident under them.
+
+    A system stored in a node order (see ``build_system``) is factorized
+    in that order without pivoting.  The matrix is quasi-definite (S and
+    S_* are positive definite), so every symmetric permutation has an
+    LDL^T factorization (Vanderbei, SIAM J. Optim. 5, 1995); but the
+    blocks are badly conditioned, so the pivot-free factors can still
+    break down or lose accuracy.  On a breakdown, as for a system in the
+    natural layout, this falls back to SuperLU's COLAMD ordering with
+    partial pivoting; ``solve`` does the same when the factors miss its
+    residual gate.  Raises NumericalFailure when COLAMD fails too.
     """
-    if mesh is not None and 2 * mesh.n_nodes == system.matrix.shape[0]:
-        q = _nested_dissection(mesh.cells_per_side)
-        p = np.column_stack([q, q + system.n]).ravel()
+    transposed = system.symmetry_defect() != 0.0
+    if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
+        _release_free_heap()
+    if system.perm is not None:
         try:
-            lu = spla.splu(system.matrix[p][:, p].tocsc(),
-                           permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            lu = spla.splu(system.matrix.T, permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError:
             pass
         else:
-            return Factorization(lu, p, "nested_dissection")
-    return _factorize_colamd(system)
+            return Factorization(lu, "nested_dissection", transposed)
+    return _factorize_colamd(system, transposed)
 
 
 @dataclass
@@ -180,7 +260,8 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     The relative algebraic residual is checked against 1e-8.  A
     nested-dissection factorization that misses it is replaced by the
     COLAMD one; when that misses it too, NumericalFailure is raised.
-    ``factor_seconds`` covers ordering, permutation and factorization.
+    ``factor_seconds`` covers the symmetry check, ordering and
+    factorization.
 
     ``cond`` adds the condition number as ``Solution.cond``: 'exact' by
     dense SVD, 'estimate' by ``estimate_condition_number`` (with
@@ -190,16 +271,16 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     if cond not in ("none", "exact", "estimate"):
         raise ValueError(f"unknown cond mode {cond!r}")
     t0 = time.perf_counter()
-    fact = factorize(system, mesh)
+    fact = factorize(system)
     t_factor = time.perf_counter() - t0
     t0 = time.perf_counter()
     x, rel = _refined_solve(system, fact)
     t_solve = time.perf_counter() - t0
 
     if not rel <= 1e-8 and fact.ordering != "colamd":
-        fact = None  # release the failed factors before refactorizing
+        transposed, fact = fact.transposed, None  # release the failed factors
         t0 = time.perf_counter()
-        fact = _factorize_colamd(system)
+        fact = _factorize_colamd(system, transposed)
         t_factor += time.perf_counter() - t0
         t0 = time.perf_counter()
         x, rel = _refined_solve(system, fact)
@@ -207,14 +288,15 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     if not rel <= 1e-8:
         raise NumericalFailure(f"relative residual {rel:.3e} exceeds 1e-8")
 
-    n = system.n
     diagnostics = {
-        "dimension": 2 * n,
+        "dimension": 2 * system.n,
         "nnz": int(system.matrix.nnz),
         "lu_nnz": fact.lu_nnz,
         "ordering": fact.ordering,
         "relative_residual": rel,
-        "symmetry_defect": system.symmetry_defect(),
+        # factorize found the defect 0.0 unless it transposed the factors
+        "symmetry_defect": system.symmetry_defect() if fact.transposed
+        else 0.0,
         "factor_seconds": t_factor,
         "solve_seconds": t_solve,
     }
@@ -225,7 +307,8 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
         kappa = estimate_condition_number(system, tol=cond_tol,
                                           max_iter=cond_max_iter,
                                           factorization=fact)
-    return Solution(FeFunction(mesh, x[:n]), FeFunction(mesh, x[n:]),
+    u, z = system.split(x)
+    return Solution(FeFunction(mesh, u), FeFunction(mesh, z),
                     diagnostics, kappa)
 
 
@@ -266,14 +349,10 @@ class CondEstimate:
     ordering: Optional[str] = None
     lu_nnz: Optional[int] = None
 
-    def __float__(self):
-        return self.value
 
-
-def _power_sigma_max(mat, tol, max_iter, rng):
-    """Power iteration on M^T M; returns (estimate, previous, its, converged)."""
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
+def _power_sigma_max(mat, v, tol, max_iter):
+    """Power iteration on M^T M from the unit vector v; returns
+    (estimate, previous, its, converged)."""
     est = prev = 0.0
     for it in range(1, max_iter + 1):
         w = mat @ v
@@ -289,10 +368,9 @@ def _power_sigma_max(mat, tol, max_iter, rng):
     return est, prev, max_iter, False
 
 
-def _inverse_sigma_min(fact, dim, tol, max_iter, rng):
-    """Inverse iteration on M^T M through the LU factors."""
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+def _inverse_sigma_min(fact, v, tol, max_iter):
+    """Inverse iteration on M^T M through the LU factors, from the unit
+    vector v."""
     est = prev = np.inf
     for it in range(1, max_iter + 1):
         y = fact.solve(v, trans="T")
@@ -311,19 +389,27 @@ def estimate_condition_number(
         factorization: Optional[Factorization] = None) -> CondEstimate:
     """Estimate the two-norm condition number without dense linear algebra.
 
-    The largest singular value comes from power iteration on M^T M, the
-    smallest from inverse iteration through the sparse LU factorization:
+    The largest singular value comes from power iteration on M^T M, run
+    on the stored matrix and its transposed view, the smallest from
+    inverse iteration through the sparse LU factorization:
     ``factorization`` when given (``solve`` passes its own), otherwise
-    ``factorize(system)``.  Hitting the iteration cap leaves ``converged``
-    False; ``bracket`` then shows how far the last two iterates were apart.
+    ``factorize(system)``.  Both start vectors are drawn in the natural
+    order of the unknowns, so a system's estimate does not depend on its
+    layout beyond rounding.  Hitting the iteration cap leaves
+    ``converged`` False; ``bracket`` then shows how far the last two
+    iterates were apart.
     """
     fact = factorization if factorization is not None \
         else factorize(system)
-    mat = system.matrix.tocsc()
     rng = np.random.default_rng(seed)
-    smax, smax_prev, it_max, ok_max = _power_sigma_max(mat, tol, max_iter, rng)
-    smin, smin_prev, it_min, ok_min = _inverse_sigma_min(fact, mat.shape[0],
-                                                         tol, max_iter, rng)
+    starts = []
+    for _ in range(2):
+        v = rng.standard_normal(system.matrix.shape[0])
+        starts.append(system.to_stored(v / np.linalg.norm(v)))
+    smax, smax_prev, it_max, ok_max = _power_sigma_max(
+        system.matrix, starts[0], tol, max_iter)
+    smin, smin_prev, it_min, ok_min = _inverse_sigma_min(
+        fact, starts[1], tol, max_iter)
     converged = ok_max and ok_min
     value = smax / smin
     lo = (smax_prev if np.isfinite(smax_prev) else smax) \

@@ -23,8 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .experiments import CaseDefinition, discretize
-from .saddle import solve
+from .experiments import CaseDefinition, run_ladder
 
 __all__ = [
     "LogConvexityInstance",
@@ -314,11 +313,9 @@ def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,
     Returns a list of (N, ratio).  The residual spot check is skipped
     because discrete solutions satisfy the equation only weakly.
     """
-    out = []
-    for n_cells in (ladder if ladder is not None else case.ladder):
-        mesh, _, system = discretize(case, n_cells, quad_degree)
-        sol = solve(system, mesh)
-        ratio = three_ball_ratio(sol.u, sol.u.gradient, config, resolution,
-                                 check_residual=False)
-        out.append((n_cells, ratio))
-    return out
+    def visit(rung):
+        u = rung.solution.u
+        return rung.N, three_ball_ratio(u, u.gradient, config, resolution,
+                                        check_residual=False)
+
+    return run_ladder(case, visit, ladder, quad_degree)

@@ -13,7 +13,8 @@ from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, NoiseModel,
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.saddle import build_system
-from ucfem.mesh import Region, build_unit_square_mesh, mesh_size
+from ucfem.mesh import (Region, _nested_dissection, build_unit_square_mesh,
+                        mesh_size)
 
 
 def gauss_grid(n=40):
@@ -211,7 +212,7 @@ def test_discretize_matches_the_pipeline_written_out(name):
         data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
     ref = assemble_all(case.spec, mesh, data, 2)
     ref_system = build_system(ref.pde, ref.primal, ref.dual, ref.b_data,
-                              ref.b_source)
+                              ref.b_source, _nested_dissection(8))
     assert np.array_equal(system.rhs, ref_system.rhs)
     assert (system.matrix != ref_system.matrix).nnz == 0
     assert np.array_equal(blocks.b_data, ref.b_data)
@@ -298,3 +299,47 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     assert table.rows[0].cond == solutions[0].cond.value
     exact = run_case(case, ladder=(8,), cond="exact").rows[0].cond
     assert table.rows[0].cond == pytest.approx(exact, rel=0.05)
+
+
+def test_rung_factorizes_with_a_small_live_set(monkeypatch):
+    # At the sparse LU call of a run_case rung, the Python heap holds the
+    # one saddle matrix SuperLU reads plus what post-processing needs
+    # (about 2.6x the matrix's bytes at N=64): no second layout of it, no
+    # block that only build_system reads, no mesh cache and nothing of the
+    # previous rung.  Keeping all of those alive reads 5.6x.
+    import tracemalloc
+    import weakref
+
+    import ucfem.experiments as experiments
+    import ucfem.saddle as saddle
+
+    meshes, calls = [], []
+    real_mesh, real_splu = experiments.build_unit_square_mesh, saddle.spla.splu
+
+    def recording_mesh(n):
+        mesh = real_mesh(n)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    def measuring_splu(mat, *args, **kwargs):
+        live = tracemalloc.get_traced_memory()[0] - base
+        size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        calls.append((live / size, [ref() is None for ref in meshes],
+                      list(meshes[-1]()._cache)))
+        return real_splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_unit_square_mesh", recording_mesh)
+    monkeypatch.setattr(saddle.spla, "splu", measuring_splu)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        run_case(get_case("ex1-swirl"), ladder=(32, 64))
+    finally:
+        if started:
+            tracemalloc.stop()
+    (_, _, _), (ratio, dead, cached) = calls
+    assert dead == [True, False]
+    assert cached == []
+    assert ratio < 3.5

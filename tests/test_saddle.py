@@ -20,7 +20,10 @@ from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
 from test_forms import pde_load_from_field
 
 
-def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
+def case_system(name="ex1-const", n=8, data_fn=None, spec=None, ordered=True):
+    """A case's blocks and saddle system at N=n; ``ordered`` stores the
+    system in the mesh's nested-dissection order, as the pipeline does,
+    instead of the natural (u, z) layout."""
     case = get_case(name)
     spec = spec if spec is not None else case.spec
     mesh = build_unit_square_mesh(n)
@@ -29,12 +32,13 @@ def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
         data = apply_noise(data, case.noise, spec.omega, mesh_size(mesh))
     blocks = assemble_all(spec, mesh, data, 4)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source)
+                          blocks.b_data, blocks.b_source,
+                          _nested_dissection(n) if ordered else None)
     return case, mesh, blocks, system
 
 
 def test_block_arrangement():
-    _, _, blocks, system = case_system(n=4)
+    _, _, blocks, system = case_system(n=4, ordered=False)
     n = system.n
     mat = system.matrix
     assert np.abs((mat[:n, :n] - blocks.primal).toarray()).max() == 0.0
@@ -51,12 +55,24 @@ def test_system_is_symmetric(name):
     assert system.symmetry_defect() <= 1e-10
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_symmetry_defect_matches_the_sparse_difference(n):
+    # at N=6 the assembled matrix is symmetric up to rounding only
+    _, _, _, system = case_system("ex2-swirl", n=n)
+    mat = system.matrix
+    diff = (mat - mat.T).tocoo()
+    want = np.abs(diff.data).max() / np.abs(mat.data).max() if diff.nnz \
+        else 0.0
+    assert system.symmetry_defect() == want
+    assert (want > 0) == (n == 6)
+
+
 def test_sign_flip_quadratic_form_recovers_stabilizers():
     # with x = (u, z) and y = (u, -z) the cross terms cancel, leaving
     # y . M x = s(u,u) + s_*(z,z); this pins the minus sign on the dual
     # block and the transpose pairing on the off-diagonal blocks
     rng = np.random.default_rng(3)
-    _, _, blocks, system = case_system(n=6)
+    _, _, blocks, system = case_system(n=6, ordered=False)
     n = system.n
     for _ in range(20):
         u = rng.standard_normal(n)
@@ -132,7 +148,7 @@ def test_solve_diagnostics_and_residual():
     assert diag["nnz"] == system.matrix.nnz
     assert diag["factor_seconds"] >= 0.0
     assert diag["ordering"] == "nested_dissection"
-    assert diag["lu_nnz"] == factorize(system, mesh).lu_nnz >= system.matrix.nnz
+    assert diag["lu_nnz"] == factorize(system).lu_nnz >= system.matrix.nnz
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -174,7 +190,6 @@ def test_condition_number_diagonal_oracle():
     assert est.sigma_min == pytest.approx(0.5, rel=1e-6)
     assert est.converged
     assert est.bracket[0] <= est.value <= est.bracket[1]
-    assert float(est) == est.value
 
 
 def test_estimate_matches_exact_within_five_percent():
@@ -232,7 +247,7 @@ def test_nested_dissection_is_node_permutation(n):
 
 
 def test_nested_dissection_top_split_decouples_halves():
-    _, mesh, _, system = case_system("ex1-swirl", n=8)
+    _, mesh, _, system = case_system("ex1-swirl", n=8, ordered=False)
     m = mesh.cells_per_side + 1
     order = _nested_dissection(mesh.cells_per_side)
     # the top-level separator comes last: two adjacent full node lines
@@ -260,18 +275,81 @@ def test_nested_dissection_matches_colamd(name):
     sol = solve(system, mesh)
     assert sol.diagnostics["ordering"] == "nested_dissection"
     x = np.concatenate([sol.u.coefficients, sol.z.coefficients])
-    colamd = factorize(system)
+    _, _, _, natural = case_system(name, n=8, ordered=False)
+    colamd = factorize(natural)
     assert colamd.ordering == "colamd"
-    ref = colamd.solve(system.rhs)
+    ref = colamd.solve(natural.rhs)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    n = system.n
+    for got, want in ((sol.u.coefficients, ref[:n]),
+                      (sol.z.coefficients, ref[n:])):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert sol.diagnostics["lu_nnz"] < colamd.lu_nnz
 
 
-def test_factorize_falls_back_without_matching_mesh():
-    _, _, _, system = case_system(n=8)
-    assert factorize(system).ordering == "colamd"
-    fact = factorize(system, build_unit_square_mesh(4))
-    assert fact.ordering == "colamd" and fact.p is None
+def test_ordered_system_is_the_permuted_natural_one():
+    _, _, _, system = case_system("ex2-swirl", n=8)
+    _, _, _, natural = case_system("ex2-swirl", n=8, ordered=False)
+    p = system.perm
+    assert (system.matrix != natural.matrix[p][:, p]).nnz == 0
+    assert np.array_equal(system.rhs, natural.rhs[p])
+    assert np.array_equal(system.rhs, system.to_stored(natural.rhs))
+    u, z = system.split(system.rhs)
+    assert np.array_equal(np.concatenate([u, z]), natural.rhs)
+    # symmetric bit for bit at this N, so SuperLU's view is the matrix
+    assert system.symmetry_defect() == 0.0
+    assert not factorize(system).transposed
+
+
+def test_build_system_rejects_an_order_that_is_no_permutation():
+    a = sp.eye(4, format="csr")
+    with pytest.raises(ValueError, match="permutation"):
+        build_system(a, a, a, np.zeros(4), np.zeros(4), [0, 1, 1, 3])
+
+
+def test_factorize_uses_colamd_without_an_order():
+    _, _, _, system = case_system(n=8, ordered=False)
+    fact = factorize(system)
+    assert fact.ordering == "colamd" and not fact.transposed
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_splu_receives_the_stored_arrays(monkeypatch, ordered):
+    received, real = [], saddle.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        received.append(mat)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", recording_splu)
+    _, mesh, _, system = case_system("ex1-swirl", n=8, ordered=ordered)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["ordering"] == ("nested_dissection" if ordered
+                                           else "colamd")
+    [mat] = received
+    assert np.shares_memory(mat.data, system.matrix.data)
+    assert np.shares_memory(mat.indices, system.matrix.indices)
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_unsymmetric_system_is_solved_exactly(ordered):
+    # the CSC view SuperLU factors is the transpose here, so the factors
+    # must be applied transposed, in the solve and in the estimate
+    rng = np.random.default_rng(5)
+    mesh = build_unit_square_mesh(1)
+    n = mesh.n_nodes
+    mat = rng.standard_normal((2 * n, 2 * n)) + 4 * np.eye(2 * n)
+    mat[2, 5] = 0.0  # and the pattern is not symmetric either
+    rhs = rng.standard_normal(2 * n)
+    perm = rng.permutation(2 * n) if ordered else None
+    system = SaddleSystem(sp.csr_matrix(mat), rhs, n, perm)
+    sol = solve(system, mesh, cond="estimate", cond_tol=1e-10)
+    assert sol.diagnostics["symmetry_defect"] == \
+        np.abs(mat - mat.T).max() / np.abs(mat).max()
+    x = system.to_stored(np.concatenate([sol.u.coefficients,
+                                         sol.z.coefficients]))
+    assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert sol.cond.value == pytest.approx(np.linalg.cond(mat), rel=1e-6)
 
 
 def _patched_pivot_free_splu(monkeypatch, replacement):
@@ -317,14 +395,15 @@ def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
 
 
 def test_estimate_reuses_passed_factorization():
-    _, mesh, _, system = case_system("ex2-swirl", n=8)
+    _, _, _, system = case_system("ex2-swirl", n=8, ordered=False)
     own = estimate_condition_number(system, seed=3)
     passed = estimate_condition_number(system, seed=3,
                                        factorization=factorize(system))
     assert (passed.value, passed.iterations) == (own.value, own.iterations)
     assert passed.ordering == own.ordering == "colamd"
+    _, _, _, ordered = case_system("ex2-swirl", n=8)
     nd = estimate_condition_number(
-        system, seed=3, factorization=factorize(system, mesh))
+        ordered, seed=3, factorization=factorize(ordered))
     assert nd.ordering == "nested_dissection" and nd.lu_nnz < own.lu_nnz
     assert nd.iterations == own.iterations
     assert nd.value == pytest.approx(own.value, rel=1e-8)
