@@ -68,15 +68,9 @@ class SaddleSystem:
     def symmetry_defect(self) -> float:
         """Relative max-norm asymmetry of the assembled matrix; 0.0 when
         it equals its transpose bit for bit."""
-        mat = self.matrix
-        t = mat.T.tocsr()
-        if (np.array_equal(t.indptr, mat.indptr)
-                and np.array_equal(t.indices, mat.indices)):
-            diff = mat.data - t.data  # one pattern: compare entrywise
-        else:
-            diff = (mat - t).data
-        num = np.abs(diff).max() if diff.size else 0.0
-        den = np.abs(mat.data).max() if mat.nnz else 1.0
+        diff = (self.matrix - self.matrix.T).tocoo()
+        num = np.abs(diff.data).max() if diff.nnz else 0.0
+        den = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
         return float(num / den)
 
     def to_stored(self, v: np.ndarray) -> np.ndarray:
@@ -129,15 +123,19 @@ class Factorization:
     """Sparse LU factors of a stored saddle matrix, applied in its order.
 
     ``ordering`` names the factorization: ``"nested_dissection"`` (the
-    stored order, no pivoting) or ``"colamd"``.  ``transposed`` is True
-    when the matrix is not symmetric, so that the factors SuperLU computed
-    from the CSC view are those of its transpose and are applied
+    stored order, no pivoting) or ``"colamd"``.  ``defect`` is the
+    matrix's ``symmetry_defect``; when it is not zero, the factors SuperLU
+    computed from the CSC view are those of the transpose and are applied
     transposed.
     """
 
     lu: spla.SuperLU
     ordering: str
-    transposed: bool
+    defect: float
+
+    @property
+    def transposed(self) -> bool:
+        return self.defect != 0.0
 
     @property
     def lu_nnz(self) -> int:
@@ -178,12 +176,12 @@ def _release_free_heap():
 
 
 def _factorize_colamd(system: SaddleSystem,
-                      transposed: bool) -> Factorization:
+                      defect: float) -> Factorization:
     try:
         lu = spla.splu(system.matrix.T)
     except RuntimeError as exc:
         raise NumericalFailure(f"factorization failed: {exc}") from exc
-    return Factorization(lu, "colamd", transposed)
+    return Factorization(lu, "colamd", defect)
 
 
 def factorize(system: SaddleSystem) -> Factorization:
@@ -210,7 +208,7 @@ def factorize(system: SaddleSystem) -> Factorization:
     partial pivoting; ``solve`` does the same when the factors miss its
     residual gate.  Raises NumericalFailure when COLAMD fails too.
     """
-    transposed = system.symmetry_defect() != 0.0
+    defect = system.symmetry_defect()
     if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
         _release_free_heap()
     if system.perm is not None:
@@ -221,8 +219,8 @@ def factorize(system: SaddleSystem) -> Factorization:
         except RuntimeError:
             pass
         else:
-            return Factorization(lu, "nested_dissection", transposed)
-    return _factorize_colamd(system, transposed)
+            return Factorization(lu, "nested_dissection", defect)
+    return _factorize_colamd(system, defect)
 
 
 @dataclass
@@ -253,6 +251,34 @@ def _refined_solve(system: SaddleSystem, fact: Factorization):
     return x, float(np.linalg.norm(r) / bnorm)
 
 
+def _gated_solve(system: SaddleSystem):
+    """Factors that pass the 1e-8 residual gate, and the solution.
+
+    A nested-dissection factorization whose refined solve misses the gate
+    is replaced by the COLAMD one; when that misses it too,
+    NumericalFailure is raised.  Returns (factorization, x, relative
+    residual, factor seconds, solve seconds).
+    """
+    t0 = time.perf_counter()
+    fact = factorize(system)
+    t_factor = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    x, rel = _refined_solve(system, fact)
+    t_solve = time.perf_counter() - t0
+
+    if not rel <= 1e-8 and fact.ordering != "colamd":
+        defect, fact = fact.defect, None  # release the failed factors
+        t0 = time.perf_counter()
+        fact = _factorize_colamd(system, defect)
+        t_factor += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        x, rel = _refined_solve(system, fact)
+        t_solve += time.perf_counter() - t0
+    if not rel <= 1e-8:
+        raise NumericalFailure(f"relative residual {rel:.3e} exceeds 1e-8")
+    return fact, x, rel, t_factor, t_solve
+
+
 def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
           cond_tol: float = 1e-3, cond_max_iter: int = 5000) -> Solution:
     """Direct sparse LU solve with iterative refinement.
@@ -270,23 +296,7 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     """
     if cond not in ("none", "exact", "estimate"):
         raise ValueError(f"unknown cond mode {cond!r}")
-    t0 = time.perf_counter()
-    fact = factorize(system)
-    t_factor = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    x, rel = _refined_solve(system, fact)
-    t_solve = time.perf_counter() - t0
-
-    if not rel <= 1e-8 and fact.ordering != "colamd":
-        transposed, fact = fact.transposed, None  # release the failed factors
-        t0 = time.perf_counter()
-        fact = _factorize_colamd(system, transposed)
-        t_factor += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        x, rel = _refined_solve(system, fact)
-        t_solve += time.perf_counter() - t0
-    if not rel <= 1e-8:
-        raise NumericalFailure(f"relative residual {rel:.3e} exceeds 1e-8")
+    fact, x, rel, t_factor, t_solve = _gated_solve(system)
 
     diagnostics = {
         "dimension": 2 * system.n,
@@ -294,9 +304,7 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
         "lu_nnz": fact.lu_nnz,
         "ordering": fact.ordering,
         "relative_residual": rel,
-        # factorize found the defect 0.0 unless it transposed the factors
-        "symmetry_defect": system.symmetry_defect() if fact.transposed
-        else 0.0,
+        "symmetry_defect": fact.defect,
         "factor_seconds": t_factor,
         "solve_seconds": t_solve,
     }
@@ -393,14 +401,15 @@ def estimate_condition_number(
     on the stored matrix and its transposed view, the smallest from
     inverse iteration through the sparse LU factorization:
     ``factorization`` when given (``solve`` passes its own), otherwise
-    ``factorize(system)``.  Both start vectors are drawn in the natural
-    order of the unknowns, so a system's estimate does not depend on its
-    layout beyond rounding.  Hitting the iteration cap leaves
-    ``converged`` False; ``bracket`` then shows how far the last two
-    iterates were apart.
+    factors that pass the residual gate of ``solve``, with its COLAMD
+    fallback and its NumericalFailure.  Both start vectors are drawn in
+    the natural order of the unknowns, so a system's estimate does not
+    depend on its layout beyond rounding.  Hitting the iteration cap
+    leaves ``converged`` False; ``bracket`` then shows how far the last
+    two iterates were apart.
     """
     fact = factorization if factorization is not None \
-        else factorize(system)
+        else _gated_solve(system)[0]
     rng = np.random.default_rng(seed)
     starts = []
     for _ in range(2):

@@ -409,6 +409,21 @@ def test_estimate_reuses_passed_factorization():
     assert nd.value == pytest.approx(own.value, rel=1e-8)
 
 
+@pytest.mark.parametrize("gate_miss", [False, True])
+def test_standalone_estimate_uses_gated_factors(monkeypatch, gate_miss):
+    # without factors passed, the estimate factorizes under the residual
+    # gate of solve, so pivot-free factors that miss it are not used
+    if gate_miss:
+        force_pivot_free_gate_miss(monkeypatch)
+    _, _, _, system = case_system("ex2-swirl", n=8)
+    _, _, _, natural = case_system("ex2-swirl", n=8, ordered=False)
+    est = estimate_condition_number(system, seed=3)
+    assert est.ordering == ("colamd" if gate_miss else "nested_dissection")
+    ref = estimate_condition_number(natural, seed=3)
+    assert est.iterations == ref.iterations
+    assert est.value == pytest.approx(ref.value, rel=1e-8)
+
+
 def test_singular_matrix_on_matching_mesh_raises():
     # the 2x2 node grid matches, so the pivot-free factorization is tried
     # first and the COLAMD fallback must fail too
