@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .mesh import (Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
                    locate_points, mesh_size)
 from .fem import (FeFunction, QuadratureRule, edge_rule, interpolate,
-                  l2_project, mass_matrix, p1_gradients, triangle_rule)
+                  l2_project, mass_matrix, triangle_rule)
 from .forms import (ProblemSpec, assemble_all, constant_field, swirl_field,
                     zero_field)
 from .saddle import (NumericalFailure, SaddleSystem, Solution, build_system,

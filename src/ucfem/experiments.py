@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import (Mesh, Region, _nested_dissection, build_unit_square_mesh,
                    mesh_size)
@@ -317,6 +316,8 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
 class Rung:
     """One solved ladder rung: what post-processing reads of it.
 
+    ``system`` is the saddle system as factorized; its
+    ``stabilizer_norms`` give s(e, e) and s_*(z, z) without the blocks.
     ``compare`` is what the ladder's ``compare(mesh)`` returned, computed
     before the factorization, or ``None``.
     """
@@ -325,8 +326,7 @@ class Rung:
     mesh: Mesh
     h: float
     peclet: float
-    primal: sp.csr_matrix
-    dual: sp.csr_matrix
+    system: SaddleSystem
     solution: Solution
     compare: Optional[FeFunction] = None
 
@@ -335,14 +335,13 @@ def _solve_rung(case, n_cells, quad_degree, compare, cond, cond_tol,
                 cond_max_iter) -> Rung:
     mesh, blocks, system = discretize(case, n_cells, quad_degree)
     reference = compare(mesh) if compare is not None else None
-    h, peclet, primal, dual = (blocks.h, blocks.peclet, blocks.primal,
-                               blocks.dual)
-    # nothing reads the other blocks after build_system, and
-    # post-processing rebuilds the mesh caches it needs
+    h, peclet = blocks.h, blocks.peclet
+    # nothing reads the blocks after build_system, and post-processing
+    # rebuilds the mesh caches it needs
     del blocks
     mesh.drop_caches()
     sol = solve(system, mesh, cond, cond_tol, cond_max_iter)
-    return Rung(n_cells, mesh, h, peclet, primal, dual, sol, reference)
+    return Rung(n_cells, mesh, h, peclet, system, sol, reference)
 
 
 def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
@@ -356,9 +355,10 @@ def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
 
     ``compare(mesh)``, when given, runs before the factorization, while
     the mesh caches of assembly are still there.  Then the rung keeps of
-    the assembled forms only what post-processing reads (``h``,
-    ``peclet``, ``primal``, ``dual``) and drops the mesh caches, so the
-    factorization runs with little else alive.  A rung is released once
+    the assembled forms only ``h`` and ``peclet``, and drops the mesh
+    caches (the edge connectivity among them), so the factorization runs
+    with only the stored saddle system, the node geometry and the
+    comparison function alive.  A rung is released once
     ``visit`` returns, before the next one is discretized; ``visit`` keeps
     what it needs of it.  ``cond``, ``cond_tol`` and ``cond_max_iter`` go
     to ``solve``.
@@ -396,10 +396,9 @@ def run_case(case: CaseDefinition, cond: str = "none",
         sol = rung.solution
         if solution_hook is not None:
             solution_hook(rung.N, rung.mesh, sol)
-        e = rung.compare.coefficients - sol.u.coefficients
-        s_norm = float(np.sqrt(e @ (rung.primal @ e)))
-        zc = sol.z.coefficients
-        sstar_norm = float(np.sqrt(zc @ (rung.dual @ zc)))
+        s_norm, sstar_norm = rung.system.stabilizer_norms(
+            rung.compare.coefficients - sol.u.coefficients,
+            sol.z.coefficients)
 
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
             case.exact, sol.u, case.spec.target, quad_degree, h1)

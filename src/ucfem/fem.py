@@ -19,7 +19,6 @@ __all__ = [
     "QuadratureRule",
     "triangle_rule",
     "edge_rule",
-    "p1_gradients",
     "triangle_geometry",
     "FeFunction",
     "interpolate",
@@ -105,20 +104,6 @@ def _hat_gradients(v, det):
     grads[..., 1] = d[..., 0]
     grads /= det[:, None, None]
     return grads
-
-
-def p1_gradients(vertices) -> np.ndarray:
-    """Constant gradients of the three hat functions on one triangle.
-
-    ``vertices`` is a (3, 2) array; rows of the result follow the vertex
-    order.  Degenerate (zero-area) triangles are rejected.
-    """
-    v = np.asarray(vertices, dtype=float)
-    det = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) \
-        - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
-    if abs(det) < 1e-14:
-        raise ValueError("degenerate triangle")
-    return _hat_gradients(v[None], np.array([det]))[0]
 
 
 def triangle_geometry(mesh: Mesh):

@@ -126,7 +126,11 @@ def _jump_matrix(mesh, grads, wf):
     Normal-gradient jumps of P1 functions are facewise constant, so row F
     of the faces x nodes operator D holds the jump [dn phi] of the six hat
     functions of the two triangles sharing F.  The product is formed as
-    (W D)^T D, from the same six entries per face.
+    (W D)^T D, from the same six entries per face.  Its entries (i, j) and
+    (j, i) sum their terms in different orders, so the mean of it and its
+    transpose is returned: symmetric bit for bit, and equal to the product
+    wherever that already was (on the power-of-two meshes, whose face
+    weights are exact binary fractions).
     """
     t_minus, t_plus = mesh.face_tris[:, 0], mesh.face_tris[:, 1]
     n = mesh.face_normals
@@ -144,6 +148,7 @@ def _jump_matrix(mesh, grads, wf):
     wd_t = sp.csc_matrix(((wf[:, None] * jump).ravel(), cols6, rows),
                          shape=(mesh.n_nodes, nf))
     mat = wd_t.tocsr() @ d
+    mat = 0.5 * (mat + mat.T)
     mat.sort_indices()  # the sums and bmat with it take the fast path
     return mat
 

@@ -3,9 +3,9 @@
 A mesh with ``n`` cells per side carries ``(n+1)**2`` nodes and ``2*n**2``
 triangles.  Each square cell is cut along one diagonal, and the diagonal
 direction alternates in a checkerboard pattern so that no two neighbouring
-cells share the same split.  Interior-edge and boundary-edge connectivity
-is built once at construction for use in interior-penalty and boundary
-assembly.
+cells share the same split.  Interior-edge and boundary-edge connectivity,
+which only interior-penalty and boundary assembly read, is built on first
+read into the mesh cache.
 """
 
 from __future__ import annotations
@@ -24,6 +24,23 @@ __all__ = [
 ]
 
 
+class _Connectivity:
+    """One edge-connectivity array of a mesh, read from ``mesh._cache``;
+    the first read builds all of them there, so ``Mesh.drop_caches``
+    releases them with the other derived arrays."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, mesh, owner=None):
+        if mesh is None:
+            return self
+        arrays = mesh._cache.get("connectivity")
+        if arrays is None:
+            arrays = mesh._cache["connectivity"] = mesh._build_connectivity()
+        return arrays[self.name]
+
+
 class Mesh:
     """Conforming triangulation of the unit square.
 
@@ -37,7 +54,17 @@ class Mesh:
         normal points away from, ``face_tris[:, 1]`` the one it points into.
     bnd_nodes, bnd_normals, bnd_lengths, bnd_tris :
         boundary edges with outward unit normals and the owning triangle.
+        Built on first read and kept in the mesh cache.
     """
+
+    face_nodes = _Connectivity()
+    face_normals = _Connectivity()
+    face_lengths = _Connectivity()
+    face_tris = _Connectivity()
+    bnd_nodes = _Connectivity()
+    bnd_normals = _Connectivity()
+    bnd_lengths = _Connectivity()
+    bnd_tris = _Connectivity()
 
     def __init__(self, cells_per_side: int):
         n = int(cells_per_side)
@@ -70,11 +97,11 @@ class Mesh:
         if np.any(det <= 0):
             raise RuntimeError("mesh construction produced a non-CCW triangle")
         self.tri_areas = 0.5 * det
-
-        self._build_connectivity()
         self._cache: dict = {}
 
-    def _build_connectivity(self):
+    def _build_connectivity(self) -> dict:
+        """The ``face_*`` and ``bnd_*`` arrays by name; rejects an edge
+        owned by more than two triangles."""
         # half-edge 3*t + k joins vertices k and k+1 (mod 3) of triangle t;
         # the stable sort lists the owners of an edge in triangle order
         tris = self.triangles
@@ -104,21 +131,23 @@ class Mesh:
 
         # interior normals point from face_tris[:, 0] into face_tris[:, 1]
         f = count == 2
-        self.face_nodes = np.column_stack([lo[f], hi[f]])
-        self.face_normals = nrm[f]
-        self.face_lengths = length[f]
-        self.face_tris = owners[f]
         # boundary normals point outward
         bnd = count == 1
-        self.bnd_nodes = np.column_stack([lo[bnd], hi[bnd]])
-        self.bnd_normals = np.where(into[bnd, None], -nrm[bnd], nrm[bnd])
-        self.bnd_lengths = length[bnd]
-        self.bnd_tris = owners[bnd, 0]
+        return {
+            "face_nodes": np.column_stack([lo[f], hi[f]]),
+            "face_normals": nrm[f],
+            "face_lengths": length[f],
+            "face_tris": owners[f],
+            "bnd_nodes": np.column_stack([lo[bnd], hi[bnd]]),
+            "bnd_normals": np.where(into[bnd, None], -nrm[bnd], nrm[bnd]),
+            "bnd_lengths": length[bnd],
+            "bnd_tris": owners[bnd, 0],
+        }
 
     def drop_caches(self):
-        """Forget the derived arrays cached on this mesh (geometry,
-        quadrature points, scatter pattern, CSV heads); they are rebuilt
-        when next asked for."""
+        """Forget the derived arrays cached on this mesh (edge
+        connectivity, geometry, quadrature points, scatter pattern, CSV
+        heads); they are rebuilt when next asked for."""
         self._cache.clear()
 
     @property

@@ -77,6 +77,16 @@ class SaddleSystem:
         """A vector of natural-order unknowns, in the stored order."""
         return v if self.perm is None else v[self.perm]
 
+    def stabilizer_norms(self, u: np.ndarray,
+                         z: np.ndarray) -> tuple[float, float]:
+        """(s(u, u)^(1/2), s_*(z, z)^(1/2)) for node values u and z, read
+        from the stored matrix as [u; 0]^T M [u; 0] and -[0; z]^T M [0; z]."""
+        zeros = np.zeros(self.n)
+        x = self.to_stored(np.concatenate([u, zeros]))
+        y = self.to_stored(np.concatenate([zeros, z]))
+        return (float(np.sqrt(x @ (self.matrix @ x))),
+                float(np.sqrt(-(y @ (self.matrix @ y)))))
+
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (u, z) node values of a vector in the stored order."""
         if self.perm is not None:
@@ -189,11 +199,10 @@ def factorize(system: SaddleSystem) -> Factorization:
 
     SuperLU receives ``system.matrix.T``: the CSC view of the stored CSR
     arrays, without a copy.  For a symmetric matrix (a zero
-    ``symmetry_defect``; the assembled saddle matrix is symmetric bit for
-    bit on the power-of-two meshes of the built-in ladders, and up to
-    rounding on others) the view is the matrix itself; otherwise the
-    factors are those of the transpose, and ``Factorization.solve``
-    applies them transposed, so every system is solved exactly.  Before
+    ``symmetry_defect``, as the assembled saddle matrix has on every mesh)
+    the view is the matrix itself; otherwise the factors are those of the
+    transpose, and ``Factorization.solve`` applies them transposed, so
+    every system is solved exactly.  Before
     SuperLU allocates the factors of a large system, the free pages of
     the C heap are handed back to the operating system, so that what
     assembly freed does not stay resident under them.

@@ -303,10 +303,12 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
 
 def test_rung_factorizes_with_a_small_live_set(monkeypatch):
     # At the sparse LU call of a run_case rung, the Python heap holds the
-    # one saddle matrix SuperLU reads plus what post-processing needs
-    # (about 2.6x the matrix's bytes at N=64): no second layout of it, no
-    # block that only build_system reads, no mesh cache and nothing of the
-    # previous rung.  Keeping all of those alive reads 5.6x.
+    # one saddle matrix SuperLU reads, the node geometry and the
+    # comparison function (about 1.3x the matrix's bytes at N=64): no
+    # second layout of it, no assembled block, no mesh cache or edge
+    # connectivity and nothing of the previous rung.  Keeping the primal
+    # and dual blocks and the connectivity reads 2.5x, and keeping all of
+    # those alive 5.6x.
     import tracemalloc
     import weakref
 
@@ -324,8 +326,11 @@ def test_rung_factorizes_with_a_small_live_set(monkeypatch):
     def measuring_splu(mat, *args, **kwargs):
         live = tracemalloc.get_traced_memory()[0] - base
         size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        mesh = meshes[-1]()
         calls.append((live / size, [ref() is None for ref in meshes],
-                      list(meshes[-1]()._cache)))
+                      list(mesh._cache),
+                      [name for name in vars(mesh)
+                       if name.startswith(("face_", "bnd_"))]))
         return real_splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "build_unit_square_mesh", recording_mesh)
@@ -339,7 +344,8 @@ def test_rung_factorizes_with_a_small_live_set(monkeypatch):
     finally:
         if started:
             tracemalloc.stop()
-    (_, _, _), (ratio, dead, cached) = calls
+    _, (ratio, dead, cached, connectivity) = calls
     assert dead == [True, False]
     assert cached == []
-    assert ratio < 3.5
+    assert connectivity == []
+    assert ratio < 1.6

@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from ucfem import fem
 from ucfem.experiments import builtin_cases
 from ucfem.fem import (FeFunction, edge_rule, interpolate, l2_project,
-                       mass_matrix, p1_gradients, quad_points,
-                       triangle_geometry, triangle_rule)
+                       mass_matrix, quad_points, triangle_geometry,
+                       triangle_rule)
 from ucfem.mesh import build_unit_square_mesh
 
 
@@ -54,20 +54,27 @@ def test_edge_rule_exactness(degree):
 
 
 def test_p1_gradients_partition_of_unity():
+    # on random orientation-preserving affine images of a mesh, whose
+    # triangles take general shapes
     rng = np.random.default_rng(11)
     for _ in range(20):
-        verts = rng.uniform(0, 1, size=(3, 2))
-        try:
-            g = p1_gradients(verts)
-        except ValueError:
+        a = rng.uniform(-1, 1, size=(2, 2))
+        if np.linalg.det(a) < 1e-3:
             continue
-        assert np.allclose(g.sum(axis=0), 0.0, atol=1e-10)
+        mesh = build_unit_square_mesh(2)
+        mesh.nodes = mesh.nodes @ a.T + rng.uniform(0, 1, size=2)
+        mesh.tri_areas = mesh.tri_areas * np.linalg.det(a)
+        grads, _ = triangle_geometry(mesh)
+        assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-10)
         # per-vertex reference: rotate the opposite edge, divide by 2|T|
-        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        for i in range(3):
-            d = verts[(i + 2) % 3] - verts[(i + 1) % 3]
-            assert np.allclose(g[i], [-d[1] / det, d[0] / det], rtol=1e-13)
+        for tri, g in zip(mesh.triangles, grads):
+            verts = mesh.nodes[tri]
+            e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
+            det = e1[0] * e2[1] - e1[1] * e2[0]
+            for i in range(3):
+                d = verts[(i + 2) % 3] - verts[(i + 1) % 3]
+                assert np.allclose(g[i], [-d[1] / det, d[0] / det],
+                                   rtol=1e-13)
 
 
 def test_p1_gradients_exact_for_affine():
@@ -77,11 +84,6 @@ def test_p1_gradients_exact_for_affine():
     coeffs = 2.0 + 3.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1]
     per_tri = np.einsum("tk,tkd->td", coeffs[mesh.triangles], grads)
     assert np.allclose(per_tri, [3.0, -0.5])
-    # one triangle at a time gives the same bits as the whole mesh
-    single = p1_gradients(mesh.nodes[mesh.triangles[0]])
-    assert np.array_equal(single, grads[0])
-    with pytest.raises(ValueError, match="degenerate"):
-        p1_gradients([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
 
 
 def test_quad_points_cover_domain():

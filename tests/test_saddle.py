@@ -55,11 +55,27 @@ def test_system_is_symmetric(name):
     assert system.symmetry_defect() <= 1e-10
 
 
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+@pytest.mark.parametrize("n", [6, 12])
+def test_system_is_symmetric_on_meshes_of_any_size(name, n):
+    # off the powers of two the face weights are not exact binary
+    # fractions, and only a jump form symmetric by construction is
+    _, _, _, system = case_system(name, n=n)
+    assert system.symmetry_defect() == 0.0
+
+
 @pytest.mark.parametrize("n", [6, 8])
 def test_symmetry_defect_matches_the_sparse_difference(n):
-    # at N=6 the assembled matrix is symmetric up to rounding only
     _, _, _, system = case_system("ex2-swirl", n=n)
     mat = system.matrix
+    if n == 6:
+        # the assembled matrix is symmetric; make one off-diagonal entry
+        # differ from its mirror by hand
+        mat = mat.copy()
+        coo = mat.tocoo()
+        k = np.flatnonzero(coo.row != coo.col)[0]
+        mat[coo.row[k], coo.col[k]] *= 1 + 2.0**-30
+        system = SaddleSystem(mat, system.rhs, system.n, system.perm)
     diff = (mat - mat.T).tocoo()
     want = np.abs(diff.data).max() / np.abs(mat.data).max() if diff.nnz \
         else 0.0
@@ -82,6 +98,20 @@ def test_sign_flip_quadratic_form_recovers_stabilizers():
         lhs = y @ (system.matrix @ x)
         rhs = u @ (blocks.primal @ u) + z @ (blocks.dual @ z)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+def test_stabilizer_norms_match_the_blocks(name, ordered):
+    _, _, blocks, system = case_system(name, n=8, ordered=ordered)
+    rng = np.random.default_rng(7)
+    e = rng.standard_normal(system.n)
+    z = rng.standard_normal(system.n)
+    s_norm, sstar_norm = system.stabilizer_norms(e, z)
+    assert s_norm == pytest.approx(np.sqrt(e @ (blocks.primal @ e)),
+                                   rel=1e-12)
+    assert sstar_norm == pytest.approx(np.sqrt(z @ (blocks.dual @ z)),
+                                       rel=1e-12)
 
 
 def test_zero_data_gives_zero_solution():

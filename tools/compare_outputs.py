@@ -64,6 +64,10 @@ def command_matrix() -> dict[str, list[str]]:
     runs["solve-ex2-swirl-cond"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "32,64",
         "--cond", "estimate"]
+    # meshes whose face weights are not exact binary fractions
+    runs["solve-ex2-swirl-cond-n6-12"] = [
+        "solve", "--case", "ex2-swirl", "--ladder", "6,12",
+        "--cond", "estimate"]
     runs["condnum-ex1-const"] = [
         "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
         "--cond", "estimate"]
