@@ -68,6 +68,8 @@ def _ladder(text):
         raise argparse.ArgumentTypeError(f"bad ladder {text!r}") from exc
     if not entries or any(n < 1 for n in entries):
         raise argparse.ArgumentTypeError(f"bad ladder {text!r}")
+    if len(set(entries)) < len(entries):
+        raise argparse.ArgumentTypeError(f"ladder {text!r} repeats an N")
     return entries
 
 
@@ -81,7 +83,7 @@ _PROBE_OPTIONS = {
     "--c3": dict(type=float, default=1.0),
     "--kmax": dict(type=_positive_int, default=8),
     "--norm": dict(choices=["l2", "h1"], default="l2"),
-    "--resolution": dict(type=int, nargs=2, default=(96, 192)),
+    "--resolution": dict(type=_positive_int, nargs=2, default=(96, 192)),
     "--case": dict(default="ex1-const"),
     "--ladder": dict(type=_ladder, default=(8, 16, 32)),
     "--out": dict(default=".", help="output directory"),

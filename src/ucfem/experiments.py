@@ -196,6 +196,8 @@ def estimate_rate(pairs) -> RateFit:
     pairs = [(float(h), float(v)) for h, v in pairs]
     if len(pairs) < 2:
         raise ValueError("need at least two (h, value) pairs")
+    if len({h for h, _ in pairs}) < len(pairs):
+        raise ValueError("rate fits need distinct h")
     if any(v <= 0 for _, v in pairs):
         raise ValueError("rate fits need positive values")
     lh = np.log([h for h, _ in pairs])
@@ -371,16 +373,15 @@ def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
 def run_case(case: CaseDefinition, cond: str = "none",
              projection: str = "l2", quad_degree: int = 4,
              h1: str = "full", ladder: Optional[Sequence[int]] = None,
-             cond_tol: float = 1e-3, cond_max_iter: int = 5000,
-             solution_hook: Optional[Callable] = None) -> ConvergenceTable:
+             cond_tol: float = 1e-3, cond_max_iter: int = 5000
+             ) -> ConvergenceTable:
     """Run a case over its mesh ladder and collect the convergence table.
 
     ``cond`` selects condition-number reporting ('none', 'exact' or
     'estimate'); ``projection`` chooses the comparison function for the
     stabilizer norm of the error ('l2' projection or 'nodal' interpolant);
     ``h1`` switches the H1 error column between the full norm and the
-    seminorm.  ``solution_hook(N, mesh, solution)`` is called per ladder
-    entry when given.
+    seminorm.
     """
     if projection not in ("l2", "nodal"):
         raise ValueError(f"unknown projection {projection!r}")
@@ -394,8 +395,6 @@ def run_case(case: CaseDefinition, cond: str = "none",
 
     def visit(rung: Rung) -> ConvergenceRow:
         sol = rung.solution
-        if solution_hook is not None:
-            solution_hook(rung.N, rung.mesh, sol)
         s_norm, sstar_norm = rung.system.stabilizer_norms(
             rung.compare.coefficients - sol.u.coefficients,
             sol.z.coefficients)

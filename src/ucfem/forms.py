@@ -85,6 +85,11 @@ class ProblemSpec:
     boundary_factor: float = 1.0
 
     def __post_init__(self):
+        for name in ("mu", "gamma", "gamma_star", "boundary_factor",
+                     "beta_sup"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.gamma <= 0 or self.gamma_star <= 0:

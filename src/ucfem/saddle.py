@@ -7,17 +7,18 @@ optimality system reads
     [ A  -S_* ] [z] = [b_source]
 
 with S the primal stabilizer (data mass + jump penalty), A the PDE form
-and S_* the dual stabilizer.  The matrix M is symmetric (indefinite) and
-exists once, in the order it is factorized: given an elimination order of
-the mesh nodes (nested dissection in the pipeline), ``build_system``
+and S_* the dual stabilizer.  The matrix M is symmetric (indefinite),
+bit for bit as assembled, and ``solve`` refuses one that is not.  It
+exists once, in the order it is factorized: given an elimination order
+of the mesh nodes (nested dissection in the pipeline), ``build_system``
 stores P M P^T, with u_k and z_k of each node side by side, and P b.
 SuperLU receives the CSR arrays of that matrix as the CSC arrays of its
-transpose, which is the matrix itself, so no copy is made for it.  An
-ordered system is factorized in its own order without pivoting; a system
-in the natural (u, z) layout, and an ordered one whose pivot-free
-factorization fails or misses the residual gate, in SuperLU's COLAMD
-order with partial pivoting.  One factorization serves the solve and the
-condition estimate; it is released when ``solve`` returns.
+transpose, which is the matrix itself, so no copy is made for it.  One
+loop tries the orderings a system admits: an ordered system's own order
+without pivoting, then SuperLU's COLAMD order with partial pivoting (the
+only one for the natural (u, z) layout).  The first factors that pass
+the residual gate serve the solve and the condition estimate; they are
+released when ``solve`` returns.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "Solution",
     "Factorization",
     "build_system",
-    "factorize",
     "solve",
     "exact_condition_number",
     "estimate_condition_number",
@@ -133,19 +133,11 @@ class Factorization:
     """Sparse LU factors of a stored saddle matrix, applied in its order.
 
     ``ordering`` names the factorization: ``"nested_dissection"`` (the
-    stored order, no pivoting) or ``"colamd"``.  ``defect`` is the
-    matrix's ``symmetry_defect``; when it is not zero, the factors SuperLU
-    computed from the CSC view are those of the transpose and are applied
-    transposed.
+    stored order, no pivoting) or ``"colamd"``.
     """
 
     lu: spla.SuperLU
     ordering: str
-    defect: float
-
-    @property
-    def transposed(self) -> bool:
-        return self.defect != 0.0
 
     @property
     def lu_nnz(self) -> int:
@@ -158,8 +150,6 @@ class Factorization:
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve ``M x = b`` (``trans="T"``: ``M^T x = b``)."""
-        if self.transposed:
-            trans = "N" if trans == "T" else "T"
         return self.lu.solve(b, trans=trans)
 
 
@@ -185,51 +175,12 @@ def _release_free_heap():
     trim(0)
 
 
-def _factorize_colamd(system: SaddleSystem,
-                      defect: float) -> Factorization:
-    try:
-        lu = spla.splu(system.matrix.T)
-    except RuntimeError as exc:
-        raise NumericalFailure(f"factorization failed: {exc}") from exc
-    return Factorization(lu, "colamd", defect)
-
-
-def factorize(system: SaddleSystem) -> Factorization:
-    """LU factorization of the stored saddle matrix.
-
-    SuperLU receives ``system.matrix.T``: the CSC view of the stored CSR
-    arrays, without a copy.  For a symmetric matrix (a zero
-    ``symmetry_defect``, as the assembled saddle matrix has on every mesh)
-    the view is the matrix itself; otherwise the factors are those of the
-    transpose, and ``Factorization.solve`` applies them transposed, so
-    every system is solved exactly.  Before
-    SuperLU allocates the factors of a large system, the free pages of
-    the C heap are handed back to the operating system, so that what
-    assembly freed does not stay resident under them.
-
-    A system stored in a node order (see ``build_system``) is factorized
-    in that order without pivoting.  The matrix is quasi-definite (S and
-    S_* are positive definite), so every symmetric permutation has an
-    LDL^T factorization (Vanderbei, SIAM J. Optim. 5, 1995); but the
-    blocks are badly conditioned, so the pivot-free factors can still
-    break down or lose accuracy.  On a breakdown, as for a system in the
-    natural layout, this falls back to SuperLU's COLAMD ordering with
-    partial pivoting; ``solve`` does the same when the factors miss its
-    residual gate.  Raises NumericalFailure when COLAMD fails too.
-    """
-    defect = system.symmetry_defect()
-    if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
-        _release_free_heap()
-    if system.perm is not None:
-        try:
-            lu = spla.splu(system.matrix.T, permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError:
-            pass
-        else:
-            return Factorization(lu, "nested_dissection", defect)
-    return _factorize_colamd(system, defect)
+# SuperLU options: stored order and no pivoting, or COLAMD and pivoting
+_SPLU_OPTIONS = {
+    "nested_dissection": {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                          "options": {"SymmetricMode": True}},
+    "colamd": {},
+}
 
 
 @dataclass
@@ -263,40 +214,59 @@ def _refined_solve(system: SaddleSystem, fact: Factorization):
 def _gated_solve(system: SaddleSystem):
     """Factors that pass the 1e-8 residual gate, and the solution.
 
-    A nested-dissection factorization whose refined solve misses the gate
-    is replaced by the COLAMD one; when that misses it too,
-    NumericalFailure is raised.  Returns (factorization, x, relative
-    residual, factor seconds, solve seconds).
+    A matrix that is not symmetric bit for bit raises NumericalFailure
+    unfactorized; a large one first has the C heap's free pages returned,
+    so that what assembly freed does not stay resident under the factors.
+    A system in a node order is factorized in that order without
+    pivoting, which the quasi-definite matrix admits (Vanderbei, SIAM J.
+    Optim. 5, 1995) but its badly conditioned blocks can break; then, as
+    the natural layout, in COLAMD order.  An ordering that breaks down or
+    misses the gate gives way to the next, its factors released first.
+    Returns (factorization, x, the diagnostics of the attempts).
     """
     t0 = time.perf_counter()
-    fact = factorize(system)
-    t_factor = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    x, rel = _refined_solve(system, fact)
-    t_solve = time.perf_counter() - t0
-
-    if not rel <= 1e-8 and fact.ordering != "colamd":
-        defect, fact = fact.defect, None  # release the failed factors
+    defect = system.symmetry_defect()
+    if defect != 0.0:
+        raise NumericalFailure(f"saddle matrix is not symmetric: "
+                               f"symmetry defect {defect:.3e}")
+    if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
+        _release_free_heap()
+    t_factor, t_solve = time.perf_counter() - t0, 0.0
+    orderings = ("colamd",) if system.perm is None \
+        else ("nested_dissection", "colamd")
+    for ordering in orderings:
+        fact = None  # release the factors that failed
         t0 = time.perf_counter()
-        fact = _factorize_colamd(system, defect)
-        t_factor += time.perf_counter() - t0
+        try:
+            fact = Factorization(spla.splu(system.matrix.T,
+                                           **_SPLU_OPTIONS[ordering]),
+                                 ordering)
+        except RuntimeError as exc:
+            failure = NumericalFailure(f"factorization failed: {exc}")
+            failure.__cause__ = exc
+            continue
+        finally:
+            t_factor += time.perf_counter() - t0
         t0 = time.perf_counter()
         x, rel = _refined_solve(system, fact)
         t_solve += time.perf_counter() - t0
-    if not rel <= 1e-8:
-        raise NumericalFailure(f"relative residual {rel:.3e} exceeds 1e-8")
-    return fact, x, rel, t_factor, t_solve
+        if rel <= 1e-8:
+            return fact, x, {"relative_residual": rel,
+                             "symmetry_defect": defect,
+                             "factor_seconds": t_factor,
+                             "solve_seconds": t_solve}
+        failure = NumericalFailure(
+            f"relative residual {rel:.3e} exceeds 1e-8")
+    raise failure
 
 
 def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
           cond_tol: float = 1e-3, cond_max_iter: int = 5000) -> Solution:
     """Direct sparse LU solve with iterative refinement.
 
-    The relative algebraic residual is checked against 1e-8.  A
-    nested-dissection factorization that misses it is replaced by the
-    COLAMD one; when that misses it too, NumericalFailure is raised.
-    ``factor_seconds`` covers the symmetry check, ordering and
-    factorization.
+    The factors must pass the 1e-8 relative-residual gate; see
+    ``_gated_solve`` for the orderings tried and when NumericalFailure is
+    raised.  ``factor_seconds`` covers the symmetry check and every try.
 
     ``cond`` adds the condition number as ``Solution.cond``: 'exact' by
     dense SVD, 'estimate' by ``estimate_condition_number`` (with
@@ -305,17 +275,14 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     """
     if cond not in ("none", "exact", "estimate"):
         raise ValueError(f"unknown cond mode {cond!r}")
-    fact, x, rel, t_factor, t_solve = _gated_solve(system)
+    fact, x, stats = _gated_solve(system)
 
     diagnostics = {
         "dimension": 2 * system.n,
         "nnz": int(system.matrix.nnz),
         "lu_nnz": fact.lu_nnz,
         "ordering": fact.ordering,
-        "relative_residual": rel,
-        "symmetry_defect": fact.defect,
-        "factor_seconds": t_factor,
-        "solve_seconds": t_solve,
+        **stats,
     }
     kappa = None
     if cond == "exact":
@@ -411,9 +378,10 @@ def estimate_condition_number(
     inverse iteration through the sparse LU factorization:
     ``factorization`` when given (``solve`` passes its own), otherwise
     factors that pass the residual gate of ``solve``, with its COLAMD
-    fallback and its NumericalFailure.  Both start vectors are drawn in
-    the natural order of the unknowns, so a system's estimate does not
-    depend on its layout beyond rounding.  Hitting the iteration cap
+    fallback and its NumericalFailure (also for a matrix that is not
+    symmetric).  Both start vectors are drawn in the natural order of the
+    unknowns, so a system's estimate does not depend on its layout beyond
+    rounding.  Hitting the iteration cap
     leaves ``converged`` False; ``bracket`` then shows how far the last
     two iterates were apart.
     """

@@ -444,3 +444,62 @@ def test_bad_seed_or_estimator_setting_exits_two(tmp_path, capsys, argv,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert not out.exists()  # rejected before anything was written
+
+
+@pytest.mark.parametrize("command", ["convergence", "condnum"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_repeated_ladder_entry_exits_two(tmp_path, capsys, command, how):
+    # a repeated N would put a 0/0 per-step rate (NaN, not JSON) into
+    # rates.json or condition.json
+    out = tmp_path / "run"
+    if how == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ladder", "4,8,4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "repeats an N" in capsys.readouterr().err
+    else:
+        assert _run_with_config(tmp_path, [command],
+                                {"ladder": [4, 4]}) == 2
+        _assert_config_error(tmp_path, capsys)
+    assert not out.exists()  # rejected before anything was written
+
+
+@pytest.mark.parametrize("mode", ["harmonic", "fem"])
+@pytest.mark.parametrize("resolution", [["0", "8"], ["8", "0"], ["8", "-3"]])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_probe_resolution_must_be_positive(tmp_path, capsys, mode,
+                                           resolution, how):
+    out = tmp_path / "run"
+    argv = ["probe", mode] + (["--ladder", "4"] if mode == "fem" else [])
+    if how == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--resolution", *resolution, "--out", str(out)])
+        assert exc.value.code == 2
+    else:
+        config = {"resolution": [int(r) for r in resolution]}
+        assert _run_with_config(tmp_path, argv, config) == 2
+        _assert_config_error(tmp_path, capsys)
+    assert not out.exists()  # rejected before anything was written
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["--boundary-factor", "nan"], None),
+    (["--boundary-factor", "inf"], None),
+    ([], {**SWIRL_PROBLEM, "mu": float("nan")}),
+    ([], {**SWIRL_PROBLEM, "gamma": float("inf")}),
+    ([], {**SWIRL_PROBLEM, "beta_sup": float("nan")}),
+], ids=["boundary-factor-nan", "boundary-factor-inf", "problem-mu-nan",
+        "problem-gamma-inf", "problem-beta-sup-nan"])
+def test_non_finite_problem_parameter_exits_two(tmp_path, capsys, argv,
+                                                problem):
+    # NaN and infinity pass the sign checks; they must not reach SuperLU
+    # (whose breakdown would exit 3)
+    argv = ["solve", "--ladder", "4", *argv]
+    if problem is None:
+        code = main([*argv, "--out", str(tmp_path / "run")])
+    else:
+        code = _run_with_config(tmp_path, argv, {"problem": problem})
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "must be finite" in err["detail"]
+    assert not (tmp_path / "run").exists()  # rejected before config.json

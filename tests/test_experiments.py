@@ -156,6 +156,15 @@ def test_estimate_rate_recovers_exact_power_laws():
         estimate_rate([(0.1, 1.0), (0.05, 0.0)])
 
 
+def test_estimate_rate_rejects_a_repeated_h():
+    # two points at one h leave the slope undetermined and a per-step
+    # slope of 0/0
+    with pytest.raises(ValueError, match="distinct h"):
+        estimate_rate([(0.1, 1.0), (0.1, 2.0)])
+    with pytest.raises(ValueError, match="distinct h"):
+        estimate_rate([(0.2, 3.0), (0.1, 1.0), (0.2, 3.0)])
+
+
 def test_error_norms_affine_oracle():
     mesh = build_unit_square_mesh(12)
     affine = ExactSolution(
@@ -228,12 +237,25 @@ def test_run_case_argument_validation():
         run_case(case, h1="broken")
 
 
-def test_run_case_short_ladder_basics():
+def recorded_solutions(monkeypatch):
+    """The (N, Solution) of every solve that run_case makes, in order."""
+    import ucfem.experiments as experiments
+    real, seen = experiments.solve, []
+
+    def recording_solve(system, mesh, *args, **kwargs):
+        sol = real(system, mesh, *args, **kwargs)
+        seen.append((mesh.cells_per_side, sol))
+        return sol
+
+    monkeypatch.setattr(experiments, "solve", recording_solve)
+    return seen
+
+
+def test_run_case_short_ladder_basics(monkeypatch):
     case = get_case("ex1-const")
-    seen = []
-    table = run_case(case, ladder=(8, 16), cond="exact",
-                     solution_hook=lambda n, mesh, sol: seen.append(n))
-    assert seen == [8, 16]
+    solved = recorded_solutions(monkeypatch)
+    table = run_case(case, ladder=(8, 16), cond="exact")
+    assert [n for n, _ in solved] == [8, 16]
     assert [r.N for r in table.rows] == [8, 16]
     assert table.rows[0].h == pytest.approx(1.0 / 9.0)
     assert table.rows[1].err_l2_B < table.rows[0].err_l2_B
@@ -284,16 +306,17 @@ def test_unconverged_estimate_is_marked_in_row_and_csv():
 
 def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     import ucfem.saddle as saddle
-    real, calls, solutions = saddle.spla.splu, [], []
+    real, calls = saddle.spla.splu, []
 
     def counting_splu(*args, **kwargs):
         calls.append(kwargs.get("permc_spec"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(saddle.spla, "splu", counting_splu)
+    solved = recorded_solutions(monkeypatch)
     case = get_case("ex2-swirl")
-    table = run_case(case, ladder=(8,), cond="estimate",
-                     solution_hook=lambda n, mesh, sol: solutions.append(sol))
+    table = run_case(case, ladder=(8,), cond="estimate")
+    solutions = [sol for _, sol in solved]
     assert calls == ["NATURAL"]
     assert solutions[0].cond.ordering == "nested_dissection"
     assert table.rows[0].cond == solutions[0].cond.value

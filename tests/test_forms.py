@@ -355,6 +355,16 @@ def test_problem_spec_validation():
         make_spec(beta_sup=-5.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", ["mu", "gamma", "gamma_star",
+                                  "boundary_factor", "beta_sup"])
+def test_problem_spec_rejects_non_finite_numbers(name, value):
+    # NaN passes every ordering check, so finiteness is checked on its own
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make_spec(**{name: value})
+
+
 def test_beta_sup_is_sampled_when_unset():
     mesh = build_unit_square_mesh(8)
     spec = ProblemSpec(mu=1.0, beta=swirl_field(), omega=UNIT_SQUARE,

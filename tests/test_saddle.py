@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import ucfem.saddle as saddle
 from ucfem.experiments import (apply_noise, builtin_cases, get_case,
@@ -13,24 +14,30 @@ from ucfem.experiments import (apply_noise, builtin_cases, get_case,
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all
 from ucfem.mesh import _nested_dissection, build_unit_square_mesh, mesh_size
-from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
-                          build_system, estimate_condition_number,
-                          exact_condition_number, factorize, solve)
+from ucfem.saddle import (CondEstimate, Factorization, NumericalFailure,
+                          SaddleSystem, build_system,
+                          estimate_condition_number, exact_condition_number,
+                          solve)
 
 from test_forms import pde_load_from_field
 
+# SuperLU's pivot-free factorization in the stored order, as solve tries it
+PIVOT_FREE = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
 
-def case_system(name="ex1-const", n=8, data_fn=None, spec=None, ordered=True):
-    """A case's blocks and saddle system at N=n; ``ordered`` stores the
-    system in the mesh's nested-dissection order, as the pipeline does,
-    instead of the natural (u, z) layout."""
+
+def case_system(name="ex1-const", n=8, data_fn=None, spec=None, ordered=True,
+                degree=4):
+    """A case's blocks and saddle system at N=n and quadrature ``degree``;
+    ``ordered`` stores the system in the mesh's nested-dissection order, as
+    the pipeline does, instead of the natural (u, z) layout."""
     case = get_case(name)
     spec = spec if spec is not None else case.spec
     mesh = build_unit_square_mesh(n)
     data = interpolate(data_fn or case.exact.value, mesh)
     if case.noise is not None:
         data = apply_noise(data, case.noise, spec.omega, mesh_size(mesh))
-    blocks = assemble_all(spec, mesh, data, 4)
+    blocks = assemble_all(spec, mesh, data, degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.b_data, blocks.b_source,
                           _nested_dissection(n) if ordered else None)
@@ -59,9 +66,15 @@ def test_system_is_symmetric(name):
 @pytest.mark.parametrize("n", [6, 12])
 def test_system_is_symmetric_on_meshes_of_any_size(name, n):
     # off the powers of two the face weights are not exact binary
-    # fractions, and only a jump form symmetric by construction is
-    _, _, _, system = case_system(name, n=n)
-    assert system.symmetry_defect() == 0.0
+    # fractions, and only a jump form symmetric by construction is; solve
+    # refuses a system that is not, so this holds for every assembled one:
+    # both quadrature degrees, declared and sampled |beta|
+    spec = get_case(name).spec
+    for degree in (2, 4):
+        for custom in (spec, dataclasses.replace(spec, beta_sup=None)):
+            _, _, _, system = case_system(name, n=n, spec=custom,
+                                          degree=degree)
+            assert system.symmetry_defect() == 0.0
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -178,7 +191,8 @@ def test_solve_diagnostics_and_residual():
     assert diag["nnz"] == system.matrix.nnz
     assert diag["factor_seconds"] >= 0.0
     assert diag["ordering"] == "nested_dissection"
-    assert diag["lu_nnz"] == factorize(system).lu_nnz >= system.matrix.nnz
+    pivot_free = spla.splu(system.matrix.tocsc(), **PIVOT_FREE)
+    assert diag["lu_nnz"] == pivot_free.nnz >= system.matrix.nnz
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -306,15 +320,15 @@ def test_nested_dissection_matches_colamd(name):
     assert sol.diagnostics["ordering"] == "nested_dissection"
     x = np.concatenate([sol.u.coefficients, sol.z.coefficients])
     _, _, _, natural = case_system(name, n=8, ordered=False)
-    colamd = factorize(natural)
-    assert colamd.ordering == "colamd"
-    ref = colamd.solve(natural.rhs)
+    colamd = solve(natural, mesh).diagnostics
+    assert colamd["ordering"] == "colamd"
+    ref = spla.splu(natural.matrix.tocsc()).solve(natural.rhs)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     n = system.n
     for got, want in ((sol.u.coefficients, ref[:n]),
                       (sol.z.coefficients, ref[n:])):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    assert sol.diagnostics["lu_nnz"] < colamd.lu_nnz
+    assert sol.diagnostics["lu_nnz"] < colamd["lu_nnz"]
 
 
 def test_ordered_system_is_the_permuted_natural_one():
@@ -328,7 +342,6 @@ def test_ordered_system_is_the_permuted_natural_one():
     assert np.array_equal(np.concatenate([u, z]), natural.rhs)
     # symmetric bit for bit at this N, so SuperLU's view is the matrix
     assert system.symmetry_defect() == 0.0
-    assert not factorize(system).transposed
 
 
 def test_build_system_rejects_an_order_that_is_no_permutation():
@@ -338,9 +351,8 @@ def test_build_system_rejects_an_order_that_is_no_permutation():
 
 
 def test_factorize_uses_colamd_without_an_order():
-    _, _, _, system = case_system(n=8, ordered=False)
-    fact = factorize(system)
-    assert fact.ordering == "colamd" and not fact.transposed
+    _, mesh, _, system = case_system(n=8, ordered=False)
+    assert solve(system, mesh).diagnostics["ordering"] == "colamd"
 
 
 @pytest.mark.parametrize("ordered", [True, False])
@@ -362,9 +374,9 @@ def test_splu_receives_the_stored_arrays(monkeypatch, ordered):
 
 
 @pytest.mark.parametrize("ordered", [True, False])
-def test_unsymmetric_system_is_solved_exactly(ordered):
-    # the CSC view SuperLU factors is the transpose here, so the factors
-    # must be applied transposed, in the solve and in the estimate
+def test_unsymmetric_system_is_refused(monkeypatch, ordered):
+    # symmetry is an invariant of the assembled system: one that breaks it
+    # is never factorized, in the solve or in a standalone estimate
     rng = np.random.default_rng(5)
     mesh = build_unit_square_mesh(1)
     n = mesh.n_nodes
@@ -373,13 +385,14 @@ def test_unsymmetric_system_is_solved_exactly(ordered):
     rhs = rng.standard_normal(2 * n)
     perm = rng.permutation(2 * n) if ordered else None
     system = SaddleSystem(sp.csr_matrix(mat), rhs, n, perm)
-    sol = solve(system, mesh, cond="estimate", cond_tol=1e-10)
-    assert sol.diagnostics["symmetry_defect"] == \
-        np.abs(mat - mat.T).max() / np.abs(mat).max()
-    x = system.to_stored(np.concatenate([sol.u.coefficients,
-                                         sol.z.coefficients]))
-    assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    assert sol.cond.value == pytest.approx(np.linalg.cond(mat), rel=1e-6)
+    calls = []
+    monkeypatch.setattr(saddle.spla, "splu",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(NumericalFailure, match="not symmetric"):
+        solve(system, mesh, cond="estimate")
+    with pytest.raises(NumericalFailure, match="not symmetric"):
+        estimate_condition_number(system)
+    assert calls == []
 
 
 def _patched_pivot_free_splu(monkeypatch, replacement):
@@ -427,13 +440,16 @@ def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
 def test_estimate_reuses_passed_factorization():
     _, _, _, system = case_system("ex2-swirl", n=8, ordered=False)
     own = estimate_condition_number(system, seed=3)
-    passed = estimate_condition_number(system, seed=3,
-                                       factorization=factorize(system))
+    passed = estimate_condition_number(
+        system, seed=3, factorization=Factorization(
+            spla.splu(system.matrix.tocsc()), "colamd"))
     assert (passed.value, passed.iterations) == (own.value, own.iterations)
     assert passed.ordering == own.ordering == "colamd"
     _, _, _, ordered = case_system("ex2-swirl", n=8)
     nd = estimate_condition_number(
-        ordered, seed=3, factorization=factorize(ordered))
+        ordered, seed=3, factorization=Factorization(
+            spla.splu(ordered.matrix.tocsc(), **PIVOT_FREE),
+            "nested_dissection"))
     assert nd.ordering == "nested_dissection" and nd.lu_nnz < own.lu_nnz
     assert nd.iterations == own.iterations
     assert nd.value == pytest.approx(own.value, rel=1e-8)
