@@ -8,28 +8,29 @@ for sigma_max and inverse iteration through a sparse LU for sigma_min.
 """
 
 from ucfem.experiments import discretize, estimate_rate, get_case
-from ucfem.saddle import estimate_condition_number, exact_condition_number
+from ucfem.saddle import exact_condition_number, solve
 
 case = get_case("ex1-const")
 
 
-def system_at(n):
-    _, blocks, system = discretize(case, n)
-    return system, blocks.h
+def estimate_at(n):
+    """The system of rung n, its h and the condition estimate on the
+    factors of its solve."""
+    mesh, blocks, system = discretize(case, n)
+    est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond
+    return system, blocks.h, est
 
 
 # cross-check the iterative estimate against a dense SVD while feasible
 for n in (4, 8):
-    system, _ = system_at(n)
+    system, _, est = estimate_at(n)
     exact = exact_condition_number(system)
-    est = estimate_condition_number(system, tol=1e-6)
     print(f"N={n:3d}: exact {exact:.6e}  estimate {est.value:.6e}  "
           f"({est.iterations[0]}+{est.iterations[1]} iterations)")
 
 pairs = []
 for n in (8, 16, 32, 64):
-    system, h = system_at(n)
-    est = estimate_condition_number(system, tol=1e-6)
+    _, h, est = estimate_at(n)
     pairs.append((h, est.value))
     print(f"N={n:3d}: cond ~ {est.value:.3e}  converged={est.converged}")
 

@@ -227,13 +227,21 @@ def _region_from(payload, name) -> Region:
     return region
 
 
+def _finite(value, name) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _field_from(payload):
     kind = payload.get("kind", "const")
     if kind == "const":
         bx, by = payload.get("value", (1.0, 0.0))
-        return constant_field(float(bx), float(by))
+        return constant_field(_finite(bx, "beta value"),
+                              _finite(by, "beta value"))
     if kind == "swirl":
-        return swirl_field(float(payload.get("scale", 100.0)))
+        return swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
     if kind == "zero":
         return zero_field()
     raise ConfigError(f"unknown advection field kind {kind!r}")
@@ -303,9 +311,9 @@ def _check_numbers(args):
     cap = getattr(args, "cond_cap", 1)
     if cap < 1:
         raise ConfigError(f"--cond-cap must be an integer >= 1, got {cap!r}")
-    tol = getattr(args, "cond_tol", 1.0)
-    if not tol > 0:
-        raise ConfigError(f"--cond-tol must be > 0, got {tol!r}")
+    tol = getattr(args, "cond_tol", 1e-3)
+    if not 0 < tol < 1:
+        raise ConfigError(f"--cond-tol must lie in (0, 1), got {tol!r}")
 
 
 def _write_json(path: Path, payload) -> None:

@@ -233,6 +233,8 @@ class Region:
         self.boxes = tuple(tuple(float(c) for c in b) for b in boxes)
         self.holes = tuple(tuple(float(c) for c in b) for b in holes)
         for x0, x1, y0, y1 in self.boxes + self.holes:
+            if not np.all(np.isfinite((x0, x1, y0, y1))):
+                raise ValueError(f"non-finite box ({x0}, {x1}, {y0}, {y1})")
             if x1 < x0 or y1 < y0:
                 raise ValueError(f"malformed box ({x0}, {x1}, {y0}, {y1})")
         self.area = self._exact_area()

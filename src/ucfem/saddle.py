@@ -17,8 +17,9 @@ transpose, which is the matrix itself, so no copy is made for it.  One
 loop tries the orderings a system admits: an ordered system's own order
 without pivoting, then SuperLU's COLAMD order with partial pivoting (the
 only one for the natural (u, z) layout).  The first factors that pass
-the residual gate serve the solve and the condition estimate; they are
-released when ``solve`` returns.
+the residual gate serve the solve and the condition estimate, which is
+given them and never factorizes; they are released when ``solve``
+returns.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .mesh import Mesh
 __all__ = [
     "SaddleSystem",
     "Solution",
-    "Factorization",
     "build_system",
     "solve",
     "exact_condition_number",
@@ -128,31 +128,6 @@ def build_system(pde, primal, dual, b_data, b_source,
     return SaddleSystem(mat, rhs[perm], n, perm)
 
 
-@dataclass
-class Factorization:
-    """Sparse LU factors of a stored saddle matrix, applied in its order.
-
-    ``ordering`` names the factorization: ``"nested_dissection"`` (the
-    stored order, no pivoting) or ``"colamd"``.
-    """
-
-    lu: spla.SuperLU
-    ordering: str
-
-    @property
-    def lu_nnz(self) -> int:
-        """Fill: the entries SuperLU stores for L and U.
-
-        Read from the factors rather than as ``lu.L.nnz + lu.U.nnz``,
-        because those properties copy the factors into new matrices.
-        """
-        return int(self.lu.nnz)
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve ``M x = b`` (``trans="T"``: ``M^T x = b``)."""
-        return self.lu.solve(b, trans=trans)
-
-
 # factor inputs from this size on have the heap's free pages returned
 # first; below it (N < 90) assembly frees a few MB, which are cheaper to
 # keep than to fault back in
@@ -196,9 +171,9 @@ class Solution:
     cond: Optional[CondEstimate] = None
 
 
-def _refined_solve(system: SaddleSystem, fact: Factorization):
+def _refined_solve(system: SaddleSystem, lu: spla.SuperLU):
     """LU solve with up to two refinement steps; returns (x, rel. residual)."""
-    x = fact.solve(system.rhs)
+    x = lu.solve(system.rhs)
     bnorm = np.linalg.norm(system.rhs)
     if bnorm == 0:
         return x, 0.0
@@ -206,7 +181,7 @@ def _refined_solve(system: SaddleSystem, fact: Factorization):
         r = system.rhs - system.matrix @ x
         if np.linalg.norm(r) / bnorm <= 1e-12:
             break
-        x = x + fact.solve(r)
+        x = x + lu.solve(r)
     r = system.rhs - system.matrix @ x
     return x, float(np.linalg.norm(r) / bnorm)
 
@@ -222,7 +197,9 @@ def _gated_solve(system: SaddleSystem):
     Optim. 5, 1995) but its badly conditioned blocks can break; then, as
     the natural layout, in COLAMD order.  An ordering that breaks down or
     misses the gate gives way to the next, its factors released first.
-    Returns (factorization, x, the diagnostics of the attempts).
+    Returns (factors, x, diagnostics): the diagnostics name the
+    ``ordering`` that passed (``"nested_dissection"``, the stored order
+    without pivoting, or ``"colamd"``) and its fill ``lu_nnz``.
     """
     t0 = time.perf_counter()
     defect = system.symmetry_defect()
@@ -235,12 +212,10 @@ def _gated_solve(system: SaddleSystem):
     orderings = ("colamd",) if system.perm is None \
         else ("nested_dissection", "colamd")
     for ordering in orderings:
-        fact = None  # release the factors that failed
+        lu = None  # release the factors that failed
         t0 = time.perf_counter()
         try:
-            fact = Factorization(spla.splu(system.matrix.T,
-                                           **_SPLU_OPTIONS[ordering]),
-                                 ordering)
+            lu = spla.splu(system.matrix.T, **_SPLU_OPTIONS[ordering])
         except RuntimeError as exc:
             failure = NumericalFailure(f"factorization failed: {exc}")
             failure.__cause__ = exc
@@ -248,13 +223,15 @@ def _gated_solve(system: SaddleSystem):
         finally:
             t_factor += time.perf_counter() - t0
         t0 = time.perf_counter()
-        x, rel = _refined_solve(system, fact)
+        x, rel = _refined_solve(system, lu)
         t_solve += time.perf_counter() - t0
         if rel <= 1e-8:
-            return fact, x, {"relative_residual": rel,
-                             "symmetry_defect": defect,
-                             "factor_seconds": t_factor,
-                             "solve_seconds": t_solve}
+            # lu.nnz, not L.nnz + U.nnz: those properties copy the factors
+            return lu, x, {"lu_nnz": int(lu.nnz), "ordering": ordering,
+                           "relative_residual": rel,
+                           "symmetry_defect": defect,
+                           "factor_seconds": t_factor,
+                           "solve_seconds": t_solve}
         failure = NumericalFailure(
             f"relative residual {rel:.3e} exceeds 1e-8")
     raise failure
@@ -275,22 +252,15 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     """
     if cond not in ("none", "exact", "estimate"):
         raise ValueError(f"unknown cond mode {cond!r}")
-    fact, x, stats = _gated_solve(system)
-
-    diagnostics = {
-        "dimension": 2 * system.n,
-        "nnz": int(system.matrix.nnz),
-        "lu_nnz": fact.lu_nnz,
-        "ordering": fact.ordering,
-        **stats,
-    }
+    lu, x, stats = _gated_solve(system)
+    diagnostics = {"dimension": 2 * system.n,
+                   "nnz": int(system.matrix.nnz), **stats}
     kappa = None
     if cond == "exact":
         kappa = CondEstimate(exact_condition_number(system), converged=True)
     elif cond == "estimate":
-        kappa = estimate_condition_number(system, tol=cond_tol,
-                                          max_iter=cond_max_iter,
-                                          factorization=fact)
+        kappa = estimate_condition_number(system, lu, tol=cond_tol,
+                                          max_iter=cond_max_iter)
     u, z = system.split(x)
     return Solution(FeFunction(mesh, u), FeFunction(mesh, z),
                     diagnostics, kappa)
@@ -318,10 +288,8 @@ class CondEstimate:
     """Condition number with convergence metadata.
 
     ``bracket`` holds the last two iterates of the condition estimate; it
-    tracks progress, it is not a rigorous enclosure.  ``ordering`` and
-    ``lu_nnz`` describe the factorization the inverse iteration ran on.
-    An exact value (dense SVD) is converged and leaves the other fields
-    ``None``.
+    tracks progress, it is not a rigorous enclosure.  An exact value
+    (dense SVD) is converged and leaves the other fields ``None``.
     """
 
     value: float
@@ -330,8 +298,6 @@ class CondEstimate:
     sigma_min: Optional[float] = None
     bracket: Optional[tuple] = None
     iterations: Optional[tuple] = None
-    ordering: Optional[str] = None
-    lu_nnz: Optional[int] = None
 
 
 def _power_sigma_max(mat, v, tol, max_iter):
@@ -352,14 +318,14 @@ def _power_sigma_max(mat, v, tol, max_iter):
     return est, prev, max_iter, False
 
 
-def _inverse_sigma_min(fact, v, tol, max_iter):
+def _inverse_sigma_min(lu, v, tol, max_iter):
     """Inverse iteration on M^T M through the LU factors, from the unit
     vector v."""
     est = prev = np.inf
     for it in range(1, max_iter + 1):
-        y = fact.solve(v, trans="T")
+        y = lu.solve(v, trans="T")
         s = 1.0 / np.linalg.norm(y)
-        w = fact.solve(y)
+        w = lu.solve(y)
         v = w / np.linalg.norm(w)
         prev, est = est, s
         if np.isfinite(prev) and abs(est - prev) <= tol * est:
@@ -367,27 +333,25 @@ def _inverse_sigma_min(fact, v, tol, max_iter):
     return est, prev, max_iter, False
 
 
-def estimate_condition_number(
-        system: SaddleSystem, tol: float = 1e-3, max_iter: int = 5000,
-        seed: int = 0,
-        factorization: Optional[Factorization] = None) -> CondEstimate:
+def estimate_condition_number(system: SaddleSystem, lu: spla.SuperLU,
+                              tol: float = 1e-3,
+                              max_iter: int = 5000) -> CondEstimate:
     """Estimate the two-norm condition number without dense linear algebra.
 
     The largest singular value comes from power iteration on M^T M, run
     on the stored matrix and its transposed view, the smallest from
-    inverse iteration through the sparse LU factorization:
-    ``factorization`` when given (``solve`` passes its own), otherwise
-    factors that pass the residual gate of ``solve``, with its COLAMD
-    fallback and its NumericalFailure (also for a matrix that is not
-    symmetric).  Both start vectors are drawn in the natural order of the
-    unknowns, so a system's estimate does not depend on its layout beyond
-    rounding.  Hitting the iteration cap
-    leaves ``converged`` False; ``bracket`` then shows how far the last
-    two iterates were apart.
+    inverse iteration through ``lu``, sparse LU factors of the stored
+    matrix (``solve`` passes those that passed its residual gate).  Both
+    start vectors are drawn from a generator seeded with 0, in the
+    natural order of the unknowns, so a system's estimate does not depend
+    on its layout beyond rounding.  ``tol`` is the relative change between
+    iterates that counts as converged, in (0, 1).  Hitting the iteration
+    cap leaves ``converged`` False; ``bracket`` then shows how far the
+    last two iterates were apart.
     """
-    fact = factorization if factorization is not None \
-        else _gated_solve(system)[0]
-    rng = np.random.default_rng(seed)
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    rng = np.random.default_rng(0)
     starts = []
     for _ in range(2):
         v = rng.standard_normal(system.matrix.shape[0])
@@ -395,11 +359,11 @@ def estimate_condition_number(
     smax, smax_prev, it_max, ok_max = _power_sigma_max(
         system.matrix, starts[0], tol, max_iter)
     smin, smin_prev, it_min, ok_min = _inverse_sigma_min(
-        fact, starts[1], tol, max_iter)
+        lu, starts[1], tol, max_iter)
     converged = ok_max and ok_min
     value = smax / smin
     lo = (smax_prev if np.isfinite(smax_prev) else smax) \
         / (smin_prev if np.isfinite(smin_prev) else smin)
     bracket = (float(min(lo, value)), float(max(lo, value)))
     return CondEstimate(float(value), converged, float(smax), float(smin),
-                        bracket, (it_max, it_min), fact.ordering, fact.lu_nnz)
+                        bracket, (it_max, it_min))

@@ -142,6 +142,8 @@ class ThreeBallConfig:
     norm: str = "l2"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([*self.center, *self.radii])):
+            raise ValueError("center and radii must be finite")
         r1, r2, r3 = self.radii
         if not (0 < r1 < r2 < r3):
             raise ValueError("radii must be strictly increasing and positive")

@@ -20,8 +20,7 @@ from ucfem.experiments import (builtin_cases, estimate_rate, get_case,
 from ucfem.fem import interpolate, mass_matrix, triangle_geometry
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.mesh import UNIT_SQUARE, Region, build_unit_square_mesh, mesh_size
-from ucfem.saddle import (build_system, estimate_condition_number,
-                          exact_condition_number, solve)
+from ucfem.saddle import build_system, exact_condition_number, solve
 from ucfem.stability import (ThreeBallConfig, audit_log_convexity,
                              harmonic_family_sweep, harmonic_member,
                              three_ball_ratio)
@@ -91,13 +90,13 @@ def cond_ladder():
     pairs = []
     for n in case.ladder:
         system, mesh = system_at(n)
-        est = estimate_condition_number(system, tol=1e-6, seed=0)
+        est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond
         pairs.append((mesh_size(mesh), est.value, est.converged))
     agreement = []
     for n in (4, 8):
-        system, _ = system_at(n)
+        system, mesh = system_at(n)
         exact = exact_condition_number(system)
-        est = estimate_condition_number(system, tol=1e-6, seed=0).value
+        est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond.value
         agreement.append((n, exact, est))
     return pairs, agreement
 

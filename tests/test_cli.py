@@ -161,6 +161,15 @@ def test_probe_fem_ladder(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) > 0
 
 
+def test_probe_fem_non_finite_center_exits_two(tmp_path, capsys):
+    # NaN compares False, so it would pass the disc-in-square check
+    assert main(["probe", "fem", "--ladder", "4", "--center", "nan", "nan",
+                 "--resolution", "8", "8", "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "finite" in err["detail"]
+    assert not list(tmp_path.glob("probe_*"))
+
+
 def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
     def ratio(seed):
         out = tmp_path / f"s{seed}"
@@ -278,6 +287,18 @@ def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
     assert not list(tmp_path.glob("**/u_N*.csv"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta", {"kind": "swirl", "scale": float("nan")}),
+    ("beta", {"kind": "const", "value": [float("inf"), 0]}),
+    ("omega", {"boxes": [[0.2, float("nan"), 0.2, 0.45]]}),
+], ids=["swirl-scale-nan", "const-value-inf", "omega-box-nan"])
+def test_non_finite_inline_problem_exits_two(tmp_path, capsys, key, value):
+    # NaN and Infinity are read from the JSON file as floats
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                            {"problem": {**SWIRL_PROBLEM, key: value}}) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
 def test_probe_rejects_an_inline_problem(tmp_path, capsys):
     assert _run_with_config(tmp_path, ["probe", "fem", "--ladder", "4"],
                             {"problem": SWIRL_PROBLEM}) == 2
@@ -349,18 +370,26 @@ def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
     assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
                  "--out", str(clean)]) == 0
     force_pivot_free_gate_miss(monkeypatch)
-    real, orderings = saddle.estimate_condition_number, []
+    patched_splu, made, received = saddle.spla.splu, [], []
 
-    def recording_estimate(system, **kwargs):
-        orderings.append(kwargs["factorization"].ordering)
-        return real(system, **kwargs)
+    def recording_splu(*args, **kwargs):
+        made.append((kwargs.get("permc_spec"), patched_splu(*args, **kwargs)))
+        return made[-1][1]
 
+    real_estimate = saddle.estimate_condition_number
+
+    def recording_estimate(system, lu, **kwargs):
+        received.append(lu)
+        return real_estimate(system, lu, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", recording_splu)
     monkeypatch.setattr(saddle, "estimate_condition_number",
                         recording_estimate)
     missed = tmp_path / "missed"
     assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
                  "--out", str(missed)]) == 0
-    assert orderings == ["colamd"]
+    assert [spec for spec, _ in made] == ["NATURAL", None]
+    assert len(received) == 1 and received[0] is made[-1][1]
     cond = [json.loads((d / "condition.json").read_text())["rows"][0]["cond"]
             for d in (clean, missed)]
     assert cond[1] == pytest.approx(cond[0], rel=1e-6)
@@ -431,8 +460,14 @@ def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
       "--seed", "-1"], None),
     (["probe", "audit", "--samples", "10", "--seed", "-1"], None),
     (["convergence", "--ladder", "4"], {"seed": -2}),
+    # a tolerance of 1 or more takes any two iterates as converged
+    (["condnum", "--ladder", "4,8", "--cond-tol", "1"], None),
+    (["condnum", "--ladder", "4,8", "--cond-tol", "inf"], None),
+    (["condnum", "--ladder", "4,8", "--cond-tol", "nan"], None),
+    (["condnum", "--ladder", "4,8"], {"cond_tol": 5}),
 ], ids=["cond-cap-0", "cond-tol-negative", "seed-noisy-solve",
-        "seed-probe-audit", "seed-config-file"])
+        "seed-probe-audit", "seed-config-file", "cond-tol-one",
+        "cond-tol-inf", "cond-tol-nan", "cond-tol-config-file"])
 def test_bad_seed_or_estimator_setting_exits_two(tmp_path, capsys, argv,
                                                  config):
     if config is not None:

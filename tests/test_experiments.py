@@ -318,7 +318,7 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     table = run_case(case, ladder=(8,), cond="estimate")
     solutions = [sol for _, sol in solved]
     assert calls == ["NATURAL"]
-    assert solutions[0].cond.ordering == "nested_dissection"
+    assert solutions[0].diagnostics["ordering"] == "nested_dissection"
     assert table.rows[0].cond == solutions[0].cond.value
     exact = run_case(case, ladder=(8,), cond="exact").rows[0].cond
     assert table.rows[0].cond == pytest.approx(exact, rel=0.05)

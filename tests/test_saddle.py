@@ -14,16 +14,23 @@ from ucfem.experiments import (apply_noise, builtin_cases, get_case,
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all
 from ucfem.mesh import _nested_dissection, build_unit_square_mesh, mesh_size
-from ucfem.saddle import (CondEstimate, Factorization, NumericalFailure,
-                          SaddleSystem, build_system,
-                          estimate_condition_number, exact_condition_number,
-                          solve)
+from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
+                          build_system, estimate_condition_number,
+                          exact_condition_number, solve)
 
 from test_forms import pde_load_from_field
 
 # SuperLU's pivot-free factorization in the stored order, as solve tries it
 PIVOT_FREE = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
+
+
+def factors(system):
+    """Sparse LU factors of a stored matrix, as solve first tries them:
+    pivot-free in the stored order when there is one, else COLAMD."""
+    if system.perm is None:
+        return spla.splu(system.matrix.tocsc())
+    return spla.splu(system.matrix.tocsc(), **PIVOT_FREE)
 
 
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None, ordered=True,
@@ -228,7 +235,7 @@ def test_condition_number_diagonal_oracle():
     diag = np.array([4.0, 2.0, 1.0, 0.5])
     sys_diag = SaddleSystem(sp.csr_matrix(np.diag(diag)), np.zeros(4), 2)
     assert exact_condition_number(sys_diag) == pytest.approx(8.0)
-    est = estimate_condition_number(sys_diag, tol=1e-10, seed=1)
+    est = estimate_condition_number(sys_diag, factors(sys_diag), tol=1e-10)
     assert est.value == pytest.approx(8.0, rel=1e-6)
     assert est.sigma_max == pytest.approx(4.0, rel=1e-6)
     assert est.sigma_min == pytest.approx(0.5, rel=1e-6)
@@ -239,15 +246,18 @@ def test_condition_number_diagonal_oracle():
 def test_estimate_matches_exact_within_five_percent():
     _, _, _, system = case_system("ex1-const", n=8)
     exact = exact_condition_number(system)
-    est = estimate_condition_number(system, tol=1e-6, seed=0)
+    est = estimate_condition_number(system, factors(system), tol=1e-6)
     assert est.converged
     assert abs(est.value - exact) <= 0.05 * exact
 
 
 def test_estimate_deterministic_for_fixed_seed():
+    # the start vectors come from a generator seeded with 0, so two calls
+    # on the same factors agree
     _, _, _, system = case_system("ex1-const", n=4)
-    a = estimate_condition_number(system, seed=42)
-    b = estimate_condition_number(system, seed=42)
+    lu = factors(system)
+    a = estimate_condition_number(system, lu)
+    b = estimate_condition_number(system, lu)
     assert a.value == b.value
     assert a.iterations == b.iterations
 
@@ -256,7 +266,8 @@ def test_estimate_brackets_on_iteration_cap_without_warning():
     _, _, _, system = case_system("ex1-const", n=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = estimate_condition_number(system, tol=1e-14, max_iter=1)
+        est = estimate_condition_number(system, factors(system), tol=1e-14,
+                                        max_iter=1)
     assert not est.converged
     assert est.bracket[0] <= est.value <= est.bracket[1]
     assert all(type(b) is float for b in est.bracket)
@@ -274,8 +285,10 @@ def test_condition_number_mode_dispatch():
     exact = solve(system, mesh, cond="exact").cond
     assert exact == CondEstimate(exact_condition_number(system), True)
     assert exact.bracket is None and exact.iterations is None
-    est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond
-    assert est.converged and est.ordering == "nested_dissection"
+    sol = solve(system, mesh, cond="estimate", cond_tol=1e-6)
+    est = sol.cond
+    assert est.converged
+    assert sol.diagnostics["ordering"] == "nested_dissection"
     assert abs(est.value - exact.value) <= 0.05 * exact.value
     capped = solve(system, mesh, cond="estimate", cond_tol=1e-14,
                    cond_max_iter=1).cond
@@ -376,7 +389,7 @@ def test_splu_receives_the_stored_arrays(monkeypatch, ordered):
 @pytest.mark.parametrize("ordered", [True, False])
 def test_unsymmetric_system_is_refused(monkeypatch, ordered):
     # symmetry is an invariant of the assembled system: one that breaks it
-    # is never factorized, in the solve or in a standalone estimate
+    # is never factorized
     rng = np.random.default_rng(5)
     mesh = build_unit_square_mesh(1)
     n = mesh.n_nodes
@@ -390,8 +403,6 @@ def test_unsymmetric_system_is_refused(monkeypatch, ordered):
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(NumericalFailure, match="not symmetric"):
         solve(system, mesh, cond="estimate")
-    with pytest.raises(NumericalFailure, match="not symmetric"):
-        estimate_condition_number(system)
     assert calls == []
 
 
@@ -438,42 +449,75 @@ def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
 
 
 def test_estimate_reuses_passed_factorization():
-    _, _, _, system = case_system("ex2-swirl", n=8, ordered=False)
-    own = estimate_condition_number(system, seed=3)
-    passed = estimate_condition_number(
-        system, seed=3, factorization=Factorization(
-            spla.splu(system.matrix.tocsc()), "colamd"))
+    _, mesh, _, system = case_system("ex2-swirl", n=8, ordered=False)
+    own = solve(system, mesh, cond="estimate").cond
+    colamd = factors(system)
+    passed = estimate_condition_number(system, colamd)
     assert (passed.value, passed.iterations) == (own.value, own.iterations)
-    assert passed.ordering == own.ordering == "colamd"
     _, _, _, ordered = case_system("ex2-swirl", n=8)
-    nd = estimate_condition_number(
-        ordered, seed=3, factorization=Factorization(
-            spla.splu(ordered.matrix.tocsc(), **PIVOT_FREE),
-            "nested_dissection"))
-    assert nd.ordering == "nested_dissection" and nd.lu_nnz < own.lu_nnz
+    pivot_free = factors(ordered)
+    nd = estimate_condition_number(ordered, pivot_free)
+    assert pivot_free.nnz < colamd.nnz
     assert nd.iterations == own.iterations
     assert nd.value == pytest.approx(own.value, rel=1e-8)
 
 
+def test_estimate_does_not_factorize(monkeypatch):
+    _, _, _, system = case_system("ex2-swirl", n=8)
+    lu = factors(system)
+    calls = []
+    monkeypatch.setattr(saddle.spla, "splu",
+                        lambda *args, **kwargs: calls.append(args))
+    est = estimate_condition_number(system, lu)
+    assert est.converged and calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 5.0, np.inf, np.nan])
+def test_estimate_rejects_a_tolerance_outside_the_unit_interval(tol):
+    _, _, _, system = case_system("ex1-const", n=4)
+    with pytest.raises(ValueError, match="tol"):
+        estimate_condition_number(system, factors(system), tol=tol)
+
+
 @pytest.mark.parametrize("gate_miss", [False, True])
 def test_standalone_estimate_uses_gated_factors(monkeypatch, gate_miss):
-    # without factors passed, the estimate factorizes under the residual
-    # gate of solve, so pivot-free factors that miss it are not used
+    # the estimate of solve runs on the factors that passed its residual
+    # gate, so pivot-free factors that miss it are not used
     if gate_miss:
         force_pivot_free_gate_miss(monkeypatch)
-    _, _, _, system = case_system("ex2-swirl", n=8)
+    _, mesh, _, system = case_system("ex2-swirl", n=8)
     _, _, _, natural = case_system("ex2-swirl", n=8, ordered=False)
-    est = estimate_condition_number(system, seed=3)
-    assert est.ordering == ("colamd" if gate_miss else "nested_dissection")
-    ref = estimate_condition_number(natural, seed=3)
-    assert est.iterations == ref.iterations
-    assert est.value == pytest.approx(ref.value, rel=1e-8)
+    sol = solve(system, mesh, cond="estimate")
+    assert sol.diagnostics["ordering"] == ("colamd" if gate_miss
+                                           else "nested_dissection")
+    ref = estimate_condition_number(natural, factors(natural))
+    assert sol.cond.iterations == ref.iterations
+    assert sol.cond.value == pytest.approx(ref.value, rel=1e-8)
 
 
 def test_singular_matrix_on_matching_mesh_raises():
-    # the 2x2 node grid matches, so the pivot-free factorization is tried
-    # first and the COLAMD fallback must fail too
+    # the 2x2 node grid matches, but the system has no node order, so
+    # only COLAMD is tried, and it fails
     zero = sp.csr_matrix(np.zeros((4, 4)))
     bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
     with pytest.raises(NumericalFailure, match="factorization failed"):
         solve(bad, build_unit_square_mesh(1))
+
+
+def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
+    # in a node order the pivot-free factorization is tried first, and the
+    # COLAMD fallback must fail too
+    calls = []
+    real = saddle.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", recording_splu)
+    zero = sp.csr_matrix(np.zeros((4, 4)))
+    bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4),
+                       [0, 1, 2, 3])
+    with pytest.raises(NumericalFailure, match="factorization failed"):
+        solve(bad, build_unit_square_mesh(1))
+    assert calls == ["NATURAL", None]
