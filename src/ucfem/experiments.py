@@ -21,8 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mesh import (Mesh, Region, _nested_dissection, build_unit_square_mesh,
-                   mesh_size)
+from .mesh import Mesh, Region, build_unit_square_mesh, mesh_size
 from .fem import FeFunction, interpolate, l2_project, quad_points, \
     triangle_geometry, triangle_rule
 from .forms import (AssembledForms, ProblemSpec, assemble_all, constant_field,
@@ -299,9 +298,8 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
     """Mesh, assembled blocks and saddle system of one ladder rung.
 
     The data are the nodal interpolant of the exact solution, perturbed by
-    the case's noise model when it has one.  The system is stored in the
-    nested-dissection order of the mesh nodes, the order it is factorized
-    in.
+    the case's noise model when it has one.  The system keeps the natural
+    (u, z) layout; SuperLU chooses the order it is factorized in.
     """
     mesh = build_unit_square_mesh(n_cells)
     data = interpolate(case.exact.value, mesh)
@@ -309,8 +307,7 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
         data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
     blocks = assemble_all(case.spec, mesh, data, quad_degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source,
-                          _nested_dissection(n_cells))
+                          blocks.b_data, blocks.b_source)
     return mesh, blocks, system
 
 
@@ -359,11 +356,10 @@ def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
     the mesh caches of assembly are still there.  Then the rung keeps of
     the assembled forms only ``h`` and ``peclet``, and drops the mesh
     caches (the edge connectivity among them), so the factorization runs
-    with only the stored saddle system, the node geometry and the
-    comparison function alive.  A rung is released once
-    ``visit`` returns, before the next one is discretized; ``visit`` keeps
-    what it needs of it.  ``cond``, ``cond_tol`` and ``cond_max_iter`` go
-    to ``solve``.
+    with only the saddle system, the node geometry and the comparison
+    function alive.  A rung is released once ``visit`` returns, before the
+    next one is discretized; ``visit`` keeps what it needs of it.
+    ``cond``, ``cond_tol`` and ``cond_max_iter`` go to ``solve``.
     """
     return [visit(_solve_rung(case, n_cells, quad_degree, compare, cond,
                               cond_tol, cond_max_iter))

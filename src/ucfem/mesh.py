@@ -175,43 +175,6 @@ def build_unit_square_mesh(cells_per_side: int) -> Mesh:
     return Mesh(cells_per_side)
 
 
-def _nested_dissection(cells_per_side: int) -> np.ndarray:
-    """Elimination order of the ``(n+1)**2`` grid nodes by nested dissection.
-
-    Geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973):
-    each box of nodes is bisected across its longer side, and lists its
-    two halves, recursively ordered, before the separator.  Separators
-    are two node lines wide because the gradient-jump penalty couples the
-    opposite vertices of the two triangles at a face, which lie two lines
-    apart.  Boxes whose longer side has fewer than four lines are not
-    split further.
-    """
-    m = int(cells_per_side) + 1
-    # grid[j, i] is the index j*(n+1) + i of the node at (i/n, j/n)
-    grid = np.arange(m * m, dtype=np.int64).reshape(m, m)
-    parts = []
-    _dissect(grid, parts)
-    return np.concatenate(parts)
-
-
-def _dissect(box: np.ndarray, parts: list):
-    """Append the nodes of ``box`` to ``parts`` in nested-dissection order.
-
-    A module function rather than a recursive closure: a closure that
-    calls itself is a reference cycle, which keeps ``parts`` alive until
-    the garbage collector runs.
-    """
-    if max(box.shape) < 4:
-        parts.append(box.ravel())
-        return
-    if box.shape[0] < box.shape[1]:
-        box = box.T
-    mid = (box.shape[0] - 2) // 2
-    _dissect(box[:mid], parts)
-    _dissect(box[mid + 2:], parts)
-    parts.append(box[mid:mid + 2].ravel())
-
-
 def mesh_size(mesh: Mesh) -> float:
     """Mesh size parameter: inverse square root of the node count.
 

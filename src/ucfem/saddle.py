@@ -9,15 +9,12 @@ optimality system reads
 with S the primal stabilizer (data mass + jump penalty), A the PDE form
 and S_* the dual stabilizer.  The matrix M is symmetric (indefinite),
 bit for bit as assembled, and ``solve`` refuses one that is not.  It
-exists once, in the order it is factorized: given an elimination order
-of the mesh nodes (nested dissection in the pipeline), ``build_system``
-stores P M P^T, with u_k and z_k of each node side by side, and P b.
-SuperLU receives the CSR arrays of that matrix as the CSC arrays of its
-transpose, which is the matrix itself, so no copy is made for it.  One
-loop tries the orderings a system admits: an ordered system's own order
-without pivoting, then SuperLU's COLAMD order with partial pivoting (the
-only one for the natural (u, z) layout).  The first factors that pass
-the residual gate serve the solve and the condition estimate, which is
+exists once, in this natural (u, z) layout: SuperLU receives its CSR
+arrays as the CSC arrays of its transpose, which is the matrix itself,
+so no copy is made for it.  One loop tries two orderings: SuperLU's
+multiple minimum degree order of M^T + M without pivoting, then its
+COLAMD order with partial pivoting.  The first factors that pass the
+residual gate serve the solve and the condition estimate, which is
 given them and never factorizes; they are released when ``solve``
 returns.
 """
@@ -54,16 +51,11 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class SaddleSystem:
-    """Symmetric block system M x = b, stored as P M P^T and P b.
-
-    ``perm[k]`` is the index in the natural stacking (u, z) of stored
-    unknown k; ``None`` means the natural layout itself.
-    """
+    """Symmetric block system M x = b, unknowns stacked (u, z)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n: int
-    perm: Optional[np.ndarray] = None
 
     def symmetry_defect(self) -> float:
         """Relative max-norm asymmetry of the assembled matrix; 0.0 when
@@ -73,39 +65,19 @@ class SaddleSystem:
         den = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
         return float(num / den)
 
-    def to_stored(self, v: np.ndarray) -> np.ndarray:
-        """A vector of natural-order unknowns, in the stored order."""
-        return v if self.perm is None else v[self.perm]
-
     def stabilizer_norms(self, u: np.ndarray,
                          z: np.ndarray) -> tuple[float, float]:
         """(s(u, u)^(1/2), s_*(z, z)^(1/2)) for node values u and z, read
-        from the stored matrix as [u; 0]^T M [u; 0] and -[0; z]^T M [0; z]."""
+        from the matrix as [u; 0]^T M [u; 0] and -[0; z]^T M [0; z]."""
         zeros = np.zeros(self.n)
-        x = self.to_stored(np.concatenate([u, zeros]))
-        y = self.to_stored(np.concatenate([zeros, z]))
+        x = np.concatenate([u, zeros])
+        y = np.concatenate([zeros, z])
         return (float(np.sqrt(x @ (self.matrix @ x))),
                 float(np.sqrt(-(y @ (self.matrix @ y)))))
 
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (u, z) node values of a vector in the stored order."""
-        if self.perm is not None:
-            natural = np.empty_like(x)
-            natural[self.perm] = x
-            x = natural
-        return x[:self.n], x[self.n:]
 
-
-def build_system(pde, primal, dual, b_data, b_source,
-                 order: Optional[np.ndarray] = None) -> SaddleSystem:
-    """Assemble the symmetric arrangement from the individual blocks.
-
-    ``order`` is an elimination order of the n nodes.  With it, node
-    ``order[k]`` has its u in row 2k and its z in row 2k + 1: the block
-    triplets are renumbered before they are compressed, so no matrix in
-    the natural layout is formed; without it, the unknowns are stacked
-    (u, z).
-    """
+def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
+    """Assemble the symmetric arrangement from the individual blocks."""
     n = pde.shape[0]
     for name, block in (("pde", pde), ("primal", primal), ("dual", dual)):
         if block.shape != (n, n):
@@ -113,19 +85,8 @@ def build_system(pde, primal, dual, b_data, b_source,
                              f"expected {(n, n)}")
     if len(b_data) != n or len(b_source) != n:
         raise ValueError("right-hand side length mismatch")
-    mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="coo")
-    rhs = np.concatenate([b_data, b_source])
-    if order is None:
-        return SaddleSystem(mat.tocsr(), rhs, n)
-    order = np.asarray(order)
-    if not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError(f"order is not a permutation of the {n} nodes")
-    perm = np.column_stack([order, order + n]).ravel()
-    position = np.empty(2 * n, dtype=mat.row.dtype)
-    position[perm] = np.arange(2 * n)
-    mat = sp.csr_matrix((mat.data, (position[mat.row], position[mat.col])),
-                        shape=mat.shape)
-    return SaddleSystem(mat, rhs[perm], n, perm)
+    mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="csr")
+    return SaddleSystem(mat, np.concatenate([b_data, b_source]), n)
 
 
 # factor inputs from this size on have the heap's free pages returned
@@ -150,10 +111,12 @@ def _release_free_heap():
     trim(0)
 
 
-# SuperLU options: stored order and no pivoting, or COLAMD and pivoting
+# SuperLU options: minimum degree on M^T + M and no pivoting, or COLAMD
+# and pivoting
 _SPLU_OPTIONS = {
-    "nested_dissection": {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
-                          "options": {"SymmetricMode": True}},
+    "minimum_degree": {"permc_spec": "MMD_AT_PLUS_A",
+                       "diag_pivot_thresh": 0.0,
+                       "options": {"SymmetricMode": True}},
     "colamd": {},
 }
 
@@ -172,18 +135,20 @@ class Solution:
 
 
 def _refined_solve(system: SaddleSystem, lu: spla.SuperLU):
-    """LU solve with up to two refinement steps; returns (x, rel. residual)."""
+    """LU solve, refined up to two steps while the relative residual
+    exceeds 1e-12; returns (x, the relative residual after the solve and
+    after each step)."""
     x = lu.solve(system.rhs)
     bnorm = np.linalg.norm(system.rhs)
     if bnorm == 0:
-        return x, 0.0
-    for _ in range(2):
+        return x, [0.0]
+    history = []
+    while True:
         r = system.rhs - system.matrix @ x
-        if np.linalg.norm(r) / bnorm <= 1e-12:
-            break
+        history.append(float(np.linalg.norm(r) / bnorm))
+        if history[-1] <= 1e-12 or len(history) == 3:
+            return x, history
         x = x + lu.solve(r)
-    r = system.rhs - system.matrix @ x
-    return x, float(np.linalg.norm(r) / bnorm)
 
 
 def _gated_solve(system: SaddleSystem):
@@ -192,14 +157,16 @@ def _gated_solve(system: SaddleSystem):
     A matrix that is not symmetric bit for bit raises NumericalFailure
     unfactorized; a large one first has the C heap's free pages returned,
     so that what assembly freed does not stay resident under the factors.
-    A system in a node order is factorized in that order without
-    pivoting, which the quasi-definite matrix admits (Vanderbei, SIAM J.
-    Optim. 5, 1995) but its badly conditioned blocks can break; then, as
-    the natural layout, in COLAMD order.  An ordering that breaks down or
-    misses the gate gives way to the next, its factors released first.
-    Returns (factors, x, diagnostics): the diagnostics name the
-    ``ordering`` that passed (``"nested_dissection"``, the stored order
-    without pivoting, or ``"colamd"``) and its fill ``lu_nnz``.
+    The matrix is first factorized in SuperLU's multiple minimum degree
+    order of M^T + M without pivoting, which the quasi-definite matrix
+    admits in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995) but
+    its badly conditioned blocks can break; then in COLAMD order with
+    partial pivoting.  An ordering that breaks down or misses the gate
+    gives way to the next, its factors released first.  Returns
+    (factors, x, diagnostics): the diagnostics name the ``ordering`` that
+    passed (``"minimum_degree"`` or ``"colamd"``), its fill ``lu_nnz``,
+    its ``refinement_steps`` and the ``residual_history`` of its refined
+    solve, whose last entry is ``relative_residual``.
     """
     t0 = time.perf_counter()
     defect = system.symmetry_defect()
@@ -209,9 +176,7 @@ def _gated_solve(system: SaddleSystem):
     if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
         _release_free_heap()
     t_factor, t_solve = time.perf_counter() - t0, 0.0
-    orderings = ("colamd",) if system.perm is None \
-        else ("nested_dissection", "colamd")
-    for ordering in orderings:
+    for ordering in ("minimum_degree", "colamd"):
         lu = None  # release the factors that failed
         t0 = time.perf_counter()
         try:
@@ -223,12 +188,15 @@ def _gated_solve(system: SaddleSystem):
         finally:
             t_factor += time.perf_counter() - t0
         t0 = time.perf_counter()
-        x, rel = _refined_solve(system, lu)
+        x, history = _refined_solve(system, lu)
         t_solve += time.perf_counter() - t0
+        rel = history[-1]
         if rel <= 1e-8:
             # lu.nnz, not L.nnz + U.nnz: those properties copy the factors
             return lu, x, {"lu_nnz": int(lu.nnz), "ordering": ordering,
                            "relative_residual": rel,
+                           "refinement_steps": len(history) - 1,
+                           "residual_history": history,
                            "symmetry_defect": defect,
                            "factor_seconds": t_factor,
                            "solve_seconds": t_solve}
@@ -248,10 +216,16 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     ``cond`` adds the condition number as ``Solution.cond``: 'exact' by
     dense SVD, 'estimate' by ``estimate_condition_number`` (with
     ``cond_tol`` and ``cond_max_iter``) on the factors of the solve,
-    'none' leaves it out.
+    'none' leaves it out.  An estimator setting out of range, or a system
+    beyond DENSE_SVD_MAX_DIM for 'exact', raises ValueError before
+    anything is factorized.
     """
     if cond not in ("none", "exact", "estimate"):
         raise ValueError(f"unknown cond mode {cond!r}")
+    if cond == "estimate":
+        _check_estimator(cond_tol, cond_max_iter)
+    elif cond == "exact":
+        _check_dense(system)
     lu, x, stats = _gated_solve(system)
     diagnostics = {"dimension": 2 * system.n,
                    "nnz": int(system.matrix.nnz), **stats}
@@ -261,9 +235,8 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     elif cond == "estimate":
         kappa = estimate_condition_number(system, lu, tol=cond_tol,
                                           max_iter=cond_max_iter)
-    u, z = system.split(x)
-    return Solution(FeFunction(mesh, u), FeFunction(mesh, z),
-                    diagnostics, kappa)
+    return Solution(FeFunction(mesh, x[:system.n]),
+                    FeFunction(mesh, x[system.n:]), diagnostics, kappa)
 
 
 # largest dimension exact_condition_number accepts: a dense SVD costs
@@ -271,12 +244,17 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
 DENSE_SVD_MAX_DIM = 2000
 
 
-def exact_condition_number(system: SaddleSystem) -> float:
-    """Two-norm condition number by dense SVD, up to DENSE_SVD_MAX_DIM."""
+def _check_dense(system: SaddleSystem):
+    """Reject a system beyond the dense SVD's DENSE_SVD_MAX_DIM."""
     dim = system.matrix.shape[0]
     if dim > DENSE_SVD_MAX_DIM:
         raise ValueError(f"dense SVD guarded to dimension "
                          f"{DENSE_SVD_MAX_DIM}, got {dim}")
+
+
+def exact_condition_number(system: SaddleSystem) -> float:
+    """Two-norm condition number by dense SVD, up to DENSE_SVD_MAX_DIM."""
+    _check_dense(system)
     svals = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
     if svals[-1] == 0:
         raise NumericalFailure("system matrix is singular")
@@ -298,6 +276,15 @@ class CondEstimate:
     sigma_min: Optional[float] = None
     bracket: Optional[tuple] = None
     iterations: Optional[tuple] = None
+
+
+def _check_estimator(tol, max_iter):
+    """Reject a tolerance outside (0, 1) or an iteration cap below 1."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be an integer >= 1, "
+                         f"got {max_iter!r}")
 
 
 def _power_sigma_max(mat, v, tol, max_iter):
@@ -339,23 +326,20 @@ def estimate_condition_number(system: SaddleSystem, lu: spla.SuperLU,
     """Estimate the two-norm condition number without dense linear algebra.
 
     The largest singular value comes from power iteration on M^T M, run
-    on the stored matrix and its transposed view, the smallest from
-    inverse iteration through ``lu``, sparse LU factors of the stored
-    matrix (``solve`` passes those that passed its residual gate).  Both
-    start vectors are drawn from a generator seeded with 0, in the
-    natural order of the unknowns, so a system's estimate does not depend
-    on its layout beyond rounding.  ``tol`` is the relative change between
-    iterates that counts as converged, in (0, 1).  Hitting the iteration
-    cap leaves ``converged`` False; ``bracket`` then shows how far the
-    last two iterates were apart.
+    on the matrix and its transposed view, the smallest from inverse
+    iteration through ``lu``, sparse LU factors of the matrix (``solve``
+    passes those that passed its residual gate).  Both start vectors are
+    drawn from a generator seeded with 0.  ``tol`` is the relative change
+    between iterates that counts as converged, in (0, 1), and ``max_iter``
+    >= 1 caps each iteration.  Hitting the cap leaves ``converged`` False;
+    ``bracket`` then shows how far the last two iterates were apart.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    _check_estimator(tol, max_iter)
     rng = np.random.default_rng(0)
     starts = []
     for _ in range(2):
         v = rng.standard_normal(system.matrix.shape[0])
-        starts.append(system.to_stored(v / np.linalg.norm(v)))
+        starts.append(v / np.linalg.norm(v))
     smax, smax_prev, it_max, ok_max = _power_sigma_max(
         system.matrix, starts[0], tol, max_iter)
     smin, smin_prev, it_min, ok_min = _inverse_sigma_min(

@@ -68,7 +68,7 @@ def test_solve_writes_outputs_and_is_deterministic(tmp_path, capsys):
     diag = json.loads((d1 / "diagnostics_N8.json").read_text())
     assert not any(k.endswith("_seconds") for k in diag)
     assert diag["relative_residual"] <= 1e-8
-    assert diag["ordering"] == "nested_dissection" and diag["lu_nnz"] > 0
+    assert diag["ordering"] == "minimum_degree" and diag["lu_nnz"] > 0
     assert "np.float64" not in (d1 / "u_N8.csv").read_text()
 
 
@@ -335,9 +335,9 @@ def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
     calls = _count_splu(monkeypatch)
     assert main(["solve", "--case", "ex2-swirl", "--ladder", "4,8",
                  "--cond", "estimate", "--out", str(tmp_path)]) == 0
-    assert calls == ["NATURAL", "NATURAL"]
+    assert calls == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
     diag = json.loads((tmp_path / "diagnostics_N8.json").read_text())
-    assert diag["cond"] > 1.0 and diag["ordering"] == "nested_dissection"
+    assert diag["cond"] > 1.0 and diag["ordering"] == "minimum_degree"
 
 
 def _count_splu(monkeypatch):
@@ -357,7 +357,7 @@ def test_condnum_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
     calls = _count_splu(monkeypatch)
     assert main(["condnum", "--case", "ex1-const-noise-h", "--ladder", "4,8",
                  "--cond", "estimate", "--out", str(tmp_path)]) == 0
-    assert calls == ["NATURAL", "NATURAL"]
+    assert calls == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
     summary = json.loads((tmp_path / "condition.json").read_text())
     assert all(row["converged"] for row in summary["rows"])
 
@@ -388,7 +388,7 @@ def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
     missed = tmp_path / "missed"
     assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
                  "--out", str(missed)]) == 0
-    assert [spec for spec, _ in made] == ["NATURAL", None]
+    assert [spec for spec, _ in made] == ["MMD_AT_PLUS_A", None]
     assert len(received) == 1 and received[0] is made[-1][1]
     cond = [json.loads((d / "condition.json").read_text())["rows"][0]["cond"]
             for d in (clean, missed)]

@@ -13,8 +13,7 @@ from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, NoiseModel,
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.saddle import build_system
-from ucfem.mesh import (Region, _nested_dissection, build_unit_square_mesh,
-                        mesh_size)
+from ucfem.mesh import Region, build_unit_square_mesh, mesh_size
 
 
 def gauss_grid(n=40):
@@ -221,7 +220,7 @@ def test_discretize_matches_the_pipeline_written_out(name):
         data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
     ref = assemble_all(case.spec, mesh, data, 2)
     ref_system = build_system(ref.pde, ref.primal, ref.dual, ref.b_data,
-                              ref.b_source, _nested_dissection(8))
+                              ref.b_source)
     assert np.array_equal(system.rhs, ref_system.rhs)
     assert (system.matrix != ref_system.matrix).nnz == 0
     assert np.array_equal(blocks.b_data, ref.b_data)
@@ -317,8 +316,8 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     case = get_case("ex2-swirl")
     table = run_case(case, ladder=(8,), cond="estimate")
     solutions = [sol for _, sol in solved]
-    assert calls == ["NATURAL"]
-    assert solutions[0].diagnostics["ordering"] == "nested_dissection"
+    assert calls == ["MMD_AT_PLUS_A"]
+    assert solutions[0].diagnostics["ordering"] == "minimum_degree"
     assert table.rows[0].cond == solutions[0].cond.value
     exact = run_case(case, ladder=(8,), cond="exact").rows[0].cond
     assert table.rows[0].cond == pytest.approx(exact, rel=0.05)

@@ -13,31 +13,32 @@ from ucfem.experiments import (apply_noise, builtin_cases, get_case,
                                polynomial_bump)
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all
-from ucfem.mesh import _nested_dissection, build_unit_square_mesh, mesh_size
+from ucfem.mesh import build_unit_square_mesh, mesh_size
 from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
                           build_system, estimate_condition_number,
                           exact_condition_number, solve)
 
 from test_forms import pde_load_from_field
 
-# SuperLU's pivot-free factorization in the stored order, as solve tries it
-PIVOT_FREE = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+# SuperLU's pivot-free factorization in minimum-degree order, as solve
+# first tries it
+PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
 
 
 def factors(system):
-    """Sparse LU factors of a stored matrix, as solve first tries them:
-    pivot-free in the stored order when there is one, else COLAMD."""
-    if system.perm is None:
-        return spla.splu(system.matrix.tocsc())
+    """Sparse LU factors of a system's matrix, as solve first tries them."""
     return spla.splu(system.matrix.tocsc(), **PIVOT_FREE)
 
 
-def case_system(name="ex1-const", n=8, data_fn=None, spec=None, ordered=True,
-                degree=4):
-    """A case's blocks and saddle system at N=n and quadrature ``degree``;
-    ``ordered`` stores the system in the mesh's nested-dissection order, as
-    the pipeline does, instead of the natural (u, z) layout."""
+def colamd_factors(system):
+    """Sparse LU factors of a system's matrix, as solve's fallback makes
+    them: COLAMD order with partial pivoting."""
+    return spla.splu(system.matrix.tocsc())
+
+
+def case_system(name="ex1-const", n=8, data_fn=None, spec=None, degree=4):
+    """A case's blocks and saddle system at N=n and quadrature ``degree``."""
     case = get_case(name)
     spec = spec if spec is not None else case.spec
     mesh = build_unit_square_mesh(n)
@@ -46,13 +47,12 @@ def case_system(name="ex1-const", n=8, data_fn=None, spec=None, ordered=True,
         data = apply_noise(data, case.noise, spec.omega, mesh_size(mesh))
     blocks = assemble_all(spec, mesh, data, degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source,
-                          _nested_dissection(n) if ordered else None)
+                          blocks.b_data, blocks.b_source)
     return case, mesh, blocks, system
 
 
 def test_block_arrangement():
-    _, _, blocks, system = case_system(n=4, ordered=False)
+    _, _, blocks, system = case_system(n=4)
     n = system.n
     mat = system.matrix
     assert np.abs((mat[:n, :n] - blocks.primal).toarray()).max() == 0.0
@@ -95,7 +95,7 @@ def test_symmetry_defect_matches_the_sparse_difference(n):
         coo = mat.tocoo()
         k = np.flatnonzero(coo.row != coo.col)[0]
         mat[coo.row[k], coo.col[k]] *= 1 + 2.0**-30
-        system = SaddleSystem(mat, system.rhs, system.n, system.perm)
+        system = SaddleSystem(mat, system.rhs, system.n)
     diff = (mat - mat.T).tocoo()
     want = np.abs(diff.data).max() / np.abs(mat.data).max() if diff.nnz \
         else 0.0
@@ -108,7 +108,7 @@ def test_sign_flip_quadratic_form_recovers_stabilizers():
     # y . M x = s(u,u) + s_*(z,z); this pins the minus sign on the dual
     # block and the transpose pairing on the off-diagonal blocks
     rng = np.random.default_rng(3)
-    _, _, blocks, system = case_system(n=6, ordered=False)
+    _, _, blocks, system = case_system(n=6)
     n = system.n
     for _ in range(20):
         u = rng.standard_normal(n)
@@ -120,10 +120,14 @@ def test_sign_flip_quadratic_form_recovers_stabilizers():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs) + abs(rhs))
 
 
-@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("sampled_beta", [True, False])
 @pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
-def test_stabilizer_norms_match_the_blocks(name, ordered):
-    _, _, blocks, system = case_system(name, n=8, ordered=ordered)
+def test_stabilizer_norms_match_the_blocks(name, sampled_beta):
+    # with |beta| declared or sampled at assembly, whose weights differ
+    spec = get_case(name).spec
+    if sampled_beta:
+        spec = dataclasses.replace(spec, beta_sup=None)
+    _, _, blocks, system = case_system(name, n=8, spec=spec)
     rng = np.random.default_rng(7)
     e = rng.standard_normal(system.n)
     z = rng.standard_normal(system.n)
@@ -197,9 +201,24 @@ def test_solve_diagnostics_and_residual():
     assert diag["symmetry_defect"] <= 1e-10
     assert diag["nnz"] == system.matrix.nnz
     assert diag["factor_seconds"] >= 0.0
-    assert diag["ordering"] == "nested_dissection"
-    pivot_free = spla.splu(system.matrix.tocsc(), **PIVOT_FREE)
-    assert diag["lu_nnz"] == pivot_free.nnz >= system.matrix.nnz
+    assert diag["ordering"] == "minimum_degree"
+    assert diag["lu_nnz"] == factors(system).nnz >= system.matrix.nnz
+    assert diag["residual_history"][-1] == diag["relative_residual"]
+    assert len(diag["residual_history"]) == diag["refinement_steps"] + 1
+
+
+def test_refinement_records_each_step():
+    # factors of 1.5 M leave an error of 1/3 per refinement step, so the
+    # two steps run and each cuts the relative residual by about 3
+    _, _, _, system = case_system("ex1-swirl", n=8)
+    lu = spla.splu(1.5 * system.matrix.tocsc(), **PIVOT_FREE)
+    x, history = saddle._refined_solve(system, lu)
+    assert len(history) == 3
+    assert history[0] == pytest.approx(1 / 3, rel=1e-6)
+    for before, after in zip(history, history[1:]):
+        assert after == pytest.approx(before / 3, rel=1e-6)
+    r = system.rhs - system.matrix @ x
+    assert history[-1] == np.linalg.norm(r) / np.linalg.norm(system.rhs)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -273,10 +292,17 @@ def test_estimate_brackets_on_iteration_cap_without_warning():
     assert all(type(b) is float for b in est.bracket)
 
 
-def test_exact_condition_number_guards_dimension():
-    _, _, _, system = case_system("ex1-const", n=32)
+def test_exact_condition_number_guards_dimension(monkeypatch):
+    _, mesh, _, system = case_system("ex1-const", n=32)
     with pytest.raises(ValueError, match="2000"):
         exact_condition_number(system)
+    # solve checks the limit before it factorizes
+    calls = []
+    monkeypatch.setattr(saddle.spla, "splu",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="2000"):
+        solve(system, mesh, cond="exact")
+    assert calls == []
 
 
 def test_condition_number_mode_dispatch():
@@ -288,7 +314,7 @@ def test_condition_number_mode_dispatch():
     sol = solve(system, mesh, cond="estimate", cond_tol=1e-6)
     est = sol.cond
     assert est.converged
-    assert sol.diagnostics["ordering"] == "nested_dissection"
+    assert sol.diagnostics["ordering"] == "minimum_degree"
     assert abs(est.value - exact.value) <= 0.05 * exact.value
     capped = solve(system, mesh, cond="estimate", cond_tol=1e-14,
                    cond_max_iter=1).cond
@@ -297,79 +323,36 @@ def test_condition_number_mode_dispatch():
         solve(system, mesh, cond="bogus")
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_nested_dissection_is_node_permutation(n):
-    order = _nested_dissection(n)
-    assert np.array_equal(np.sort(order), np.arange((n + 1) ** 2))
-
-
-def test_nested_dissection_top_split_decouples_halves():
-    _, mesh, _, system = case_system("ex1-swirl", n=8, ordered=False)
-    m = mesh.cells_per_side + 1
-    order = _nested_dissection(mesh.cells_per_side)
-    # the top-level separator comes last: two adjacent full node lines
-    sep = order[-2 * m:]
-    j, i = np.divmod(sep, m)
-    line, axis = (j, 1) if np.ptp(j) == 1 else (i, 0)
-    assert np.ptp(line) == 1
-    pos = np.divmod(np.arange(m * m), m)[1 - axis]
-    low = np.flatnonzero(pos < line.min())
-    high = np.flatnonzero(pos > line.max())
-    assert len(low) and len(high)
-    assert np.array_equal(np.sort(order[:len(low)]), low)
-    assert np.array_equal(np.sort(order[len(low):-2 * m]), high)
-    # fold the (u, z) blocks onto nodes: no nonzero couples the halves
-    n = system.n
-    mat = abs(system.matrix).tocsr()
-    nodes = mat[:n, :n] + mat[:n, n:] + mat[n:, :n] + mat[n:, n:]
-    assert nodes[low][:, high].nnz == 0
-    assert nodes[low][:, sep].nnz > 0 and nodes[high][:, sep].nnz > 0
-
-
 @pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
-def test_nested_dissection_matches_colamd(name):
+def test_minimum_degree_matches_colamd(name):
     _, mesh, _, system = case_system(name, n=8)
     sol = solve(system, mesh)
-    assert sol.diagnostics["ordering"] == "nested_dissection"
+    assert sol.diagnostics["ordering"] == "minimum_degree"
     x = np.concatenate([sol.u.coefficients, sol.z.coefficients])
-    _, _, _, natural = case_system(name, n=8, ordered=False)
-    colamd = solve(natural, mesh).diagnostics
-    assert colamd["ordering"] == "colamd"
-    ref = spla.splu(natural.matrix.tocsc()).solve(natural.rhs)
+    colamd = colamd_factors(system)
+    ref = colamd.solve(system.rhs)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     n = system.n
     for got, want in ((sol.u.coefficients, ref[:n]),
                       (sol.z.coefficients, ref[n:])):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    assert sol.diagnostics["lu_nnz"] < colamd["lu_nnz"]
+    assert sol.diagnostics["lu_nnz"] < colamd.nnz
 
 
-def test_ordered_system_is_the_permuted_natural_one():
-    _, _, _, system = case_system("ex2-swirl", n=8)
-    _, _, _, natural = case_system("ex2-swirl", n=8, ordered=False)
-    p = system.perm
-    assert (system.matrix != natural.matrix[p][:, p]).nnz == 0
-    assert np.array_equal(system.rhs, natural.rhs[p])
-    assert np.array_equal(system.rhs, system.to_stored(natural.rhs))
-    u, z = system.split(system.rhs)
-    assert np.array_equal(np.concatenate([u, z]), natural.rhs)
-    # symmetric bit for bit at this N, so SuperLU's view is the matrix
-    assert system.symmetry_defect() == 0.0
+def test_minimum_degree_fills_less_than_nested_dissection():
+    # the geometric nested-dissection order of the mesh nodes, with u and
+    # z of a node side by side, gave L+U 1,688,870 entries here
+    _, mesh, _, system = case_system("ex1-swirl", n=64)
+    diag = solve(system, mesh).diagnostics
+    assert diag["ordering"] == "minimum_degree"
+    assert diag["lu_nnz"] < 1_688_870
 
 
-def test_build_system_rejects_an_order_that_is_no_permutation():
-    a = sp.eye(4, format="csr")
-    with pytest.raises(ValueError, match="permutation"):
-        build_system(a, a, a, np.zeros(4), np.zeros(4), [0, 1, 1, 3])
-
-
-def test_factorize_uses_colamd_without_an_order():
-    _, mesh, _, system = case_system(n=8, ordered=False)
-    assert solve(system, mesh).diagnostics["ordering"] == "colamd"
-
-
-@pytest.mark.parametrize("ordered", [True, False])
-def test_splu_receives_the_stored_arrays(monkeypatch, ordered):
+@pytest.mark.parametrize("breakdown", [True, False])
+def test_splu_receives_the_stored_arrays(monkeypatch, breakdown):
+    # each ordering tried factors the system's own arrays, without a copy
+    if breakdown:
+        _patched_pivot_free_splu(monkeypatch, pivot_free_breakdown)
     received, real = [], saddle.spla.splu
 
     def recording_splu(mat, *args, **kwargs):
@@ -377,27 +360,28 @@ def test_splu_receives_the_stored_arrays(monkeypatch, ordered):
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(saddle.spla, "splu", recording_splu)
-    _, mesh, _, system = case_system("ex1-swirl", n=8, ordered=ordered)
+    _, mesh, _, system = case_system("ex1-swirl", n=8)
     sol = solve(system, mesh)
-    assert sol.diagnostics["ordering"] == ("nested_dissection" if ordered
-                                           else "colamd")
-    [mat] = received
-    assert np.shares_memory(mat.data, system.matrix.data)
-    assert np.shares_memory(mat.indices, system.matrix.indices)
+    assert sol.diagnostics["ordering"] == ("colamd" if breakdown
+                                           else "minimum_degree")
+    assert len(received) == (2 if breakdown else 1)
+    for mat in received:
+        assert np.shares_memory(mat.data, system.matrix.data)
+        assert np.shares_memory(mat.indices, system.matrix.indices)
 
 
-@pytest.mark.parametrize("ordered", [True, False])
-def test_unsymmetric_system_is_refused(monkeypatch, ordered):
+@pytest.mark.parametrize("symmetric_pattern", [True, False])
+def test_unsymmetric_system_is_refused(monkeypatch, symmetric_pattern):
     # symmetry is an invariant of the assembled system: one that breaks it
-    # is never factorized
+    # is never factorized, whether or not its pattern is symmetric
     rng = np.random.default_rng(5)
     mesh = build_unit_square_mesh(1)
     n = mesh.n_nodes
     mat = rng.standard_normal((2 * n, 2 * n)) + 4 * np.eye(2 * n)
-    mat[2, 5] = 0.0  # and the pattern is not symmetric either
+    if not symmetric_pattern:
+        mat[2, 5] = 0.0
     rhs = rng.standard_normal(2 * n)
-    perm = rng.permutation(2 * n) if ordered else None
-    system = SaddleSystem(sp.csr_matrix(mat), rhs, n, perm)
+    system = SaddleSystem(sp.csr_matrix(mat), rhs, n)
     calls = []
     monkeypatch.setattr(saddle.spla, "splu",
                         lambda *args, **kwargs: calls.append(args))
@@ -410,18 +394,19 @@ def _patched_pivot_free_splu(monkeypatch, replacement):
     real = saddle.spla.splu
 
     def splu(mat, permc_spec=None, **kwargs):
-        if permc_spec == "NATURAL":
+        if permc_spec == PIVOT_FREE["permc_spec"]:
             return replacement(real, mat, permc_spec, **kwargs)
         return real(mat, **kwargs)
 
     monkeypatch.setattr(saddle.spla, "splu", splu)
 
 
-def test_pivot_free_breakdown_falls_back_to_colamd(monkeypatch):
-    def breakdown(real, mat, permc_spec, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+def pivot_free_breakdown(real, mat, permc_spec, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
 
-    _patched_pivot_free_splu(monkeypatch, breakdown)
+
+def test_pivot_free_breakdown_falls_back_to_colamd(monkeypatch):
+    _patched_pivot_free_splu(monkeypatch, pivot_free_breakdown)
     _, mesh, _, system = case_system("ex1-swirl", n=8)
     sol = solve(system, mesh)
     assert sol.diagnostics["ordering"] == "colamd"
@@ -449,17 +434,16 @@ def test_pivot_free_gate_miss_falls_back_to_colamd(monkeypatch):
 
 
 def test_estimate_reuses_passed_factorization():
-    _, mesh, _, system = case_system("ex2-swirl", n=8, ordered=False)
+    _, mesh, _, system = case_system("ex2-swirl", n=8)
     own = solve(system, mesh, cond="estimate").cond
-    colamd = factors(system)
-    passed = estimate_condition_number(system, colamd)
+    pivot_free = factors(system)
+    passed = estimate_condition_number(system, pivot_free)
     assert (passed.value, passed.iterations) == (own.value, own.iterations)
-    _, _, _, ordered = case_system("ex2-swirl", n=8)
-    pivot_free = factors(ordered)
-    nd = estimate_condition_number(ordered, pivot_free)
+    colamd = colamd_factors(system)
+    other = estimate_condition_number(system, colamd)
     assert pivot_free.nnz < colamd.nnz
-    assert nd.iterations == own.iterations
-    assert nd.value == pytest.approx(own.value, rel=1e-8)
+    assert other.iterations == own.iterations
+    assert other.value == pytest.approx(own.value, rel=1e-8)
 
 
 def test_estimate_does_not_factorize(monkeypatch):
@@ -479,6 +463,28 @@ def test_estimate_rejects_a_tolerance_outside_the_unit_interval(tol):
         estimate_condition_number(system, factors(system), tol=tol)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_estimate_rejects_an_iteration_cap_below_one(max_iter):
+    _, _, _, system = case_system("ex1-const", n=4)
+    with pytest.raises(ValueError, match="max_iter"):
+        estimate_condition_number(system, factors(system), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("setting", [{"cond_tol": 5}, {"cond_tol": 0.0},
+                                     {"cond_max_iter": 0},
+                                     {"cond_max_iter": -3}],
+                         ids=["tol-5", "tol-0", "max-iter-0",
+                              "max-iter-minus-3"])
+def test_solve_checks_the_estimator_before_factorizing(monkeypatch, setting):
+    _, mesh, _, system = case_system("ex1-const", n=4)
+    calls = []
+    monkeypatch.setattr(saddle.spla, "splu",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="tol|max_iter"):
+        solve(system, mesh, cond="estimate", **setting)
+    assert calls == []
+
+
 @pytest.mark.parametrize("gate_miss", [False, True])
 def test_standalone_estimate_uses_gated_factors(monkeypatch, gate_miss):
     # the estimate of solve runs on the factors that passed its residual
@@ -486,27 +492,17 @@ def test_standalone_estimate_uses_gated_factors(monkeypatch, gate_miss):
     if gate_miss:
         force_pivot_free_gate_miss(monkeypatch)
     _, mesh, _, system = case_system("ex2-swirl", n=8)
-    _, _, _, natural = case_system("ex2-swirl", n=8, ordered=False)
     sol = solve(system, mesh, cond="estimate")
     assert sol.diagnostics["ordering"] == ("colamd" if gate_miss
-                                           else "nested_dissection")
-    ref = estimate_condition_number(natural, factors(natural))
+                                           else "minimum_degree")
+    ref = estimate_condition_number(system, colamd_factors(system))
     assert sol.cond.iterations == ref.iterations
     assert sol.cond.value == pytest.approx(ref.value, rel=1e-8)
 
 
-def test_singular_matrix_on_matching_mesh_raises():
-    # the 2x2 node grid matches, but the system has no node order, so
-    # only COLAMD is tried, and it fails
-    zero = sp.csr_matrix(np.zeros((4, 4)))
-    bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
-    with pytest.raises(NumericalFailure, match="factorization failed"):
-        solve(bad, build_unit_square_mesh(1))
-
-
-def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
-    # in a node order the pivot-free factorization is tried first, and the
-    # COLAMD fallback must fail too
+def test_singular_matrix_on_matching_mesh_raises(monkeypatch):
+    # the 2x2 node grid matches; the pivot-free factorization is tried
+    # first, and the COLAMD fallback must fail too
     calls = []
     real = saddle.spla.splu
 
@@ -516,8 +512,7 @@ def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
 
     monkeypatch.setattr(saddle.spla, "splu", recording_splu)
     zero = sp.csr_matrix(np.zeros((4, 4)))
-    bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4),
-                       [0, 1, 2, 3])
+    bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
     with pytest.raises(NumericalFailure, match="factorization failed"):
         solve(bad, build_unit_square_mesh(1))
-    assert calls == ["NATURAL", None]
+    assert calls == ["MMD_AT_PLUS_A", None]

@@ -23,9 +23,9 @@ relative to the largest magnitude in its column, taken over both sides, so
 a field's small entries weigh no more than its rounding; in JSON and
 stdout it is ``|a - b| / max(|a|, |b|)``.  Two numbers closer than the
 double-precision epsilon (2.2e-16) count as equal.  The solver's relative
-residual and symmetry defect are relative errors of rounding size, which
-reordering a sum moves by a relative O(1); for them ``R`` bounds the
-absolute difference.
+residual (also each entry of its refinement history) and symmetry defect
+are relative errors of rounding size, which reordering a sum moves by a
+relative O(1); for them ``R`` bounds the absolute difference.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 RELATIVE_ERROR = re.compile(
     rb'(?:"relative_residual": |"symmetry_defect": |residual=)('
     + NUMBER.pattern + rb")")
+# the list of relative residuals in diagnostics_N*.json
+HISTORY = re.compile(rb'"residual_history": \[[^\]]*\]')
 
 
 def _split(text: bytes):
@@ -141,6 +143,9 @@ def _split(text: bytes):
     errors."""
     errors = RELATIVE_ERROR.findall(text)
     rest = RELATIVE_ERROR.sub(b"<error>", text)
+    for history in HISTORY.findall(rest):
+        errors += NUMBER.findall(history)
+    rest = HISTORY.sub(lambda m: NUMBER.sub(b"<error>", m.group(0)), rest)
     return NUMBER.sub(b"#", rest), NUMBER.findall(rest), errors
 
 

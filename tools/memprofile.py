@@ -17,8 +17,11 @@ wrapped; at each call, before SuperLU allocates its factors, it prints:
   size in MB;
 - the process's resident size (``VmRSS``).
 
-At exit it prints the peak resident size (``ru_maxrss``).  Tracing costs
-time and some memory of its own, so take wall times and peak memory for
+When the call returns it prints the factors' fill ``lu.nnz`` (the entries
+of L and U that SuperLU stores) and ``VmRSS`` again, which then includes
+the factors; a factorization that raises is reported as such.  At exit
+it prints the peak resident size (``ru_maxrss``).  Tracing costs time and
+some memory of its own, so take wall times and peak memory for
 comparisons from the benchmark (``perfbench/run.py``), not from here.
 """
 
@@ -136,7 +139,15 @@ def main(argv=None) -> int:
     def profiled_splu(*a, **kw):
         calls.append(None)
         report(len(calls), args.top)
-        return real(*a, **kw)
+        try:
+            lu = real(*a, **kw)
+        except RuntimeError as exc:
+            print(f"--- splu call {len(calls)} raised: {exc}; "
+                  f"VmRSS {vm_rss_mb():.1f} MB", flush=True)
+            raise
+        print(f"--- splu call {len(calls)} returned: lu.nnz {lu.nnz}, "
+              f"VmRSS {vm_rss_mb():.1f} MB", flush=True)
+        return lu
 
     spla.splu = profiled_splu
     tracemalloc.start(FRAMES)
