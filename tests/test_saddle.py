@@ -37,6 +37,38 @@ def colamd_factors(system):
     return spla.splu(system.matrix.tocsc())
 
 
+def _nested_dissection(cells_per_side):
+    """Elimination order of the ``(n+1)**2`` grid nodes by nested dissection.
+
+    The reference order that minimum degree is measured against: geometric
+    nested dissection (George, SIAM J. Numer. Anal. 10, 1973).  Each box of
+    nodes is bisected across its longer side and lists its two halves,
+    recursively ordered, before the separator.  Separators are two node
+    lines wide because the gradient-jump penalty couples the opposite
+    vertices of the two triangles at a face, which lie two lines apart.
+    Boxes whose longer side has fewer than four lines are not split.
+    """
+    m = int(cells_per_side) + 1
+    # grid[j, i] is the index j*(n+1) + i of the node at (i/n, j/n)
+    grid = np.arange(m * m, dtype=np.int64).reshape(m, m)
+    parts = []
+    _dissect(grid, parts)
+    return np.concatenate(parts)
+
+
+def _dissect(box, parts):
+    """Append the nodes of ``box`` to ``parts`` in nested-dissection order."""
+    if max(box.shape) < 4:
+        parts.append(box.ravel())
+        return
+    if box.shape[0] < box.shape[1]:
+        box = box.T
+    mid = (box.shape[0] - 2) // 2
+    _dissect(box[:mid], parts)
+    _dissect(box[mid + 2:], parts)
+    parts.append(box[mid:mid + 2].ravel())
+
+
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None, degree=4):
     """A case's blocks and saddle system at N=n and quadrature ``degree``."""
     case = get_case(name)
@@ -339,13 +371,46 @@ def test_minimum_degree_matches_colamd(name):
     assert sol.diagnostics["lu_nnz"] < colamd.nnz
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_nested_dissection_is_node_permutation(n):
+    order = _nested_dissection(n)
+    assert np.array_equal(np.sort(order), np.arange((n + 1) ** 2))
+
+
+def test_nested_dissection_top_split_decouples_halves():
+    _, mesh, _, system = case_system("ex1-swirl", n=8)
+    m = mesh.cells_per_side + 1
+    order = _nested_dissection(mesh.cells_per_side)
+    # the top-level separator comes last: two adjacent full node lines
+    sep = order[-2 * m:]
+    j, i = np.divmod(sep, m)
+    line, axis = (j, 1) if np.ptp(j) == 1 else (i, 0)
+    assert np.ptp(line) == 1
+    pos = np.divmod(np.arange(m * m), m)[1 - axis]
+    low = np.flatnonzero(pos < line.min())
+    high = np.flatnonzero(pos > line.max())
+    assert len(low) and len(high)
+    assert np.array_equal(np.sort(order[:len(low)]), low)
+    assert np.array_equal(np.sort(order[len(low):-2 * m]), high)
+    # fold the (u, z) blocks onto nodes: no nonzero couples the halves
+    n = system.n
+    mat = abs(system.matrix).tocsr()
+    nodes = mat[:n, :n] + mat[:n, n:] + mat[n:, :n] + mat[n:, n:]
+    assert nodes[low][:, high].nnz == 0
+    assert nodes[low][:, sep].nnz > 0 and nodes[high][:, sep].nnz > 0
+
+
 def test_minimum_degree_fills_less_than_nested_dissection():
-    # the geometric nested-dissection order of the mesh nodes, with u and
-    # z of a node side by side, gave L+U 1,688,870 entries here
+    # the reference: nested dissection of the mesh nodes, with u and z of
+    # a node side by side, factorized pivot-free in that order
     _, mesh, _, system = case_system("ex1-swirl", n=64)
+    order = _nested_dissection(mesh.cells_per_side)
+    perm = np.column_stack([order, order + system.n]).ravel()
+    nd = spla.splu(system.matrix[perm][:, perm].tocsc(),
+                   **dict(PIVOT_FREE, permc_spec="NATURAL"))
     diag = solve(system, mesh).diagnostics
     assert diag["ordering"] == "minimum_degree"
-    assert diag["lu_nnz"] < 1_688_870
+    assert diag["lu_nnz"] < nd.nnz
 
 
 @pytest.mark.parametrize("breakdown", [True, False])
@@ -500,9 +565,16 @@ def test_standalone_estimate_uses_gated_factors(monkeypatch, gate_miss):
     assert sol.cond.value == pytest.approx(ref.value, rel=1e-8)
 
 
-def test_singular_matrix_on_matching_mesh_raises(monkeypatch):
-    # the 2x2 node grid matches; the pivot-free factorization is tried
-    # first, and the COLAMD fallback must fail too
+def test_singular_matrix_on_matching_mesh_raises():
+    zero = sp.csr_matrix(np.zeros((4, 4)))
+    bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
+    with pytest.raises(NumericalFailure, match="factorization failed"):
+        solve(bad, build_unit_square_mesh(1))
+
+
+def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
+    # the pivot-free factorization in minimum-degree order is tried first,
+    # and the COLAMD fallback must fail too
     calls = []
     real = saddle.spla.splu
 
