@@ -32,7 +32,7 @@ from .experiments import (CaseDefinition, NoiseModel, derive_source,
                           run_ladder)
 from .forms import ProblemSpec, constant_field, swirl_field, zero_field
 from .mesh import Region, build_unit_square_mesh
-from .saddle import DENSE_SVD_MAX_DIM, NumericalFailure
+from .saddle import NumericalFailure, _check_dense, _check_estimator
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
                         probe_fem_solution)
@@ -253,6 +253,10 @@ def _case_from_problem(payload: dict) -> CaseDefinition:
         beta = _field_from(payload.get("beta", {}))
         exact = polynomial_bump()
         beta_sup = payload.get("beta_sup")
+        # the stabilization parameters not given keep ProblemSpec's defaults
+        weights = {key: float(payload[key]) for key in
+                   ("gamma", "gamma_star", "boundary_factor")
+                   if key in payload}
         spec = ProblemSpec(
             mu=float(payload.get("mu", 1.0)),
             beta=beta,
@@ -261,9 +265,7 @@ def _case_from_problem(payload: dict) -> CaseDefinition:
                                 "target"),
             f=None,
             beta_sup=None if beta_sup is None else float(beta_sup),
-            gamma=float(payload.get("gamma", 1e-5)),
-            gamma_star=float(payload.get("gamma_star", 1.0)),
-            boundary_factor=float(payload.get("boundary_factor", 50.0)),
+            **weights,
         )
         spec = replace(spec, f=derive_source(exact, spec.mu, beta))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -294,26 +296,15 @@ def _resolve_case(args, problem) -> CaseDefinition:
     return CaseDefinition(case.name, spec, case.exact, tuple(ladder), noise)
 
 
-def _check_dense_ladder(ladder):
-    """Reject rungs whose system is too large for ``--cond exact``."""
-    too_big = [n for n in ladder if 2 * (n + 1) ** 2 > DENSE_SVD_MAX_DIM]
-    if too_big:
-        raise ConfigError(f"--cond exact takes a dense SVD, limited to "
-                          f"dimension 2(N+1)^2 <= {DENSE_SVD_MAX_DIM}; "
-                          f"ladder has N = {too_big}")
-
-
 def _check_numbers(args):
-    """Reject a seed or an estimator setting that cannot run."""
+    """Reject a seed or an estimator setting (``--cond-tol``,
+    ``--cond-cap``) that cannot run; the estimator's own check decides."""
     seed = getattr(args, "seed", 0)
     if seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, got {seed!r}")
-    cap = getattr(args, "cond_cap", 1)
-    if cap < 1:
-        raise ConfigError(f"--cond-cap must be an integer >= 1, got {cap!r}")
-    tol = getattr(args, "cond_tol", 1e-3)
-    if not 0 < tol < 1:
-        raise ConfigError(f"--cond-tol must lie in (0, 1), got {tol!r}")
+    if hasattr(args, "cond_tol"):
+        with _bad_input():
+            _check_estimator(args.cond_tol, args.cond_cap)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -461,7 +452,10 @@ def main(argv=None) -> int:
         _check_numbers(args)
         case = _resolve_case(args, problem) if job in _CASE_JOBS else None
         if getattr(args, "cond", None) == "exact":
-            _check_dense_ladder(case.ladder)
+            # the dense SVD's own limit, on each rung's dimension 2(N+1)^2
+            with _bad_input():
+                for n_cells in case.ladder:
+                    _check_dense(2 * (n_cells + 1) ** 2)
         out = None if args.out is None else Path(args.out)
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)

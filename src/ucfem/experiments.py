@@ -156,8 +156,7 @@ def _make_case(geom: str, fld: str, noise: Optional[NoiseModel] = None,
     beta, sup = _FIELDS[fld]
     omega, target = _GEOMETRIES[geom]
     spec = ProblemSpec(mu=1.0, beta=beta, omega=omega, target=target,
-                       f=derive_source(exact, 1.0, beta), beta_sup=sup,
-                       gamma=1e-5, gamma_star=1.0, boundary_factor=50.0)
+                       f=derive_source(exact, 1.0, beta), beta_sup=sup)
     return CaseDefinition(f"{geom}-{fld}{suffix}", spec, exact, DEFAULT_LADDER,
                           noise)
 
@@ -298,16 +297,19 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
     """Mesh, assembled blocks and saddle system of one ladder rung.
 
     The data are the nodal interpolant of the exact solution, perturbed by
-    the case's noise model when it has one.  The system keeps the natural
-    (u, z) layout; SuperLU chooses the order it is factorized in.
+    the case's noise model when it has one.  They enter only the data
+    load, ``blocks.data_mass @ data.coefficients``: the blocks do not
+    depend on them.  The system keeps the natural (u, z) layout; SuperLU
+    chooses the order it is factorized in.
     """
     mesh = build_unit_square_mesh(n_cells)
     data = interpolate(case.exact.value, mesh)
     if case.noise is not None:
         data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
-    blocks = assemble_all(case.spec, mesh, data, quad_degree)
+    blocks = assemble_all(case.spec, mesh, quad_degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source)
+                          blocks.data_mass @ data.coefficients,
+                          blocks.b_source)
     return mesh, blocks, system
 
 

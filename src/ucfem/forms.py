@@ -14,8 +14,10 @@ without boundary conditions, the discrete method uses
 Here h is the global mesh size (inverse square root of the node count) and
 |beta| the supremum of the advection field, so all weights are constants.
 ``boundary_factor`` (bf) scales only the boundary mass inside the dual
-stabilizer.  ``assemble_all`` is the one assembler: each form and load is a
-field of the ``AssembledForms`` it returns.
+stabilizer.  ``assemble_all`` is the one assembler: each form and the
+source load is a field of the ``AssembledForms`` it returns.  None of them
+depends on the measurements, which enter the system only through the data
+load ``data_mass @ c`` of their nodal values c.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, Region, mesh_size
-from .fem import (FeFunction, edge_rule, quad_points, triangle_geometry,
-                  triangle_rule, _mass_tensor, _scatter, _scatter_load,
+from .fem import (edge_rule, quad_points, triangle_geometry, triangle_rule, _mass_tensor, _scatter, _scatter_load,
                   _weighted_hats)
 
 __all__ = [
@@ -71,7 +72,8 @@ class ProblemSpec:
     ``assemble_all`` takes the largest |beta| at the mesh quadrature points,
     and it warns when a declared value is below that maximum.
     ``boundary_factor`` >= 1 rescales only the boundary mass term of the
-    dual stabilizer.
+    dual stabilizer.  The defaults of ``gamma``, ``gamma_star`` and
+    ``boundary_factor`` are the values of every built-in case.
     """
 
     mu: float
@@ -80,9 +82,9 @@ class ProblemSpec:
     target: Optional[Region] = None
     f: Optional[Callable] = None
     beta_sup: Optional[float] = None
-    gamma: float = 1.0
+    gamma: float = 1e-5
     gamma_star: float = 1.0
-    boundary_factor: float = 1.0
+    boundary_factor: float = 50.0
 
     def __post_init__(self):
         for name in ("mu", "gamma", "gamma_star", "boundary_factor",
@@ -160,7 +162,8 @@ def _jump_matrix(mesh, grads, wf):
 
 @dataclass
 class AssembledForms:
-    """All matrices and loads of one discrete problem, plus reporting data."""
+    """All matrices and the source load of one discrete problem, plus
+    reporting data."""
 
     pde: sp.csr_matrix
     data_mass: sp.csr_matrix
@@ -168,17 +171,17 @@ class AssembledForms:
     primal: sp.csr_matrix
     dual: sp.csr_matrix
     b_source: np.ndarray
-    b_data: np.ndarray
     h: float
     beta_sup: float
     peclet: float
 
 
-def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
+def assemble_all(spec: ProblemSpec, mesh: Mesh,
                  degree: int = 4) -> AssembledForms:
-    """Assemble every form and load of the saddle-point system; h, the
-    geometry, the quadrature points, beta there, |beta|, the diffusion blocks
-    and the omega indicator are computed once.  Warns when omega holds no
+    """Assemble every form and the source load of the saddle-point system,
+    none of which depends on the data; h, the geometry, the quadrature
+    points, beta there, |beta|, the diffusion blocks and the omega
+    indicator are computed once.  Warns when omega holds no
     quadrature point or a declared ``spec.beta_sup`` is below the largest
     |beta| at the quadrature points."""
     if spec.f is None:
@@ -214,8 +217,8 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
     del beta_flat, bgrad, conv  # no (t, q) array outlives its own form
 
     w_data = spec.mu + bsup * h
-    data_weight = w_data * areas[:, None] * mask                    # (t, q)
-    s_data = _scatter(mesh, data_weight @ _mass_tensor(rule))
+    s_data = _scatter(mesh, (w_data * areas[:, None] * mask)
+                      @ _mass_tensor(rule))
     s_jump = _jump_matrix(mesh, grads,
                           spec.gamma * h * w_data * mesh.face_lengths)
     w_bnd = spec.boundary_factor * (spec.mu / h + bsup) * mesh.bnd_lengths
@@ -225,8 +228,5 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh, data: FeFunction,
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
     b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ whats)
-    dvals = data.coefficients[mesh.triangles] @ rule.points.T        # (t, q)
-    b_data = _scatter_load(mesh, (data_weight * dvals) @ whats)
     return AssembledForms(pde, s_data, s_jump, (s_data + s_jump).tocsr(),
-                          s_dual, b_source, b_data, h, bsup,
-                          bsup * h / spec.mu)
+                          s_dual, b_source, h, bsup, bsup * h / spec.mu)

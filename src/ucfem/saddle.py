@@ -225,7 +225,7 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
     if cond == "estimate":
         _check_estimator(cond_tol, cond_max_iter)
     elif cond == "exact":
-        _check_dense(system)
+        _check_dense(system.matrix.shape[0])
     lu, x, stats = _gated_solve(system)
     diagnostics = {"dimension": 2 * system.n,
                    "nnz": int(system.matrix.nnz), **stats}
@@ -244,9 +244,9 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
 DENSE_SVD_MAX_DIM = 2000
 
 
-def _check_dense(system: SaddleSystem):
-    """Reject a system beyond the dense SVD's DENSE_SVD_MAX_DIM."""
-    dim = system.matrix.shape[0]
+def _check_dense(dim: int):
+    """Reject a system dimension beyond the dense SVD's
+    DENSE_SVD_MAX_DIM."""
     if dim > DENSE_SVD_MAX_DIM:
         raise ValueError(f"dense SVD guarded to dimension "
                          f"{DENSE_SVD_MAX_DIM}, got {dim}")
@@ -254,7 +254,7 @@ def _check_dense(system: SaddleSystem):
 
 def exact_condition_number(system: SaddleSystem) -> float:
     """Two-norm condition number by dense SVD, up to DENSE_SVD_MAX_DIM."""
-    _check_dense(system)
+    _check_dense(system.matrix.shape[0])
     svals = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
     if svals[-1] == 0:
         raise NumericalFailure("system matrix is singular")

@@ -1,11 +1,10 @@
-"""Test helper: every form of ``assemble_all``, with zeros standing in for
-a source term or data that a test does not need."""
+"""Test helper: every form of ``assemble_all``, with a zero source term
+standing in when a test does not need one."""
 
 import dataclasses
 
 import numpy as np
 
-from ucfem.fem import FeFunction
 from ucfem.forms import assemble_all
 
 
@@ -13,11 +12,8 @@ def _zero(points):
     return np.zeros(len(np.atleast_2d(points)))
 
 
-def assembled(spec, mesh, data=None, degree=4):
-    """``assemble_all`` with a zero ``f`` when ``spec`` has none and zero
-    data when ``data`` is None."""
+def assembled(spec, mesh, degree=4):
+    """``assemble_all`` with a zero ``f`` when ``spec`` has none."""
     if spec.f is None:
         spec = dataclasses.replace(spec, f=_zero)
-    if data is None:
-        data = FeFunction(mesh, np.zeros(mesh.n_nodes))
-    return assemble_all(spec, mesh, data, degree)
+    return assemble_all(spec, mesh, degree)

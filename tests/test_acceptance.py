@@ -15,8 +15,8 @@ import scipy.sparse as sp
 
 import dense_oracle
 from assembled import assembled
-from ucfem.experiments import (builtin_cases, estimate_rate, get_case,
-                               polynomial_bump, run_case)
+from ucfem.experiments import (builtin_cases, discretize, estimate_rate,
+                               get_case, polynomial_bump, run_case)
 from ucfem.fem import interpolate, mass_matrix, triangle_geometry
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.mesh import UNIT_SQUARE, Region, build_unit_square_mesh, mesh_size
@@ -81,11 +81,8 @@ def cond_ladder():
     case = get_case("ex1-const")
 
     def system_at(n):
-        mesh = build_unit_square_mesh(n)
-        data = interpolate(case.exact.value, mesh)
-        blocks = assemble_all(case.spec, mesh, data, 4)
-        return build_system(blocks.pde, blocks.primal, blocks.dual,
-                            blocks.b_data, blocks.b_source), mesh
+        mesh, _, system = discretize(case, n)
+        return system, mesh
 
     pairs = []
     for n in case.ladder:
@@ -149,23 +146,25 @@ def test_criterion_4_property_suites(tables):
     case = get_case("ex1-swirl")
     mesh = build_unit_square_mesh(16)
     data = interpolate(case.exact.value, mesh)
-    blocks = assemble_all(case.spec, mesh, data, 4)
+    blocks = assemble_all(case.spec, mesh, 4)
+    b_data = blocks.data_mass @ data.coefficients
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source)
+                          b_data, blocks.b_source)
     if system.symmetry_defect() > 1e-10:
         failures.append(f"symmetry defect {system.symmetry_defect():.2e}")
     zero_spec = dataclasses.replace(
         case.spec, f=lambda p: np.zeros(len(np.atleast_2d(p))))
     zdata = interpolate(lambda p: np.zeros(len(np.atleast_2d(p))), mesh)
-    zb = assemble_all(zero_spec, mesh, zdata, 4)
-    zsol = solve(build_system(zb.pde, zb.primal, zb.dual, zb.b_data,
+    zb = assemble_all(zero_spec, mesh, 4)
+    zsol = solve(build_system(zb.pde, zb.primal, zb.dual,
+                              zb.data_mass @ zdata.coefficients,
                               zb.b_source), mesh)
     if np.abs(zsol.u.coefficients).max() > 0 or \
             np.abs(zsol.z.coefficients).max() > 0:
         failures.append("zero data produced a nonzero solution")
     sol = solve(system, mesh)
     half = build_system(blocks.pde, blocks.primal, blocks.dual,
-                        0.5 * blocks.b_data, 0.5 * blocks.b_source)
+                        0.5 * b_data, 0.5 * blocks.b_source)
     hsol = solve(half, mesh)
     lin = np.abs(hsol.u.coefficients - 0.5 * sol.u.coefficients).max()
     if lin > 1e-7 * (1 + np.abs(sol.u.coefficients).max()):
@@ -294,7 +293,7 @@ def test_criterion_6_dense_oracle_equivalence():
             spec = dataclasses.replace(base, beta=beta, beta_sup=bsup,
                                        omega=UNIT_SQUARE)
             data = interpolate(bump.value, mesh)
-            blocks = assemble_all(spec, mesh, data)
+            blocks = assemble_all(spec, mesh)
             checks = {
                 "pde": (blocks.pde.toarray(),
                         dense_oracle.dense_convection_diffusion(
@@ -311,8 +310,10 @@ def test_criterion_6_dense_oracle_equivalence():
                                spec.gamma_star, spec.boundary_factor)),
                 "b_source": (blocks.b_source, dense_oracle.dense_source_load(
                     mesh, spec.f)),
-                "b_data": (blocks.b_data, dense_oracle.dense_data_load(
-                    mesh, spec.mu, bsup, h, UNIT_SQUARE, data.coefficients)),
+                "b_data": (blocks.data_mass @ data.coefficients,
+                           dense_oracle.dense_data_load(
+                               mesh, spec.mu, bsup, h, UNIT_SQUARE,
+                               data.coefficients)),
             }
             for label, (sparse, dense) in checks.items():
                 err = np.abs(sparse - dense).max()

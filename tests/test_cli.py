@@ -403,8 +403,22 @@ def test_cond_exact_rejects_rungs_beyond_the_dense_limit(tmp_path, capsys,
                  "--cond", "exact", "--out", str(tmp_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "config" and "N = [31]" in err["detail"]
+    assert err["error"] == "config" and "got 2048" in err["detail"]
     assert not any(tmp_path.iterdir())  # rejected before any rung ran
+
+
+def test_cond_exact_obeys_the_solver_dense_limit(tmp_path, capsys,
+                                                 monkeypatch):
+    # the CLI keeps no limit of its own: with the solver's lowered, the
+    # N = 8 rung (dimension 162) is refused before config.json is written
+    import ucfem.saddle as saddle
+    monkeypatch.setattr(saddle, "DENSE_SVD_MAX_DIM", 100)
+    out = tmp_path / "run"
+    assert main(["solve", "--ladder", "8", "--cond", "exact",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "got 162" in err["detail"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -218,12 +218,34 @@ def test_discretize_matches_the_pipeline_written_out(name):
     data = interpolate(case.exact.value, mesh)
     if case.noise is not None:
         data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
-    ref = assemble_all(case.spec, mesh, data, 2)
-    ref_system = build_system(ref.pde, ref.primal, ref.dual, ref.b_data,
-                              ref.b_source)
+    ref = assemble_all(case.spec, mesh, 2)
+    ref_system = build_system(ref.pde, ref.primal, ref.dual,
+                              ref.data_mass @ data.coefficients, ref.b_source)
     assert np.array_equal(system.rhs, ref_system.rhs)
     assert (system.matrix != ref_system.matrix).nnz == 0
-    assert np.array_equal(blocks.b_data, ref.b_data)
+    assert (blocks.data_mass != ref.data_mass).nnz == 0
+
+
+def test_noisy_variants_share_the_matrix_and_differ_in_the_data_load():
+    # the data enter only the right-hand side, as data_mass @ c
+    matrices, loads = [], []
+    for name in ("ex1-const", "ex1-const-noise-h", "ex1-const-noise-sqrt"):
+        case = get_case(name)
+        mesh, blocks, system = discretize(case, 16)
+        data = interpolate(case.exact.value, mesh)
+        if case.noise is not None:
+            data = apply_noise(data, case.noise, case.spec.omega,
+                               mesh_size(mesh))
+        assert np.array_equal(system.rhs[:system.n],
+                              blocks.data_mass @ data.coefficients)
+        matrices.append(system.matrix)
+        loads.append(system.rhs[:system.n])
+    for mat in matrices[1:]:
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mat, part),
+                                  getattr(matrices[0], part))
+    assert not np.array_equal(loads[1], loads[0])
+    assert not np.array_equal(loads[2], loads[1])
 
 
 def test_run_case_argument_validation():

@@ -137,8 +137,8 @@ def test_loads_match_dense_oracle(n):
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
     data = interpolate(bump.value, mesh)
-    blocks = assembled(spec, mesh, data)
-    b_source, b_data = blocks.b_source, blocks.b_data
+    blocks = assembled(spec, mesh)
+    b_source, b_data = blocks.b_source, blocks.data_mass @ data.coefficients
     dense_src = dense_oracle.dense_source_load(mesh, spec.f)
     dense_dat = dense_oracle.dense_data_load(mesh, spec.mu, spec.beta_sup, h,
                                              UNIT_SQUARE, data.coefficients)
@@ -265,7 +265,7 @@ def test_convection_diffusion_consistent_for_affine_solution():
     f = lambda p: np.asarray(beta(p)) @ np.array([2.0, -0.7])
     spec = make_spec(beta=beta, beta_sup=200.0, f=f)
     data = interpolate(u, mesh)
-    blocks = assembled(spec, mesh, data)
+    blocks = assembled(spec, mesh)
     assert np.abs(blocks.pde @ data.coefficients
                   - blocks.b_source).max() < 1e-12
 
@@ -279,8 +279,7 @@ def test_pde_load_from_field_matches_source_load_for_exact_solution():
     spec = make_spec(beta=beta, beta_sup=1.0,
                      f=derive_source(bump, 1.0, beta))
     mesh = build_unit_square_mesh(8)
-    data = interpolate(bump.value, mesh)
-    b_source = assembled(spec, mesh, data, degree=4).b_source
+    b_source = assembled(spec, mesh, degree=4).b_source
     lhs = pde_load_from_field(spec, mesh, bump.gradient, degree=4)
     assert np.abs(lhs - b_source).max() < 1e-12
 
@@ -288,8 +287,7 @@ def test_pde_load_from_field_matches_source_load_for_exact_solution():
 def test_assemble_all_collects_consistent_blocks():
     case = get_case("ex2-swirl")
     mesh = build_unit_square_mesh(8)
-    data = interpolate(polynomial_bump().value, mesh)
-    blocks = assemble_all(case.spec, mesh, data, 4)
+    blocks = assemble_all(case.spec, mesh, 4)
     assert np.isclose(blocks.h, mesh_size(mesh))
     assert blocks.beta_sup == 200.0
     assert np.isclose(blocks.peclet, blocks.beta_sup * blocks.h / case.spec.mu)
@@ -304,10 +302,8 @@ def test_dual_jump_part_is_the_primal_jump_at_sampled_beta_sup():
     spec = make_spec(beta=swirl_field(), beta_sup=None, gamma_star=0.5,
                      f=lambda p: np.ones(len(np.atleast_2d(p))))
     mesh = build_unit_square_mesh(4)
-    data = interpolate(polynomial_bump().value, mesh)
-    blocks = assemble_all(spec, mesh, data, 2)
-    doubled = assemble_all(dataclasses.replace(spec, gamma=2.0), mesh, data,
-                           2)
+    blocks = assemble_all(spec, mesh, 2)
+    doubled = assemble_all(dataclasses.replace(spec, gamma=2.0), mesh, 2)
     jump_part = (doubled.dual - blocks.dual).toarray()
     assert blocks.beta_sup < 200.0  # sampled, not declared
     assert np.abs(jump_part - spec.gamma_star * blocks.jump.toarray()).max() \
@@ -324,13 +320,12 @@ def test_assemble_all_samples_beta_once():
         return swirl_field()(pts)
 
     mesh = build_unit_square_mesh(4)
-    data = interpolate(bump.value, mesh)
     for beta_sup in (None, 200.0):
         spec = make_spec(beta=counting_beta, beta_sup=beta_sup,
                          f=derive_source(bump, 1.0, swirl_field()))
         for degree in (2, 4):
             calls.clear()
-            blocks = assemble_all(spec, mesh, data, degree)
+            blocks = assemble_all(spec, mesh, degree)
             assert len(calls) == 1
             pts = quad_points(mesh, triangle_rule(degree)).reshape(-1, 2)
             sampled = np.sqrt((swirl_field()(pts) ** 2).sum(axis=1)).max()

@@ -70,28 +70,31 @@ def _dissect(box, parts):
 
 
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None, degree=4):
-    """A case's blocks and saddle system at N=n and quadrature ``degree``."""
+    """A case's blocks and saddle system at N=n and quadrature ``degree``,
+    the data load formed as ``data_mass @ c``."""
     case = get_case(name)
     spec = spec if spec is not None else case.spec
     mesh = build_unit_square_mesh(n)
     data = interpolate(data_fn or case.exact.value, mesh)
     if case.noise is not None:
         data = apply_noise(data, case.noise, spec.omega, mesh_size(mesh))
-    blocks = assemble_all(spec, mesh, data, degree)
+    blocks = assemble_all(spec, mesh, degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source)
+                          blocks.data_mass @ data.coefficients,
+                          blocks.b_source)
     return case, mesh, blocks, system
 
 
 def test_block_arrangement():
-    _, _, blocks, system = case_system(n=4)
+    case, mesh, blocks, system = case_system(n=4)
+    data = interpolate(case.exact.value, mesh)
     n = system.n
     mat = system.matrix
     assert np.abs((mat[:n, :n] - blocks.primal).toarray()).max() == 0.0
     assert np.abs((mat[:n, n:] - blocks.pde.T).toarray()).max() == 0.0
     assert np.abs((mat[n:, :n] - blocks.pde).toarray()).max() == 0.0
     assert np.abs((mat[n:, n:] + blocks.dual).toarray()).max() == 0.0
-    assert np.array_equal(system.rhs[:n], blocks.b_data)
+    assert np.array_equal(system.rhs[:n], blocks.data_mass @ data.coefficients)
     assert np.array_equal(system.rhs[n:], blocks.b_source)
 
 
@@ -175,9 +178,10 @@ def test_zero_data_gives_zero_solution():
     spec = dataclasses.replace(case.spec, f=lambda p: np.zeros(len(np.atleast_2d(p))))
     mesh = build_unit_square_mesh(8)
     data = interpolate(lambda p: np.zeros(len(np.atleast_2d(p))), mesh)
-    blocks = assemble_all(spec, mesh, data, 4)
+    blocks = assemble_all(spec, mesh, 4)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
-                          blocks.b_data, blocks.b_source)
+                          blocks.data_mass @ data.coefficients,
+                          blocks.b_source)
     sol = solve(system, mesh)
     assert np.abs(sol.u.coefficients).max() == 0.0
     assert np.abs(sol.z.coefficients).max() == 0.0
@@ -193,13 +197,15 @@ def test_solution_linear_in_source_and_data():
                                 f=lambda p: np.cos(np.atleast_2d(p)[:, 0]))
     d1 = interpolate(bump.value, mesh)
     d2 = interpolate(other, mesh)
-    b1 = assemble_all(case.spec, mesh, d1, 4)
-    b2 = assemble_all(spec2, mesh, d2, 4)
+    b1 = assemble_all(case.spec, mesh, 4)
+    b2 = assemble_all(spec2, mesh, 4)
+    load1 = b1.data_mass @ d1.coefficients
+    load2 = b1.data_mass @ d2.coefficients
     alpha = 0.75
-    sys1 = build_system(b1.pde, b1.primal, b1.dual, b1.b_data, b1.b_source)
-    sys2 = build_system(b1.pde, b1.primal, b1.dual, b2.b_data, b2.b_source)
+    sys1 = build_system(b1.pde, b1.primal, b1.dual, load1, b1.b_source)
+    sys2 = build_system(b1.pde, b1.primal, b1.dual, load2, b2.b_source)
     sys12 = build_system(b1.pde, b1.primal, b1.dual,
-                         alpha * b1.b_data + b2.b_data,
+                         alpha * load1 + load2,
                          alpha * b1.b_source + b2.b_source)
     sol1 = solve(sys1, mesh)
     sol2 = solve(sys2, mesh)
