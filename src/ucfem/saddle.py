@@ -13,21 +13,25 @@ exists once, in this natural (u, z) layout: SuperLU receives its CSR
 arrays as the CSC arrays of its transpose, which is the matrix itself,
 so no copy is made for it.  One loop tries two orderings: SuperLU's
 multiple minimum degree order of M^T + M without pivoting, then its
-COLAMD order with partial pivoting.  The first factors that pass the
-residual gate serve the solve and the condition estimate, which is
-given them and never factorizes; they are released when ``solve``
-returns.
+COLAMD order with partial pivoting.  On a large matrix the minimum
+degree starts from a reverse Cuthill-McKee numbering, which it needs a
+transient permuted copy for; its factors solve with M through that
+numbering.  The first factors that pass the residual gate serve the
+solve and the condition estimate, which is given them and never
+factorizes; they are released when ``solve`` returns.
 """
 
 from __future__ import annotations
 
 import ctypes
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .fem import FeFunction
@@ -89,9 +93,13 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     return SaddleSystem(mat, np.concatenate([b_data, b_source]), n)
 
 
-# factor inputs from this size on have the heap's free pages returned
-# first; below it (N < 90) assembly frees a few MB, which are cheaper to
-# keep than to fault back in
+# a large factor input: its matrix data take this many bytes or more,
+# from N=121 on (4,239,840 bytes; N=120 has 4,170,272).  A large input
+# has the heap's free pages returned before the factorization, and its
+# minimum degree starts from a reverse Cuthill-McKee numbering.  Below
+# it, assembly frees a few MB, which are cheaper to keep than to fault
+# back in, and the seeded numbering fills more on the smallest meshes
+# (x1.76 at N=8 for ex1-swirl)
 _TRIM_MIN_BYTES = 4 * 2**20
 
 
@@ -119,6 +127,24 @@ _SPLU_OPTIONS = {
                        "options": {"SymmetricMode": True}},
     "colamd": {},
 }
+
+
+@dataclass(frozen=True)
+class _SeededFactors:
+    """SuperLU factors of ``M[order][:, order]`` that solve with M."""
+
+    lu: spla.SuperLU
+    order: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.lu.nnz
+
+    def solve(self, b, trans="N"):
+        y = self.lu.solve(b[self.order], trans=trans)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
 
 @dataclass
@@ -161,11 +187,18 @@ def _gated_solve(system: SaddleSystem):
     order of M^T + M without pivoting, which the quasi-definite matrix
     admits in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995) but
     its badly conditioned blocks can break; then in COLAMD order with
-    partial pivoting.  An ordering that breaks down or misses the gate
-    gives way to the next, its factors released first.  Returns
-    (factors, x, diagnostics): the diagnostics name the ``ordering`` that
-    passed (``"minimum_degree"`` or ``"colamd"``), its fill ``lu_nnz``,
-    its ``refinement_steps`` and the ``residual_history`` of its refined
+    partial pivoting.  Minimum degree breaks ties by the input numbering,
+    so a large matrix (``_TRIM_MIN_BYTES``) is renumbered by reverse
+    Cuthill-McKee first: its permuted copy, formed before the heap trim
+    and dropped once ``splu`` returns or raises, fills about 12 % less at
+    N=256.  Those factors solve with M through the numbering, so the
+    refined solve, the gate and the condition estimate run on M; the
+    COLAMD fallback factors M itself.  An ordering that breaks down or
+    misses the gate gives way to the next, its factors released first.
+    Returns (factors, x, diagnostics): the diagnostics name the
+    ``ordering`` that passed (``"minimum_degree"``,
+    ``"rcm_minimum_degree"`` or ``"colamd"``), its fill ``lu_nnz``, its
+    ``refinement_steps`` and the ``residual_history`` of its refined
     solve, whose last entry is ``relative_residual``.
     """
     t0 = time.perf_counter()
@@ -173,19 +206,32 @@ def _gated_solve(system: SaddleSystem):
     if defect != 0.0:
         raise NumericalFailure(f"saddle matrix is not symmetric: "
                                f"symmetry defect {defect:.3e}")
+    seeded = None
     if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
+        order = csgraph.reverse_cuthill_mckee(system.matrix,
+                                              symmetric_mode=True)
+        seeded = system.matrix[order][:, order]
         _release_free_heap()
     t_factor, t_solve = time.perf_counter() - t0, 0.0
     for ordering in ("minimum_degree", "colamd"):
         lu = None  # release the factors that failed
         t0 = time.perf_counter()
         try:
-            lu = spla.splu(system.matrix.T, **_SPLU_OPTIONS[ordering])
+            if seeded is None:
+                lu = spla.splu(system.matrix.T, **_SPLU_OPTIONS[ordering])
+            else:
+                lu = _SeededFactors(
+                    spla.splu(seeded.T, **_SPLU_OPTIONS[ordering]), order)
+                ordering = "rcm_minimum_degree"
         except RuntimeError as exc:
+            # keep the cause, but not its frames' locals: they would
+            # keep the seeded copy alive under the next factorization
+            traceback.clear_frames(exc.__traceback__)
             failure = NumericalFailure(f"factorization failed: {exc}")
             failure.__cause__ = exc
             continue
         finally:
+            seeded = None  # only minimum degree is seeded
             t_factor += time.perf_counter() - t0
         t0 = time.perf_counter()
         x, history = _refined_solve(system, lu)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 import ucfem.saddle as saddle
@@ -377,6 +379,71 @@ def test_minimum_degree_matches_colamd(name):
     assert sol.diagnostics["lu_nnz"] < colamd.nnz
 
 
+def seed_every_factorization(monkeypatch):
+    """Count every system as a large factor input, so that minimum degree
+    starts from the reverse Cuthill-McKee numbering."""
+    monkeypatch.setattr(saddle, "_TRIM_MIN_BYTES", 0)
+
+
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+def test_seeded_minimum_degree_matches_natural_and_colamd(monkeypatch, name):
+    seed_every_factorization(monkeypatch)
+    _, mesh, _, system = case_system(name, n=8)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["ordering"] == "rcm_minimum_degree"
+    x = np.concatenate([sol.u.coefficients, sol.z.coefficients])
+    for lu in (factors(system), colamd_factors(system)):
+        ref = lu.solve(system.rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_seeded_condition_estimate_matches_natural_factors(monkeypatch):
+    seed_every_factorization(monkeypatch)
+    _, mesh, _, system = case_system("ex2-swirl", n=8)
+    sol = solve(system, mesh, cond="estimate")
+    assert sol.diagnostics["ordering"] == "rcm_minimum_degree"
+    ref = estimate_condition_number(system, factors(system))
+    assert sol.cond.iterations == ref.iterations
+    assert sol.cond.value == pytest.approx(ref.value, rel=1e-10)
+
+
+def test_seeded_breakdown_falls_back_to_the_natural_matrix(monkeypatch):
+    # minimum degree factors the permuted copy, which is dropped once splu
+    # raises; COLAMD then factors the system's own arrays
+    seed_every_factorization(monkeypatch)
+    _patched_pivot_free_splu(monkeypatch, pivot_free_breakdown)
+    _, mesh, _, system = case_system("ex1-swirl", n=8)
+    received, inputs, real = [], [], saddle.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        received.append((mat.format, mat.toarray(),
+                         np.shares_memory(mat.data, system.matrix.data),
+                         [ref() is not None for ref in inputs]))
+        inputs.append(weakref.ref(mat.data))
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", recording_splu)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["ordering"] == "colamd"
+    assert sol.diagnostics["relative_residual"] <= 1e-8
+    order = csgraph.reverse_cuthill_mckee(system.matrix, symmetric_mode=True)
+    natural = system.matrix.toarray()
+    (fmt, first, shared, _), (fmt2, second, shared2, alive) = received
+    assert np.array_equal(first, natural[np.ix_(order, order)])
+    assert fmt == "csc" and not shared
+    assert np.array_equal(second, natural)
+    assert fmt2 == "csc" and shared2
+    assert alive == [False]
+
+
+def test_seeded_minimum_degree_fills_less_on_a_large_input():
+    # N=128 lies above the large-input gate
+    _, mesh, _, system = case_system("ex1-swirl", n=128)
+    diag = solve(system, mesh).diagnostics
+    assert diag["ordering"] == "rcm_minimum_degree"
+    assert diag["lu_nnz"] < factors(system).nnz
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_nested_dissection_is_node_permutation(n):
     order = _nested_dissection(n)
@@ -421,7 +488,8 @@ def test_minimum_degree_fills_less_than_nested_dissection():
 
 @pytest.mark.parametrize("breakdown", [True, False])
 def test_splu_receives_the_stored_arrays(monkeypatch, breakdown):
-    # each ordering tried factors the system's own arrays, without a copy
+    # below the large-input gate, each ordering tried factors the system's
+    # own arrays, without a copy
     if breakdown:
         _patched_pivot_free_splu(monkeypatch, pivot_free_breakdown)
     received, real = [], saddle.spla.splu

@@ -68,6 +68,10 @@ def command_matrix() -> dict[str, list[str]]:
     runs["solve-ex2-swirl-cond-n6-12"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "6,12",
         "--cond", "estimate"]
+    # a factor input above saddle's large-input gate (N >= 121)
+    runs["solve-ex2-swirl-cond-n128"] = [
+        "solve", "--case", "ex2-swirl", "--ladder", "128",
+        "--cond", "estimate"]
     runs["condnum-ex1-const"] = [
         "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
         "--cond", "estimate"]
