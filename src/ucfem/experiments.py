@@ -299,8 +299,9 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
     The data are the nodal interpolant of the exact solution, perturbed by
     the case's noise model when it has one.  They enter only the data
     load, ``blocks.data_mass @ data.coefficients``: the blocks do not
-    depend on them.  The system keeps the natural (u, z) layout; SuperLU
-    chooses the order it is factorized in.
+    depend on them.  The system is stored in the reverse Cuthill-McKee
+    numbering that ``build_system`` gives it, which SuperLU's
+    fill-reducing order starts from.
     """
     mesh = build_unit_square_mesh(n_cells)
     data = interpolate(case.exact.value, mesh)
@@ -317,8 +318,9 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
 class Rung:
     """One solved ladder rung: what post-processing reads of it.
 
-    ``system`` is the saddle system as factorized; its
-    ``stabilizer_norms`` give s(e, e) and s_*(z, z) without the blocks.
+    ``system`` is the saddle system as factorized, in its stored
+    numbering; its ``stabilizer_norms`` take node vectors and give
+    s(e, e) and s_*(z, z) without the blocks.
     ``compare`` is what the ladder's ``compare(mesh)`` returned, computed
     before the factorization, or ``None``.
     """

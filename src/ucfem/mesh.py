@@ -266,7 +266,7 @@ def locate_points(mesh: Mesh, points):
     v = mesh.nodes[mesh.triangles[tri]]
     d1 = v[:, 1] - v[:, 0]
     d2 = v[:, 2] - v[:, 0]
-    r = pts - v[:, 0]
+    r = np.column_stack([x, y]) - v[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
     l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det

@@ -9,23 +9,23 @@ optimality system reads
 with S the primal stabilizer (data mass + jump penalty), A the PDE form
 and S_* the dual stabilizer.  The matrix M is symmetric (indefinite),
 bit for bit as assembled, and ``solve`` refuses one that is not.  It
-exists once, in this natural (u, z) layout: SuperLU receives its CSR
-arrays as the CSC arrays of its transpose, which is the matrix itself,
-so no copy is made for it.  One loop tries two orderings: SuperLU's
-multiple minimum degree order of M^T + M without pivoting, then its
-COLAMD order with partial pivoting.  On a large matrix the minimum
-degree starts from a reverse Cuthill-McKee numbering, which it needs a
-transient permuted copy for; its factors solve with M through that
-numbering.  The first factors that pass the residual gate serve the
-solve and the condition estimate, which is given them and never
-factorizes; they are released when ``solve`` returns.
+exists once, renumbered by reverse Cuthill-McKee when it is built:
+minimum degree breaks ties by the input numbering, and this one fills
+less on large meshes.  SuperLU receives its CSR arrays as the CSC arrays
+of its transpose, which is the matrix itself, so no copy is made for it.
+One loop tries two orderings: SuperLU's multiple minimum degree order of
+M^T + M without pivoting, then its COLAMD order with partial pivoting.
+The first factors that pass the residual gate serve the solve and the
+condition estimate, which is given them and never factorizes; they are
+released when ``solve`` returns.  Vectors move between the natural
+(u, z) numbering and the stored one only where they enter or leave:
+the solution, the stabilizer norms and the estimator's start vectors.
 """
 
 from __future__ import annotations
 
 import ctypes
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,11 +55,15 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class SaddleSystem:
-    """Symmetric block system M x = b, unknowns stacked (u, z)."""
+    """Symmetric block system M x = b, unknowns stacked (u, z), stored in
+    the numbering ``order``: entry i of ``rhs`` and row and column i of
+    ``matrix`` belong to unknown ``order[i]`` of the natural (u, z)
+    vector, so ``matrix`` is ``M[order][:, order]``."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n: int
+    order: np.ndarray
 
     def symmetry_defect(self) -> float:
         """Relative max-norm asymmetry of the assembled matrix; 0.0 when
@@ -74,14 +78,15 @@ class SaddleSystem:
         """(s(u, u)^(1/2), s_*(z, z)^(1/2)) for node values u and z, read
         from the matrix as [u; 0]^T M [u; 0] and -[0; z]^T M [0; z]."""
         zeros = np.zeros(self.n)
-        x = np.concatenate([u, zeros])
-        y = np.concatenate([zeros, z])
+        x = np.concatenate([u, zeros])[self.order]
+        y = np.concatenate([zeros, z])[self.order]
         return (float(np.sqrt(x @ (self.matrix @ x))),
                 float(np.sqrt(-(y @ (self.matrix @ y)))))
 
 
 def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
-    """Assemble the symmetric arrangement from the individual blocks."""
+    """Assemble the symmetric arrangement from the individual blocks and
+    store it in its reverse Cuthill-McKee numbering."""
     n = pde.shape[0]
     for name, block in (("pde", pde), ("primal", primal), ("dual", dual)):
         if block.shape != (n, n):
@@ -90,16 +95,17 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     if len(b_data) != n or len(b_source) != n:
         raise ValueError("right-hand side length mismatch")
     mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="csr")
-    return SaddleSystem(mat, np.concatenate([b_data, b_source]), n)
+    order = csgraph.reverse_cuthill_mckee(mat, symmetric_mode=True)
+    stored = mat[order][:, order]
+    stored.sort_indices()  # canonical: splu then leaves the arrays alone
+    rhs = np.concatenate([b_data, b_source])
+    return SaddleSystem(stored, rhs[order], n, order)
 
 
-# a large factor input: its matrix data take this many bytes or more,
-# from N=121 on (4,239,840 bytes; N=120 has 4,170,272).  A large input
-# has the heap's free pages returned before the factorization, and its
-# minimum degree starts from a reverse Cuthill-McKee numbering.  Below
-# it, assembly frees a few MB, which are cheaper to keep than to fault
-# back in, and the seeded numbering fills more on the smallest meshes
-# (x1.76 at N=8 for ex1-swirl)
+# factor inputs whose matrix data take this many bytes or more, from
+# N=121 on (4,239,840 bytes; N=120 has 4,170,272), have the heap's free
+# pages returned first; below it, assembly frees a few MB, which are
+# cheaper to keep than to fault back in
 _TRIM_MIN_BYTES = 4 * 2**20
 
 
@@ -127,24 +133,6 @@ _SPLU_OPTIONS = {
                        "options": {"SymmetricMode": True}},
     "colamd": {},
 }
-
-
-@dataclass(frozen=True)
-class _SeededFactors:
-    """SuperLU factors of ``M[order][:, order]`` that solve with M."""
-
-    lu: spla.SuperLU
-    order: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return self.lu.nnz
-
-    def solve(self, b, trans="N"):
-        y = self.lu.solve(b[self.order], trans=trans)
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
 
 
 @dataclass
@@ -187,51 +175,33 @@ def _gated_solve(system: SaddleSystem):
     order of M^T + M without pivoting, which the quasi-definite matrix
     admits in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995) but
     its badly conditioned blocks can break; then in COLAMD order with
-    partial pivoting.  Minimum degree breaks ties by the input numbering,
-    so a large matrix (``_TRIM_MIN_BYTES``) is renumbered by reverse
-    Cuthill-McKee first: its permuted copy, formed before the heap trim
-    and dropped once ``splu`` returns or raises, fills about 12 % less at
-    N=256.  Those factors solve with M through the numbering, so the
-    refined solve, the gate and the condition estimate run on M; the
-    COLAMD fallback factors M itself.  An ordering that breaks down or
-    misses the gate gives way to the next, its factors released first.
-    Returns (factors, x, diagnostics): the diagnostics name the
-    ``ordering`` that passed (``"minimum_degree"``,
-    ``"rcm_minimum_degree"`` or ``"colamd"``), its fill ``lu_nnz``, its
-    ``refinement_steps`` and the ``residual_history`` of its refined
-    solve, whose last entry is ``relative_residual``.
+    partial pivoting.  Both factor the stored matrix, in the numbering
+    ``build_system`` gave it, and x is in that numbering too.  An ordering
+    that breaks down or misses the gate gives way to the next, its
+    factors released first.  Returns (factors, x, diagnostics): the
+    diagnostics name the ``ordering`` that passed (``"minimum_degree"``
+    or ``"colamd"``), its fill ``lu_nnz``, its ``refinement_steps`` and
+    the ``residual_history`` of its refined solve, whose last entry is
+    ``relative_residual``.
     """
     t0 = time.perf_counter()
     defect = system.symmetry_defect()
     if defect != 0.0:
         raise NumericalFailure(f"saddle matrix is not symmetric: "
                                f"symmetry defect {defect:.3e}")
-    seeded = None
     if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
-        order = csgraph.reverse_cuthill_mckee(system.matrix,
-                                              symmetric_mode=True)
-        seeded = system.matrix[order][:, order]
         _release_free_heap()
     t_factor, t_solve = time.perf_counter() - t0, 0.0
     for ordering in ("minimum_degree", "colamd"):
         lu = None  # release the factors that failed
         t0 = time.perf_counter()
         try:
-            if seeded is None:
-                lu = spla.splu(system.matrix.T, **_SPLU_OPTIONS[ordering])
-            else:
-                lu = _SeededFactors(
-                    spla.splu(seeded.T, **_SPLU_OPTIONS[ordering]), order)
-                ordering = "rcm_minimum_degree"
+            lu = spla.splu(system.matrix.T, **_SPLU_OPTIONS[ordering])
         except RuntimeError as exc:
-            # keep the cause, but not its frames' locals: they would
-            # keep the seeded copy alive under the next factorization
-            traceback.clear_frames(exc.__traceback__)
             failure = NumericalFailure(f"factorization failed: {exc}")
             failure.__cause__ = exc
             continue
         finally:
-            seeded = None  # only minimum degree is seeded
             t_factor += time.perf_counter() - t0
         t0 = time.perf_counter()
         x, history = _refined_solve(system, lu)
@@ -272,7 +242,9 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
         _check_estimator(cond_tol, cond_max_iter)
     elif cond == "exact":
         _check_dense(system.matrix.shape[0])
-    lu, x, stats = _gated_solve(system)
+    lu, stored_x, stats = _gated_solve(system)
+    x = np.empty_like(stored_x)
+    x[system.order] = stored_x
     diagnostics = {"dimension": 2 * system.n,
                    "nnz": int(system.matrix.nnz), **stats}
     kappa = None
@@ -373,19 +345,22 @@ def estimate_condition_number(system: SaddleSystem, lu: spla.SuperLU,
 
     The largest singular value comes from power iteration on M^T M, run
     on the matrix and its transposed view, the smallest from inverse
-    iteration through ``lu``, sparse LU factors of the matrix (``solve``
-    passes those that passed its residual gate).  Both start vectors are
-    drawn from a generator seeded with 0.  ``tol`` is the relative change
-    between iterates that counts as converged, in (0, 1), and ``max_iter``
-    >= 1 caps each iteration.  Hitting the cap leaves ``converged`` False;
-    ``bracket`` then shows how far the last two iterates were apart.
+    iteration through ``lu``, sparse LU factors of the stored matrix
+    (``solve`` passes those that passed its residual gate).  Both start
+    vectors are drawn in the natural (u, z) numbering from a generator
+    seeded with 0 and then renumbered like the matrix, so the iterates
+    do not depend on the stored numbering but for rounding.  ``tol`` is
+    the relative change between iterates that counts as converged, in
+    (0, 1), and ``max_iter`` >= 1 caps each iteration.  Hitting the cap
+    leaves ``converged`` False; ``bracket`` then shows how far the last
+    two iterates were apart.
     """
     _check_estimator(tol, max_iter)
     rng = np.random.default_rng(0)
     starts = []
     for _ in range(2):
         v = rng.standard_normal(system.matrix.shape[0])
-        starts.append(v / np.linalg.norm(v))
+        starts.append(v[system.order] / np.linalg.norm(v))
     smax, smax_prev, it_max, ok_max = _power_sigma_max(
         system.matrix, starts[0], tol, max_iter)
     smin, smin_prev, it_min, ok_min = _inverse_sigma_min(

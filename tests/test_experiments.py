@@ -228,7 +228,7 @@ def test_discretize_matches_the_pipeline_written_out(name):
 
 def test_noisy_variants_share_the_matrix_and_differ_in_the_data_load():
     # the data enter only the right-hand side, as data_mass @ c
-    matrices, loads = [], []
+    systems, loads = [], []
     for name in ("ex1-const", "ex1-const-noise-h", "ex1-const-noise-sqrt"):
         case = get_case(name)
         mesh, blocks, system = discretize(case, 16)
@@ -236,14 +236,18 @@ def test_noisy_variants_share_the_matrix_and_differ_in_the_data_load():
         if case.noise is not None:
             data = apply_noise(data, case.noise, case.spec.omega,
                                mesh_size(mesh))
-        assert np.array_equal(system.rhs[:system.n],
+        # the natural (u, z) right-hand side, read through the numbering
+        rhs = np.empty_like(system.rhs)
+        rhs[system.order] = system.rhs
+        assert np.array_equal(rhs[:system.n],
                               blocks.data_mass @ data.coefficients)
-        matrices.append(system.matrix)
-        loads.append(system.rhs[:system.n])
-    for mat in matrices[1:]:
+        systems.append(system)
+        loads.append(rhs[:system.n])
+    for other in systems[1:]:
+        assert np.array_equal(other.order, systems[0].order)
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(mat, part),
-                                  getattr(matrices[0], part))
+            assert np.array_equal(getattr(other.matrix, part),
+                                  getattr(systems[0].matrix, part))
     assert not np.array_equal(loads[1], loads[0])
     assert not np.array_equal(loads[2], loads[1])
 

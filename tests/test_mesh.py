@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ucfem.fem import interpolate
 from ucfem.mesh import (Mesh, Region, UNIT_SQUARE, build_unit_square_mesh,
                         locate_points, mesh_size)
 
@@ -122,6 +123,21 @@ def test_locate_points_reproduces_barycentric_interpolation():
     assert np.allclose(bary.sum(axis=1), 1.0)
     rebuilt = np.einsum("pk,pkd->pd", bary, mesh.nodes[mesh.triangles[tris]])
     assert np.allclose(rebuilt, pts, atol=1e-12)
+
+
+def test_locate_points_clips_to_the_unit_square():
+    # a point outside the square is located at its clipped image, so a P1
+    # function takes its boundary value there and does not extrapolate
+    mesh = build_unit_square_mesh(4)
+    fe = interpolate(lambda p: np.atleast_2d(p)[:, 0], mesh)
+    assert fe(np.array([[1.1, 0.5]]))[0] == pytest.approx(1.0, abs=1e-14)
+    outside = np.array([[1.1, 0.5], [-0.3, 0.2], [0.7, 1.4], [0.4, -2.0],
+                        [-1.0, -1.0], [2.0, 1.5]])
+    tris, bary = locate_points(mesh, outside)
+    clipped_tris, clipped_bary = locate_points(mesh, np.clip(outside, 0, 1))
+    assert np.array_equal(tris, clipped_tris)
+    assert np.array_equal(bary, clipped_bary)
+    assert np.all(bary >= -1e-12)
 
 
 def test_region_contains_and_area():

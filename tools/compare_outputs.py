@@ -26,6 +26,11 @@ double-precision epsilon (2.2e-16) count as equal.  The solver's relative
 residual (also each entry of its refinement history) and symmetry defect
 are relative errors of rounding size, which reordering a sum moves by a
 relative O(1); for them ``R`` bounds the absolute difference.
+
+Under each differing ``.json`` output, every key whose value moved is
+printed with the revision's value and the working tree's, so that a
+field that changes by design (``ordering``, ``lu_nnz``) can be told from
+a number that moved.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def command_matrix() -> dict[str, list[str]]:
     runs["solve-ex2-swirl-cond-n6-12"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "6,12",
         "--cond", "estimate"]
-    # a factor input above saddle's large-input gate (N >= 121)
+    # a factor input above saddle's heap-trim size (N >= 121)
     runs["solve-ex2-swirl-cond-n128"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "128",
         "--cond", "estimate"]
@@ -199,6 +204,39 @@ def max_csv_diff(a: bytes, b: bytes) -> float:
     return worst
 
 
+def _same(x, y) -> bool:
+    """Whether two JSON values are equal, NaN equal to NaN."""
+    return x == y or (isinstance(x, float) and isinstance(y, float)
+                      and math.isnan(x) and math.isnan(y))
+
+
+def json_changes(a: bytes, b: bytes) -> list[str]:
+    """``key: old -> new`` for each value that differs between two JSON
+    texts, nested keys joined by dots and list entries indexed; empty
+    when either text is not JSON."""
+    try:
+        old, new = json.loads(a), json.loads(b)
+    except ValueError:
+        return []
+    changes = []
+
+    def walk(path, x, y):
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(x.keys() | y.keys()):
+                walk(f"{path}.{key}" if path else key,
+                     x.get(key, "<absent>"), y.get(key, "<absent>"))
+        elif isinstance(x, list) and isinstance(y, list) \
+                and len(x) == len(y):
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(f"{path}[{i}]", u, v)
+        elif not _same(x, y):
+            changes.append(f"{path or '<top level>'}: {json.dumps(x)} -> "
+                           f"{json.dumps(y)}")
+
+    walk("", old, new)
+    return changes
+
+
 def differences(a: Path, b: Path, rtol: float | None):
     """Report lines for outputs that differ, and how many of them fail:
     all of them, or those beyond ``rtol`` when it is given."""
@@ -212,14 +250,20 @@ def differences(a: Path, b: Path, rtol: float | None):
             report.append(f"only in revision: {rel}")
         elif filecmp.cmp(a / rel, b / rel, shallow=False):
             continue
-        elif rtol is None:
-            report.append(f"differs: {rel}")
         else:
-            measure = max_csv_diff if rel.suffix == ".csv" else max_rel_diff
-            worst = measure((a / rel).read_bytes(), (b / rel).read_bytes())
-            verdict = "within" if worst <= rtol else "differs:"
-            report.append(f"{verdict} {rel}  max diff {worst:.3e}")
-    return report, sum(not line.startswith("within") for line in report)
+            old, new = (a / rel).read_bytes(), (b / rel).read_bytes()
+            if rtol is None:
+                report.append(f"differs: {rel}")
+            else:
+                measure = max_csv_diff if rel.suffix == ".csv" \
+                    else max_rel_diff
+                worst = measure(old, new)
+                verdict = "within" if worst <= rtol else "differs:"
+                report.append(f"{verdict} {rel}  max diff {worst:.3e}")
+            if rel.suffix == ".json":
+                report += [f"    {line}" for line in json_changes(old, new)]
+    failed = sum(line.startswith(("differs", "only")) for line in report)
+    return report, failed
 
 
 def main(argv: list[str]) -> int:
