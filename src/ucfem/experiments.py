@@ -299,9 +299,9 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
     The data are the nodal interpolant of the exact solution, perturbed by
     the case's noise model when it has one.  They enter only the data
     load, ``blocks.data_mass @ data.coefficients``: the blocks do not
-    depend on them.  The system is stored in the reverse Cuthill-McKee
-    numbering that ``build_system`` gives it, which SuperLU's
-    fill-reducing order starts from.
+    depend on them.  The system is stored in the elimination order that
+    ``build_system`` computes on the mesh nodes, which ``solve`` factors
+    as it stands.
     """
     mesh = build_unit_square_mesh(n_cells)
     data = interpolate(case.exact.value, mesh)

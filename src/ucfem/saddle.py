@@ -9,17 +9,22 @@ optimality system reads
 with S the primal stabilizer (data mass + jump penalty), A the PDE form
 and S_* the dual stabilizer.  The matrix M is symmetric (indefinite),
 bit for bit as assembled, and ``solve`` refuses one that is not.  It
-exists once, renumbered by reverse Cuthill-McKee when it is built:
-minimum degree breaks ties by the input numbering, and this one fills
-less on large meshes.  SuperLU receives its CSR arrays as the CSC arrays
-of its transpose, which is the matrix itself, so no copy is made for it.
-One loop tries two orderings: SuperLU's multiple minimum degree order of
-M^T + M without pivoting, then its COLAMD order with partial pivoting.
-The first factors that pass the residual gate serve the solve and the
-condition estimate, which is given them and never factorizes; they are
-released when ``solve`` returns.  Vectors move between the natural
-(u, z) numbering and the stored one only where they enter or leave:
-the solution, the stabilizer norms and the estimator's start vectors.
+exists once, stored in its elimination order, which ``build_system``
+computes on the mesh nodes rather than on the unknowns: u and z live on
+the same nodes, so SuperLU's multiple minimum degree orders the graph of
+M folded onto the nodes, started from that graph's reverse Cuthill-McKee
+numbering (minimum degree breaks ties by the input numbering), and each
+node's u and z follow each other.  The ordering runs before ``solve``
+returns the C heap's free pages, so its work arrays do not stay resident
+under the factors.  SuperLU receives the stored CSR arrays as the CSC
+arrays of its transpose, which is the matrix itself, so no copy is made
+for it.  One loop tries two factorizations: the stored order without
+pivoting, then SuperLU's COLAMD order with partial pivoting.  The first
+factors that pass the residual gate serve the solve and the condition
+estimate, which is given them and never factorizes; they are released
+when ``solve`` returns.  Vectors move between the natural (u, z)
+numbering and the stored one only where they enter or leave: the
+solution, the stabilizer norms and the estimator's start vectors.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class SaddleSystem:
     """Symmetric block system M x = b, unknowns stacked (u, z), stored in
     the numbering ``order``: entry i of ``rhs`` and row and column i of
     ``matrix`` belong to unknown ``order[i]`` of the natural (u, z)
-    vector, so ``matrix`` is ``M[order][:, order]``."""
+    vector, so ``matrix`` is ``M[order][:, order]``.  ``build_system``
+    makes ``order`` the elimination order of the factorization."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -84,9 +90,51 @@ class SaddleSystem:
                 float(np.sqrt(-(y @ (self.matrix @ y)))))
 
 
+def _node_graph(mat: sp.csr_matrix, n: int) -> sp.csr_matrix:
+    """The stored pattern of ``mat``, 2n by 2n, folded onto the n mesh
+    nodes: entry (i, j) becomes (i mod n, j mod n), symmetrized, with unit
+    off-diagonals and a diagonal of the row's off-diagonal count plus
+    one, so that no pivot of its factorization vanishes."""
+    columns_folded = sp.csr_matrix(
+        (np.ones(mat.nnz), mat.indices % n, mat.indptr), shape=(2 * n, n))
+    graph = (columns_folded[:n] + columns_folded[n:]
+             + sp.identity(n, format="csr"))
+    graph = graph + graph.T
+    graph.data[:] = 1.0
+    graph.setdiag(np.diff(graph.indptr))  # each row holds its diagonal
+    return graph
+
+
+def _node_order(mat: sp.csr_matrix, n: int) -> np.ndarray:
+    """Elimination order of the mesh nodes: SuperLU's multiple minimum
+    degree on the node graph of ``mat``, started from the graph's reverse
+    Cuthill-McKee numbering.
+
+    ``spilu`` with every off-diagonal dropped is the one call through
+    which scipy returns SuperLU's ordering (as ``perm_c``, the position
+    of each column) without a full factorization.
+    """
+    graph = _node_graph(mat, n)
+    rcm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+    seeded = graph[rcm][:, rcm]
+    # the graph is symmetric, so its CSC view .T is the graph itself
+    ilu = spla.spilu(seeded.T, permc_spec="MMD_AT_PLUS_A",
+                     drop_tol=np.inf, diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+    return rcm[np.argsort(ilu.perm_c)]
+
+
 def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     """Assemble the symmetric arrangement from the individual blocks and
-    store it in its reverse Cuthill-McKee numbering."""
+    store it in its elimination order.
+
+    The order is computed on the n mesh nodes (``_node_order``), not on
+    the 2n unknowns, and each node's u and z sit side by side in it:
+    ``order[0::2]`` is the node order and ``order[1::2]`` is
+    ``order[0::2] + n``.  The quasi-definite matrix can be factored
+    without pivoting in any symmetric order (Vanderbei, SIAM J. Optim. 5,
+    1995), so ``solve`` factors the stored matrix in this order as it is.
+    """
     n = pde.shape[0]
     for name, block in (("pde", pde), ("primal", primal), ("dual", dual)):
         if block.shape != (n, n):
@@ -95,7 +143,9 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     if len(b_data) != n or len(b_source) != n:
         raise ValueError("right-hand side length mismatch")
     mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="csr")
-    order = csgraph.reverse_cuthill_mckee(mat, symmetric_mode=True)
+    nodes = _node_order(mat, n)
+    order = np.empty(2 * n, dtype=nodes.dtype)
+    order[0::2], order[1::2] = nodes, nodes + n
     stored = mat[order][:, order]
     stored.sort_indices()  # canonical: splu then leaves the arrays alone
     rhs = np.concatenate([b_data, b_source])
@@ -104,8 +154,9 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
 
 # factor inputs whose matrix data take this many bytes or more, from
 # N=121 on (4,239,840 bytes; N=120 has 4,170,272), have the heap's free
-# pages returned first; below it, assembly frees a few MB, which are
-# cheaper to keep than to fault back in
+# pages returned first: what assembly and build_system's node ordering
+# freed; below it those are a few MB, cheaper to keep than to fault back
+# in
 _TRIM_MIN_BYTES = 4 * 2**20
 
 
@@ -125,10 +176,12 @@ def _release_free_heap():
     trim(0)
 
 
-# SuperLU options: minimum degree on M^T + M and no pivoting, or COLAMD
-# and pivoting
+# SuperLU options: the stored order (the minimum degree order of
+# build_system) and no pivoting, or COLAMD and pivoting.  Minimum degree
+# must not run again on the stored numbering, where it fills far more
+# (ex1-swirl N=256: 62.0M L+U entries against 37.2M)
 _SPLU_OPTIONS = {
-    "minimum_degree": {"permc_spec": "MMD_AT_PLUS_A",
+    "minimum_degree": {"permc_spec": "NATURAL",
                        "diag_pivot_thresh": 0.0,
                        "options": {"SymmetricMode": True}},
     "colamd": {},
@@ -170,19 +223,19 @@ def _gated_solve(system: SaddleSystem):
 
     A matrix that is not symmetric bit for bit raises NumericalFailure
     unfactorized; a large one first has the C heap's free pages returned,
-    so that what assembly freed does not stay resident under the factors.
-    The matrix is first factorized in SuperLU's multiple minimum degree
-    order of M^T + M without pivoting, which the quasi-definite matrix
-    admits in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995) but
-    its badly conditioned blocks can break; then in COLAMD order with
-    partial pivoting.  Both factor the stored matrix, in the numbering
-    ``build_system`` gave it, and x is in that numbering too.  An ordering
-    that breaks down or misses the gate gives way to the next, its
-    factors released first.  Returns (factors, x, diagnostics): the
-    diagnostics name the ``ordering`` that passed (``"minimum_degree"``
-    or ``"colamd"``), its fill ``lu_nnz``, its ``refinement_steps`` and
-    the ``residual_history`` of its refined solve, whose last entry is
-    ``relative_residual``.
+    so that what assembly and the ordering in ``build_system`` freed does
+    not stay resident under the factors.  The matrix is first factorized
+    as stored, in the minimum degree order that ``build_system`` gave it
+    (SuperLU's ``NATURAL`` column order), without pivoting, which the
+    quasi-definite matrix admits in any symmetric order (Vanderbei, SIAM
+    J. Optim. 5, 1995) but its badly conditioned blocks can break; then in
+    COLAMD order with partial pivoting.  Both factor the stored matrix,
+    and x is in its numbering too.  An ordering that breaks down or misses
+    the gate gives way to the next, its factors released first.  Returns
+    (factors, x, diagnostics): the diagnostics name the ``ordering`` that
+    passed (``"minimum_degree"`` or ``"colamd"``), its fill ``lu_nnz``,
+    its ``refinement_steps`` and the ``residual_history`` of its refined
+    solve, whose last entry is ``relative_residual``.
     """
     t0 = time.perf_counter()
     defect = system.symmetry_defect()
@@ -227,7 +280,9 @@ def solve(system: SaddleSystem, mesh: Mesh, cond: str = "none",
 
     The factors must pass the 1e-8 relative-residual gate; see
     ``_gated_solve`` for the orderings tried and when NumericalFailure is
-    raised.  ``factor_seconds`` covers the symmetry check and every try.
+    raised.  ``factor_seconds`` covers the symmetry check, the heap trim
+    and every try; the fill-reducing ordering is part of
+    ``build_system``.
 
     ``cond`` adds the condition number as ``Solution.cond``: 'exact' by
     dense SVD, 'estimate' by ``estimate_condition_number`` (with

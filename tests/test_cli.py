@@ -335,7 +335,7 @@ def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
     calls = _count_splu(monkeypatch)
     assert main(["solve", "--case", "ex2-swirl", "--ladder", "4,8",
                  "--cond", "estimate", "--out", str(tmp_path)]) == 0
-    assert calls == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    assert calls == ["NATURAL", "NATURAL"]
     diag = json.loads((tmp_path / "diagnostics_N8.json").read_text())
     assert diag["cond"] > 1.0 and diag["ordering"] == "minimum_degree"
 
@@ -357,7 +357,7 @@ def test_condnum_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
     calls = _count_splu(monkeypatch)
     assert main(["condnum", "--case", "ex1-const-noise-h", "--ladder", "4,8",
                  "--cond", "estimate", "--out", str(tmp_path)]) == 0
-    assert calls == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    assert calls == ["NATURAL", "NATURAL"]
     summary = json.loads((tmp_path / "condition.json").read_text())
     assert all(row["converged"] for row in summary["rows"])
 
@@ -388,7 +388,7 @@ def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
     missed = tmp_path / "missed"
     assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
                  "--out", str(missed)]) == 0
-    assert [spec for spec, _ in made] == ["MMD_AT_PLUS_A", None]
+    assert [spec for spec, _ in made] == ["NATURAL", None]
     assert len(received) == 1 and received[0] is made[-1][1]
     cond = [json.loads((d / "condition.json").read_text())["rows"][0]["cond"]
             for d in (clean, missed)]

@@ -342,7 +342,7 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     case = get_case("ex2-swirl")
     table = run_case(case, ladder=(8,), cond="estimate")
     solutions = [sol for _, sol in solved]
-    assert calls == ["MMD_AT_PLUS_A"]
+    assert calls == ["NATURAL"]
     assert solutions[0].diagnostics["ordering"] == "minimum_degree"
     assert table.rows[0].cond == solutions[0].cond.value
     exact = run_case(case, ladder=(8,), cond="exact").rows[0].cond

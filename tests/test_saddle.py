@@ -22,15 +22,24 @@ from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
 
 from test_forms import pde_load_from_field
 
-# SuperLU's pivot-free factorization in minimum-degree order, as solve
-# first tries it
-PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+# SuperLU's pivot-free factorization in the stored order, as solve first
+# tries it
+PIVOT_FREE = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
+# SuperLU's own pivot-free minimum degree order of M^T + M: the reference
+# on the natural numbering
+MINIMUM_DEGREE = dict(PIVOT_FREE, permc_spec="MMD_AT_PLUS_A")
 
 
 def factors(system):
     """Sparse LU factors of a system's matrix, as solve first tries them."""
     return spla.splu(system.matrix.tocsc(), **PIVOT_FREE)
+
+
+def minimum_degree_factors(system):
+    """Pivot-free sparse LU factors of a system's matrix in SuperLU's
+    minimum degree order."""
+    return spla.splu(system.matrix.tocsc(), **MINIMUM_DEGREE)
 
 
 def colamd_factors(system):
@@ -88,6 +97,28 @@ def natural_system(blocks, system):
                         np.arange(2 * system.n))
 
 
+def node_order(natural, n):
+    """The node elimination order that the stored numbering should hold,
+    from a natural-numbered matrix: its stored pattern summed over the
+    four (u, z) blocks, diagonal set to the off-diagonal count plus one,
+    ordered by SuperLU's minimum degree from its reverse Cuthill-McKee
+    numbering."""
+    pattern = natural.copy()
+    pattern.data[:] = 1.0
+    nodes = (pattern[:n, :n] + pattern[:n, n:] + pattern[n:, :n]
+             + pattern[n:, n:]).tolil()
+    nodes.setdiag(0.0)
+    nodes = nodes.tocsr()
+    nodes.eliminate_zeros()
+    nodes.data[:] = 1.0
+    nodes = (nodes + sp.diags(np.diff(nodes.indptr) + 1.0)).tocsc()
+    rcm = csgraph.reverse_cuthill_mckee(nodes, symmetric_mode=True)
+    ilu = spla.spilu(nodes[rcm][:, rcm], permc_spec="MMD_AT_PLUS_A",
+                     drop_tol=np.inf, diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+    return rcm[np.argsort(ilu.perm_c)]
+
+
 def case_system(name="ex1-const", n=8, data_fn=None, spec=None, degree=4):
     """A case's blocks and saddle system at N=n and quadrature ``degree``,
     the data load formed as ``data_mass @ c``."""
@@ -108,10 +139,11 @@ def test_block_arrangement():
     case, mesh, blocks, system = case_system(n=4)
     data = interpolate(case.exact.value, mesh)
     n = system.n
-    # stored in the reverse Cuthill-McKee numbering of the natural matrix
+    # stored in the minimum degree order of the natural matrix's node
+    # graph, u and z of each node side by side
     ref = natural_system(blocks, system)
-    assert np.array_equal(system.order, csgraph.reverse_cuthill_mckee(
-        ref.matrix, symmetric_mode=True))
+    assert np.array_equal(system.order[0::2], node_order(ref.matrix, n))
+    assert np.array_equal(system.order[1::2], system.order[0::2] + n)
     assert system.matrix.has_canonical_format
     back = natural_index(system)
     mat = system.matrix[back][:, back]
@@ -122,6 +154,76 @@ def test_block_arrangement():
     rhs = system.rhs[back]
     assert np.array_equal(rhs[:n], blocks.data_mass @ data.coefficients)
     assert np.array_equal(rhs[n:], blocks.b_source)
+
+
+def assert_node_graph_covers(natural, system):
+    """The node graph that ``build_system`` orders holds every stored
+    entry (i, j) of the natural matrix as (i mod n, j mod n), and so every
+    stored entry of the stored matrix; it is symmetric, with unit
+    off-diagonals and the off-diagonal count plus one on the diagonal."""
+    n = system.n
+    graph = saddle._node_graph(natural, n)
+    assert graph.shape == (n, n)
+    dense = graph.toarray()
+    coo = natural.tocoo()
+    assert np.all(dense[coo.row % n, coo.col % n] > 0)
+    stored = system.matrix.tocoo()
+    assert np.all(dense[system.order[stored.row] % n,
+                        system.order[stored.col] % n] > 0)
+    assert abs(graph - graph.T).nnz == 0
+    off = (graph - sp.diags(graph.diagonal())).tocsr()
+    off.eliminate_zeros()
+    assert np.all(off.data == 1.0)
+    assert np.array_equal(graph.diagonal(), np.diff(off.indptr) + 1.0)
+
+
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+def test_node_graph_covers_every_stored_entry(name):
+    _, _, blocks, system = case_system(name, n=8)
+    assert_node_graph_covers(natural_system(blocks, system).matrix, system)
+
+
+def test_node_graph_of_the_zero_system_is_its_diagonal():
+    zero = sp.csr_matrix(np.zeros((4, 4)))
+    system = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
+    natural = sp.bmat([[zero, zero], [zero, -zero]], format="csr")
+    assert_node_graph_covers(natural, system)
+    assert np.array_equal(saddle._node_graph(natural, 4).toarray(),
+                          np.eye(4))
+
+
+@pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
+def test_u_and_z_of_each_node_sit_side_by_side(name):
+    _, _, _, system = case_system(name, n=8)
+    n = system.n
+    assert np.array_equal(np.sort(system.order), np.arange(2 * n))
+    assert np.array_equal(system.order[1::2], system.order[0::2] + n)
+
+
+def test_const_and_swirl_share_the_node_order():
+    # their matrices fold onto the same node graph, so one order serves
+    # both, with the same fill
+    (_, mesh, _, const), (_, _, _, swirl) = (
+        case_system(name, n=16) for name in ("ex1-const", "ex1-swirl"))
+    assert np.array_equal(const.order, swirl.order)
+    assert solve(const, mesh).diagnostics["lu_nnz"] \
+        == solve(swirl, mesh).diagnostics["lu_nnz"]
+
+
+def test_node_order_fills_no_more_than_the_order_of_the_unknowns():
+    # 1,438,642 entries: minimum degree of the 2n unknowns, started from
+    # their reverse Cuthill-McKee numbering
+    _, mesh, _, system = case_system("ex1-swirl", n=64)
+    diag = solve(system, mesh).diagnostics
+    assert diag["ordering"] == "minimum_degree"
+    assert diag["lu_nnz"] <= 1_438_642
+
+
+def test_node_order_solves_without_refinement():
+    _, mesh, _, system = case_system("ex1-const", n=64)
+    diag = solve(system, mesh).diagnostics
+    assert diag["ordering"] == "minimum_degree"
+    assert diag["refinement_steps"] == 0
 
 
 @pytest.mark.parametrize("name", ["ex1-const", "ex1-swirl", "ex3-swirl"])
@@ -401,25 +503,25 @@ def test_minimum_degree_matches_colamd(name):
     for got, want in ((sol.u.coefficients, ref[:n]),
                       (sol.z.coefficients, ref[n:])):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    # the reverse Cuthill-McKee numbering costs minimum degree fill on the
-    # small swirl meshes (12,262 entries against 6,958 in the natural
-    # numbering and about 10,000 for COLAMD); elsewhere it fills less
-    natural = factors(natural_system(blocks, system)).nnz
+    # the node order fills less than COLAMD on every case here, but more
+    # than minimum degree of the natural numbering (8,356 entries against
+    # 6,958 on the swirl cases, 7,566 on the others), boundedly so
+    natural = minimum_degree_factors(natural_system(blocks, system)).nnz
     assert sol.diagnostics["lu_nnz"] <= 2 * natural
-    if "swirl" not in name:
-        assert sol.diagnostics["lu_nnz"] < colamd.nnz
+    assert sol.diagnostics["lu_nnz"] < colamd.nnz
 
 
 @pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
 def test_seeded_minimum_degree_matches_natural_and_colamd(name):
-    # minimum degree seeded by the stored, reverse Cuthill-McKee numbering
-    # against both factorizations of the natural numbering
+    # the stored minimum degree order of the node graph against minimum
+    # degree and COLAMD on the natural numbering
     _, mesh, blocks, system = case_system(name, n=8)
     sol = solve(system, mesh)
     assert sol.diagnostics["ordering"] == "minimum_degree"
     x = np.concatenate([sol.u.coefficients, sol.z.coefficients])
     ref_system = natural_system(blocks, system)
-    for lu in (factors(ref_system), colamd_factors(ref_system)):
+    for lu in (minimum_degree_factors(ref_system),
+               colamd_factors(ref_system)):
         ref = lu.solve(ref_system.rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -431,7 +533,8 @@ def test_seeded_condition_estimate_matches_natural_factors():
     sol = solve(system, mesh, cond="estimate")
     assert sol.diagnostics["ordering"] == "minimum_degree"
     ref_system = natural_system(blocks, system)
-    ref = estimate_condition_number(ref_system, factors(ref_system))
+    ref = estimate_condition_number(ref_system,
+                                    minimum_degree_factors(ref_system))
     assert sol.cond.iterations == ref.iterations
     assert sol.cond.value == pytest.approx(ref.value, rel=1e-10)
 
@@ -466,7 +569,8 @@ def test_seeded_minimum_degree_fills_less_on_a_large_input():
     _, mesh, blocks, system = case_system("ex1-swirl", n=128)
     diag = solve(system, mesh).diagnostics
     assert diag["ordering"] == "minimum_degree"
-    assert diag["lu_nnz"] < factors(natural_system(blocks, system)).nnz
+    assert diag["lu_nnz"] < minimum_degree_factors(
+        natural_system(blocks, system)).nnz
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -507,7 +611,7 @@ def test_minimum_degree_fills_less_than_nested_dissection():
     perm = np.column_stack([order, order + system.n]).ravel()
     natural = natural_system(blocks, system).matrix
     nd = spla.splu(natural[perm][:, perm].tocsc(),
-                   **dict(PIVOT_FREE, permc_spec="NATURAL"))
+                   **PIVOT_FREE)
     diag = solve(system, mesh).diagnostics
     assert diag["ordering"] == "minimum_degree"
     assert diag["lu_nnz"] < nd.nnz
@@ -623,10 +727,11 @@ def test_estimate_reuses_passed_factorization():
     assert (passed.value, passed.iterations) == (own.value, own.iterations)
     colamd = colamd_factors(system)
     other = estimate_condition_number(system, colamd)
-    # a different factorization, filling more than COLAMD on this small
-    # swirl mesh (12,262 against 10,096 entries) but boundedly so
-    assert colamd.nnz < pivot_free.nnz
-    assert pivot_free.nnz <= 2 * factors(natural_system(blocks, system)).nnz
+    # a different factorization, filling more than the pivot-free one
+    # (9,836 against 8,356 entries on this small swirl mesh)
+    assert pivot_free.nnz < colamd.nnz
+    assert pivot_free.nnz <= 2 * minimum_degree_factors(
+        natural_system(blocks, system)).nnz
     assert other.iterations == own.iterations
     assert other.value == pytest.approx(own.value, rel=1e-8)
 
@@ -693,8 +798,8 @@ def test_singular_matrix_on_matching_mesh_raises():
 
 
 def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
-    # the pivot-free factorization in minimum-degree order is tried first,
-    # and the COLAMD fallback must fail too
+    # the pivot-free factorization in the stored order is tried first, and
+    # the COLAMD fallback must fail too
     calls = []
     real = saddle.spla.splu
 
@@ -707,4 +812,4 @@ def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
     bad = build_system(zero, zero, zero, np.zeros(4), np.zeros(4))
     with pytest.raises(NumericalFailure, match="factorization failed"):
         solve(bad, build_unit_square_mesh(1))
-    assert calls == ["MMD_AT_PLUS_A", None]
+    assert calls == ["NATURAL", None]

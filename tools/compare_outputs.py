@@ -19,13 +19,16 @@ With ``--rtol R`` an output whose bytes differ only in its numbers counts
 as equal when no number moved by more than ``R`` relative; the largest
 difference is printed for every differing output, and a difference outside
 the numbers counts as infinite.  In a ``.csv`` output each difference is
-relative to the largest magnitude in its column, taken over both sides, so
-a field's small entries weigh no more than its rounding; in JSON and
-stdout it is ``|a - b| / max(|a|, |b|)``.  Two numbers closer than the
-double-precision epsilon (2.2e-16) count as equal.  The solver's relative
-residual (also each entry of its refinement history) and symmetry defect
-are relative errors of rounding size, which reordering a sum moves by a
-relative O(1); for them ``R`` bounds the absolute difference.
+relative to the largest magnitude in its column, and in a ``.json``
+output each number of a list is relative to the largest magnitude in that
+list, both taken over both sides, so that small entries (a per-step
+slope near zero) weigh no more than the rounding of their neighbours.
+Any other number, of JSON or stdout, is compared as ``|a - b| / max(|a|,
+|b|)``.  Two numbers closer than the double-precision epsilon (2.2e-16)
+count as equal.  The solver's relative residual (also each entry of its
+refinement history) and symmetry defect are relative errors of rounding
+size, which reordering a sum moves by a relative O(1); for them ``R``
+bounds the absolute difference.
 
 Under each differing ``.json`` output, every key whose value moved is
 printed with the revision's value and the working tree's, so that a
@@ -139,12 +142,10 @@ def run_matrix(src: Path, workdir: Path) -> None:
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     rb"|-?\b(?:nan|NaN|inf|Infinity)\b")
-# diagnostics_N*.json fields and the residual that ``solve`` prints
-RELATIVE_ERROR = re.compile(
-    rb'(?:"relative_residual": |"symmetry_defect": |residual=)('
-    + NUMBER.pattern + rb")")
-# the list of relative residuals in diagnostics_N*.json
-HISTORY = re.compile(rb'"residual_history": \[[^\]]*\]')
+# diagnostics_N*.json keys whose numbers are relative errors
+ERROR_KEYS = ("relative_residual", "symmetry_defect", "residual_history")
+# the relative residual that ``solve`` prints
+RELATIVE_ERROR = re.compile(rb"residual=(" + NUMBER.pattern + rb")")
 
 
 def _split(text: bytes):
@@ -152,9 +153,6 @@ def _split(text: bytes):
     errors."""
     errors = RELATIVE_ERROR.findall(text)
     rest = RELATIVE_ERROR.sub(b"<error>", text)
-    for history in HISTORY.findall(rest):
-        errors += NUMBER.findall(history)
-    rest = HISTORY.sub(lambda m: NUMBER.sub(b"<error>", m.group(0)), rest)
     return NUMBER.sub(b"#", rest), NUMBER.findall(rest), errors
 
 
@@ -202,6 +200,48 @@ def max_csv_diff(a: bytes, b: bytes) -> float:
         scale = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
         worst = max(worst, _worst((x, y, scale) for x, y in pairs))
     return worst
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_triples(x, y, scale=None):
+    """``(a, b, scale)`` for the numbers of two JSON values of one shape:
+    the scale of a number in a list is the largest magnitude of that list
+    over both values, of any other number ``max(|a|, |b|)``, unless
+    ``scale`` is given."""
+    if isinstance(x, dict):
+        for key in x:
+            yield from _json_triples(x[key], y[key],
+                                     1.0 if key in ERROR_KEYS else scale)
+    elif isinstance(x, list):
+        numbers = [abs(float(v)) for v in x + y
+                   if _is_number(v) and math.isfinite(v)]
+        list_scale = max(numbers, default=0.0) if scale is None else scale
+        for u, v in zip(x, y):
+            if _is_number(u):
+                yield float(u), float(v), list_scale
+            else:
+                yield from _json_triples(u, v, scale)
+    elif _is_number(x):
+        yield float(x), float(y), (max(abs(x), abs(y)) if scale is None
+                                   else scale)
+
+
+def max_json_diff(a: bytes, b: bytes) -> float:
+    """Largest difference between the numbers of two JSON texts, each in
+    a list relative to the largest magnitude in that list over both texts
+    (see ``_json_triples``), ignoring differences up to EPS; infinity when
+    the texts differ outside their numbers.  A text that is not JSON is
+    compared by ``max_rel_diff``."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return math.inf
+    try:
+        old, new = json.loads(a), json.loads(b)
+    except ValueError:
+        return max_rel_diff(a, b)
+    return _worst(_json_triples(old, new))
 
 
 def _same(x, y) -> bool:
@@ -255,8 +295,9 @@ def differences(a: Path, b: Path, rtol: float | None):
             if rtol is None:
                 report.append(f"differs: {rel}")
             else:
-                measure = max_csv_diff if rel.suffix == ".csv" \
-                    else max_rel_diff
+                measure = {".csv": max_csv_diff,
+                           ".json": max_json_diff}.get(rel.suffix,
+                                                       max_rel_diff)
                 worst = measure(old, new)
                 verdict = "within" if worst <= rtol else "differs:"
                 report.append(f"{verdict} {rel}  max diff {worst:.3e}")

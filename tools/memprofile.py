@@ -19,7 +19,12 @@ wrapped; at each call, before SuperLU allocates its factors, it prints:
 
 When the call returns it prints the factors' fill ``lu.nnz`` (the entries
 of L and U that SuperLU stores) and ``VmRSS`` again, which then includes
-the factors; a factorization that raises is reported as such.  At exit
+the factors; a factorization that raises is reported as such.
+
+``scipy.sparse.linalg.spilu`` is wrapped too: ``saddle.build_system``
+calls it to have SuperLU order the mesh nodes, and ``VmRSS`` is printed
+before and after each such ordering call, so that the memory the
+ordering leaves resident can be read off before the factorization.  At exit
 it prints the peak resident size (``ru_maxrss``).  Tracing costs time and
 some memory of its own, so take wall times and peak memory for
 comparisons from the benchmark (``perfbench/run.py``), not from here.
@@ -135,6 +140,7 @@ def main(argv=None) -> int:
     from ucfem.cli import main as ucfem_main
 
     real, calls = spla.splu, []
+    real_spilu, orderings = spla.spilu, []
 
     def profiled_splu(*a, **kw):
         calls.append(None)
@@ -149,16 +155,25 @@ def main(argv=None) -> int:
               f"VmRSS {vm_rss_mb():.1f} MB", flush=True)
         return lu
 
-    spla.splu = profiled_splu
+    def profiled_spilu(*a, **kw):
+        orderings.append(None)
+        print(f"--- spilu call {len(orderings)} (ordering): "
+              f"VmRSS {vm_rss_mb():.1f} MB", flush=True)
+        ilu = real_spilu(*a, **kw)
+        print(f"--- spilu call {len(orderings)} returned: "
+              f"VmRSS {vm_rss_mb():.1f} MB", flush=True)
+        return ilu
+
+    spla.splu, spla.spilu = profiled_splu, profiled_spilu
     tracemalloc.start(FRAMES)
     try:
         code = ucfem_main(command)
     finally:
         tracemalloc.stop()
-        spla.splu = real
+        spla.splu, spla.spilu = real, real_spilu
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"--- exit code {code}; {len(calls)} splu calls; "
-          f"ru_maxrss {peak:.1f} MB")
+    print(f"--- exit code {code}; {len(orderings)} spilu and {len(calls)} "
+          f"splu calls; ru_maxrss {peak:.1f} MB")
     return code
 
 
