@@ -321,8 +321,6 @@ class Rung:
     ``system`` is the saddle system as factorized, in its stored
     numbering; its ``stabilizer_norms`` take node vectors and give
     s(e, e) and s_*(z, z) without the blocks.
-    ``compare`` is what the ladder's ``compare(mesh)`` returned, computed
-    before the factorization, or ``None``.
     """
 
     N: int
@@ -331,42 +329,33 @@ class Rung:
     peclet: float
     system: SaddleSystem
     solution: Solution
-    compare: Optional[FeFunction] = None
 
 
-def _solve_rung(case, n_cells, quad_degree, compare, cond, cond_tol,
+def _solve_rung(case, n_cells, quad_degree, cond, cond_tol,
                 cond_max_iter) -> Rung:
     mesh, blocks, system = discretize(case, n_cells, quad_degree)
-    reference = compare(mesh) if compare is not None else None
     h, peclet = blocks.h, blocks.peclet
-    # nothing reads the blocks after build_system, and post-processing
-    # rebuilds the mesh caches it needs
-    del blocks
-    mesh.drop_caches()
+    del blocks  # nothing reads the blocks after build_system
     sol = solve(system, mesh, cond, cond_tol, cond_max_iter)
-    return Rung(n_cells, mesh, h, peclet, system, sol, reference)
+    return Rung(n_cells, mesh, h, peclet, system, sol)
 
 
 def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
                ladder: Optional[Sequence[int]] = None, quad_degree: int = 4,
                cond: str = "none", cond_tol: float = 1e-3,
-               cond_max_iter: int = 5000,
-               compare: Optional[Callable[[Mesh], FeFunction]] = None
-               ) -> list:
+               cond_max_iter: int = 5000) -> list:
     """Discretize and solve each rung of a mesh ladder (``case.ladder``
     unless given); return what ``visit(rung)`` returns for each.
 
-    ``compare(mesh)``, when given, runs before the factorization, while
-    the mesh caches of assembly are still there.  Then the rung keeps of
-    the assembled forms only ``h`` and ``peclet``, and drops the mesh
-    caches (the edge connectivity among them), so the factorization runs
-    with only the saddle system, the node geometry and the comparison
-    function alive.  A rung is released once ``visit`` returns, before the
-    next one is discretized; ``visit`` keeps what it needs of it.
-    ``cond``, ``cond_tol`` and ``cond_max_iter`` go to ``solve``.
+    The rung keeps of the assembled forms only ``h`` and ``peclet``, and
+    the mesh keeps no derived array, so the factorization runs with only
+    the saddle system and the node geometry alive.  A rung is released
+    once ``visit`` returns, before the next one is discretized; ``visit``
+    keeps what it needs of it.  ``cond``, ``cond_tol`` and
+    ``cond_max_iter`` go to ``solve``.
     """
-    return [visit(_solve_rung(case, n_cells, quad_degree, compare, cond,
-                              cond_tol, cond_max_iter))
+    return [visit(_solve_rung(case, n_cells, quad_degree, cond, cond_tol,
+                              cond_max_iter))
             for n_cells in (ladder if ladder is not None else case.ladder)]
 
 
@@ -388,16 +377,13 @@ def run_case(case: CaseDefinition, cond: str = "none",
     if h1 not in ("full", "semi"):
         raise ValueError(f"unknown h1 mode {h1!r}")
 
-    def compare(mesh):
-        if projection == "l2":
-            return l2_project(case.exact.value, mesh, quad_degree)
-        return interpolate(case.exact.value, mesh)
-
     def visit(rung: Rung) -> ConvergenceRow:
         sol = rung.solution
+        reference = (l2_project(case.exact.value, rung.mesh, quad_degree)
+                     if projection == "l2"
+                     else interpolate(case.exact.value, rung.mesh))
         s_norm, sstar_norm = rung.system.stabilizer_norms(
-            rung.compare.coefficients - sol.u.coefficients,
-            sol.z.coefficients)
+            reference.coefficients - sol.u.coefficients, sol.z.coefficients)
 
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
             case.exact, sol.u, case.spec.target, quad_degree, h1)
@@ -410,7 +396,7 @@ def run_case(case: CaseDefinition, cond: str = "none",
                               None if est is None else est.converged)
 
     rows = run_ladder(case, visit, ladder, quad_degree, cond, cond_tol,
-                      cond_max_iter, compare)
+                      cond_max_iter)
 
     rates = {}
     if len(rows) >= 2:

@@ -1,8 +1,9 @@
 """Piecewise-linear (P1) finite element machinery on triangulations.
 
 Quadrature rules, hat-function gradients, nodal interpolation and
-consistent L2 projection.  All assembly downstream builds on the cached
-per-triangle geometry computed here.
+consistent L2 projection.  All assembly downstream builds on the
+per-triangle geometry and the scatter pattern computed here; each call
+computes them afresh, and nothing is stored on the mesh.
 """
 
 from __future__ import annotations
@@ -107,24 +108,14 @@ def _hat_gradients(v, det):
 
 
 def triangle_geometry(mesh: Mesh):
-    """Cached per-triangle hat gradients (t, 3, 2) and areas (t,)."""
-    cached = mesh._cache.get("p1geom")
-    if cached is None:
-        grads = _hat_gradients(mesh.nodes[mesh.triangles],
-                               2.0 * mesh.tri_areas)
-        cached = (grads, mesh.tri_areas)
-        mesh._cache["p1geom"] = cached
-    return cached
+    """Per-triangle hat gradients (t, 3, 2) and areas (t,)."""
+    return (_hat_gradients(mesh.nodes[mesh.triangles], 2.0 * mesh.tri_areas),
+            mesh.tri_areas)
 
 
 def quad_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
     """Physical quadrature points, shape (n_tri, q, 2)."""
-    key = ("qpts", rule.points.tobytes())
-    pts = mesh._cache.get(key)
-    if pts is None:
-        pts = rule.points @ mesh.nodes[mesh.triangles]
-        mesh._cache[key] = pts
-    return pts
+    return rule.points @ mesh.nodes[mesh.triangles]
 
 
 class FeFunction:
@@ -145,34 +136,20 @@ class FeFunction:
 
     def gradient(self, points) -> np.ndarray:
         """Piecewise-constant gradient evaluated pointwise, shape (n, 2)."""
-        tri, _ = locate_points(self.mesh, points)
-        grads, _ = triangle_geometry(self.mesh)
-        return np.einsum("nk,nkd->nd", self.coefficients[self.mesh.triangles[tri]],
-                         grads[tri])
+        mesh = self.mesh
+        tri, _ = locate_points(mesh, points)
+        corners = mesh.triangles[tri]
+        grads = _hat_gradients(mesh.nodes[corners], 2.0 * mesh.tri_areas[tri])
+        return np.einsum("nk,nkd->nd", self.coefficients[corners], grads)
 
     def to_csv(self, path):
         """Write node index, coordinates and value, one row per node, each
         float as its ``repr``."""
-        rows = "".join([f"{head}{c!r}\n" for head, c in
-                        zip(_csv_heads(self.mesh), self.coefficients.tolist())])
+        rows = "".join([f"{k},{x!r},{y!r},{c!r}\n" for k, ((x, y), c) in
+                        enumerate(zip(self.mesh.nodes.tolist(),
+                                      self.coefficients.tolist()))])
         with open(path, "w") as fh:
             fh.write("node,x,y,value\n" + rows)
-
-
-def _csv_heads(mesh: Mesh) -> list:
-    """The ``k,x,y,`` start of each node's CSV row, cached per mesh.  The
-    coordinates take few distinct values, and each is formatted once."""
-    heads = mesh._cache.get("csvheads")
-    if heads is None:
-        # equal bit patterns, and only they, have equal reprs (-0.0 too)
-        bits, inv = np.unique(mesh.nodes.ravel().view(np.int64),
-                              return_inverse=True)
-        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                        dtype=object)
-        heads = [f"{k},{x},{y}," for k, (x, y)
-                 in enumerate(text[inv].reshape(-1, 2).tolist())]
-        mesh._cache["csvheads"] = heads
-    return heads
 
 
 def interpolate(u, mesh: Mesh) -> FeFunction:
@@ -183,10 +160,9 @@ def interpolate(u, mesh: Mesh) -> FeFunction:
 def mass_matrix(mesh: Mesh, degree: int = 4) -> sp.csr_matrix:
     """Consistent P1 mass matrix assembled with the given quadrature degree."""
     rule = triangle_rule(degree)
-    _, areas = triangle_geometry(mesh)
     local = np.einsum("q,qi,qj->ij", rule.weights, rule.points, rule.points)
-    vals = areas[:, None, None] * local[None, :, :]
-    return _scatter(mesh, vals)
+    vals = mesh.tri_areas[:, None, None] * local[None, :, :]
+    return _scatter(_p1_pattern(mesh), vals)
 
 
 def _mass_tensor(rule: QuadratureRule) -> np.ndarray:
@@ -203,29 +179,32 @@ def _weighted_hats(rule: QuadratureRule) -> np.ndarray:
     return rule.weights[:, None] * rule.points
 
 
-def _scatter(mesh: Mesh, local_blocks) -> sp.csr_matrix:
-    """Sum (t, 3, 3) local blocks into the global P1 matrix.
-
-    The first call for a mesh caches in ``mesh._cache`` the CSR pattern of
-    the P1 stencil and the slot of each of the 9 t local entries in it;
-    every call then sums the blocks into that pattern with one bincount.
+def _p1_pattern(mesh: Mesh) -> tuple:
+    """CSR ``indptr`` and ``indices`` of the P1 stencil, and the slot in
+    it of each of the 9 t local entries, in (triangle, row, column) order.
     """
-    cached = mesh._cache.get("p1scatter")
-    if cached is None:
-        n, tri = mesh.n_nodes, mesh.triangles.astype(np.int64)
-        keys = (np.repeat(tri, 3, axis=1) * n + np.tile(tri, (1, 3))).ravel()
-        pattern, slot = np.unique(keys, return_inverse=True)
-        indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
-        index = np.int32 if len(pattern) < 2**31 else np.int64
-        cached = (indptr.astype(index), (pattern % n).astype(index),
-                  slot.astype(index))
-        mesh._cache["p1scatter"] = cached
-    indptr, indices, slot = cached
+    n, tri = mesh.n_nodes, mesh.triangles.astype(np.int64)
+    keys = (np.repeat(tri, 3, axis=1) * n + np.tile(tri, (1, 3))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    pattern = ranked[new]
+    index = np.int32 if len(pattern) < 2**31 else np.int64
+    slot = np.empty(len(keys), dtype=index)
+    slot[order] = np.cumsum(new) - 1
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
+    return indptr.astype(index), (pattern % n).astype(index), slot
+
+
+def _scatter(pattern, local_blocks) -> sp.csr_matrix:
+    """Sum (t, 3, 3) local blocks into the global P1 matrix of the
+    ``_p1_pattern`` ``pattern`` with one bincount."""
+    indptr, indices, slot = pattern
     data = np.bincount(slot, weights=np.ravel(local_blocks),
                        minlength=len(indices))
-    # the pattern is copied so that no caller can alter the cached one
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                         shape=(mesh.n_nodes,) * 2)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 def _scatter_load(mesh: Mesh, local) -> np.ndarray:
@@ -242,10 +221,10 @@ def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
     and must meet the same gate.
     """
     rule = triangle_rule(degree)
-    _, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
     uvals = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    rhs = _scatter_load(mesh, (areas[:, None] * uvals) @ _weighted_hats(rule))
+    rhs = _scatter_load(mesh, (mesh.tri_areas[:, None] * uvals)
+                        @ _weighted_hats(rule))
 
     mm = mass_matrix(mesh, degree)
     scale = np.linalg.norm(rhs)

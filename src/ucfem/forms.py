@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, Region, mesh_size
-from .fem import (edge_rule, quad_points, triangle_geometry, triangle_rule, _mass_tensor, _scatter, _scatter_load,
+from .fem import (edge_rule, quad_points, triangle_geometry, triangle_rule,
+                  _mass_tensor, _p1_pattern, _scatter, _scatter_load,
                   _weighted_hats)
 
 __all__ = [
@@ -104,30 +105,30 @@ class ProblemSpec:
                 f"boundary_factor must be >= 1, got {self.boundary_factor}")
 
 
-def _boundary_flux(mu, mesh, grads, hat_int):
+def _boundary_flux(mu, mesh, edges, grads, hat_int):
     """-<mu dn(trial), test> over the outer boundary, COO accumulated;
     ``hat_int`` is the integral of each endpoint hat along its edge."""
-    tris = mesh.bnd_tris
-    dn = np.einsum("ekd,ed->ek", grads[tris], mesh.bnd_normals)   # (e, 3)
-    local = -mu * mesh.bnd_lengths[:, None, None] \
+    tris = edges.bnd_tris
+    dn = np.einsum("ekd,ed->ek", grads[tris], edges.bnd_normals)  # (e, 3)
+    local = -mu * edges.bnd_lengths[:, None, None] \
         * hat_int[None, :, None] * dn[:, None, :]                 # (e, 2, 3)
-    rows = np.repeat(mesh.bnd_nodes, 3, axis=1).ravel()
+    rows = np.repeat(edges.bnd_nodes, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles[tris], (1, 2)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(mesh.n_nodes,) * 2)
 
 
-def _boundary_mass(mesh, w_bnd, edge_mass):
+def _boundary_mass(mesh, edges, w_bnd, edge_mass):
     """<w v, w>_boundary with weight ``w_bnd`` per boundary edge (times its
     length) and the 2 x 2 reference edge mass ``edge_mass``."""
     local = w_bnd[:, None, None] * edge_mass[None, :, :]
-    rows = np.repeat(mesh.bnd_nodes, 2, axis=1).ravel()
-    cols = np.tile(mesh.bnd_nodes, (1, 2)).ravel()
+    rows = np.repeat(edges.bnd_nodes, 2, axis=1).ravel()
+    cols = np.tile(edges.bnd_nodes, (1, 2)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(mesh.n_nodes,) * 2).tocsr()
 
 
-def _jump_matrix(mesh, grads, wf):
+def _jump_matrix(mesh, edges, grads, wf):
     """Interior-penalty matrix D^T W D, with W = diag(wf), one weight per face.
 
     Normal-gradient jumps of P1 functions are facewise constant, so row F
@@ -139,8 +140,8 @@ def _jump_matrix(mesh, grads, wf):
     wherever that already was (on the power-of-two meshes, whose face
     weights are exact binary fractions).
     """
-    t_minus, t_plus = mesh.face_tris[:, 0], mesh.face_tris[:, 1]
-    n = mesh.face_normals
+    t_minus, t_plus = edges.face_tris[:, 0], edges.face_tris[:, 1]
+    n = edges.face_normals
     # jump = dn(plus side) - dn(minus side); shared endpoints accumulate
     g6 = np.concatenate([np.take(grads, t_plus, axis=0),
                          -np.take(grads, t_minus, axis=0)], axis=1)  # (f, 6, 2)
@@ -179,16 +180,18 @@ class AssembledForms:
 def assemble_all(spec: ProblemSpec, mesh: Mesh,
                  degree: int = 4) -> AssembledForms:
     """Assemble every form and the source load of the saddle-point system,
-    none of which depends on the data; h, the geometry, the quadrature
-    points, beta there, |beta|, the diffusion blocks and the omega
-    indicator are computed once.  Warns when omega holds no
-    quadrature point or a declared ``spec.beta_sup`` is below the largest
-    |beta| at the quadrature points."""
+    none of which depends on the data; h, the geometry, the edge
+    connectivity, the quadrature points, beta there, |beta|, the
+    diffusion blocks, the omega indicator and the P1 scatter pattern are
+    computed once, and none of them outlives the call.  Warns when omega
+    holds no quadrature point or a declared ``spec.beta_sup`` is below the
+    largest |beta| at the quadrature points."""
     if spec.f is None:
         raise ValueError("spec has no source term f")
     h = mesh_size(mesh)
     rule, erule = triangle_rule(degree), edge_rule(degree)
     grads, areas = triangle_geometry(mesh)
+    edges, pattern = mesh.edges(), _p1_pattern(mesh)
     pts = quad_points(mesh, rule)
     flat = pts.reshape(-1, 2)
     stiff = (grads @ grads.transpose(0, 2, 1)) \
@@ -212,19 +215,20 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     whats = _weighted_hats(rule)
     bgrad = beta_flat.reshape(*pts.shape[:2], 2) @ grads.transpose(0, 2, 1)
     conv = (whats.T @ bgrad) * areas[:, None, None]
-    pde = (_scatter(mesh, conv + stiff)
-           + _boundary_flux(spec.mu, mesh, grads, hat @ erule.weights)).tocsr()
+    pde = (_scatter(pattern, conv + stiff)
+           + _boundary_flux(spec.mu, mesh, edges, grads,
+                            hat @ erule.weights)).tocsr()
     del beta_flat, bgrad, conv  # no (t, q) array outlives its own form
 
     w_data = spec.mu + bsup * h
-    s_data = _scatter(mesh, (w_data * areas[:, None] * mask)
+    s_data = _scatter(pattern, (w_data * areas[:, None] * mask)
                       @ _mass_tensor(rule))
-    s_jump = _jump_matrix(mesh, grads,
-                          spec.gamma * h * w_data * mesh.face_lengths)
-    w_bnd = spec.boundary_factor * (spec.mu / h + bsup) * mesh.bnd_lengths
+    s_jump = _jump_matrix(mesh, edges, grads,
+                          spec.gamma * h * w_data * edges.face_lengths)
+    w_bnd = spec.boundary_factor * (spec.mu / h + bsup) * edges.bnd_lengths
     edge_mass = np.einsum("q,iq,jq->ij", erule.weights, hat, hat)
-    s_dual = (spec.gamma_star * (_boundary_mass(mesh, w_bnd, edge_mass)
-                                 + _scatter(mesh, stiff) + s_jump)).tocsr()
+    s_dual = (spec.gamma_star * (_boundary_mass(mesh, edges, w_bnd, edge_mass)
+                                 + _scatter(pattern, stiff) + s_jump)).tocsr()
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
     b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ whats)

@@ -3,14 +3,16 @@
 A mesh with ``n`` cells per side carries ``(n+1)**2`` nodes and ``2*n**2``
 triangles.  Each square cell is cut along one diagonal, and the diagonal
 direction alternates in a checkerboard pattern so that no two neighbouring
-cells share the same split.  Interior-edge and boundary-edge connectivity,
-which only interior-penalty and boundary assembly read, is built on first
-read into the mesh cache.
+cells share the same split.  A mesh keeps only its nodes, triangles and
+areas; the interior-edge and boundary-edge connectivity, which only
+interior-penalty and boundary assembly read, is built by each call of
+``Mesh.edges`` and lives as long as its caller keeps it.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,21 +26,24 @@ __all__ = [
 ]
 
 
-class _Connectivity:
-    """One edge-connectivity array of a mesh, read from ``mesh._cache``;
-    the first read builds all of them there, so ``Mesh.drop_caches``
-    releases them with the other derived arrays."""
+class Edges(NamedTuple):
+    """Edge connectivity of a mesh.
 
-    def __set_name__(self, owner, name):
-        self.name = name
+    ``face_*`` describe the interior faces: ``face_tris[:, 0]`` is the
+    triangle the unit normal points away from, ``face_tris[:, 1]`` the one
+    it points into.  ``bnd_*`` describe the boundary edges, with outward
+    unit normals and the owning triangle.  Both lists are in lexicographic
+    order of their node pairs ``(lo, hi)``.
+    """
 
-    def __get__(self, mesh, owner=None):
-        if mesh is None:
-            return self
-        arrays = mesh._cache.get("connectivity")
-        if arrays is None:
-            arrays = mesh._cache["connectivity"] = mesh._build_connectivity()
-        return arrays[self.name]
+    face_nodes: np.ndarray
+    face_normals: np.ndarray
+    face_lengths: np.ndarray
+    face_tris: np.ndarray
+    bnd_nodes: np.ndarray
+    bnd_normals: np.ndarray
+    bnd_lengths: np.ndarray
+    bnd_tris: np.ndarray
 
 
 class Mesh:
@@ -49,22 +54,11 @@ class Mesh:
     nodes : (n_nodes, 2) array of vertex coordinates.
     triangles : (n_tri, 3) int array, counterclockwise vertex indices.
     tri_areas : (n_tri,) array of (positive) triangle areas.
-    face_nodes, face_normals, face_lengths, face_tris :
-        interior-face connectivity; ``face_tris[:, 0]`` is the triangle the
-        normal points away from, ``face_tris[:, 1]`` the one it points into.
-    bnd_nodes, bnd_normals, bnd_lengths, bnd_tris :
-        boundary edges with outward unit normals and the owning triangle.
-        Built on first read and kept in the mesh cache.
-    """
 
-    face_nodes = _Connectivity()
-    face_normals = _Connectivity()
-    face_lengths = _Connectivity()
-    face_tris = _Connectivity()
-    bnd_nodes = _Connectivity()
-    bnd_normals = _Connectivity()
-    bnd_lengths = _Connectivity()
-    bnd_tris = _Connectivity()
+    Nothing else is stored: every array derived from these (edge
+    connectivity, hat gradients, quadrature points, the P1 scatter
+    pattern) is built by the call that needs it.
+    """
 
     def __init__(self, cells_per_side: int):
         n = int(cells_per_side)
@@ -97,10 +91,9 @@ class Mesh:
         if np.any(det <= 0):
             raise RuntimeError("mesh construction produced a non-CCW triangle")
         self.tri_areas = 0.5 * det
-        self._cache: dict = {}
 
-    def _build_connectivity(self) -> dict:
-        """The ``face_*`` and ``bnd_*`` arrays by name; rejects an edge
+    def edges(self) -> Edges:
+        """Interior-face and boundary-edge connectivity; rejects an edge
         owned by more than two triangles."""
         # half-edge 3*t + k joins vertices k and k+1 (mod 3) of triangle t;
         # the stable sort lists the owners of an edge in triangle order
@@ -133,22 +126,12 @@ class Mesh:
         f = count == 2
         # boundary normals point outward
         bnd = count == 1
-        return {
-            "face_nodes": np.column_stack([lo[f], hi[f]]),
-            "face_normals": nrm[f],
-            "face_lengths": length[f],
-            "face_tris": owners[f],
-            "bnd_nodes": np.column_stack([lo[bnd], hi[bnd]]),
-            "bnd_normals": np.where(into[bnd, None], -nrm[bnd], nrm[bnd]),
-            "bnd_lengths": length[bnd],
-            "bnd_tris": owners[bnd, 0],
-        }
-
-    def drop_caches(self):
-        """Forget the derived arrays cached on this mesh (edge
-        connectivity, geometry, quadrature points, scatter pattern, CSV
-        heads); they are rebuilt when next asked for."""
-        self._cache.clear()
+        return Edges(
+            face_nodes=np.column_stack([lo[f], hi[f]]), face_normals=nrm[f],
+            face_lengths=length[f], face_tris=owners[f],
+            bnd_nodes=np.column_stack([lo[bnd], hi[bnd]]),
+            bnd_normals=np.where(into[bnd, None], -nrm[bnd], nrm[bnd]),
+            bnd_lengths=length[bnd], bnd_tris=owners[bnd, 0])
 
     @property
     def n_nodes(self) -> int:
@@ -160,12 +143,13 @@ class Mesh:
 
     def summary(self) -> dict:
         """Counts and mesh size, JSON-ready."""
+        edges = self.edges()
         return {
             "cells_per_side": self.cells_per_side,
             "nodes": self.n_nodes,
             "triangles": self.n_triangles,
-            "interior_faces": len(self.face_nodes),
-            "boundary_edges": len(self.bnd_nodes),
+            "interior_faces": len(edges.face_nodes),
+            "boundary_edges": len(edges.bnd_nodes),
             "h": mesh_size(self),
         }
 

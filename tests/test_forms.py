@@ -46,17 +46,17 @@ def pde_load_from_field(spec, mesh, gradient, degree=4):
     out = np.zeros(mesh.n_nodes)
     np.add.at(out, mesh.triangles.ravel(), (conv + stiff).ravel())
 
-    erule = edge_rule(degree)
-    a, b = mesh.bnd_nodes[:, 0], mesh.bnd_nodes[:, 1]
+    erule, edges = edge_rule(degree), mesh.edges()
+    a, b = edges.bnd_nodes[:, 0], edges.bnd_nodes[:, 1]
     epts = (1.0 - erule.points)[None, :, None] * mesh.nodes[a][:, None, :] \
         + erule.points[None, :, None] * mesh.nodes[b][:, None, :]
     gu_e = np.asarray(gradient(epts.reshape(-1, 2)),
                       dtype=float).reshape(len(a), len(erule.points), 2)
-    dn = np.einsum("eqd,ed->eq", gu_e, mesh.bnd_normals)
+    dn = np.einsum("eqd,ed->eq", gu_e, edges.bnd_normals)
     hat = np.stack([1.0 - erule.points, erule.points])
     flux = -spec.mu * np.einsum("q,eq,iq,e->ei", erule.weights, dn, hat,
-                                mesh.bnd_lengths)
-    np.add.at(out, mesh.bnd_nodes.ravel(), flux.ravel())
+                                edges.bnd_lengths)
+    np.add.at(out, edges.bnd_nodes.ravel(), flux.ravel())
     return out
 
 
@@ -196,8 +196,9 @@ def test_gradient_jump_is_symmetric_positive_semidefinite(n):
 def test_gradient_jump_pattern_is_the_union_of_face_blocks(n):
     # every face couples the four nodes of its two triangles
     mesh = build_unit_square_mesh(n)
-    nodes = np.concatenate([mesh.triangles[mesh.face_tris[:, 0]],
-                            mesh.triangles[mesh.face_tris[:, 1]]], axis=1)
+    face_tris = mesh.edges().face_tris
+    nodes = np.concatenate([mesh.triangles[face_tris[:, 0]],
+                            mesh.triangles[face_tris[:, 1]]], axis=1)
     rows = np.repeat(nodes, 6, axis=1).ravel()
     cols = np.tile(nodes, (1, 6)).ravel()
     blocks = sp.coo_matrix((np.ones(rows.size), (rows, cols)),

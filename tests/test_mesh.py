@@ -15,8 +15,9 @@ def test_counts_match_structured_grid_formulas():
         mesh = build_unit_square_mesh(n)
         assert mesh.n_nodes == (n + 1) ** 2
         assert mesh.n_triangles == 2 * n * n
-        assert len(mesh.face_nodes) == 3 * n * n - 2 * n
-        assert len(mesh.bnd_nodes) == 4 * n
+        edges = mesh.edges()
+        assert len(edges.face_nodes) == 3 * n * n - 2 * n
+        assert len(edges.bnd_nodes) == 4 * n
 
 
 def test_triangle_areas_uniform_and_positive():
@@ -47,7 +48,8 @@ def test_diagonals_alternate_between_adjacent_cells():
     n = 4
     mesh = build_unit_square_mesh(n)
     diag_dirs = {}
-    for (a, b), length in zip(mesh.face_nodes, mesh.face_lengths):
+    edges = mesh.edges()
+    for (a, b), length in zip(edges.face_nodes, edges.face_lengths):
         if not np.isclose(length, np.sqrt(2.0) / n):
             continue
         mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
@@ -69,32 +71,34 @@ def _strictly_lexicographic(pairs):
 def test_connectivity_matches_oracle_edge_scan(n):
     # assembly sums face contributions in this order, so it is pinned
     mesh = build_unit_square_mesh(n)
-    assert _strictly_lexicographic(mesh.face_nodes)
-    assert _strictly_lexicographic(mesh.bnd_nodes)
+    edges = mesh.edges()
+    assert _strictly_lexicographic(edges.face_nodes)
+    assert _strictly_lexicographic(edges.bnd_nodes)
     interior, boundary = dense_oracle._scan_edges(mesh)
     assert {(int(a), int(b), frozenset(map(int, tris)))
             for (a, b), tris in interior} == \
         {(a, b, frozenset(tris)) for (a, b), tris
-         in zip(mesh.face_nodes.tolist(), mesh.face_tris.tolist())}
+         in zip(edges.face_nodes.tolist(), edges.face_tris.tolist())}
     assert {(int(a), int(b), int(t)) for (a, b), t in boundary} == \
         {(a, b, t) for (a, b), t
-         in zip(mesh.bnd_nodes.tolist(), mesh.bnd_tris.tolist())}
+         in zip(edges.bnd_nodes.tolist(), edges.bnd_tris.tolist())}
 
 
 def test_edge_with_three_owners_is_rejected():
     mesh = build_unit_square_mesh(1)
     mesh.triangles = np.vstack([mesh.triangles, mesh.triangles[:1]])
     with pytest.raises(RuntimeError, match="owned by 3 triangles"):
-        mesh._build_connectivity()
+        mesh.edges()
 
 
 def test_interior_face_normals_unit_and_consistent():
     mesh = build_unit_square_mesh(4)
-    norms = np.linalg.norm(mesh.face_normals, axis=1)
+    edges = mesh.edges()
+    norms = np.linalg.norm(edges.face_normals, axis=1)
     assert np.allclose(norms, 1.0)
     # normal points from the first listed triangle towards the second
-    for (a, b), n_vec, (tl, tr) in zip(mesh.face_nodes, mesh.face_normals,
-                                       mesh.face_tris):
+    for (a, b), n_vec, (tl, tr) in zip(edges.face_nodes, edges.face_normals,
+                                       edges.face_tris):
         mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
         cl = mesh.nodes[mesh.triangles[tl]].mean(axis=0)
         cr = mesh.nodes[mesh.triangles[tr]].mean(axis=0)
@@ -104,14 +108,15 @@ def test_interior_face_normals_unit_and_consistent():
 
 def test_boundary_normals_point_outward():
     mesh = build_unit_square_mesh(3)
-    for (a, b), n_vec in zip(mesh.bnd_nodes, mesh.bnd_normals):
+    edges = mesh.edges()
+    for (a, b), n_vec in zip(edges.bnd_nodes, edges.bnd_normals):
         mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
         assert np.dot(n_vec, mid - np.array([0.5, 0.5])) > 0
 
 
 def test_boundary_total_length():
     mesh = build_unit_square_mesh(6)
-    assert np.isclose(mesh.bnd_lengths.sum(), 4.0)
+    assert np.isclose(mesh.edges().bnd_lengths.sum(), 4.0)
 
 
 def test_locate_points_reproduces_barycentric_interpolation():

@@ -66,6 +66,10 @@ def command_matrix() -> dict[str, list[str]]:
     runs = {f"convergence-{case}": ["convergence", "--case", case,
                                     "--ladder", "8,16,32"]
             for case in CASES}
+    # the nodal comparison function of the primal stabilizer norm
+    runs["convergence-ex1-const-nodal"] = [
+        "convergence", "--case", "ex1-const", "--ladder", "8,16,32",
+        "--projection", "nodal"]
     runs["convergence-ex2-swirl-h1-semi"] = [
         "convergence", "--case", "ex2-swirl", "--ladder", "8,16,32",
         "--h1", "semi"]
