@@ -133,12 +133,11 @@ def _jump_matrix(mesh, edges, grads, wf):
 
     Normal-gradient jumps of P1 functions are facewise constant, so row F
     of the faces x nodes operator D holds the jump [dn phi] of the six hat
-    functions of the two triangles sharing F.  The product is formed as
-    (W D)^T D, from the same six entries per face.  Its entries (i, j) and
-    (j, i) sum their terms in different orders, so the mean of it and its
-    transpose is returned: symmetric bit for bit, and equal to the product
-    wherever that already was (on the power-of-two meshes, whose face
-    weights are exact binary fractions).
+    functions of the two triangles sharing F.  The matrix is returned as
+    S^T S, with S = W^(1/2) D and the entries of the two shared endpoints
+    summed, so that each row of S holds one entry per node.  Its entries
+    (i, j) and (j, i) sum the same products over the same faces in the
+    same order, so it is symmetric bit for bit on every mesh.
     """
     t_minus, t_plus = edges.face_tris[:, 0], edges.face_tris[:, 1]
     n = edges.face_normals
@@ -150,13 +149,10 @@ def _jump_matrix(mesh, edges, grads, wf):
                             np.take(mesh.triangles, t_minus, axis=0)],
                            axis=1).ravel()
     nf = len(wf)
-    rows = np.arange(0, 6 * nf + 1, 6)
-    d = sp.csr_matrix((jump.ravel(), cols6, rows), shape=(nf, mesh.n_nodes))
-    # (W D)^T: the arrays of W D in CSR order, read as a CSC matrix
-    wd_t = sp.csc_matrix(((wf[:, None] * jump).ravel(), cols6, rows),
-                         shape=(mesh.n_nodes, nf))
-    mat = wd_t.tocsr() @ d
-    mat = 0.5 * (mat + mat.T)
+    s = sp.csr_matrix(((np.sqrt(wf)[:, None] * jump).ravel(), cols6,
+                       np.arange(0, 6 * nf + 1, 6)), shape=(nf, mesh.n_nodes))
+    s.sum_duplicates()
+    mat = s.T.tocsr() @ s
     mat.sort_indices()  # the sums and bmat with it take the fast path
     return mat
 

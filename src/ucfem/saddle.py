@@ -22,9 +22,11 @@ for it.  One loop tries two factorizations: the stored order without
 pivoting, then SuperLU's COLAMD order with partial pivoting.  The first
 factors that pass the residual gate serve the solve and the condition
 estimate, which is given them and never factorizes; they are released
-when ``solve`` returns.  Vectors move between the natural (u, z)
-numbering and the stored one only where they enter or leave: the
-solution, the stabilizer norms and the estimator's start vectors.
+when ``solve`` returns.  The estimate runs one power iteration twice:
+on M, and through the factors on M^-1.  Vectors move between the
+natural (u, z) numbering and the stored one only where they enter or
+leave: the solution, the stabilizer norms and the estimator's start
+vectors.
 """
 
 from __future__ import annotations
@@ -360,14 +362,16 @@ def _check_estimator(tol, max_iter):
                          f"got {max_iter!r}")
 
 
-def _power_sigma_max(mat, v, tol, max_iter):
-    """Power iteration on M^T M from the unit vector v; returns
-    (estimate, previous, its, converged)."""
+def _power_iteration(apply, v, tol, max_iter):
+    """Power iteration on A^2 for a symmetric A, given as ``apply(w)`` =
+    A w, from the unit vector v; returns (|A v| at the last unit iterate
+    v, |A v| at the iterate before it or 0.0 after one step, iterations,
+    converged)."""
     est = prev = 0.0
     for it in range(1, max_iter + 1):
-        w = mat @ v
+        w = apply(v)
         s = np.linalg.norm(w)
-        w = mat.T @ w
+        w = apply(w)
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0, 0.0, it, True
@@ -378,37 +382,24 @@ def _power_sigma_max(mat, v, tol, max_iter):
     return est, prev, max_iter, False
 
 
-def _inverse_sigma_min(lu, v, tol, max_iter):
-    """Inverse iteration on M^T M through the LU factors, from the unit
-    vector v."""
-    est = prev = np.inf
-    for it in range(1, max_iter + 1):
-        y = lu.solve(v, trans="T")
-        s = 1.0 / np.linalg.norm(y)
-        w = lu.solve(y)
-        v = w / np.linalg.norm(w)
-        prev, est = est, s
-        if np.isfinite(prev) and abs(est - prev) <= tol * est:
-            return est, prev, it, True
-    return est, prev, max_iter, False
-
-
 def estimate_condition_number(system: SaddleSystem, lu: spla.SuperLU,
                               tol: float = 1e-3,
                               max_iter: int = 5000) -> CondEstimate:
     """Estimate the two-norm condition number without dense linear algebra.
 
-    The largest singular value comes from power iteration on M^T M, run
-    on the matrix and its transposed view, the smallest from inverse
-    iteration through ``lu``, sparse LU factors of the stored matrix
-    (``solve`` passes those that passed its residual gate).  Both start
-    vectors are drawn in the natural (u, z) numbering from a generator
-    seeded with 0 and then renumbered like the matrix, so the iterates
-    do not depend on the stored numbering but for rounding.  ``tol`` is
-    the relative change between iterates that counts as converged, in
-    (0, 1), and ``max_iter`` >= 1 caps each iteration.  Hitting the cap
-    leaves ``converged`` False; ``bracket`` then shows how far the last
-    two iterates were apart.
+    M is symmetric (``solve`` refuses it otherwise), so its singular
+    values are the |eigenvalues| and M^T M = M^2; one power iteration on
+    A^2 serves both ends of the spectrum.  Run on M, it gives the largest
+    singular value; run on M^-1, through ``lu``, sparse LU factors of the
+    stored matrix (``solve`` passes those that passed its residual gate),
+    it gives the inverse of the smallest.  Both start vectors are drawn in
+    the natural (u, z) numbering from a generator seeded with 0 and then
+    renumbered like the matrix, so the iterates do not depend on the
+    stored numbering but for rounding.  ``tol`` is the relative change
+    between iterates that counts as converged, in (0, 1), and
+    ``max_iter`` >= 1 caps each iteration.  Hitting the cap leaves
+    ``converged`` False; ``bracket`` then shows how far the last two
+    iterates were apart.
     """
     _check_estimator(tol, max_iter)
     rng = np.random.default_rng(0)
@@ -416,14 +407,14 @@ def estimate_condition_number(system: SaddleSystem, lu: spla.SuperLU,
     for _ in range(2):
         v = rng.standard_normal(system.matrix.shape[0])
         starts.append(v[system.order] / np.linalg.norm(v))
-    smax, smax_prev, it_max, ok_max = _power_sigma_max(
-        system.matrix, starts[0], tol, max_iter)
-    smin, smin_prev, it_min, ok_min = _inverse_sigma_min(
-        lu, starts[1], tol, max_iter)
+    smax, smax_prev, it_max, ok_max = _power_iteration(
+        system.matrix.__matmul__, starts[0], tol, max_iter)
+    inv, inv_prev, it_min, ok_min = _power_iteration(
+        lu.solve, starts[1], tol, max_iter)
     converged = ok_max and ok_min
+    smin = 1.0 / inv
     value = smax / smin
-    lo = (smax_prev if np.isfinite(smax_prev) else smax) \
-        / (smin_prev if np.isfinite(smin_prev) else smin)
+    lo = smax_prev * inv_prev
     bracket = (float(min(lo, value)), float(max(lo, value)))
     return CondEstimate(float(value), converged, float(smax), float(smin),
                         bracket, (it_max, it_min))

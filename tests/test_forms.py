@@ -183,12 +183,13 @@ def test_gradient_jump_corner_hat_value():
     assert np.isclose(hat @ (jump @ hat), np.sqrt(2.0), atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [4, 8])
+# at n = 6 and 12 the face weights are not exact binary fractions
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
 def test_gradient_jump_is_symmetric_positive_semidefinite(n):
     mesh = build_unit_square_mesh(n)
     jump = assembled(get_case("ex1-swirl").spec, mesh).jump.toarray()
     scale = np.abs(jump).max()
-    assert np.abs(jump - jump.T).max() <= 1e-12 * scale
+    assert np.array_equal(jump, jump.T)
     assert np.linalg.eigvalsh(jump).min() >= -1e-12 * scale
 
 

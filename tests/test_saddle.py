@@ -416,8 +416,13 @@ def test_build_system_validates_shapes():
         build_system(a, a, a, np.zeros(3), np.zeros(4))
 
 
-def test_condition_number_diagonal_oracle():
-    diag = np.array([4.0, 2.0, 1.0, 0.5])
+# definite, and symmetric indefinite with the sign structure of M: the
+# power iteration runs on the square, where both signs look alike
+@pytest.mark.parametrize("diag", [[4.0, 2.0, 1.0, 0.5],
+                                  [4.0, 2.0, -1.0, -0.5]],
+                         ids=["definite", "indefinite"])
+def test_condition_number_diagonal_oracle(diag):
+    diag = np.array(diag)
     sys_diag = SaddleSystem(sp.csr_matrix(np.diag(diag)), np.zeros(4), 2,
                             np.arange(4))
     assert exact_condition_number(sys_diag) == pytest.approx(8.0)

@@ -87,6 +87,11 @@ def command_matrix() -> dict[str, list[str]]:
     runs["condnum-ex1-const"] = [
         "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
         "--cond", "estimate"]
+    # criterion 2's tolerance: hundreds of sigma_max iterations per rung,
+    # where a change in a stopping test shows first
+    runs["condnum-ex1-const-tol1e-6"] = [
+        "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
+        "--cond-tol", "1e-6"]
     runs["convergence-ex2-swirl-cond"] = [
         "convergence", "--case", "ex2-swirl", "--ladder", "8,16,32",
         "--cond", "estimate"]
