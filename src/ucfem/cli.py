@@ -354,9 +354,11 @@ def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
 def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     table = run_case(case, cond=args.cond, projection=args.projection,
                      quad_degree=args.quad_degree, h1=args.h1)
-    table.to_csv(out / "convergence.csv")
+    text = table.to_csv_string()
+    with open(out / "convergence.csv", "w", newline="") as fh:
+        fh.write(text)
     _write_json(out / "rates.json", table.rates_dict())
-    print(table.to_csv_string(), end="")
+    print(text, end="")
     for name, fit in table.rates.items():
         print(f"rate[{name}] = {fit.slope:.3f}")
     return 0

@@ -227,15 +227,11 @@ class ConvergenceTable:
     rows: list
     rates: dict
 
-    def to_csv(self, path_or_buf):
-        if hasattr(path_or_buf, "write"):
-            self._write_csv(path_or_buf)
-        else:
-            with open(path_or_buf, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh):
-        writer = csv.writer(fh)
+    def to_csv_string(self) -> str:
+        """The text of ``convergence.csv``: a header, then one row per
+        rung, each line ending in CRLF and each float as its ``repr``."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
         for r in self.rows:
             cond = "" if r.cond is None else repr(float(r.cond))
@@ -243,10 +239,6 @@ class ConvergenceTable:
             writer.writerow([r.N, repr(float(r.h)), repr(float(r.err_l2_B)),
                              repr(float(r.err_h1_B)), repr(float(r.s_norm)),
                              repr(float(r.sstar_norm)), cond, converged])
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
         return buf.getvalue()
 
     def rates_dict(self) -> dict:

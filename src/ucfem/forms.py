@@ -105,29 +105,6 @@ class ProblemSpec:
                 f"boundary_factor must be >= 1, got {self.boundary_factor}")
 
 
-def _boundary_flux(mu, mesh, edges, grads, hat_int):
-    """-<mu dn(trial), test> over the outer boundary, COO accumulated;
-    ``hat_int`` is the integral of each endpoint hat along its edge."""
-    tris = edges.bnd_tris
-    dn = np.einsum("ekd,ed->ek", grads[tris], edges.bnd_normals)  # (e, 3)
-    local = -mu * edges.bnd_lengths[:, None, None] \
-        * hat_int[None, :, None] * dn[:, None, :]                 # (e, 2, 3)
-    rows = np.repeat(edges.bnd_nodes, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles[tris], (1, 2)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes,) * 2)
-
-
-def _boundary_mass(mesh, edges, w_bnd, edge_mass):
-    """<w v, w>_boundary with weight ``w_bnd`` per boundary edge (times its
-    length) and the 2 x 2 reference edge mass ``edge_mass``."""
-    local = w_bnd[:, None, None] * edge_mass[None, :, :]
-    rows = np.repeat(edges.bnd_nodes, 2, axis=1).ravel()
-    cols = np.tile(edges.bnd_nodes, (1, 2)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes,) * 2).tocsr()
-
-
 def _jump_matrix(mesh, edges, grads, wf):
     """Interior-penalty matrix D^T W D, with W = diag(wf), one weight per face.
 
@@ -211,22 +188,35 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     whats = _weighted_hats(rule)
     bgrad = beta_flat.reshape(*pts.shape[:2], 2) @ grads.transpose(0, 2, 1)
     conv = (whats.T @ bgrad) * areas[:, None, None]
-    pde = (_scatter(pattern, conv + stiff)
-           + _boundary_flux(spec.mu, mesh, edges, grads,
-                            hat @ erule.weights)).tocsr()
-    del beta_flat, bgrad, conv  # no (t, q) array outlives its own form
+    conv += stiff
+    del beta_flat, bgrad  # no (t, q) array outlives its own form
+    # each boundary term goes into the block of the edge's owner triangle,
+    # whose local rows ``ends`` are the edge's two end nodes; add.at, as
+    # one triangle owns two boundary edges when n = 1
+    bt = edges.bnd_tris
+    ends = (mesh.triangles[bt][:, None, :]
+            == edges.bnd_nodes[:, :, None]).argmax(axis=2)      # (e, 2)
+    # -<mu dn(trial), test>, with the integral of each end's hat
+    dn = np.einsum("ekd,ed->ek", grads[bt], edges.bnd_normals)  # (e, 3)
+    np.add.at(conv, (bt[:, None], ends),
+              -spec.mu * edges.bnd_lengths[:, None, None]
+              * (hat @ erule.weights)[None, :, None] * dn[:, None, :])
+    pde = _scatter(pattern, conv)
+    del conv
 
     w_data = spec.mu + bsup * h
     s_data = _scatter(pattern, (w_data * areas[:, None] * mask)
                       @ _mass_tensor(rule))
     s_jump = _jump_matrix(mesh, edges, grads,
                           spec.gamma * h * w_data * edges.face_lengths)
+    # the dual's weighted boundary mass, in the same owner blocks
     w_bnd = spec.boundary_factor * (spec.mu / h + bsup) * edges.bnd_lengths
     edge_mass = np.einsum("q,iq,jq->ij", erule.weights, hat, hat)
-    s_dual = (spec.gamma_star * (_boundary_mass(mesh, edges, w_bnd, edge_mass)
-                                 + _scatter(pattern, stiff) + s_jump)).tocsr()
+    np.add.at(stiff, (bt[:, None, None], ends[:, :, None], ends[:, None, :]),
+              w_bnd[:, None, None] * edge_mass)
+    s_dual = spec.gamma_star * (_scatter(pattern, stiff) + s_jump)
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
     b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ whats)
-    return AssembledForms(pde, s_data, s_jump, (s_data + s_jump).tocsr(),
+    return AssembledForms(pde, s_data, s_jump, s_data + s_jump,
                           s_dual, b_source, h, bsup, bsup * h / spec.mu)

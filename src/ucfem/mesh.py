@@ -109,29 +109,23 @@ class Mesh:
             raise RuntimeError(f"edge {(int(lo[e]), int(hi[e]))} owned by "
                                f"{count.max()} triangles")
         first, last = order[start], order[start + count - 1]
-        lo, hi = lo[first], hi[first]
         owners = np.column_stack([first, last]) // 3
 
-        d = self.nodes[hi] - self.nodes[lo]
+        # the right-hand normal of the first owner's half-edge points out
+        # of that counterclockwise triangle: into the second owner of an
+        # interior face, outward on a boundary edge
+        d = self.nodes[b[first]] - self.nodes[a[first]]
         length = np.hypot(d[:, 0], d[:, 1])
         nrm = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
-        mid = 0.5 * (self.nodes[lo] + self.nodes[hi])
-        centroids = self.nodes[tris].mean(axis=1)
-        # whether the normal points into the last owner, which on a
-        # boundary edge is the only one
-        into = np.einsum("ed,ed->e", nrm, centroids[owners[:, 1]] - mid) > 0
-        owners = np.where(into[:, None], owners, owners[:, ::-1])
+        lo, hi = lo[first], hi[first]
 
-        # interior normals point from face_tris[:, 0] into face_tris[:, 1]
-        f = count == 2
-        # boundary normals point outward
-        bnd = count == 1
+        f, bnd = count == 2, count == 1
         return Edges(
             face_nodes=np.column_stack([lo[f], hi[f]]), face_normals=nrm[f],
             face_lengths=length[f], face_tris=owners[f],
             bnd_nodes=np.column_stack([lo[bnd], hi[bnd]]),
-            bnd_normals=np.where(into[bnd, None], -nrm[bnd], nrm[bnd]),
-            bnd_lengths=length[bnd], bnd_tris=owners[bnd, 0])
+            bnd_normals=nrm[bnd], bnd_lengths=length[bnd],
+            bnd_tris=owners[bnd, 0])
 
     @property
     def n_nodes(self) -> int:

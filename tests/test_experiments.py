@@ -1,7 +1,5 @@
 """Benchmark definitions, noise model, rate fitting, and ladder runs."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -317,9 +315,6 @@ def test_convergence_table_csv_format():
     assert float(first[1]) == pytest.approx(1.0 / 9.0)
     # cond and cond_converged stay empty when not requested
     assert first[6:] == ["", ""]
-    buf = io.StringIO()
-    table.to_csv(buf)
-    assert buf.getvalue() == text
 
 
 def test_unconverged_estimate_is_marked_in_row_and_csv():

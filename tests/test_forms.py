@@ -66,7 +66,7 @@ FIELDS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("field", ["const", "swirl"])
 def test_convection_diffusion_matches_dense_oracle(n, field):
     beta, bsup = FIELDS[field]
@@ -103,7 +103,7 @@ def test_data_mass_matches_dense_oracle_aligned_subregion():
     assert np.abs(sparse - dense).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_gradient_jump_matches_dense_oracle(n):
     spec = make_spec(beta_sup=3.0, gamma=0.25)
     mesh = build_unit_square_mesh(n)
@@ -114,7 +114,7 @@ def test_gradient_jump_matches_dense_oracle(n):
     assert np.abs(sparse - dense).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_stabilizer_matches_dense_oracle(n):
     spec = make_spec(beta_sup=2.0, gamma=1e-3, gamma_star=0.5,
                      boundary_factor=50.0)

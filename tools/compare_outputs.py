@@ -99,6 +99,10 @@ def command_matrix() -> dict[str, list[str]]:
         runs[f"{command}-ex1-const-cond-exact"] = [
             command, "--case", "ex1-const", "--ladder", "4,8",
             "--cond", "exact"]
+    # odd N with a constant field: the boundary rows, where boundary and
+    # interior terms cancel, and the diagnostics nnz that counts them
+    runs["solve-ex3-const-n5-9"] = [
+        "solve", "--case", "ex3-const", "--ladder", "5,9"]
     # the estimator hits its iteration cap on both rungs
     runs["condnum-ex1-swirl-cap"] = [
         "condnum", "--case", "ex1-swirl", "--ladder", "4,8",
