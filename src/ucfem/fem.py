@@ -25,7 +25,13 @@ __all__ = [
     "interpolate",
     "mass_matrix",
     "l2_project",
+    "NumericalFailure",
 ]
+
+
+class NumericalFailure(RuntimeError):
+    """Raised when a factorization, a linear solve or a residual check
+    fails."""
 
 
 @dataclass(frozen=True)
@@ -216,7 +222,7 @@ def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
 
     The mass system is solved by Jacobi-preconditioned CG; when CG fails or
     its relative residual exceeds 1e-12, a sparse direct solve replaces it
-    and must meet the same gate.
+    and must meet the same gate, or NumericalFailure is raised.
     """
     rule = triangle_rule(degree)
     pts = quad_points(mesh, rule)
@@ -239,5 +245,6 @@ def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
         coeffs = spla.spsolve(mm.tocsc(), rhs)
         rel = residual(coeffs)
         if rel > 1e-12:
-            raise RuntimeError(f"mass solve residual {rel:.3e} exceeds 1e-12")
+            raise NumericalFailure(
+                f"mass solve residual {rel:.3e} exceeds 1e-12")
     return FeFunction(mesh, coeffs)

@@ -15,11 +15,13 @@ the same nodes, so SuperLU's multiple minimum degree orders the graph of
 M folded onto the nodes, started from that graph's reverse Cuthill-McKee
 numbering (minimum degree breaks ties by the input numbering), and each
 node's u and z follow each other.  The ordering runs before ``solve``
-returns the C heap's free pages, so its work arrays do not stay resident
-under the factors.  SuperLU receives the stored CSR arrays as the CSC
-arrays of its transpose, which is the matrix itself, so no copy is made
-for it.  One loop tries two factorizations: the stored order without
-pivoting, then SuperLU's COLAMD order with partial pivoting.  The first
+returns the C heap's free pages, which every solve does once, before
+its first factorization, so the ordering's work arrays do not stay
+resident under the factors.  SuperLU receives the stored CSR arrays as
+the CSC arrays of its transpose, which is the matrix itself, so no copy
+is made for it.  One loop tries two factorizations: the stored order
+without pivoting, then SuperLU's COLAMD order with partial pivoting;
+each solve with them takes at most one refinement step.  The first
 factors that pass the residual gate serve the solve and the condition
 estimate, which is given them and never factorizes; they are released
 when ``solve`` returns.  The estimate runs one power iteration twice:
@@ -41,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .fem import FeFunction
+from .fem import FeFunction, NumericalFailure
 from .mesh import Mesh
 
 __all__ = [
@@ -54,10 +56,6 @@ __all__ = [
     "CondEstimate",
     "NumericalFailure",
 ]
-
-
-class NumericalFailure(RuntimeError):
-    """Raised when factorization or residual checks fail."""
 
 
 @dataclass
@@ -154,21 +152,14 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     return SaddleSystem(stored, rhs[order], n, order)
 
 
-# factor inputs whose matrix data take this many bytes or more, from
-# N=121 on (4,239,840 bytes; N=120 has 4,170,272), have the heap's free
-# pages returned first: what assembly and build_system's node ordering
-# freed; below it those are a few MB, cheaper to keep than to fault back
-# in
-_TRIM_MIN_BYTES = 4 * 2**20
-
-
 def _release_free_heap():
     """Hand the C heap's free pages back to the operating system.
 
     The arrays that assembly and ``build_system`` free lie between live
     ones on glibc's heap and stay resident, while SuperLU maps fresh
-    memory for its factors; returned first, they do not add to the peak.
-    A no-op where the C library has no ``malloc_trim``.
+    memory for its factors; returned once per solve, before its first
+    factorization and at every size, they do not add to the peak.  A
+    no-op where the C library has no ``malloc_trim``.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -204,30 +195,32 @@ class Solution:
 
 
 def _refined_solve(system: SaddleSystem, lu: spla.SuperLU):
-    """LU solve, refined up to two steps while the relative residual
-    exceeds 1e-12; returns (x, the relative residual after the solve and
-    after each step)."""
+    """LU solve and, if its relative residual exceeds 1e-12, one step of
+    iterative refinement, which in working precision makes the LU solve
+    backward stable (Skeel, Math. Comp. 35, 1980); returns (x, the
+    relative residual after the solve and after the step, if taken)."""
     x = lu.solve(system.rhs)
     bnorm = np.linalg.norm(system.rhs)
     if bnorm == 0:
         return x, [0.0]
-    history = []
-    while True:
+    r = system.rhs - system.matrix @ x
+    history = [float(np.linalg.norm(r) / bnorm)]
+    if history[0] > 1e-12:
+        x = x + lu.solve(r)
         r = system.rhs - system.matrix @ x
         history.append(float(np.linalg.norm(r) / bnorm))
-        if history[-1] <= 1e-12 or len(history) == 3:
-            return x, history
-        x = x + lu.solve(r)
+    return x, history
 
 
 def _gated_solve(system: SaddleSystem):
     """Factors that pass the 1e-8 residual gate, and the solution.
 
     A matrix that is not symmetric bit for bit raises NumericalFailure
-    unfactorized; a large one first has the C heap's free pages returned,
-    so that what assembly and the ordering in ``build_system`` freed does
-    not stay resident under the factors.  The matrix is first factorized
-    as stored, in the minimum degree order that ``build_system`` gave it
+    unfactorized; otherwise the C heap's free pages are returned once,
+    before the first factorization and at every size, so that what
+    assembly and the ordering in ``build_system`` freed does not stay
+    resident under the factors.  The matrix is first factorized as
+    stored, in the minimum degree order that ``build_system`` gave it
     (SuperLU's ``NATURAL`` column order), without pivoting, which the
     quasi-definite matrix admits in any symmetric order (Vanderbei, SIAM
     J. Optim. 5, 1995) but its badly conditioned blocks can break; then in
@@ -236,16 +229,15 @@ def _gated_solve(system: SaddleSystem):
     the gate gives way to the next, its factors released first.  Returns
     (factors, x, diagnostics): the diagnostics name the ``ordering`` that
     passed (``"minimum_degree"`` or ``"colamd"``), its fill ``lu_nnz``,
-    its ``refinement_steps`` and the ``residual_history`` of its refined
-    solve, whose last entry is ``relative_residual``.
+    its ``refinement_steps`` (0 or 1) and the ``residual_history`` of its
+    refined solve, whose last entry is ``relative_residual``.
     """
     t0 = time.perf_counter()
     defect = system.symmetry_defect()
     if defect != 0.0:
         raise NumericalFailure(f"saddle matrix is not symmetric: "
                                f"symmetry defect {defect:.3e}")
-    if system.matrix.data.nbytes >= _TRIM_MIN_BYTES:
-        _release_free_heap()
+    _release_free_heap()
     t_factor, t_solve = time.perf_counter() - t0, 0.0
     for ordering in ("minimum_degree", "colamd"):
         lu = None  # release the factors that failed

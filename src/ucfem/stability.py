@@ -160,16 +160,10 @@ class ThreeBallConfig:
             raise ValueError("kappa must lie in (0, 1)")
 
 
-def disc_quadrature(center, radius: float, n_r: int = 64,
-                    n_theta: int = 128):
-    """Polar-grid quadrature on a disc: Gauss in r, uniform in angle."""
-    return _polar_grid(center, radius, np.polynomial.legendre.leggauss(n_r),
-                       n_theta)
-
-
 def _polar_grid(center, radius, gauss, n_theta):
-    """``disc_quadrature`` with the Gauss-Legendre rule ``gauss`` = (t, w)
-    on [-1, 1] given, so that one rule serves several discs."""
+    """Polar-grid quadrature on a disc: the Gauss-Legendre rule ``gauss``
+    = (t, w) on [-1, 1] in r, given so that one rule serves several discs,
+    and ``n_theta`` uniform angles."""
     t, w = gauss
     r = 0.5 * radius * (t + 1.0)
     wr = 0.5 * radius * w

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ucfem import __version__
@@ -50,6 +51,20 @@ def test_unknown_case_exits_two(tmp_path, capsys):
     assert main(["probe", "fem", "--case", "nope", "--out", str(out)]) == 2
     assert "unknown case" in capsys.readouterr().err
     assert not out.exists()  # rejected before config.json was written
+
+
+def test_failed_mass_solve_exits_three(tmp_path, capsys, monkeypatch):
+    # both paths of the comparison function's mass solve miss their gate
+    import ucfem.fem as fem
+
+    monkeypatch.setattr(fem.spla, "cg",
+                        lambda a, b, **kw: (np.zeros_like(b), 0))
+    monkeypatch.setattr(fem.spla, "spsolve", lambda a, b: np.zeros_like(b))
+    code = main(["convergence", "--ladder", "4", "--out", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "numerical"
+    assert "mass solve residual" in err["detail"]
 
 
 def test_solve_writes_outputs_and_is_deterministic(tmp_path, capsys):

@@ -375,11 +375,11 @@ def test_solve_diagnostics_and_residual():
 
 def test_refinement_records_each_step():
     # factors of 1.5 M leave an error of 1/3 per refinement step, so the
-    # two steps run and each cuts the relative residual by about 3
+    # one step runs, cuts the relative residual by about 3 and is the last
     _, _, _, system = case_system("ex1-swirl", n=8)
     lu = spla.splu(1.5 * system.matrix.tocsc(), **PIVOT_FREE)
     x, history = saddle._refined_solve(system, lu)
-    assert len(history) == 3
+    assert len(history) == 2
     assert history[0] == pytest.approx(1 / 3, rel=1e-6)
     for before, after in zip(history, history[1:]):
         assert after == pytest.approx(before / 3, rel=1e-6)
@@ -633,25 +633,30 @@ def sparse_copies_alive(system):
 
 @pytest.mark.parametrize("breakdown", [True, False])
 def test_splu_receives_the_stored_arrays(monkeypatch, breakdown):
-    # below and above the heap-trim size (N=8, N=128), each ordering
-    # tried factors the system's own arrays, and no copy of the matrix is
-    # alive next to them
+    # at a small and a large size (N=8, N=128), the heap is trimmed once,
+    # before the first factorization, each ordering tried factors the
+    # system's own arrays, and no copy of the matrix is alive next to them
     if breakdown:
         _patched_pivot_free_splu(monkeypatch, pivot_free_breakdown)
-    real = saddle.spla.splu
+    real_splu, real_trim = saddle.spla.splu, saddle._release_free_heap
     for n in (8, 128):
         _, mesh, _, system = case_system("ex1-swirl", n=n)
-        assert (system.matrix.data.nbytes >= saddle._TRIM_MIN_BYTES) \
-            == (n == 128)
-        received = []
+        received, calls = [], []
+
+        def recording_trim():
+            calls.append("trim")
+            real_trim()
 
         def recording_splu(mat, *args, **kwargs):
+            calls.append("splu")
             received.append((mat.data, mat.indices,
                              len(sparse_copies_alive(system))))
-            return real(mat, *args, **kwargs)
+            return real_splu(mat, *args, **kwargs)
 
+        monkeypatch.setattr(saddle, "_release_free_heap", recording_trim)
         monkeypatch.setattr(saddle.spla, "splu", recording_splu)
         sol = solve(system, mesh)
+        assert calls == ["trim"] + ["splu"] * len(received)
         assert sol.diagnostics["ordering"] == ("colamd" if breakdown
                                                else "minimum_degree")
         assert len(received) == (2 if breakdown else 1)

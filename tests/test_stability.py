@@ -5,8 +5,8 @@ import pytest
 
 from ucfem.experiments import get_case
 from ucfem.stability import (LogConvexityInstance, ThreeBallConfig,
-                             audit_log_convexity, calibrate_exponent,
-                             disc_quadrature, harmonic_family_sweep,
+                             _polar_grid, audit_log_convexity,
+                             calibrate_exponent, harmonic_family_sweep,
                              harmonic_member, holder_exponent,
                              log_convexity_bound, probe_fem_solution,
                              three_ball_ratio)
@@ -78,7 +78,8 @@ def test_holder_exponent_values_and_validation():
 
 def test_disc_quadrature_polynomial_oracles():
     center, radius = (0.4, 0.6), 0.3
-    pts, w = disc_quadrature(center, radius)
+    pts, w = _polar_grid(center, radius, np.polynomial.legendre.leggauss(64),
+                         128)
     assert w.sum() == pytest.approx(np.pi * radius**2, rel=1e-12)
     assert w @ pts[:, 0] == pytest.approx(center[0] * np.pi * radius**2,
                                           rel=1e-12)

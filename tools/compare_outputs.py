@@ -80,10 +80,14 @@ def command_matrix() -> dict[str, list[str]]:
     runs["solve-ex2-swirl-cond-n6-12"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "6,12",
         "--cond", "estimate"]
-    # a factor input above saddle's heap-trim size (N >= 121)
+    # the largest factor input of the matrix, and the estimate through it
     runs["solve-ex2-swirl-cond-n128"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "128",
         "--cond", "estimate"]
+    # a rung whose solve takes its refinement step (relative residual
+    # about 1.3e-12 -> 2.9e-13); the built-in-case rungs above take none
+    runs["solve-ex1-const-n128"] = [
+        "solve", "--case", "ex1-const", "--ladder", "128"]
     runs["condnum-ex1-const"] = [
         "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
         "--cond", "estimate"]
