@@ -2,8 +2,9 @@
 
 Quadrature rules, hat-function gradients, nodal interpolation and
 consistent L2 projection.  All assembly downstream builds on the
-per-triangle geometry and the scatter pattern computed here; each call
-computes them afresh, and nothing is stored on the mesh.
+per-triangle geometry computed here and sums its local blocks with
+scipy's COO -> CSR conversion; each call computes what it needs
+afresh, and nothing is stored on the mesh.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def interpolate(u, mesh: Mesh) -> FeFunction:
 def mass_matrix(mesh: Mesh, degree: int = 4) -> sp.csr_matrix:
     """Consistent P1 mass matrix assembled with the given quadrature degree."""
     local = _mass_tensor(triangle_rule(degree)).sum(axis=0)
-    return _scatter(_p1_pattern(mesh), mesh.tri_areas[:, None] * local)
+    return _scatter(mesh, mesh.tri_areas[:, None] * local)
 
 
 def _mass_tensor(rule: QuadratureRule) -> np.ndarray:
@@ -183,32 +184,13 @@ def _weighted_hats(rule: QuadratureRule) -> np.ndarray:
     return rule.weights[:, None] * rule.points
 
 
-def _p1_pattern(mesh: Mesh) -> tuple:
-    """CSR ``indptr`` and ``indices`` of the P1 stencil, and the slot in
-    it of each of the 9 t local entries, in (triangle, row, column) order.
-    """
-    n, tri = mesh.n_nodes, mesh.triangles.astype(np.int64)
-    keys = (np.repeat(tri, 3, axis=1) * n + np.tile(tri, (1, 3))).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    pattern = ranked[new]
-    index = np.int32 if len(pattern) < 2**31 else np.int64
-    slot = np.empty(len(keys), dtype=index)
-    slot[order] = np.cumsum(new) - 1
-    indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
-    return indptr.astype(index), (pattern % n).astype(index), slot
-
-
-def _scatter(pattern, local_blocks) -> sp.csr_matrix:
-    """Sum (t, 3, 3) local blocks into the global P1 matrix of the
-    ``_p1_pattern`` ``pattern`` with one bincount."""
-    indptr, indices, slot = pattern
-    data = np.bincount(slot, weights=np.ravel(local_blocks),
-                       minlength=len(indices))
-    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+def _scatter(mesh: Mesh, local_blocks) -> sp.csr_matrix:
+    """Sum (t, 3, 3) local blocks, in (triangle, row, column) order, into
+    the global P1 matrix; scipy's COO -> CSR conversion sums duplicates."""
+    tri, n = mesh.triangles, mesh.n_nodes
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.csr_matrix((np.ravel(local_blocks), (rows, cols)), shape=(n, n))
 
 
 def _scatter_load(mesh: Mesh, local) -> np.ndarray:

@@ -31,8 +31,7 @@ import scipy.sparse as sp
 
 from .mesh import Mesh, Region, mesh_size
 from .fem import (edge_rule, quad_points, triangle_geometry, triangle_rule,
-                  _mass_tensor, _p1_pattern, _scatter, _scatter_load,
-                  _weighted_hats)
+                  _mass_tensor, _scatter, _scatter_load, _weighted_hats)
 
 __all__ = [
     "ProblemSpec",
@@ -155,16 +154,16 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     """Assemble every form and the source load of the saddle-point system,
     none of which depends on the data; h, the geometry, the edge
     connectivity, the quadrature points, beta there, |beta|, the
-    diffusion blocks, the omega indicator and the P1 scatter pattern are
-    computed once, and none of them outlives the call.  Warns when omega
-    holds no quadrature point or a declared ``spec.beta_sup`` is below the
-    largest |beta| at the quadrature points."""
+    diffusion blocks and the omega indicator are computed once, and none
+    of them outlives the call.  Warns when omega holds no quadrature
+    point or a declared ``spec.beta_sup`` is below the largest |beta| at
+    the quadrature points."""
     if spec.f is None:
         raise ValueError("spec has no source term f")
     h = mesh_size(mesh)
     rule, erule = triangle_rule(degree), edge_rule(degree)
     grads, areas = triangle_geometry(mesh)
-    edges, pattern = mesh.edges(), _p1_pattern(mesh)
+    edges = mesh.edges()
     pts = quad_points(mesh, rule)
     flat = pts.reshape(-1, 2)
     stiff = (grads @ grads.transpose(0, 2, 1)) \
@@ -201,11 +200,11 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     np.add.at(conv, (bt[:, None], ends),
               -spec.mu * edges.bnd_lengths[:, None, None]
               * (hat @ erule.weights)[None, :, None] * dn[:, None, :])
-    pde = _scatter(pattern, conv)
+    pde = _scatter(mesh, conv)
     del conv
 
     w_data = spec.mu + bsup * h
-    s_data = _scatter(pattern, (w_data * areas[:, None] * mask)
+    s_data = _scatter(mesh, (w_data * areas[:, None] * mask)
                       @ _mass_tensor(rule))
     s_jump = _jump_matrix(mesh, edges, grads,
                           spec.gamma * h * w_data * edges.face_lengths)
@@ -214,7 +213,7 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     edge_mass = np.einsum("q,iq,jq->ij", erule.weights, hat, hat)
     np.add.at(stiff, (bt[:, None, None], ends[:, :, None], ends[:, None, :]),
               w_bnd[:, None, None] * edge_mass)
-    s_dual = spec.gamma_star * (_scatter(pattern, stiff) + s_jump)
+    s_dual = spec.gamma_star * (_scatter(mesh, stiff) + s_jump)
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
     b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ whats)

@@ -56,8 +56,8 @@ class Mesh:
     tri_areas : (n_tri,) array of (positive) triangle areas.
 
     Nothing else is stored: every array derived from these (edge
-    connectivity, hat gradients, quadrature points, the P1 scatter
-    pattern) is built by the call that needs it.
+    connectivity, hat gradients, quadrature points) is built by the call
+    that needs it.
     """
 
     def __init__(self, cells_per_side: int):

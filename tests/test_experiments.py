@@ -349,7 +349,7 @@ def test_rung_factorizes_with_a_small_live_set(monkeypatch):
     # one saddle matrix SuperLU reads and the node geometry (about 1.3x
     # the matrix's bytes at N=64): no second layout of it, no assembled
     # block, no array derived from the mesh (edge connectivity, hat
-    # gradients, quadrature points, scatter pattern) and nothing of the
+    # gradients, quadrature points, COO indices) and nothing of the
     # previous rung.  The comparison function is computed after the
     # solve.  Keeping the primal and dual blocks and the connectivity
     # reads 2.5x, and keeping every block and derived array alive 4.1x.

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ucfem import fem
@@ -12,7 +11,10 @@ from ucfem.experiments import builtin_cases
 from ucfem.fem import (FeFunction, edge_rule, interpolate, l2_project,
                        mass_matrix, quad_points, triangle_geometry,
                        triangle_rule)
-from ucfem.mesh import build_unit_square_mesh
+from ucfem.forms import assemble_all
+from ucfem.mesh import UNIT_SQUARE, build_unit_square_mesh, mesh_size
+
+import dense_oracle
 
 
 def reference_monomial_integral(a, b):
@@ -114,25 +116,20 @@ def test_reference_tensors_match_their_einsum_definitions(degree):
         rtol=0, atol=1e-15)
 
 
+# at N = 1 the ex1 omega boxes hold no quadrature point
+@pytest.mark.filterwarnings("ignore:data region contains no quadrature point")
+@pytest.mark.parametrize("case", builtin_cases(), ids=lambda c: c.name)
 @pytest.mark.parametrize("n_cells", range(1, 10))
-def test_scatter_matches_coo_assembly(n_cells):
+def test_p1_matrices_are_canonical_on_the_full_stencil(n_cells, case):
+    # the diagonal and both orientations of each of the 3N^2 + 2N mesh
+    # edges; explicit zeros (blocks outside omega) keep their slots,
+    # which the diagnostics' nnz counts
     mesh = build_unit_square_mesh(n_cells)
-    tri = mesh.triangles
-    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
-    pattern = fem._p1_pattern(mesh)
-    keys = rows.astype(np.int64) * mesh.n_nodes + cols
-    np.testing.assert_array_equal(pattern[2],
-                                  np.unique(keys, return_inverse=True)[1])
-    rng = np.random.default_rng(n_cells)
-    for _ in range(2):
-        blocks = rng.standard_normal((len(tri), 3, 3))
-        got = fem._scatter(pattern, blocks)
-        want = sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                             shape=(mesh.n_nodes,) * 2).tocsr()
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        assert np.abs(got.data - want.data).max() \
-            <= 1e-15 * np.abs(want.data).max()
+    forms = assemble_all(case.spec, mesh)
+    stencil = mesh.n_nodes + 2 * (3 * n_cells**2 + 2 * n_cells)
+    for mat in (forms.pde, forms.data_mass, mass_matrix(mesh)):
+        assert mat.has_canonical_format
+        assert mat.nnz == stencil
 
 
 def test_interpolate_exact_for_affine():
@@ -260,6 +257,16 @@ def test_l2_project_cg_agrees_with_direct_solve(monkeypatch, case):
                         lambda a, b, **kw: (np.zeros_like(b), 1))
     direct = l2_project(case.exact.value, mesh).coefficients
     assert _rel_diff(cg_coeffs, direct) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mass_matrix_matches_dense_oracle(n, degree):
+    mesh = build_unit_square_mesh(n)
+    dense = dense_oracle.dense_data_mass(mesh, 1.0, 0.0, mesh_size(mesh),
+                                         UNIT_SQUARE)
+    got = mass_matrix(mesh, degree).toarray()
+    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_mass_matrix_row_sums_give_areas():

@@ -79,7 +79,7 @@ def test_convection_diffusion_matches_dense_oracle(n, field):
     assert np.abs(sparse - dense).max() <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_data_mass_matches_dense_oracle_full_domain(n):
     spec = make_spec(beta_sup=2.0)
     mesh = build_unit_square_mesh(n)

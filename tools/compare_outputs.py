@@ -80,6 +80,9 @@ def command_matrix() -> dict[str, list[str]]:
     runs["solve-ex2-swirl-cond-n6-12"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "6,12",
         "--cond", "estimate"]
+    # the L2 comparison function, s_norm and the rates on those meshes
+    runs["convergence-ex2-swirl-n6-12"] = [
+        "convergence", "--case", "ex2-swirl", "--ladder", "6,12"]
     # the largest factor input of the matrix, and the estimate through it
     runs["solve-ex2-swirl-cond-n128"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "128",
