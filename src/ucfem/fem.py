@@ -20,7 +20,6 @@ from .mesh import Mesh, locate_points
 __all__ = [
     "QuadratureRule",
     "triangle_rule",
-    "edge_rule",
     "triangle_geometry",
     "FeFunction",
     "interpolate",
@@ -37,11 +36,10 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Quadrature points and weights on a reference element.
+    """Quadrature points and weights on the reference triangle.
 
-    Triangle rules store barycentric points of shape (q, 3); edge rules
-    store parameters in [0, 1] of shape (q,).  Weights sum to one so that
-    physical integrals are weight-sums scaled by area or length.
+    Points are barycentric, of shape (q, 3).  Weights sum to one so that
+    physical integrals are weight-sums scaled by area.
     """
 
     points: np.ndarray
@@ -53,8 +51,8 @@ _TRI_P2 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _TRI_W2 = np.full(3, 1.0 / 3.0)
 
 # 6-point rule, exact through degree 4
-_A1, _W1 = 0.445948490915965, 0.223381589678011
-_A2, _W2 = 0.091576213509771, 0.109951743655322
+_A1, _W1 = 0.44594849091596488632, 0.22338158967801146570
+_A2, _W2 = 0.09157621350977074346, 0.10995174365532186764
 _TRI_P4 = np.array([
     [1 - 2 * _A1, _A1, _A1], [_A1, 1 - 2 * _A1, _A1], [_A1, _A1, 1 - 2 * _A1],
     [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2],
@@ -92,15 +90,6 @@ def _subdivide(pts, wts):
     new_pts = np.vstack([pts @ c for c in corners])
     new_wts = np.tile(wts / 4.0, 4)
     return new_pts, new_wts
-
-
-def edge_rule(degree: int = 4) -> QuadratureRule:
-    """Gauss-Legendre rule on [0, 1] exact at least to the given degree."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    npts = (degree + 2) // 2
-    t, w = np.polynomial.legendre.leggauss(npts)
-    return QuadratureRule((t + 1.0) / 2.0, w / 2.0)
 
 
 def _hat_gradients(v, det):
@@ -164,10 +153,13 @@ def interpolate(u, mesh: Mesh) -> FeFunction:
     return FeFunction(mesh, np.asarray(u(mesh.nodes), dtype=float))
 
 
-def mass_matrix(mesh: Mesh, degree: int = 4) -> sp.csr_matrix:
-    """Consistent P1 mass matrix assembled with the given quadrature degree."""
-    local = _mass_tensor(triangle_rule(degree)).sum(axis=0)
-    return _scatter(mesh, mesh.tri_areas[:, None] * local)
+# the P1 mass block of a unit-area triangle: int phi_i phi_j = (1 + d_ij) / 12
+_MASS_BLOCK = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """Consistent P1 mass matrix, from the exact local block."""
+    return _scatter(mesh, mesh.tri_areas[:, None, None] * _MASS_BLOCK)
 
 
 def _mass_tensor(rule: QuadratureRule) -> np.ndarray:
@@ -212,7 +204,7 @@ def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
     rhs = _scatter_load(mesh, (mesh.tri_areas[:, None] * uvals)
                         @ _weighted_hats(rule))
 
-    mm = mass_matrix(mesh, degree)
+    mm = mass_matrix(mesh)
     scale = np.linalg.norm(rhs)
 
     def residual(c):

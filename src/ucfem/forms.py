@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, Region, mesh_size
-from .fem import (edge_rule, quad_points, triangle_geometry, triangle_rule,
+from .fem import (quad_points, triangle_geometry, triangle_rule,
                   _mass_tensor, _scatter, _scatter_load, _weighted_hats)
 
 __all__ = [
@@ -161,7 +161,7 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     if spec.f is None:
         raise ValueError("spec has no source term f")
     h = mesh_size(mesh)
-    rule, erule = triangle_rule(degree), edge_rule(degree)
+    rule = triangle_rule(degree)
     grads, areas = triangle_geometry(mesh)
     edges = mesh.edges()
     pts = quad_points(mesh, rule)
@@ -172,7 +172,6 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     if not mask.any():
         warnings.warn("data region contains no quadrature point; "
                       "data-fitting matrix is zero", stacklevel=2)
-    hat = np.stack([1.0 - erule.points, erule.points])      # (2, q)
     beta_flat = np.asarray(spec.beta(flat), dtype=float)
     sampled = float(np.sqrt((beta_flat**2).sum(axis=1)).max())
     bsup = sampled if spec.beta_sup is None else spec.beta_sup
@@ -195,11 +194,11 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     bt = edges.bnd_tris
     ends = (mesh.triangles[bt][:, None, :]
             == edges.bnd_nodes[:, :, None]).argmax(axis=2)      # (e, 2)
-    # -<mu dn(trial), test>, with the integral of each end's hat
+    # -<mu dn(trial), test>: each end's hat integrates to |e| / 2
     dn = np.einsum("ekd,ed->ek", grads[bt], edges.bnd_normals)  # (e, 3)
     np.add.at(conv, (bt[:, None], ends),
-              -spec.mu * edges.bnd_lengths[:, None, None]
-              * (hat @ erule.weights)[None, :, None] * dn[:, None, :])
+              (-0.5 * spec.mu * edges.bnd_lengths)[:, None, None]
+              * dn[:, None, :])
     pde = _scatter(mesh, conv)
     del conv
 
@@ -208,11 +207,11 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
                       @ _mass_tensor(rule))
     s_jump = _jump_matrix(mesh, edges, grads,
                           spec.gamma * h * w_data * edges.face_lengths)
-    # the dual's weighted boundary mass, in the same owner blocks
+    # the dual's weighted boundary mass, in the same owner blocks; the
+    # P1 mass of an edge is |e| [[2, 1], [1, 2]] / 6
     w_bnd = spec.boundary_factor * (spec.mu / h + bsup) * edges.bnd_lengths
-    edge_mass = np.einsum("q,iq,jq->ij", erule.weights, hat, hat)
     np.add.at(stiff, (bt[:, None, None], ends[:, :, None], ends[:, None, :]),
-              w_bnd[:, None, None] * edge_mass)
+              (w_bnd / 6.0)[:, None, None] * [[2.0, 1.0], [1.0, 2.0]])
     s_dual = spec.gamma_star * (_scatter(mesh, stiff) + s_jump)
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])

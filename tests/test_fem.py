@@ -8,9 +8,8 @@ import scipy.sparse.linalg as spla
 
 from ucfem import fem
 from ucfem.experiments import builtin_cases
-from ucfem.fem import (FeFunction, edge_rule, interpolate, l2_project,
-                       mass_matrix, quad_points, triangle_geometry,
-                       triangle_rule)
+from ucfem.fem import (FeFunction, interpolate, l2_project, mass_matrix,
+                       quad_points, triangle_geometry, triangle_rule)
 from ucfem.forms import assemble_all
 from ucfem.mesh import UNIT_SQUARE, build_unit_square_mesh, mesh_size
 
@@ -24,14 +23,16 @@ def reference_monomial_integral(a, b):
 
 @pytest.mark.parametrize("degree", [2, 4])
 def test_triangle_rule_monomial_exactness(degree):
+    # to rounding: weights within 1 ulp of 1, monomials within 4 ulp
+    eps = np.finfo(float).eps
     rule = triangle_rule(degree)
-    assert np.isclose(rule.weights.sum(), 1.0)
+    assert abs(rule.weights.sum() - 1.0) <= eps
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             got = 0.5 * np.sum(rule.weights * rule.points[:, 1] ** a
                                * rule.points[:, 2] ** b)
-            assert np.isclose(got, reference_monomial_integral(a, b),
-                              atol=1e-14), (a, b)
+            exact = reference_monomial_integral(a, b)
+            assert abs(got - exact) <= 4 * eps * exact, (a, b)
 
 
 def test_refined_rule_improves_high_degree():
@@ -45,14 +46,6 @@ def test_refined_rule_improves_high_degree():
                 - exact)
     err_f = abs(0.5 * np.sum(fine.weights * fine.points[:, 1] ** 6) - exact)
     assert err_f < err_c / 30
-
-
-@pytest.mark.parametrize("degree", [1, 3, 5])
-def test_edge_rule_exactness(degree):
-    rule = edge_rule(degree)
-    for k in range(degree + 1):
-        assert np.isclose(np.sum(rule.weights * rule.points ** k),
-                          1.0 / (k + 1), atol=1e-14)
 
 
 def test_p1_gradients_partition_of_unity():
@@ -259,13 +252,12 @@ def test_l2_project_cg_agrees_with_direct_solve(monkeypatch, case):
     assert _rel_diff(cg_coeffs, direct) <= 1e-12
 
 
-@pytest.mark.parametrize("degree", [2, 4])
 @pytest.mark.parametrize("n", range(1, 6))
-def test_mass_matrix_matches_dense_oracle(n, degree):
+def test_mass_matrix_matches_dense_oracle(n):
     mesh = build_unit_square_mesh(n)
     dense = dense_oracle.dense_data_mass(mesh, 1.0, 0.0, mesh_size(mesh),
                                          UNIT_SQUARE)
-    got = mass_matrix(mesh, degree).toarray()
+    got = mass_matrix(mesh).toarray()
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -273,7 +265,8 @@ def test_mass_matrix_row_sums_give_areas():
     mesh = build_unit_square_mesh(4)
     mass = mass_matrix(mesh)
     ones = np.ones(mesh.n_nodes)
-    assert np.isclose(ones @ (mass @ ones), 1.0)
+    # the total mass is the unit square's area, to 2 ulp
+    assert abs(ones @ (mass @ ones) - 1.0) <= 2 * np.finfo(float).eps
     assert np.all(mass.diagonal() > 0)
 
 

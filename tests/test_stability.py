@@ -126,16 +126,16 @@ def test_three_ball_ratio_scale_invariant():
 
 
 def test_three_ball_ratio_rejects_non_solutions():
-    # u = x^2 has Laplacian 2, caught by the finite-difference spot check
+    # u = x^2 has Laplacian 2, caught by the spot check of that Laplacian
     config = ThreeBallConfig((0.5, 0.5), (0.1, 0.2, 0.4), 0.5)
     value = lambda p: np.atleast_2d(p)[:, 0] ** 2
     gradient = lambda p: np.column_stack(
         [2 * np.atleast_2d(p)[:, 0], np.zeros(len(np.atleast_2d(p)))])
     with pytest.raises(ValueError, match="residual"):
-        three_ball_ratio(value, gradient, config)
-    # the same field passes once the residual check is waived
-    assert three_ball_ratio(value, gradient, config,
-                            check_residual=False) > 0.0
+        three_ball_ratio(value, gradient, config,
+                         laplacian=lambda p: np.full(len(p), 2.0))
+    # the same field passes when no Laplacian is given to check
+    assert three_ball_ratio(value, gradient, config) > 0.0
 
 
 def test_three_ball_ratio_degenerate_inner_disc():
@@ -148,7 +148,7 @@ def test_three_ball_ratio_degenerate_inner_disc():
 
     with pytest.raises(ValueError, match="degenerate"):
         three_ball_ratio(annular, lambda p: np.zeros((len(np.atleast_2d(p)), 2)),
-                         config, check_residual=False)
+                         config)
 
 
 def test_calibration_makes_first_member_tight():
