@@ -252,11 +252,14 @@ def test_l2_project_cg_agrees_with_direct_solve(monkeypatch, case):
     assert _rel_diff(cg_coeffs, direct) <= 1e-12
 
 
+@pytest.mark.parametrize("oracle_points", [2, 4])
 @pytest.mark.parametrize("n", range(1, 6))
-def test_mass_matrix_matches_dense_oracle(n):
+def test_mass_matrix_matches_dense_oracle(n, oracle_points):
+    # the oracle's collapsed Gauss rule is exact for P1 products at 2 and
+    # at 4 points per direction, so both must give the closed-form block
     mesh = build_unit_square_mesh(n)
     dense = dense_oracle.dense_data_mass(mesh, 1.0, 0.0, mesh_size(mesh),
-                                         UNIT_SQUARE)
+                                         UNIT_SQUARE, npts=oracle_points)
     got = mass_matrix(mesh).toarray()
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
