@@ -9,12 +9,14 @@ much of it: the observed impact on coarse meshes is the largest, and on
 fine meshes the noisy and clean errors approach each other.
 """
 
+from dataclasses import replace
+
 from ucfem.experiments import get_case, run_case
 
 ladder = (8, 16, 32, 64)
-clean = run_case(get_case("ex1-const"), ladder=ladder)
-mild = run_case(get_case("ex1-const-noise-h"), ladder=ladder)
-rough = run_case(get_case("ex1-const-noise-sqrt"), ladder=ladder)
+clean = run_case(replace(get_case("ex1-const"), ladder=ladder))
+mild = run_case(replace(get_case("ex1-const-noise-h"), ladder=ladder))
+rough = run_case(replace(get_case("ex1-const-noise-sqrt"), ladder=ladder))
 
 print("relative L2(B) errors")
 print(f"{'N':>4} {'clean':>12} {'noise ~h':>12} {'noise ~sqrt(h)':>15}")

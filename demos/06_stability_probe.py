@@ -12,6 +12,8 @@ directly, independent of any finite element computation:
   reconstructions.
 """
 
+from dataclasses import replace
+
 from ucfem.experiments import get_case
 from ucfem.stability import (ThreeBallConfig, audit_log_convexity,
                              harmonic_family_sweep, holder_exponent,
@@ -34,7 +36,7 @@ for k, ratio in enumerate(sweep["ratios"], start=1):
 
 # the same probe applied to discrete reconstructions along the ladder;
 # ratios stay bounded, a discrete echo of the continuous estimate
-case = get_case("ex1-const")
+case = replace(get_case("ex1-const"), ladder=(8, 16, 32))
 config = ThreeBallConfig((0.5, 0.5), (0.1, 0.2, 0.4), kappa)
-for n, ratio in probe_fem_solution(case, config, ladder=(8, 16, 32)):
+for n, ratio in probe_fem_solution(case, config):
     print(f"FEM reconstruction, N={n}: three-ball ratio {ratio:.4f}")

@@ -218,7 +218,9 @@ def _apply_config_file(args, sub_parser):
 
 
 def _region_from(payload, name) -> Region:
-    region = Region(payload.get("boxes", []), payload.get("holes", []))
+    region = Region(*([[_finite(c, f"{name} {key}") for c in box]
+                       for box in payload.get(key, [])]
+                      for key in ("boxes", "holes")))
     if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
            for x0, x1, y0, y1 in region.boxes):
         raise ConfigError(f"{name} has a box outside the unit square")
@@ -228,6 +230,9 @@ def _region_from(payload, name) -> Region:
 
 
 def _finite(value, name) -> float:
+    """A finite inline-problem number; JSON's true and false are not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -252,19 +257,19 @@ def _case_from_problem(payload: dict) -> CaseDefinition:
     try:
         beta = _field_from(payload.get("beta", {}))
         exact = polynomial_bump()
-        beta_sup = payload.get("beta_sup")
+        sup = payload.get("beta_sup")
         # the stabilization parameters not given keep ProblemSpec's defaults
-        weights = {key: float(payload[key]) for key in
+        weights = {key: _finite(payload[key], key) for key in
                    ("gamma", "gamma_star", "boundary_factor")
                    if key in payload}
         spec = ProblemSpec(
-            mu=float(payload.get("mu", 1.0)),
+            mu=_finite(payload.get("mu", 1.0), "mu"),
             beta=beta,
             omega=_region_from(payload["omega"], "omega"),
             target=_region_from(payload.get("target", {"boxes": [[0, 1, 0, 1]]}),
                                 "target"),
             f=None,
-            beta_sup=None if beta_sup is None else float(beta_sup),
+            beta_sup=None if sup is None else _finite(sup, "beta_sup"),
             **weights,
         )
         spec = replace(spec, f=derive_source(exact, spec.mu, beta))
@@ -293,7 +298,8 @@ def _resolve_case(args, problem) -> CaseDefinition:
         with _bad_input():
             spec = replace(spec, boundary_factor=args.boundary_factor)
     ladder = args.ladder if getattr(args, "ladder", None) else case.ladder
-    return CaseDefinition(case.name, spec, case.exact, tuple(ladder), noise)
+    return replace(case, spec=spec, ladder=tuple(ladder), noise=noise,
+                   quad_degree=getattr(args, "quad_degree", case.quad_degree))
 
 
 def _check_numbers(args):
@@ -339,7 +345,8 @@ def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
                 if not k.endswith("_seconds")}  # timings go to stderr
         diag["peclet"] = rung.peclet
         if sol.cond is not None:
-            diag["cond"] = sol.cond.value
+            diag.update(cond=sol.cond.value, cond_converged=sol.cond.converged,
+                        cond_iterations=sol.cond.iterations)
         _write_json(out / f"diagnostics_N{rung.N}.json", diag)
         print(f"N={rung.N}: dim={sol.diagnostics['dimension']} "
               f"residual={sol.diagnostics['relative_residual']:.2e}")
@@ -347,13 +354,13 @@ def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
               f"solve {sol.diagnostics['solve_seconds']:.3f}s",
               file=sys.stderr)
 
-    run_ladder(case, visit, quad_degree=args.quad_degree, cond=args.cond)
+    run_ladder(case, visit, cond=args.cond)
     return 0
 
 
 def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     table = run_case(case, cond=args.cond, projection=args.projection,
-                     quad_degree=args.quad_degree, h1=args.h1)
+                     h1=args.h1)
     text = table.to_csv_string()
     with open(out / "convergence.csv", "w", newline="") as fh:
         fh.write(text)
@@ -373,8 +380,7 @@ def _cmd_condnum(args, case: CaseDefinition, out: Path) -> int:
         return {"N": rung.N, "h": rung.h, "cond": est.value,
                 "converged": est.converged, "bracket": bracket}
 
-    rows = run_ladder(case, visit, quad_degree=args.quad_degree,
-                      cond=args.cond, cond_tol=args.cond_tol,
+    rows = run_ladder(case, visit, cond=args.cond, cond_tol=args.cond_tol,
                       cond_max_iter=args.cond_cap)
 
     _write_csv(out / "condition.csv", ["N", "h", "cond"],

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,12 +111,12 @@ class NoiseModel:
     seed: int = 0
 
 
-def apply_noise(data: FeFunction, noise: NoiseModel, omega: Region,
-                h: float) -> FeFunction:
-    """Perturb the nodal data inside the measurement region."""
+def apply_noise(data: FeFunction, noise: NoiseModel,
+                omega: Region) -> FeFunction:
+    """Perturb the nodal data inside omega; h is the data's mesh size."""
     mask = omega.contains(data.mesh.nodes)
     rng = np.random.default_rng([noise.seed, data.mesh.cells_per_side])
-    amp = h ** noise.law
+    amp = mesh_size(data.mesh) ** noise.law
     coeffs = data.coefficients.copy()
     coeffs[mask] += rng.uniform(-amp, amp, size=int(mask.sum()))
     return FeFunction(data.mesh, coeffs)
@@ -124,13 +124,15 @@ def apply_noise(data: FeFunction, noise: NoiseModel, omega: Region,
 
 @dataclass(frozen=True)
 class CaseDefinition:
-    """A named benchmark: problem data, mesh ladder and optional noise."""
+    """A named benchmark and all that defines its run: problem data, mesh
+    ladder, optional noise and the quadrature degree of every integral."""
 
     name: str
     spec: ProblemSpec
     exact: ExactSolution
     ladder: tuple = DEFAULT_LADDER
     noise: Optional[NoiseModel] = None
+    quad_degree: int = 4
 
 
 _GEOMETRIES = {
@@ -284,9 +286,9 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region,
             np.sqrt(ref_l2_sq), np.sqrt(ref_l2_sq + ref_semi_sq))
 
 
-def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
+def discretize(case: CaseDefinition, n_cells: int
                ) -> tuple[Mesh, AssembledForms, SaddleSystem]:
-    """Mesh, assembled blocks and saddle system of one ladder rung.
+    """Mesh, blocks (at ``case.quad_degree``) and saddle system of a rung.
 
     The data are the nodal interpolant of the exact solution, perturbed by
     the case's noise model when it has one.  They enter only the data
@@ -298,8 +300,8 @@ def discretize(case: CaseDefinition, n_cells: int, quad_degree: int = 4
     mesh = build_unit_square_mesh(n_cells)
     data = interpolate(case.exact.value, mesh)
     if case.noise is not None:
-        data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
-    blocks = assemble_all(case.spec, mesh, quad_degree)
+        data = apply_noise(data, case.noise, case.spec.omega)
+    blocks = assemble_all(case.spec, mesh, case.quad_degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.data_mass @ data.coefficients,
                           blocks.b_source)
@@ -323,9 +325,8 @@ class Rung:
     solution: Solution
 
 
-def _solve_rung(case, n_cells, quad_degree, cond, cond_tol,
-                cond_max_iter) -> Rung:
-    mesh, blocks, system = discretize(case, n_cells, quad_degree)
+def _solve_rung(case, n_cells, cond, cond_tol, cond_max_iter) -> Rung:
+    mesh, blocks, system = discretize(case, n_cells)
     h, peclet = blocks.h, blocks.peclet
     del blocks  # nothing reads the blocks after build_system
     sol = solve(system, mesh, cond, cond_tol, cond_max_iter)
@@ -333,11 +334,10 @@ def _solve_rung(case, n_cells, quad_degree, cond, cond_tol,
 
 
 def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
-               ladder: Optional[Sequence[int]] = None, quad_degree: int = 4,
                cond: str = "none", cond_tol: float = 1e-3,
                cond_max_iter: int = 5000) -> list:
-    """Discretize and solve each rung of a mesh ladder (``case.ladder``
-    unless given); return what ``visit(rung)`` returns for each.
+    """Discretize and solve each rung of ``case.ladder``; return what
+    ``visit(rung)`` returns for each.
 
     The rung keeps of the assembled forms only ``h`` and ``peclet``, and
     the mesh keeps no derived array, so the factorization runs with only
@@ -346,23 +346,21 @@ def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
     keeps what it needs of it.  ``cond``, ``cond_tol`` and
     ``cond_max_iter`` go to ``solve``.
     """
-    return [visit(_solve_rung(case, n_cells, quad_degree, cond, cond_tol,
-                              cond_max_iter))
-            for n_cells in (ladder if ladder is not None else case.ladder)]
+    return [visit(_solve_rung(case, n_cells, cond, cond_tol, cond_max_iter))
+            for n_cells in case.ladder]
 
 
 def run_case(case: CaseDefinition, cond: str = "none",
-             projection: str = "l2", quad_degree: int = 4,
-             h1: str = "full", ladder: Optional[Sequence[int]] = None,
+             projection: str = "l2", h1: str = "full",
              cond_tol: float = 1e-3, cond_max_iter: int = 5000
              ) -> ConvergenceTable:
     """Run a case over its mesh ladder and collect the convergence table.
 
-    ``cond`` selects condition-number reporting ('none', 'exact' or
-    'estimate'); ``projection`` chooses the comparison function for the
-    stabilizer norm of the error ('l2' projection or 'nodal' interpolant);
-    ``h1`` switches the H1 error column between the full norm and the
-    seminorm.
+    The arguments choose only what is reported.  ``cond`` selects
+    condition-number reporting ('none', 'exact' or 'estimate');
+    ``projection`` chooses the comparison function for the stabilizer
+    norm of the error ('l2' projection or 'nodal' interpolant); ``h1``
+    switches the H1 error column between the full norm and the seminorm.
     """
     if projection not in ("l2", "nodal"):
         raise ValueError(f"unknown projection {projection!r}")
@@ -371,14 +369,14 @@ def run_case(case: CaseDefinition, cond: str = "none",
 
     def visit(rung: Rung) -> ConvergenceRow:
         sol = rung.solution
-        reference = (l2_project(case.exact.value, rung.mesh, quad_degree)
+        reference = (l2_project(case.exact.value, rung.mesh, case.quad_degree)
                      if projection == "l2"
                      else interpolate(case.exact.value, rung.mesh))
         s_norm, sstar_norm = rung.system.stabilizer_norms(
             reference.coefficients - sol.u.coefficients, sol.z.coefficients)
 
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
-            case.exact, sol.u, case.spec.target, quad_degree, h1)
+            case.exact, sol.u, case.spec.target, case.quad_degree, h1)
 
         est = sol.cond
         return ConvergenceRow(rung.N, rung.h, err_l2 / ref_l2,
@@ -387,8 +385,7 @@ def run_case(case: CaseDefinition, cond: str = "none",
                               rung.peclet,
                               None if est is None else est.converged)
 
-    rows = run_ladder(case, visit, ladder, quad_degree, cond, cond_tol,
-                      cond_max_iter)
+    rows = run_ladder(case, visit, cond, cond_tol, cond_max_iter)
 
     rates = {}
     if len(rows) >= 2:

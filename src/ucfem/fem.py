@@ -163,11 +163,12 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
 
 
 def _mass_tensor(rule: QuadratureRule) -> np.ndarray:
-    """(q, 9) tensor with ``[q, 3i + j] = w_q phi_i(x_q) phi_j(x_q)``, so
-    that a (t, q) array of weights times it gives the (t, 9) local masses."""
+    """(q, 9) tensor with ``[q, 3i + j] = w_q (phi_i(x_q) phi_j(x_q))``, so
+    that a (t, q) array of weights times it gives the (t, 9) local masses,
+    symmetric in (i, j) bit for bit: the hat product is formed first."""
     p = rule.points
-    return (rule.weights[:, None, None] * p[:, :, None]
-            * p[:, None, :]).reshape(len(p), 9)
+    return (rule.weights[:, None, None]
+            * (p[:, :, None] * p[:, None, :])).reshape(len(p), 9)
 
 
 def _weighted_hats(rule: QuadratureRule) -> np.ndarray:

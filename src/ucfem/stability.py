@@ -291,8 +291,8 @@ def harmonic_family_sweep(center=(0.5, 0.5), radii=(0.1, 0.2, 0.4),
 
 
 def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,
-                       resolution=(96, 192), ladder=None) -> list:
-    """Three-ball ratios of the reconstructed solution along a mesh ladder.
+                       resolution=(96, 192)) -> list:
+    """Three-ball ratios of the reconstructed solution along case.ladder.
 
     Returns a list of (N, ratio).  No Laplacian is passed: discrete
     solutions satisfy the equation only weakly.
@@ -301,4 +301,4 @@ def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,
         u = rung.solution.u
         return rung.N, three_ball_ratio(u, u.gradient, config, resolution)
 
-    return run_ladder(case, visit, ladder)
+    return run_ladder(case, visit)

@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ucfem import __version__
 from ucfem.cli import main
-from ucfem.experiments import get_case
+from ucfem.experiments import get_case, run_case
 from ucfem.stability import ThreeBallConfig, probe_fem_solution
 
 
@@ -129,6 +130,17 @@ def test_condnum_estimate_cap_reports_bracket(tmp_path, capsys):
     assert row["bracket"][0] <= row["cond"] <= row["bracket"][1]
 
 
+def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
+    # --ladder and --quad-degree fold into the case, which run_case reads
+    assert main(["convergence", "--case", "ex1-swirl", "--ladder", "8",
+                 "--quad-degree", "2", "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "convergence.csv").read_bytes()
+    case = replace(get_case("ex1-swirl"), ladder=(8,))
+    degree2 = run_case(replace(case, quad_degree=2)).to_csv_string()
+    assert written == degree2.encode()
+    assert run_case(case).to_csv_string() != degree2
+
+
 def test_condnum_exact_ladder_with_slope(tmp_path, capsys):
     assert main(["condnum", "--case", "ex1-const", "--ladder", "4,8",
                  "--cond", "exact", "--out", str(tmp_path)]) == 0
@@ -196,8 +208,8 @@ def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
     assert ratio(1) != ratio(5)
     # seed 0 is the built-in case's own noise seed
     config = ThreeBallConfig((0.5, 0.5), (0.1, 0.2, 0.4), 0.5)
-    [(n_cells, value)] = probe_fem_solution(get_case("ex1-const-noise-h"),
-                                            config, ladder=(8,))
+    case = replace(get_case("ex1-const-noise-h"), ladder=(8,))
+    [(n_cells, value)] = probe_fem_solution(case, config)
     assert ratio(0) == f"{n_cells},{value!r}"
 
 
@@ -314,6 +326,23 @@ def test_non_finite_inline_problem_exits_two(tmp_path, capsys, key, value):
     _assert_config_error(tmp_path, capsys)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mu", True), ("gamma", True), ("boundary_factor", True),
+    ("beta_sup", True),
+    ("beta", {"kind": "const", "value": [True, 0]}),
+    ("beta", {"kind": "swirl", "scale": True}),
+    ("omega", {"boxes": [[0.2, 0.45, 0.2, True]]}),
+    ("target", {"boxes": [[False, 1, 0, 1]]}),
+], ids=["mu", "gamma", "boundary-factor", "beta-sup", "const-value",
+        "swirl-scale", "omega-box", "target-box"])
+def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
+                                                 value):
+    # JSON's true and false would otherwise be read as 1.0 and 0.0
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                            {"problem": {**SWIRL_PROBLEM, key: value}}) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
 def test_probe_rejects_an_inline_problem(tmp_path, capsys):
     assert _run_with_config(tmp_path, ["probe", "fem", "--ladder", "4"],
                             {"problem": SWIRL_PROBLEM}) == 2
@@ -353,6 +382,11 @@ def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
     assert calls == ["NATURAL", "NATURAL"]
     diag = json.loads((tmp_path / "diagnostics_N8.json").read_text())
     assert diag["cond"] > 1.0 and diag["ordering"] == "minimum_degree"
+    # what the estimator did: its flag and its (sigma_max, sigma_min) steps
+    assert diag["cond_converged"] is True
+    assert len(diag["cond_iterations"]) == 2
+    assert all(isinstance(it, int) and it >= 1
+               for it in diag["cond_iterations"])
 
 
 def _count_splu(monkeypatch):

@@ -1,5 +1,7 @@
 """Benchmark definitions, noise model, rate fitting, and ladder runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,16 +78,16 @@ def test_noise_respects_amplitude_support_and_seed():
     assert inside.any() and not inside.all()
 
     for law in (1.0, 0.5):
-        noisy = apply_noise(data, NoiseModel(law=law, seed=3), omega, h)
+        noisy = apply_noise(data, NoiseModel(law=law, seed=3), omega)
         delta = noisy.coefficients - data.coefficients
         assert np.abs(delta[~inside]).max() == 0.0
         assert np.abs(delta[inside]).max() <= h ** law
         assert np.abs(delta[inside]).max() > 0.0
-        again = apply_noise(data, NoiseModel(law=law, seed=3), omega, h)
+        again = apply_noise(data, NoiseModel(law=law, seed=3), omega)
         assert np.array_equal(noisy.coefficients, again.coefficients)
 
-    a = apply_noise(data, NoiseModel(law=1.0, seed=3), omega, h)
-    b = apply_noise(data, NoiseModel(law=1.0, seed=4), omega, h)
+    a = apply_noise(data, NoiseModel(law=1.0, seed=3), omega)
+    b = apply_noise(data, NoiseModel(law=1.0, seed=4), omega)
     assert not np.array_equal(a.coefficients, b.coefficients)
 
 
@@ -96,7 +98,7 @@ def test_noise_draws_differ_across_meshes_with_same_seed():
     for n in (16, 32):
         mesh = build_unit_square_mesh(n)
         data = interpolate(case.exact.value, mesh)
-        noisy = apply_noise(data, noise, case.spec.omega, mesh_size(mesh))
+        noisy = apply_noise(data, noise, case.spec.omega)
         deltas.append(noisy.coefficients - data.coefficients)
     inside16 = case.spec.omega.contains(build_unit_square_mesh(16).nodes)
     # same nodes exist on both meshes, but draws are independent per mesh
@@ -211,11 +213,11 @@ def test_error_norms_semi_drops_the_l2_part_of_h1():
 @pytest.mark.parametrize("name", ["ex1-swirl", "ex1-const-noise-sqrt"])
 def test_discretize_matches_the_pipeline_written_out(name):
     case = get_case(name)
-    mesh, blocks, system = discretize(case, 8, quad_degree=2)
+    mesh, blocks, system = discretize(replace(case, quad_degree=2), 8)
     assert mesh.cells_per_side == 8
     data = interpolate(case.exact.value, mesh)
     if case.noise is not None:
-        data = apply_noise(data, case.noise, case.spec.omega, mesh_size(mesh))
+        data = apply_noise(data, case.noise, case.spec.omega)
     ref = assemble_all(case.spec, mesh, 2)
     ref_system = build_system(ref.pde, ref.primal, ref.dual,
                               ref.data_mass @ data.coefficients, ref.b_source)
@@ -232,8 +234,7 @@ def test_noisy_variants_share_the_matrix_and_differ_in_the_data_load():
         mesh, blocks, system = discretize(case, 16)
         data = interpolate(case.exact.value, mesh)
         if case.noise is not None:
-            data = apply_noise(data, case.noise, case.spec.omega,
-                               mesh_size(mesh))
+            data = apply_noise(data, case.noise, case.spec.omega)
         # the natural (u, z) right-hand side, read through the numbering
         rhs = np.empty_like(system.rhs)
         rhs[system.order] = system.rhs
@@ -277,7 +278,7 @@ def recorded_solutions(monkeypatch):
 def test_run_case_short_ladder_basics(monkeypatch):
     case = get_case("ex1-const")
     solved = recorded_solutions(monkeypatch)
-    table = run_case(case, ladder=(8, 16), cond="exact")
+    table = run_case(replace(case, ladder=(8, 16)), cond="exact")
     assert [n for n, _ in solved] == [8, 16]
     assert [r.N for r in table.rows] == [8, 16]
     assert table.rows[0].h == pytest.approx(1.0 / 9.0)
@@ -296,8 +297,8 @@ def test_run_case_short_ladder_basics(monkeypatch):
 
 def test_run_case_noisy_is_deterministic():
     case = get_case("ex1-const-noise-sqrt")
-    t1 = run_case(case, ladder=(8,))
-    t2 = run_case(case, ladder=(8,))
+    t1 = run_case(replace(case, ladder=(8,)))
+    t2 = run_case(replace(case, ladder=(8,)))
     r1, r2 = t1.rows[0], t2.rows[0]
     assert (r1.err_l2_B, r1.err_h1_B, r1.s_norm, r1.sstar_norm) == \
         (r2.err_l2_B, r2.err_h1_B, r2.s_norm, r2.sstar_norm)
@@ -305,7 +306,7 @@ def test_run_case_noisy_is_deterministic():
 
 def test_convergence_table_csv_format():
     case = get_case("ex1-const")
-    table = run_case(case, ladder=(8, 16))
+    table = run_case(replace(case, ladder=(8, 16)))
     text = table.to_csv_string()
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
@@ -318,8 +319,8 @@ def test_convergence_table_csv_format():
 
 
 def test_unconverged_estimate_is_marked_in_row_and_csv():
-    table = run_case(get_case("ex1-swirl"), ladder=(4,), cond="estimate",
-                     cond_max_iter=3)
+    table = run_case(replace(get_case("ex1-swirl"), ladder=(4,)),
+                     cond="estimate", cond_max_iter=3)
     assert table.rows[0].cond_converged is False
     assert table.to_csv_string().splitlines()[1].split(",")[-1] == "False"
 
@@ -335,12 +336,12 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     monkeypatch.setattr(saddle.spla, "splu", counting_splu)
     solved = recorded_solutions(monkeypatch)
     case = get_case("ex2-swirl")
-    table = run_case(case, ladder=(8,), cond="estimate")
+    table = run_case(replace(case, ladder=(8,)), cond="estimate")
     solutions = [sol for _, sol in solved]
     assert calls == ["NATURAL"]
     assert solutions[0].diagnostics["ordering"] == "minimum_degree"
     assert table.rows[0].cond == solutions[0].cond.value
-    exact = run_case(case, ladder=(8,), cond="exact").rows[0].cond
+    exact = run_case(replace(case, ladder=(8,)), cond="exact").rows[0].cond
     assert table.rows[0].cond == pytest.approx(exact, rel=0.05)
 
 
@@ -381,7 +382,7 @@ def test_rung_factorizes_with_a_small_live_set(monkeypatch):
         tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        run_case(get_case("ex1-swirl"), ladder=(32, 64))
+        run_case(replace(get_case("ex1-swirl"), ladder=(32, 64)))
     finally:
         if started:
             tracemalloc.stop()

@@ -168,6 +168,14 @@ def test_l2_projection_is_projection_and_orthogonal():
     assert np.allclose(mass @ ph.coefficients, load, atol=1e-12)
 
 
+@pytest.mark.parametrize("refine", [0, 1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_mass_tensor_is_symmetric_bit_for_bit(degree, refine):
+    # a data mass built from it passes solve's bit-symmetry gate
+    tensor = fem._mass_tensor(triangle_rule(degree, refine)).reshape(-1, 3, 3)
+    np.testing.assert_array_equal(tensor, tensor.transpose(0, 2, 1))
+
+
 def test_l2_projection_rate_two_for_smooth_field():
     u = lambda p: 30.0 * p[:, 0] * (1 - p[:, 0]) * p[:, 1] * (1 - p[:, 1])
     errs, hs = [], []

@@ -13,9 +13,10 @@ import scipy.sparse.linalg as spla
 import ucfem.saddle as saddle
 from ucfem.experiments import (apply_noise, builtin_cases, get_case,
                                polynomial_bump)
-from ucfem.fem import interpolate
+from ucfem import fem
+from ucfem.fem import interpolate, quad_points, triangle_rule
 from ucfem.forms import assemble_all
-from ucfem.mesh import build_unit_square_mesh, mesh_size
+from ucfem.mesh import build_unit_square_mesh
 from ucfem.saddle import (CondEstimate, NumericalFailure, SaddleSystem,
                           build_system, estimate_condition_number,
                           exact_condition_number, solve)
@@ -127,7 +128,7 @@ def case_system(name="ex1-const", n=8, data_fn=None, spec=None, degree=4):
     mesh = build_unit_square_mesh(n)
     data = interpolate(data_fn or case.exact.value, mesh)
     if case.noise is not None:
-        data = apply_noise(data, case.noise, spec.omega, mesh_size(mesh))
+        data = apply_noise(data, case.noise, spec.omega)
     blocks = assemble_all(spec, mesh, degree)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.data_mass @ data.coefficients,
@@ -823,3 +824,21 @@ def test_singular_ordered_system_fails_in_both_orderings(monkeypatch):
     with pytest.raises(NumericalFailure, match="factorization failed"):
         solve(bad, build_unit_square_mesh(1))
     assert calls == ["NATURAL", None]
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3])
+def test_data_mass_of_a_refined_rule_solves(refine):
+    # omega's indicator sampled on a subdivided degree-4 rule: the data
+    # mass stays symmetric bit for bit, so solve accepts the system
+    case, mesh, blocks, _ = case_system("ex1-const", 8)
+    rule = triangle_rule(4, refine=refine)
+    pts = quad_points(mesh, rule)
+    mask = case.spec.omega.contains(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    w_data = case.spec.mu + blocks.beta_sup * blocks.h
+    data_mass = fem._scatter(mesh, (w_data * mesh.tri_areas[:, None] * mask)
+                             @ fem._mass_tensor(rule))
+    data = interpolate(case.exact.value, mesh)
+    system = build_system(blocks.pde, data_mass + blocks.jump, blocks.dual,
+                          data_mass @ data.coefficients, blocks.b_source)
+    sol = solve(system, mesh)
+    assert sol.diagnostics["relative_residual"] < 1e-10

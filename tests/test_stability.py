@@ -1,5 +1,7 @@
 """Log-convexity lemma audit and three-ball inequality probes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,9 +203,9 @@ def test_random_harmonic_mixtures_never_exceed_one():
 
 
 def test_probe_fem_solution_smoke():
-    case = get_case("ex1-const")
+    case = replace(get_case("ex1-const"), ladder=(8, 16))
     config = ThreeBallConfig((0.5, 0.5), (0.1, 0.2, 0.4), 0.5)
-    out = probe_fem_solution(case, config, ladder=(8, 16))
+    out = probe_fem_solution(case, config)
     assert [n for n, _ in out] == [8, 16]
     for _, ratio in out:
         assert np.isfinite(ratio) and ratio > 0.0

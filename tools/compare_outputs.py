@@ -118,6 +118,10 @@ def command_matrix() -> dict[str, list[str]]:
     runs["convergence-ex1-swirl-q2"] = [
         "convergence", "--case", "ex1-swirl", "--ladder", "8,16,32",
         "--quad-degree", "2"]
+    # the degree-2 rule through the assembly that the estimate reads
+    runs["condnum-ex2-swirl-q2"] = [
+        "condnum", "--case", "ex2-swirl", "--ladder", "8,16",
+        "--quad-degree", "2"]
     runs["probe-fem"] = ["probe", "fem", "--ladder", "8,16,32"]
     # the gradient term of the disc norms
     runs["probe-fem-h1"] = ["probe", "fem", "--ladder", "8,16", "--norm", "h1"]
