@@ -8,16 +8,16 @@ or probe mode and parse again, so flags win; check the
 numbers; resolve the case (solve, convergence, condnum, and ``probe fem``,
 whose ``--seed`` seeds a noisy case); echo the resolved configuration to
 ``config.json`` in the output directory; run the handler.  Bad input
-exits with 2, and an unknown case does so before anything is written;
-numerical failures exit with 3.  ``convergence.csv`` ends with a
-``cond_converged`` column.  Outputs are deterministic for a fixed configuration and seed
-(timings go to stderr only).
+exits with 2, and an unknown case or an ``--out`` that is no directory
+does so before anything is written; numerical failures exit with 3.
+Every CSV table is written by ``experiments._csv_text``; the columns of
+``convergence.csv`` are the fields of ``ConvergenceRow``.  Outputs are
+deterministic for a fixed configuration and seed (timings to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (CaseDefinition, NoiseModel, derive_source,
-                          estimate_rate, get_case, polynomial_bump, run_case,
-                          run_ladder)
+from .experiments import (CaseDefinition, NoiseModel, _csv_text,
+                          derive_source, estimate_rate, get_case,
+                          polynomial_bump, run_case, run_ladder)
 from .forms import ProblemSpec, constant_field, swirl_field, zero_field
 from .mesh import Region, build_unit_square_mesh
 from .saddle import NumericalFailure, _check_dense, _check_estimator
@@ -319,15 +319,6 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a header and rows, each float as its ``repr``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v
-                          for v in row] for row in rows)
-
-
 def _cmd_mesh_info(args, case, out) -> int:
     summary = build_unit_square_mesh(args.cells).summary()
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -362,8 +353,7 @@ def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     table = run_case(case, cond=args.cond, projection=args.projection,
                      h1=args.h1)
     text = table.to_csv_string()
-    with open(out / "convergence.csv", "w", newline="") as fh:
-        fh.write(text)
+    (out / "convergence.csv").write_text(text, newline="")
     _write_json(out / "rates.json", table.rates_dict())
     print(text, end="")
     for name, fit in table.rates.items():
@@ -383,8 +373,10 @@ def _cmd_condnum(args, case: CaseDefinition, out: Path) -> int:
     rows = run_ladder(case, visit, cond=args.cond, cond_tol=args.cond_tol,
                       cond_max_iter=args.cond_cap)
 
-    _write_csv(out / "condition.csv", ["N", "h", "cond"],
-               [[r["N"], r["h"], r["cond"]] for r in rows])
+    (out / "condition.csv").write_text(_csv_text(
+        ("N", "h", "cond", "cond_converged"),
+        [(r["N"], r["h"], r["cond"], r["converged"]) for r in rows]),
+        newline="")
     summary = {"rows": rows}
     if len(rows) >= 2 and all(r["cond"] > 0 for r in rows):
         fit = estimate_rate([(r["h"], r["cond"]) for r in rows])
@@ -419,8 +411,8 @@ def _probe_harmonic(args, case, out: Path) -> int:
         report = harmonic_family_sweep(tuple(args.center), tuple(args.radii),
                                        args.kmax, args.norm,
                                        tuple(args.resolution))
-    _write_csv(out / "probe_harmonic.csv", ["k", "ratio"],
-               enumerate(report["ratios"], start=1))
+    (out / "probe_harmonic.csv").write_text(_csv_text(
+        ("k", "ratio"), enumerate(report["ratios"], start=1)), newline="")
     _write_json(out / "probe_harmonic.json",
                 {k: v for k, v in report.items() if k != "ratios"})
     print(f"kappa={report['kappa']:.6f} c3={report['c3']:.6f} "
@@ -434,7 +426,8 @@ def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
         config = ThreeBallConfig(tuple(args.center), tuple(args.radii),
                                  kappa, args.norm)
     pairs = probe_fem_solution(case, config, tuple(args.resolution))
-    _write_csv(out / "probe_fem.csv", ["N", "ratio"], pairs)
+    (out / "probe_fem.csv").write_text(_csv_text(("N", "ratio"), pairs),
+                                       newline="")
     for n_cells, ratio in pairs:
         print(f"N={n_cells}: ratio={ratio:.6f}")
     return 0
@@ -466,7 +459,10 @@ def main(argv=None) -> int:
                     _check_dense(2 * (n_cells + 1) ** 2)
         out = None if args.out is None else Path(args.out)
         if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {out}: {exc}") from exc
             if job != "mesh-info":  # every other run echoes its config
                 _write_json(out / "config.json",
                             {**vars(args), "version": __version__})

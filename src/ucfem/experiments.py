@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_LADDER = (8, 16, 32, 64, 128)
-CSV_HEADER = ("N", "h", "err_l2_B", "err_h1_B", "s_norm", "sstar_norm", "cond",
-              "cond_converged")
 
 
 @dataclass(frozen=True)
@@ -217,31 +215,36 @@ class ConvergenceRow:
     s_norm: float
     sstar_norm: float
     cond: Optional[float] = None
-    peclet: Optional[float] = None
     cond_converged: Optional[bool] = None  # False: the estimate hit its cap
+    peclet: Optional[float] = None
+
+
+CSV_HEADER = tuple(f.name for f in fields(ConvergenceRow))
+
+
+def _csv_text(header, rows) -> str:
+    """A header line, then rows, with CRLF line ends: each float (numpy's
+    included) as ``repr(float(v))``, each None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating))
+                      else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 @dataclass
 class ConvergenceTable:
     """Ladder results for one case, with fitted rates per column."""
 
-    case_name: str
     rows: list
     rates: dict
 
     def to_csv_string(self) -> str:
-        """The text of ``convergence.csv``: a header, then one row per
-        rung, each line ending in CRLF and each float as its ``repr``."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
-        for r in self.rows:
-            cond = "" if r.cond is None else repr(float(r.cond))
-            converged = "" if r.cond_converged is None else r.cond_converged
-            writer.writerow([r.N, repr(float(r.h)), repr(float(r.err_l2_B)),
-                             repr(float(r.err_h1_B)), repr(float(r.s_norm)),
-                             repr(float(r.sstar_norm)), cond, converged])
-        return buf.getvalue()
+        """The text of ``convergence.csv``: ``CSV_HEADER``, then each row's
+        fields in order (``cond`` and ``cond_converged`` empty without a
+        condition number, ``peclet`` last)."""
+        return _csv_text(CSV_HEADER, map(astuple, self.rows))
 
     def rates_dict(self) -> dict:
         return {name: {"slope": fit.slope, "per_step": list(fit.per_step)}
@@ -379,11 +382,12 @@ def run_case(case: CaseDefinition, cond: str = "none",
             case.exact, sol.u, case.spec.target, case.quad_degree, h1)
 
         est = sol.cond
-        return ConvergenceRow(rung.N, rung.h, err_l2 / ref_l2,
-                              err_h1 / ref_h1, s_norm, sstar_norm,
-                              None if est is None else est.value,
-                              rung.peclet,
-                              None if est is None else est.converged)
+        return ConvergenceRow(
+            N=rung.N, h=rung.h, err_l2_B=err_l2 / ref_l2,
+            err_h1_B=err_h1 / ref_h1, s_norm=s_norm, sstar_norm=sstar_norm,
+            cond=None if est is None else est.value,
+            cond_converged=None if est is None else est.converged,
+            peclet=rung.peclet)
 
     rows = run_ladder(case, visit, cond, cond_tol, cond_max_iter)
 
@@ -396,4 +400,4 @@ def run_case(case: CaseDefinition, cond: str = "none",
                 rates[col] = estimate_rate(zip(hs, vals))
         if all(r.cond is not None and r.cond > 0 for r in rows):
             rates["cond"] = estimate_rate([(r.h, r.cond) for r in rows])
-    return ConvergenceTable(case.name, rows, rates)
+    return ConvergenceTable(rows, rates)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -106,7 +107,7 @@ def test_convergence_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     csv_text = (tmp_path / "convergence.csv").read_text()
     assert csv_text.splitlines()[0] == \
-        "N,h,err_l2_B,err_h1_B,s_norm,sstar_norm,cond,cond_converged"
+        "N,h,err_l2_B,err_h1_B,s_norm,sstar_norm,cond,cond_converged,peclet"
     assert "np.float64" not in csv_text
     assert "rate[err_l2_B]" in out
     rates = json.loads((tmp_path / "rates.json").read_text())
@@ -147,11 +148,32 @@ def test_condnum_exact_ladder_with_slope(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "slope =" in out
     csv_lines = (tmp_path / "condition.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "N,h,cond"
+    assert csv_lines[0] == "N,h,cond,cond_converged"
     assert len(csv_lines) == 3
     summary = json.loads((tmp_path / "condition.json").read_text())
     assert summary["slope"] < 0  # conditioning degrades under refinement
     assert len(summary["per_step"]) == 1
+
+
+def test_condnum_csv_carries_the_estimator_flag(tmp_path):
+    assert main(["condnum", "--case", "ex1-swirl", "--ladder", "4,8",
+                 "--cond-cap", "3", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "condition.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["cond_converged"] for r in rows] == ["False", "False"]
+    summary = json.loads((tmp_path / "condition.json").read_text())
+    assert [float(r["cond"]) for r in rows] == \
+        [r["cond"] for r in summary["rows"]]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_that_is_no_directory_exits_two(tmp_path, capsys, sub):
+    # an existing regular file, or a path under one
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["solve", "--ladder", "4", "--out", str(afile / sub)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and str(afile) in err["detail"]
 
 
 def test_probe_kappa(tmp_path, capsys):

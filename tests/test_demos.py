@@ -1,11 +1,13 @@
-"""API drift guard: every ucfem name the demos and the README import exists.
+"""API drift guard: every ucfem name the demos and the README import
+exists, and every demo runs to its end.
 
-The demos and the README's Python blocks are parsed, not run.
+The README's Python blocks are parsed, not run.
 """
 
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,11 @@ def test_ucfem_imports_resolve(name):
         mod = importlib.import_module(module)
         if attr is not None:
             assert hasattr(mod, attr), f"{name}: {module} has no {attr}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a file a demo writes lands in tmp_path
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -1,15 +1,17 @@
 """Benchmark definitions, noise model, rate fitting, and ladder runs."""
 
-from dataclasses import replace
+import csv
+import io
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, NoiseModel,
-                               apply_noise, builtin_cases, derive_source,
-                               discretize, error_norms, estimate_rate,
-                               get_case, polynomial_bump, run_case,
-                               ExactSolution)
+from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, ConvergenceRow,
+                               NoiseModel, apply_noise, builtin_cases,
+                               derive_source, discretize, error_norms,
+                               estimate_rate, get_case, polynomial_bump,
+                               run_case, ExactSolution)
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.saddle import build_system
@@ -304,6 +306,10 @@ def test_run_case_noisy_is_deterministic():
         (r2.err_l2_B, r2.err_h1_B, r2.s_norm, r2.sstar_norm)
 
 
+def csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text, newline="")))
+
+
 def test_convergence_table_csv_format():
     case = get_case("ex1-const")
     table = run_case(replace(case, ladder=(8, 16)))
@@ -311,18 +317,35 @@ def test_convergence_table_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert "np.float64" not in text
-    first = lines[1].split(",")
-    assert int(first[0]) == 8
-    assert float(first[1]) == pytest.approx(1.0 / 9.0)
+    first = csv_rows(text)[0]
+    assert int(first["N"]) == 8
+    assert float(first["h"]) == pytest.approx(1.0 / 9.0)
     # cond and cond_converged stay empty when not requested
-    assert first[6:] == ["", ""]
+    assert [first["cond"], first["cond_converged"]] == ["", ""]
+
+
+def test_csv_columns_are_the_row_fields_and_floats_round_trip():
+    assert CSV_HEADER == tuple(f.name for f in fields(ConvergenceRow))
+    assert CSV_HEADER[-1] == "peclet"
+    table = run_case(replace(get_case("ex1-const"), ladder=(4, 8)),
+                     cond="estimate")
+    written = csv_rows(table.to_csv_string())
+    assert len(written) == len(table.rows)
+    for row, cells in zip(table.rows, written):
+        assert list(cells) == list(CSV_HEADER)
+        for name in CSV_HEADER:
+            value = getattr(row, name)
+            if isinstance(value, float):  # numpy's float64 included
+                assert float(cells[name]) == value, name
+            else:
+                assert cells[name] == str(value), name
 
 
 def test_unconverged_estimate_is_marked_in_row_and_csv():
     table = run_case(replace(get_case("ex1-swirl"), ladder=(4,)),
                      cond="estimate", cond_max_iter=3)
     assert table.rows[0].cond_converged is False
-    assert table.to_csv_string().splitlines()[1].split(",")[-1] == "False"
+    assert csv_rows(table.to_csv_string())[0]["cond_converged"] == "False"
 
 
 def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
