@@ -7,32 +7,32 @@ systems are checked against a dense SVD; large ones use power iteration
 for sigma_max and inverse iteration through a sparse LU for sigma_min.
 """
 
-from ucfem.experiments import discretize, estimate_rate, get_case
-from ucfem.saddle import exact_condition_number, solve
+from dataclasses import replace
 
-case = get_case("ex1-const")
+from ucfem.experiments import estimate_rate, get_case, run_ladder
+from ucfem.saddle import exact_condition_number
+
+# each rung's condition number is estimated on the factors of its solve
+case = replace(get_case("ex1-const"), cond="estimate", cond_tol=1e-6)
 
 
-def estimate_at(n):
-    """The system of rung n, its h and the condition estimate on the
-    factors of its solve."""
-    mesh, blocks, system = discretize(case, n)
-    est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond
-    return system, blocks.h, est
+def cross_check(rung):
+    """Compare the iterative estimate with a dense SVD of the system."""
+    est = rung.solution.cond
+    exact = exact_condition_number(rung.system)
+    print(f"N={rung.N:3d}: exact {exact:.6e}  estimate {est.value:.6e}  "
+          f"({est.iterations[0]}+{est.iterations[1]} iterations)")
+
+
+def report(rung):
+    est = rung.solution.cond
+    print(f"N={rung.N:3d}: cond ~ {est.value:.3e}  converged={est.converged}")
+    return rung.h, est.value
 
 
 # cross-check the iterative estimate against a dense SVD while feasible
-for n in (4, 8):
-    system, _, est = estimate_at(n)
-    exact = exact_condition_number(system)
-    print(f"N={n:3d}: exact {exact:.6e}  estimate {est.value:.6e}  "
-          f"({est.iterations[0]}+{est.iterations[1]} iterations)")
-
-pairs = []
-for n in (8, 16, 32, 64):
-    _, h, est = estimate_at(n)
-    pairs.append((h, est.value))
-    print(f"N={n:3d}: cond ~ {est.value:.3e}  converged={est.converged}")
+run_ladder(replace(case, ladder=(4, 8)), cross_check)
+pairs = run_ladder(replace(case, ladder=(8, 16, 32, 64)), report)
 
 fit = estimate_rate(pairs)
 print(f"log-log slope of cond vs h: {fit.slope:.3f} "

@@ -4,12 +4,13 @@ Subcommands: mesh-info, solve, convergence, condnum, probe; each probe
 mode (audit, kappa, harmonic, fem) is a subcommand of ``probe`` with only
 the options it reads.  ``main`` runs each the same way: parse; load
 ``--config PATH`` (or ``--config=PATH``) as the defaults of the command
-or probe mode and parse again, so flags win; check the
-numbers; resolve the case (solve, convergence, condnum, and ``probe fem``,
-whose ``--seed`` seeds a noisy case); echo the resolved configuration to
-``config.json`` in the output directory; run the handler.  Bad input
-exits with 2, and an unknown case or an ``--out`` that is no directory
-does so before anything is written; numerical failures exit with 3.
+or probe mode and parse again, so flags win; check the seed; resolve the
+case (solve, convergence, condnum, and ``probe fem``, whose ``--seed``
+seeds a noisy case); echo the resolved configuration to ``config.json``
+in the output directory; run the handler.  Bad input exits with 2, and
+an unknown case, a condition-number setting that cannot run or an
+``--out`` that is no directory does so before anything is written;
+numerical failures exit with 3.
 Every CSV table is written by ``experiments._csv_text``; the columns of
 ``convergence.csv`` are the fields of ``ConvergenceRow``.  Outputs are
 deterministic for a fixed configuration and seed (timings to stderr).
@@ -32,7 +33,7 @@ from .experiments import (CaseDefinition, NoiseModel, _csv_text,
                           polynomial_bump, run_case, run_ladder)
 from .forms import ProblemSpec, constant_field, swirl_field, zero_field
 from .mesh import Region, build_unit_square_mesh
-from .saddle import NumericalFailure, _check_dense, _check_estimator
+from .saddle import NumericalFailure
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
                         probe_fem_solution)
@@ -294,23 +295,16 @@ def _resolve_case(args, problem) -> CaseDefinition:
     elif noise is not None:
         noise = NoiseModel(noise.law, args.seed)
     spec = case.spec
-    if getattr(args, "boundary_factor", None) is not None:
-        with _bad_input():
-            spec = replace(spec, boundary_factor=args.boundary_factor)
     ladder = args.ladder if getattr(args, "ladder", None) else case.ladder
-    return replace(case, spec=spec, ladder=tuple(ladder), noise=noise,
-                   quad_degree=getattr(args, "quad_degree", case.quad_degree))
-
-
-def _check_numbers(args):
-    """Reject a seed or an estimator setting (``--cond-tol``,
-    ``--cond-cap``) that cannot run; the estimator's own check decides."""
-    seed = getattr(args, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"--seed must be an integer >= 0, got {seed!r}")
-    if hasattr(args, "cond_tol"):
-        with _bad_input():
-            _check_estimator(args.cond_tol, args.cond_cap)
+    with _bad_input():  # the case refuses a cond setting solve would refuse
+        if getattr(args, "boundary_factor", None) is not None:
+            spec = replace(spec, boundary_factor=args.boundary_factor)
+        return replace(
+            case, spec=spec, ladder=tuple(ladder), noise=noise,
+            quad_degree=getattr(args, "quad_degree", case.quad_degree),
+            cond=getattr(args, "cond", case.cond),
+            cond_tol=getattr(args, "cond_tol", case.cond_tol),
+            cond_max_iter=getattr(args, "cond_cap", case.cond_max_iter))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -345,13 +339,12 @@ def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
               f"solve {sol.diagnostics['solve_seconds']:.3f}s",
               file=sys.stderr)
 
-    run_ladder(case, visit, cond=args.cond)
+    run_ladder(case, visit)
     return 0
 
 
 def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
-    table = run_case(case, cond=args.cond, projection=args.projection,
-                     h1=args.h1)
+    table = run_case(case, projection=args.projection, h1=args.h1)
     text = table.to_csv_string()
     (out / "convergence.csv").write_text(text, newline="")
     _write_json(out / "rates.json", table.rates_dict())
@@ -370,8 +363,7 @@ def _cmd_condnum(args, case: CaseDefinition, out: Path) -> int:
         return {"N": rung.N, "h": rung.h, "cond": est.value,
                 "converged": est.converged, "bracket": bracket}
 
-    rows = run_ladder(case, visit, cond=args.cond, cond_tol=args.cond_tol,
-                      cond_max_iter=args.cond_cap)
+    rows = run_ladder(case, visit)
 
     (out / "condition.csv").write_text(_csv_text(
         ("N", "h", "cond", "cond_converged"),
@@ -450,13 +442,10 @@ def main(argv=None) -> int:
         if getattr(args, "config", None) is not None:
             problem = _apply_config_file(args, commands[job])
             args = parser.parse_args(argv)
-        _check_numbers(args)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, "
+                              f"got {args.seed!r}")
         case = _resolve_case(args, problem) if job in _CASE_JOBS else None
-        if getattr(args, "cond", None) == "exact":
-            # the dense SVD's own limit, on each rung's dimension 2(N+1)^2
-            with _bad_input():
-                for n_cells in case.ladder:
-                    _check_dense(2 * (n_cells + 1) ** 2)
         out = None if args.out is None else Path(args.out)
         if out is not None:
             try:

@@ -26,7 +26,8 @@ from .fem import FeFunction, interpolate, l2_project, quad_points, \
     triangle_geometry, triangle_rule
 from .forms import (AssembledForms, ProblemSpec, assemble_all, constant_field,
                     swirl_field)
-from .saddle import SaddleSystem, Solution, build_system, solve
+from .saddle import (SaddleSystem, Solution, _check_dense, _check_estimator,
+                     build_system, solve)
 
 __all__ = [
     "ExactSolution",
@@ -123,7 +124,10 @@ def apply_noise(data: FeFunction, noise: NoiseModel,
 @dataclass(frozen=True)
 class CaseDefinition:
     """A named benchmark and all that defines its run: problem data, mesh
-    ladder, optional noise and the quadrature degree of every integral."""
+    ladder, optional noise, the quadrature degree of every integral and
+    the condition number of each rung's ``solve`` (``cond``, ``cond_tol``,
+    ``cond_max_iter``).  A cond setting ``solve`` would refuse on some
+    rung raises the same ValueError when the case is made."""
 
     name: str
     spec: ProblemSpec
@@ -131,6 +135,17 @@ class CaseDefinition:
     ladder: tuple = DEFAULT_LADDER
     noise: Optional[NoiseModel] = None
     quad_degree: int = 4
+    cond: str = "none"
+    cond_tol: float = 1e-3
+    cond_max_iter: int = 5000
+
+    def __post_init__(self):
+        if self.cond not in ("none", "exact", "estimate"):
+            raise ValueError(f"unknown cond mode {self.cond!r}")
+        _check_estimator(self.cond_tol, self.cond_max_iter)
+        if self.cond == "exact":
+            for n_cells in self.ladder:  # rung dimension 2(N+1)^2
+                _check_dense(2 * (n_cells + 1) ** 2)
 
 
 _GEOMETRIES = {
@@ -328,17 +343,16 @@ class Rung:
     solution: Solution
 
 
-def _solve_rung(case, n_cells, cond, cond_tol, cond_max_iter) -> Rung:
+def _solve_rung(case: CaseDefinition, n_cells: int) -> Rung:
+    """Discretize rung ``n_cells``; solve it with the case's cond settings."""
     mesh, blocks, system = discretize(case, n_cells)
     h, peclet = blocks.h, blocks.peclet
     del blocks  # nothing reads the blocks after build_system
-    sol = solve(system, mesh, cond, cond_tol, cond_max_iter)
+    sol = solve(system, mesh, case.cond, case.cond_tol, case.cond_max_iter)
     return Rung(n_cells, mesh, h, peclet, system, sol)
 
 
-def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
-               cond: str = "none", cond_tol: float = 1e-3,
-               cond_max_iter: int = 5000) -> list:
+def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object]) -> list:
     """Discretize and solve each rung of ``case.ladder``; return what
     ``visit(rung)`` returns for each.
 
@@ -346,24 +360,20 @@ def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object],
     the mesh keeps no derived array, so the factorization runs with only
     the saddle system and the node geometry alive.  A rung is released
     once ``visit`` returns, before the next one is discretized; ``visit``
-    keeps what it needs of it.  ``cond``, ``cond_tol`` and
-    ``cond_max_iter`` go to ``solve``.
+    keeps what it needs of it.  ``solve`` adds the case's ``cond``.
     """
-    return [visit(_solve_rung(case, n_cells, cond, cond_tol, cond_max_iter))
-            for n_cells in case.ladder]
+    return [visit(_solve_rung(case, n_cells)) for n_cells in case.ladder]
 
 
-def run_case(case: CaseDefinition, cond: str = "none",
-             projection: str = "l2", h1: str = "full",
-             cond_tol: float = 1e-3, cond_max_iter: int = 5000
-             ) -> ConvergenceTable:
+def run_case(case: CaseDefinition, projection: str = "l2",
+             h1: str = "full") -> ConvergenceTable:
     """Run a case over its mesh ladder and collect the convergence table.
 
-    The arguments choose only what is reported.  ``cond`` selects
-    condition-number reporting ('none', 'exact' or 'estimate');
-    ``projection`` chooses the comparison function for the stabilizer
-    norm of the error ('l2' projection or 'nodal' interpolant); ``h1``
-    switches the H1 error column between the full norm and the seminorm.
+    The case defines the run, its ``cond`` columns included; the
+    arguments choose only what is reported.  ``projection`` chooses the
+    comparison function for the stabilizer norm of the error ('l2'
+    projection or 'nodal' interpolant); ``h1`` switches the H1 error
+    column between the full norm and the seminorm.
     """
     if projection not in ("l2", "nodal"):
         raise ValueError(f"unknown projection {projection!r}")
@@ -389,7 +399,7 @@ def run_case(case: CaseDefinition, cond: str = "none",
             cond_converged=None if est is None else est.converged,
             peclet=rung.peclet)
 
-    rows = run_ladder(case, visit, cond, cond_tol, cond_max_iter)
+    rows = run_ladder(case, visit)
 
     rates = {}
     if len(rows) >= 2:

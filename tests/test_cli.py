@@ -142,6 +142,35 @@ def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
     assert run_case(case).to_csv_string() != degree2
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["condnum", "--ladder", "4", "--cond-tol", "1e-6", "--cond-cap", "7"],
+     ("estimate", 1e-6, 7)),
+    (["solve", "--ladder", "4", "--cond", "exact"], ("exact", 1e-3, 5000)),
+    (["convergence", "--ladder", "4", "--cond", "estimate"],
+     ("estimate", 1e-3, 5000)),
+    (["probe", "fem", "--ladder", "4"], ("none", 1e-3, 5000)),
+], ids=["condnum", "solve", "convergence", "probe-fem"])
+def test_cond_settings_reach_solve_through_the_case(tmp_path, monkeypatch,
+                                                    argv, expected):
+    # --cond, --cond-tol and --cond-cap fold into the case; run_ladder
+    # hands them to solve on every rung
+    import inspect
+
+    import ucfem.experiments as experiments
+    real, seen = experiments.solve, []
+
+    def recording_solve(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(tuple(bound.arguments[name] for name in
+                          ("cond", "cond_tol", "cond_max_iter")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve", recording_solve)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert seen == [expected]
+
+
 def test_condnum_exact_ladder_with_slope(tmp_path, capsys):
     assert main(["condnum", "--case", "ex1-const", "--ladder", "4,8",
                  "--cond", "exact", "--out", str(tmp_path)]) == 0

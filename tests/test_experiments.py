@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -256,11 +257,31 @@ def test_noisy_variants_share_the_matrix_and_differ_in_the_data_load():
 def test_run_case_argument_validation():
     case = get_case("ex1-const")
     with pytest.raises(ValueError):
-        run_case(case, cond="sometimes")
-    with pytest.raises(ValueError):
         run_case(case, projection="h1")
     with pytest.raises(ValueError):
         run_case(case, h1="broken")
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(cond="sometimes"), "unknown cond mode 'sometimes'"),
+    (dict(cond="estimate", cond_tol=5), "tol must lie in (0, 1), got 5"),
+    (dict(cond_max_iter=0), "max_iter must be an integer >= 1, got 0"),
+    # N = 64 gives dimension 2 * 65**2 = 8450
+    (dict(cond="exact", ladder=(8, 64)),
+     "dense SVD guarded to dimension 2000, got 8450"),
+], ids=["unknown-cond", "tol", "cap", "exact-beyond-dense-limit"])
+def test_bad_cond_setting_is_refused_before_any_work(monkeypatch, settings,
+                                                     message):
+    # the case refuses what solve would, with solve's message, before the
+    # first rung is meshed
+    import ucfem.experiments as experiments
+    meshed = []
+    real = experiments.build_unit_square_mesh
+    monkeypatch.setattr(experiments, "build_unit_square_mesh",
+                        lambda n: meshed.append(n) or real(n))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_case(replace(get_case("ex1-const"), **settings))
+    assert len(meshed) == 0
 
 
 def recorded_solutions(monkeypatch):
@@ -280,7 +301,7 @@ def recorded_solutions(monkeypatch):
 def test_run_case_short_ladder_basics(monkeypatch):
     case = get_case("ex1-const")
     solved = recorded_solutions(monkeypatch)
-    table = run_case(replace(case, ladder=(8, 16)), cond="exact")
+    table = run_case(replace(case, ladder=(8, 16), cond="exact"))
     assert [n for n, _ in solved] == [8, 16]
     assert [r.N for r in table.rows] == [8, 16]
     assert table.rows[0].h == pytest.approx(1.0 / 9.0)
@@ -327,8 +348,8 @@ def test_convergence_table_csv_format():
 def test_csv_columns_are_the_row_fields_and_floats_round_trip():
     assert CSV_HEADER == tuple(f.name for f in fields(ConvergenceRow))
     assert CSV_HEADER[-1] == "peclet"
-    table = run_case(replace(get_case("ex1-const"), ladder=(4, 8)),
-                     cond="estimate")
+    table = run_case(replace(get_case("ex1-const"), ladder=(4, 8),
+                             cond="estimate"))
     written = csv_rows(table.to_csv_string())
     assert len(written) == len(table.rows)
     for row, cells in zip(table.rows, written):
@@ -342,8 +363,8 @@ def test_csv_columns_are_the_row_fields_and_floats_round_trip():
 
 
 def test_unconverged_estimate_is_marked_in_row_and_csv():
-    table = run_case(replace(get_case("ex1-swirl"), ladder=(4,)),
-                     cond="estimate", cond_max_iter=3)
+    table = run_case(replace(get_case("ex1-swirl"), ladder=(4,),
+                             cond="estimate", cond_max_iter=3))
     assert table.rows[0].cond_converged is False
     assert csv_rows(table.to_csv_string())[0]["cond_converged"] == "False"
 
@@ -359,12 +380,12 @@ def test_run_case_estimate_reuses_the_solve_factorization(monkeypatch):
     monkeypatch.setattr(saddle.spla, "splu", counting_splu)
     solved = recorded_solutions(monkeypatch)
     case = get_case("ex2-swirl")
-    table = run_case(replace(case, ladder=(8,)), cond="estimate")
+    table = run_case(replace(case, ladder=(8,), cond="estimate"))
     solutions = [sol for _, sol in solved]
     assert calls == ["NATURAL"]
     assert solutions[0].diagnostics["ordering"] == "minimum_degree"
     assert table.rows[0].cond == solutions[0].cond.value
-    exact = run_case(replace(case, ladder=(8,)), cond="exact").rows[0].cond
+    exact = run_case(replace(case, ladder=(8,), cond="exact")).rows[0].cond
     assert table.rows[0].cond == pytest.approx(exact, rel=0.05)
 
 
