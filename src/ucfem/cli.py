@@ -125,7 +125,6 @@ def _build_parser():
                        default=None, help="override the case noise model")
         p.add_argument("--boundary-factor", type=float, default=None,
                        help="override the dual boundary weight factor")
-        p.add_argument("--quad-degree", type=int, choices=[2, 4], default=4)
         p.add_argument("--out", default=".", help="output directory")
 
     solve_p = sub.add_parser("solve", help="solve one or more meshes")
@@ -137,7 +136,6 @@ def _build_parser():
     common(conv_p)
     conv_p.add_argument("--cond", choices=["none", "exact", "estimate"],
                         default="none")
-    conv_p.add_argument("--h1", choices=["full", "semi"], default="full")
     conv_p.add_argument("--projection", choices=["l2", "nodal"], default="l2",
                         help="comparison function for the stabilizer norm")
 
@@ -301,7 +299,6 @@ def _resolve_case(args, problem) -> CaseDefinition:
             spec = replace(spec, boundary_factor=args.boundary_factor)
         return replace(
             case, spec=spec, ladder=tuple(ladder), noise=noise,
-            quad_degree=getattr(args, "quad_degree", case.quad_degree),
             cond=getattr(args, "cond", case.cond),
             cond_tol=getattr(args, "cond_tol", case.cond_tol),
             cond_max_iter=getattr(args, "cond_cap", case.cond_max_iter))
@@ -344,7 +341,7 @@ def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
 
 
 def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
-    table = run_case(case, projection=args.projection, h1=args.h1)
+    table = run_case(case, projection=args.projection)
     text = table.to_csv_string()
     (out / "convergence.csv").write_text(text, newline="")
     _write_json(out / "rates.json", table.rates_dict())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Optional
 
@@ -124,22 +125,26 @@ def apply_noise(data: FeFunction, noise: NoiseModel,
 @dataclass(frozen=True)
 class CaseDefinition:
     """A named benchmark and all that defines its run: problem data, mesh
-    ladder, optional noise, the quadrature degree of every integral and
-    the condition number of each rung's ``solve`` (``cond``, ``cond_tol``,
-    ``cond_max_iter``).  A cond setting ``solve`` would refuse on some
-    rung raises the same ValueError when the case is made."""
+    ladder, optional noise and the condition number of each rung's
+    ``solve`` (``cond``, ``cond_tol``, ``cond_max_iter``).  Every integral
+    uses the degree-4 triangle rule.  A ladder the CLI would refuse
+    (empty, an N below 1 or a repeated N) or a cond setting ``solve``
+    would refuse on some rung raises a ValueError when the case is made."""
 
     name: str
     spec: ProblemSpec
     exact: ExactSolution
     ladder: tuple = DEFAULT_LADDER
     noise: Optional[NoiseModel] = None
-    quad_degree: int = 4
     cond: str = "none"
     cond_tol: float = 1e-3
     cond_max_iter: int = 5000
 
     def __post_init__(self):
+        if not self.ladder or any(n < 1 for n in self.ladder):
+            raise ValueError(f"bad ladder {self.ladder!r}")
+        if len(set(self.ladder)) < len(self.ladder):
+            raise ValueError(f"ladder {self.ladder!r} repeats an N")
         if self.cond not in ("none", "exact", "estimate"):
             raise ValueError(f"unknown cond mode {self.cond!r}")
         _check_estimator(self.cond_tol, self.cond_max_iter)
@@ -266,16 +271,15 @@ class ConvergenceTable:
                 for name, fit in self.rates.items()}
 
 
-def error_norms(exact: ExactSolution, fe: FeFunction, region,
-                degree: int = 4, h1: str = "full"):
+def error_norms(exact: ExactSolution, fe: FeFunction, region):
     """Absolute and reference norms of (exact - fe) over a region.
 
     Returns (err_l2, err_h1, ref_l2, ref_h1) where the reference norms are
-    those of the exact solution; the H1 entries are full norms, or H1
-    seminorms when ``h1`` is 'semi'.
+    those of the exact solution and the H1 entries are full norms.  Warns
+    when the region holds no quadrature point: every norm is then 0.
     """
     mesh = fe.mesh
-    rule = triangle_rule(degree)
+    rule = triangle_rule()
     grads, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
     flat = pts.reshape(-1, 2)
@@ -289,6 +293,9 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region,
 
     mask = region.contains(flat).reshape(pts.shape[:2]) if region is not None \
         else np.ones(pts.shape[:2], dtype=bool)
+    if not mask.any():
+        warnings.warn("evaluation region contains no quadrature point; "
+                      "error norms are zero", stacklevel=2)
     w = rule.weights[None, :] * areas[:, None] * mask
 
     diff = uex - uh
@@ -297,16 +304,13 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region,
     err_semi_sq = float(np.sum(w * np.einsum("tqd,tqd->tq", gdiff, gdiff)))
     ref_l2_sq = float(np.sum(w * uex**2))
     ref_semi_sq = float(np.sum(w * np.einsum("tqd,tqd->tq", gex, gex)))
-    if h1 == "semi":
-        return (np.sqrt(err_l2_sq), np.sqrt(err_semi_sq),
-                np.sqrt(ref_l2_sq), np.sqrt(ref_semi_sq))
     return (np.sqrt(err_l2_sq), np.sqrt(err_l2_sq + err_semi_sq),
             np.sqrt(ref_l2_sq), np.sqrt(ref_l2_sq + ref_semi_sq))
 
 
 def discretize(case: CaseDefinition, n_cells: int
                ) -> tuple[Mesh, AssembledForms, SaddleSystem]:
-    """Mesh, blocks (at ``case.quad_degree``) and saddle system of a rung.
+    """Mesh, blocks and saddle system of a rung.
 
     The data are the nodal interpolant of the exact solution, perturbed by
     the case's noise model when it has one.  They enter only the data
@@ -319,7 +323,7 @@ def discretize(case: CaseDefinition, n_cells: int
     data = interpolate(case.exact.value, mesh)
     if case.noise is not None:
         data = apply_noise(data, case.noise, case.spec.omega)
-    blocks = assemble_all(case.spec, mesh, case.quad_degree)
+    blocks = assemble_all(case.spec, mesh)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.data_mass @ data.coefficients,
                           blocks.b_source)
@@ -365,31 +369,27 @@ def run_ladder(case: CaseDefinition, visit: Callable[[Rung], object]) -> list:
     return [visit(_solve_rung(case, n_cells)) for n_cells in case.ladder]
 
 
-def run_case(case: CaseDefinition, projection: str = "l2",
-             h1: str = "full") -> ConvergenceTable:
+def run_case(case: CaseDefinition, projection: str = "l2") -> ConvergenceTable:
     """Run a case over its mesh ladder and collect the convergence table.
 
-    The case defines the run, its ``cond`` columns included; the
-    arguments choose only what is reported.  ``projection`` chooses the
-    comparison function for the stabilizer norm of the error ('l2'
-    projection or 'nodal' interpolant); ``h1`` switches the H1 error
-    column between the full norm and the seminorm.
+    The case defines the run, its ``cond`` columns included; ``projection``
+    chooses only what is reported: the comparison function for the
+    stabilizer norm of the error ('l2' projection or 'nodal' interpolant).
+    The error columns are relative L2 and full H1 norms over the target.
     """
     if projection not in ("l2", "nodal"):
         raise ValueError(f"unknown projection {projection!r}")
-    if h1 not in ("full", "semi"):
-        raise ValueError(f"unknown h1 mode {h1!r}")
 
     def visit(rung: Rung) -> ConvergenceRow:
         sol = rung.solution
-        reference = (l2_project(case.exact.value, rung.mesh, case.quad_degree)
+        reference = (l2_project(case.exact.value, rung.mesh)
                      if projection == "l2"
                      else interpolate(case.exact.value, rung.mesh))
         s_norm, sstar_norm = rung.system.stabilizer_norms(
             reference.coefficients - sol.u.coefficients, sol.z.coefficients)
 
         err_l2, err_h1, ref_l2, ref_h1 = error_norms(
-            case.exact, sol.u, case.spec.target, case.quad_degree, h1)
+            case.exact, sol.u, case.spec.target)
 
         est = sol.cond
         return ConvergenceRow(

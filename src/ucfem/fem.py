@@ -1,6 +1,6 @@
 """Piecewise-linear (P1) finite element machinery on triangulations.
 
-Quadrature rules, hat-function gradients, nodal interpolation and
+The quadrature rule, hat-function gradients, nodal interpolation and
 consistent L2 projection.  All assembly downstream builds on the
 per-triangle geometry computed here and sums its local blocks with
 scipy's COO -> CSR conversion; each call computes what it needs
@@ -46,10 +46,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-# 3-point midpoint rule, exact through degree 2
-_TRI_P2 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-_TRI_W2 = np.full(3, 1.0 / 3.0)
-
 # 6-point rule, exact through degree 4
 _A1, _W1 = 0.44594849091596488632, 0.22338158967801146570
 _A2, _W2 = 0.09157621350977074346, 0.10995174365532186764
@@ -60,19 +56,15 @@ _TRI_P4 = np.array([
 _TRI_W4 = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
-def triangle_rule(degree: int = 4, refine: int = 0) -> QuadratureRule:
-    """Symmetric triangle rule exact at least to the requested degree.
+def triangle_rule(refine: int = 0) -> QuadratureRule:
+    """The symmetric 6-point triangle rule, exact through degree 4: the
+    one rule of every integral.
 
     ``refine`` applies uniform 4-way subdivision levels to the rule; this
     keeps the polynomial exactness while sampling discontinuous weights
     (region indicators) on a finer grid.
     """
-    if degree <= 2:
-        pts, wts = _TRI_P2, _TRI_W2
-    elif degree <= 4:
-        pts, wts = _TRI_P4, _TRI_W4
-    else:
-        raise ValueError(f"no triangle rule of degree {degree} available")
+    pts, wts = _TRI_P4, _TRI_W4
     for _ in range(refine):
         pts, wts = _subdivide(pts, wts)
     return QuadratureRule(pts, wts)
@@ -192,14 +184,14 @@ def _scatter_load(mesh: Mesh, local) -> np.ndarray:
                        minlength=mesh.n_nodes)
 
 
-def l2_project(u, mesh: Mesh, degree: int = 4) -> FeFunction:
+def l2_project(u, mesh: Mesh) -> FeFunction:
     """L2 projection onto the P1 space via a consistent mass-matrix solve.
 
     The mass system is solved by Jacobi-preconditioned CG; when CG fails or
     its relative residual exceeds 1e-12, a sparse direct solve replaces it
     and must meet the same gate, or NumericalFailure is raised.
     """
-    rule = triangle_rule(degree)
+    rule = triangle_rule()
     pts = quad_points(mesh, rule)
     uvals = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     rhs = _scatter_load(mesh, (mesh.tri_areas[:, None] * uvals)

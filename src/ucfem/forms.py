@@ -149,11 +149,10 @@ class AssembledForms:
     peclet: float
 
 
-def assemble_all(spec: ProblemSpec, mesh: Mesh,
-                 degree: int = 4) -> AssembledForms:
+def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     """Assemble every form and the source load of the saddle-point system,
     none of which depends on the data; h, the geometry, the edge
-    connectivity, the quadrature points, beta there, |beta|, the
+    connectivity, the degree-4 rule's points, beta there, |beta|, the
     diffusion blocks and the omega indicator are computed once, and none
     of them outlives the call.  Warns when omega holds no quadrature
     point or a declared ``spec.beta_sup`` is below the largest |beta| at
@@ -161,7 +160,7 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh,
     if spec.f is None:
         raise ValueError("spec has no source term f")
     h = mesh_size(mesh)
-    rule = triangle_rule(degree)
+    rule = triangle_rule()
     grads, areas = triangle_geometry(mesh)
     edges = mesh.edges()
     pts = quad_points(mesh, rule)

@@ -12,8 +12,8 @@ def _zero(points):
     return np.zeros(len(np.atleast_2d(points)))
 
 
-def assembled(spec, mesh, degree=4):
+def assembled(spec, mesh):
     """``assemble_all`` with a zero ``f`` when ``spec`` has none."""
     if spec.f is None:
         spec = dataclasses.replace(spec, f=_zero)
-    return assemble_all(spec, mesh, degree)
+    return assemble_all(spec, mesh)

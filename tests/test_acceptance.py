@@ -146,7 +146,7 @@ def test_criterion_4_property_suites(tables):
     case = get_case("ex1-swirl")
     mesh = build_unit_square_mesh(16)
     data = interpolate(case.exact.value, mesh)
-    blocks = assemble_all(case.spec, mesh, 4)
+    blocks = assemble_all(case.spec, mesh)
     b_data = blocks.data_mass @ data.coefficients
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           b_data, blocks.b_source)
@@ -155,7 +155,7 @@ def test_criterion_4_property_suites(tables):
     zero_spec = dataclasses.replace(
         case.spec, f=lambda p: np.zeros(len(np.atleast_2d(p))))
     zdata = interpolate(lambda p: np.zeros(len(np.atleast_2d(p))), mesh)
-    zb = assemble_all(zero_spec, mesh, 4)
+    zb = assemble_all(zero_spec, mesh)
     zsol = solve(build_system(zb.pde, zb.primal, zb.dual,
                               zb.data_mass @ zdata.coefficients,
                               zb.b_source), mesh)

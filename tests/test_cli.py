@@ -132,14 +132,15 @@ def test_condnum_estimate_cap_reports_bracket(tmp_path, capsys):
 
 
 def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
-    # --ladder and --quad-degree fold into the case, which run_case reads
+    # --ladder and --boundary-factor fold into the case, which run_case reads
     assert main(["convergence", "--case", "ex1-swirl", "--ladder", "8",
-                 "--quad-degree", "2", "--out", str(tmp_path)]) == 0
+                 "--boundary-factor", "1.0", "--out", str(tmp_path)]) == 0
     written = (tmp_path / "convergence.csv").read_bytes()
     case = replace(get_case("ex1-swirl"), ladder=(8,))
-    degree2 = run_case(replace(case, quad_degree=2)).to_csv_string()
-    assert written == degree2.encode()
-    assert run_case(case).to_csv_string() != degree2
+    folded = run_case(replace(case, spec=replace(
+        case.spec, boundary_factor=1.0))).to_csv_string()
+    assert written == folded.encode()
+    assert run_case(case).to_csv_string() != folded
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -303,7 +304,7 @@ def test_config_ladder_must_be_a_list_or_string(tmp_path, capsys, ladder):
 
 
 @pytest.mark.parametrize("config", [
-    {"quad_degree": 3}, {"quad-degree": "4x"}, {"noise": "loud"},
+    {"cond": "sometimes"}, {"seed": "4x"}, {"noise": "loud"},
     {"seed": 2.5}, {"seed": True}, {"boundary_factor": None},
     {"case": ["ex1-const"]},
 ])
@@ -329,13 +330,13 @@ def test_config_keys_must_be_options_of_the_command(tmp_path, capsys, argv,
                          ids=["separate", "joined"])
 def test_config_values_are_typed_and_flags_still_win(tmp_path, joined):
     out = tmp_path / "run"
-    config = {"cond_tol": 0.25, "cond-cap": 7, "quad_degree": "2",
+    config = {"cond_tol": 0.25, "cond-cap": 7, "seed": "3",
               "ladder": "4,8"}
     assert _run_with_config(tmp_path, ["condnum", "--ladder", "4"],
                             config, joined) == 0
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["cond_tol"] == 0.25 and echoed["cond_cap"] == 7
-    assert echoed["quad_degree"] == 2 and echoed["ladder"] == [4]
+    assert echoed["seed"] == 3 and echoed["ladder"] == [4]
     radii = [0.1, 0.2, 0.4]
     assert _run_with_config(tmp_path, ["probe", "kappa"],
                             {"radii": radii, "c3": 2}, joined) == 0
@@ -404,6 +405,43 @@ def test_projection_is_an_option_of_convergence_only(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--projection", "nodal", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "quad-degree", "2"), ("convergence", "quad-degree", "4"),
+    ("condnum", "quad-degree", "2"), ("convergence", "h1", "semi"),
+])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_removed_quadrature_and_h1_options_exit_two(tmp_path, capsys, command,
+                                                    option, value, how):
+    # every integral uses the one degree-4 rule and H1 is the full norm
+    out = tmp_path / "run"
+    if how == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ladder", "4", f"--{option}", value,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+    else:
+        assert _run_with_config(tmp_path, [command, "--ladder", "4"],
+                                {option: value}) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "config",
+                       "detail": f"config key {option!r} is not an option "
+                                 f"of {command!r}"}
+    assert not out.exists()  # rejected before anything was written
+
+
+# the relative errors are 0 / 0, which numpy reports as well
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_target_with_no_quadrature_point_warns(tmp_path):
+    # a target narrower than the quadrature spacing: the warning says why
+    problem = {"omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
+               "target": {"boxes": [[0.5, 0.5001, 0.5, 0.5001]]}}
+    with pytest.warns(UserWarning, match="evaluation region contains no "
+                                         "quadrature point"):
+        assert _run_with_config(tmp_path, ["convergence", "--ladder", "4,8"],
+                                {"problem": problem}) == 0
 
 
 def test_declared_beta_sup_below_the_sampled_one_warns(tmp_path):

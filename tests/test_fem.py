@@ -21,26 +21,27 @@ def reference_monomial_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("degree", range(5))
 def test_triangle_rule_monomial_exactness(degree):
-    # to rounding: weights within 1 ulp of 1, monomials within 4 ulp
+    # the one rule integrates each monomial of total degree <= 4 to
+    # rounding: weights within 1 ulp of 1, monomials within 4 ulp
     eps = np.finfo(float).eps
-    rule = triangle_rule(degree)
+    rule = triangle_rule()
     assert abs(rule.weights.sum() - 1.0) <= eps
     for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            got = 0.5 * np.sum(rule.weights * rule.points[:, 1] ** a
-                               * rule.points[:, 2] ** b)
-            exact = reference_monomial_integral(a, b)
-            assert abs(got - exact) <= 4 * eps * exact, (a, b)
+        b = degree - a
+        got = 0.5 * np.sum(rule.weights * rule.points[:, 1] ** a
+                           * rule.points[:, 2] ** b)
+        exact = reference_monomial_integral(a, b)
+        assert abs(got - exact) <= 4 * eps * exact, (a, b)
 
 
 def test_refined_rule_improves_high_degree():
     # degree-6 monomial: the plain degree-4 rule misses it, one barycentric
     # refinement cuts the error by roughly 2^6
     exact = reference_monomial_integral(6, 0)
-    coarse = triangle_rule(4)
-    fine = triangle_rule(4, refine=1)
+    coarse = triangle_rule()
+    fine = triangle_rule(refine=1)
     assert np.isclose(fine.weights.sum(), 1.0)
     err_c = abs(0.5 * np.sum(coarse.weights * coarse.points[:, 1] ** 6)
                 - exact)
@@ -83,7 +84,7 @@ def test_p1_gradients_exact_for_affine():
 
 def test_quad_points_cover_domain():
     mesh = build_unit_square_mesh(3)
-    rule = triangle_rule(2)
+    rule = triangle_rule()
     pts = quad_points(mesh, rule)
     assert pts.shape == (mesh.n_triangles, len(rule.weights), 2)
     assert pts.min() >= 0.0 and pts.max() <= 1.0
@@ -93,16 +94,16 @@ def test_quad_points_cover_domain():
     assert np.isclose(total, 1.0)
 
 
-@pytest.mark.parametrize("degree", [2, 4])
-def test_reference_tensors_match_their_einsum_definitions(degree):
-    rule = triangle_rule(degree)
+@pytest.mark.parametrize("n_cells", [2, 4])
+def test_reference_tensors_match_their_einsum_definitions(n_cells):
+    rule = triangle_rule()
     w, p = rule.weights, rule.points
     np.testing.assert_allclose(fem._mass_tensor(rule).reshape(-1, 3, 3),
                                np.einsum("q,qi,qj->qij", w, p, p),
                                rtol=1e-15, atol=0)
     np.testing.assert_array_equal(fem._weighted_hats(rule),
                                   np.einsum("q,qi->qi", w, p))
-    mesh = build_unit_square_mesh(5)
+    mesh = build_unit_square_mesh(n_cells)
     np.testing.assert_allclose(
         quad_points(mesh, rule),
         np.einsum("qk,tkd->tqd", p, mesh.nodes[mesh.triangles]),
@@ -151,13 +152,13 @@ def test_fe_function_gradient_matches_difference_quotient():
 def test_l2_projection_is_projection_and_orthogonal():
     mesh = build_unit_square_mesh(5)
     u = lambda p: np.sin(2 * p[:, 0]) * p[:, 1]
-    ph = l2_project(u, mesh, degree=4)
-    again = l2_project(ph, mesh, degree=4)
+    ph = l2_project(u, mesh)
+    again = l2_project(ph, mesh)
     assert np.allclose(ph.coefficients, again.coefficients, atol=1e-10)
     # residual u - ph is L2-orthogonal to V_h: M-weighted coefficients of
     # the projection equal the load of u itself
     mass = mass_matrix(mesh)
-    rule = triangle_rule(4)
+    rule = triangle_rule()
     pts = quad_points(mesh, rule)
     _, areas = triangle_geometry(mesh)
     uvals = u(pts.reshape(-1, 2)).reshape(pts.shape[:2])
@@ -169,11 +170,21 @@ def test_l2_projection_is_projection_and_orthogonal():
 
 
 @pytest.mark.parametrize("refine", [0, 1, 2, 3])
-@pytest.mark.parametrize("degree", [2, 4])
-def test_mass_tensor_is_symmetric_bit_for_bit(degree, refine):
-    # a data mass built from it passes solve's bit-symmetry gate
-    tensor = fem._mass_tensor(triangle_rule(degree, refine)).reshape(-1, 3, 3)
-    np.testing.assert_array_equal(tensor, tensor.transpose(0, 2, 1))
+@pytest.mark.parametrize("n_cells", [2, 4])
+def test_mass_tensor_is_symmetric_bit_for_bit(n_cells, refine):
+    # a data mass built from it passes solve's bit-symmetry gate: the
+    # local blocks, and their sum over an N-cell mesh under arbitrary
+    # per-point weights
+    rule = triangle_rule(refine)
+    tensor = fem._mass_tensor(rule)
+    local = tensor.reshape(-1, 3, 3)
+    np.testing.assert_array_equal(local, local.transpose(0, 2, 1))
+    mesh = build_unit_square_mesh(n_cells)
+    weights = np.random.default_rng(n_cells).uniform(
+        size=(mesh.n_triangles, len(rule.weights)))
+    data_mass = fem._scatter(mesh, (mesh.tri_areas[:, None] * weights)
+                             @ tensor)
+    assert (data_mass != data_mass.T).nnz == 0
 
 
 def test_l2_projection_rate_two_for_smooth_field():
@@ -181,9 +192,9 @@ def test_l2_projection_rate_two_for_smooth_field():
     errs, hs = [], []
     for n in (8, 16, 32, 64):
         mesh = build_unit_square_mesh(n)
-        ph = l2_project(u, mesh, degree=4)
+        ph = l2_project(u, mesh)
         diff = lambda p, ph=ph: u(p) - ph(p)
-        rule = triangle_rule(4, refine=1)
+        rule = triangle_rule(refine=1)
         pts = quad_points(mesh, rule)
         _, areas = triangle_geometry(mesh)
         vals = diff(pts.reshape(-1, 2)).reshape(pts.shape[:2])
@@ -201,7 +212,7 @@ def _smooth(p):
 
 def _spsolve_projection(mesh):
     """Coefficients of _smooth's projection by a sparse direct solve."""
-    rule = triangle_rule(4)
+    rule = triangle_rule()
     pts = quad_points(mesh, rule)
     _, areas = triangle_geometry(mesh)
     uvals = _smooth(pts.reshape(-1, 2)).reshape(pts.shape[:2])

@@ -26,13 +26,13 @@ def make_spec(beta=None, beta_sup=1.0, omega=UNIT_SQUARE, mu=1.0,
                        gamma_star=gamma_star, boundary_factor=boundary_factor)
 
 
-def pde_load_from_field(spec, mesh, gradient, degree=4):
+def pde_load_from_field(spec, mesh, gradient):
     """Vector L[i] = a(u, phi_i) for an analytic field u, given grad u.
 
     For the exact solution this must equal the source load, since the two
     sides differ by an integration by parts.
     """
-    rule = triangle_rule(degree)
+    rule = triangle_rule()
     grads, areas = triangle_geometry(mesh)
     pts = quad_points(mesh, rule)
     flat = pts.reshape(-1, 2)
@@ -275,21 +275,21 @@ def test_convection_diffusion_consistent_for_affine_solution():
 def test_pde_load_from_field_matches_source_load_for_exact_solution():
     # a(u, phi_i) and (f, phi_i) agree for the manufactured pair by the
     # divergence theorem; every integrand here is polynomial of degree <= 4
-    # so the default rule is exact and the match is to rounding
+    # so the one rule is exact and the match is to rounding
     bump = polynomial_bump()
     beta = constant_field(1.0, 0.0)
     spec = make_spec(beta=beta, beta_sup=1.0,
                      f=derive_source(bump, 1.0, beta))
     mesh = build_unit_square_mesh(8)
-    b_source = assembled(spec, mesh, degree=4).b_source
-    lhs = pde_load_from_field(spec, mesh, bump.gradient, degree=4)
+    b_source = assembled(spec, mesh).b_source
+    lhs = pde_load_from_field(spec, mesh, bump.gradient)
     assert np.abs(lhs - b_source).max() < 1e-12
 
 
 def test_assemble_all_collects_consistent_blocks():
     case = get_case("ex2-swirl")
     mesh = build_unit_square_mesh(8)
-    blocks = assemble_all(case.spec, mesh, 4)
+    blocks = assemble_all(case.spec, mesh)
     assert np.isclose(blocks.h, mesh_size(mesh))
     assert blocks.beta_sup == 200.0
     assert np.isclose(blocks.peclet, blocks.beta_sup * blocks.h / case.spec.mu)
@@ -299,13 +299,13 @@ def test_assemble_all_collects_consistent_blocks():
 
 def test_dual_jump_part_is_the_primal_jump_at_sampled_beta_sup():
     # the jump part of the dual is the part linear in gamma; with |beta|
-    # sampled at the degree-2 points it must be gamma_* times the primal
+    # sampled at the quadrature points it must be gamma_* times the primal
     # jump matrix, sampled at the same points
     spec = make_spec(beta=swirl_field(), beta_sup=None, gamma_star=0.5,
                      f=lambda p: np.ones(len(np.atleast_2d(p))))
     mesh = build_unit_square_mesh(4)
-    blocks = assemble_all(spec, mesh, 2)
-    doubled = assemble_all(dataclasses.replace(spec, gamma=2.0), mesh, 2)
+    blocks = assemble_all(spec, mesh)
+    doubled = assemble_all(dataclasses.replace(spec, gamma=2.0), mesh)
     jump_part = (doubled.dual - blocks.dual).toarray()
     assert blocks.beta_sup < 200.0  # sampled, not declared
     assert np.abs(jump_part - spec.gamma_star * blocks.jump.toarray()).max() \
@@ -325,14 +325,13 @@ def test_assemble_all_samples_beta_once():
     for beta_sup in (None, 200.0):
         spec = make_spec(beta=counting_beta, beta_sup=beta_sup,
                          f=derive_source(bump, 1.0, swirl_field()))
-        for degree in (2, 4):
-            calls.clear()
-            blocks = assemble_all(spec, mesh, degree)
-            assert len(calls) == 1
-            pts = quad_points(mesh, triangle_rule(degree)).reshape(-1, 2)
-            sampled = np.sqrt((swirl_field()(pts) ** 2).sum(axis=1)).max()
-            assert blocks.beta_sup == (sampled if beta_sup is None
-                                       else beta_sup)
+        calls.clear()
+        blocks = assemble_all(spec, mesh)
+        assert len(calls) == 1
+        pts = quad_points(mesh, triangle_rule()).reshape(-1, 2)
+        sampled = np.sqrt((swirl_field()(pts) ** 2).sum(axis=1)).max()
+        assert blocks.beta_sup == (sampled if beta_sup is None
+                                   else beta_sup)
 
 
 def test_declared_beta_sup_below_the_sampled_one_warns():

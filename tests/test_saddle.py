@@ -120,16 +120,16 @@ def node_order(natural, n):
     return rcm[np.argsort(ilu.perm_c)]
 
 
-def case_system(name="ex1-const", n=8, data_fn=None, spec=None, degree=4):
-    """A case's blocks and saddle system at N=n and quadrature ``degree``,
-    the data load formed as ``data_mass @ c``."""
+def case_system(name="ex1-const", n=8, data_fn=None, spec=None):
+    """A case's blocks and saddle system at N=n, the data load formed as
+    ``data_mass @ c``."""
     case = get_case(name)
     spec = spec if spec is not None else case.spec
     mesh = build_unit_square_mesh(n)
     data = interpolate(data_fn or case.exact.value, mesh)
     if case.noise is not None:
         data = apply_noise(data, case.noise, spec.omega)
-    blocks = assemble_all(spec, mesh, degree)
+    blocks = assemble_all(spec, mesh)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.data_mass @ data.coefficients,
                           blocks.b_source)
@@ -239,13 +239,11 @@ def test_system_is_symmetric_on_meshes_of_any_size(name, n):
     # off the powers of two the face weights are not exact binary
     # fractions, and only a jump form symmetric by construction is; solve
     # refuses a system that is not, so this holds for every assembled one:
-    # both quadrature degrees, declared and sampled |beta|
+    # declared and sampled |beta|
     spec = get_case(name).spec
-    for degree in (2, 4):
-        for custom in (spec, dataclasses.replace(spec, beta_sup=None)):
-            _, _, _, system = case_system(name, n=n, spec=custom,
-                                          degree=degree)
-            assert system.symmetry_defect() == 0.0
+    for custom in (spec, dataclasses.replace(spec, beta_sup=None)):
+        _, _, _, system = case_system(name, n=n, spec=custom)
+        assert system.symmetry_defect() == 0.0
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -307,7 +305,7 @@ def test_zero_data_gives_zero_solution():
     spec = dataclasses.replace(case.spec, f=lambda p: np.zeros(len(np.atleast_2d(p))))
     mesh = build_unit_square_mesh(8)
     data = interpolate(lambda p: np.zeros(len(np.atleast_2d(p))), mesh)
-    blocks = assemble_all(spec, mesh, 4)
+    blocks = assemble_all(spec, mesh)
     system = build_system(blocks.pde, blocks.primal, blocks.dual,
                           blocks.data_mass @ data.coefficients,
                           blocks.b_source)
@@ -326,8 +324,8 @@ def test_solution_linear_in_source_and_data():
                                 f=lambda p: np.cos(np.atleast_2d(p)[:, 0]))
     d1 = interpolate(bump.value, mesh)
     d2 = interpolate(other, mesh)
-    b1 = assemble_all(case.spec, mesh, 4)
-    b2 = assemble_all(spec2, mesh, 4)
+    b1 = assemble_all(case.spec, mesh)
+    b2 = assemble_all(spec2, mesh)
     load1 = b1.data_mass @ d1.coefficients
     load2 = b1.data_mass @ d2.coefficients
     alpha = 0.75
@@ -349,13 +347,13 @@ def test_solution_linear_in_source_and_data():
 
 def test_solver_recovers_galerkin_identity():
     # the second block row states a_h(u_h, w) - s_*(z_h, w) = (f, w); for
-    # the manufactured quartic the right side equals a_h(u, w) at this
-    # quadrature degree, so the PDE residual of (u_h, z_h) against the
+    # the manufactured quartic the right side equals a_h(u, w) under the
+    # degree-4 rule, so the PDE residual of (u_h, z_h) against the
     # continuous field must vanish to solver precision
     case, mesh, blocks, system = case_system("ex1-const", n=8)
     sol = solve(system, mesh)
     lhs = blocks.pde @ sol.u.coefficients - blocks.dual @ sol.z.coefficients
-    rhs = pde_load_from_field(case.spec, mesh, case.exact.gradient, degree=4)
+    rhs = pde_load_from_field(case.spec, mesh, case.exact.gradient)
     assert np.abs(lhs - rhs).max() <= 1e-8 * (1 + np.abs(rhs).max())
 
 
@@ -831,7 +829,7 @@ def test_data_mass_of_a_refined_rule_solves(refine):
     # omega's indicator sampled on a subdivided degree-4 rule: the data
     # mass stays symmetric bit for bit, so solve accepts the system
     case, mesh, blocks, _ = case_system("ex1-const", 8)
-    rule = triangle_rule(4, refine=refine)
+    rule = triangle_rule(refine=refine)
     pts = quad_points(mesh, rule)
     mask = case.spec.omega.contains(pts.reshape(-1, 2)).reshape(pts.shape[:2])
     w_data = case.spec.mu + blocks.beta_sup * blocks.h

@@ -70,9 +70,6 @@ def command_matrix() -> dict[str, list[str]]:
     runs["convergence-ex1-const-nodal"] = [
         "convergence", "--case", "ex1-const", "--ladder", "8,16,32",
         "--projection", "nodal"]
-    runs["convergence-ex2-swirl-h1-semi"] = [
-        "convergence", "--case", "ex2-swirl", "--ladder", "8,16,32",
-        "--h1", "semi"]
     runs["solve-ex2-swirl-cond"] = [
         "solve", "--case", "ex2-swirl", "--ladder", "32,64",
         "--cond", "estimate"]
@@ -114,14 +111,6 @@ def command_matrix() -> dict[str, list[str]]:
     runs["condnum-ex1-swirl-cap"] = [
         "condnum", "--case", "ex1-swirl", "--ladder", "4,8",
         "--cond-cap", "3"]
-    # the degree-2 rule through l2_project and error_norms
-    runs["convergence-ex1-swirl-q2"] = [
-        "convergence", "--case", "ex1-swirl", "--ladder", "8,16,32",
-        "--quad-degree", "2"]
-    # the degree-2 rule through the assembly that the estimate reads
-    runs["condnum-ex2-swirl-q2"] = [
-        "condnum", "--case", "ex2-swirl", "--ladder", "8,16",
-        "--quad-degree", "2"]
     runs["probe-fem"] = ["probe", "fem", "--ladder", "8,16,32"]
     # the gradient term of the disc norms
     runs["probe-fem-h1"] = ["probe", "fem", "--ladder", "8,16", "--norm", "h1"]
@@ -134,10 +123,8 @@ def command_matrix() -> dict[str, list[str]]:
     runs["probe-harmonic"] = ["probe", "harmonic", "--kmax", "3",
                               "--resolution", "16", "32"]
     runs["mesh-info-32"] = ["mesh-info", "32"]
-    for degree in (2, 4):
-        runs[f"solve-inline-swirl-q{degree}"] = [
-            "solve", "--config", "problem.json", "--ladder", "16,32",
-            "--quad-degree", str(degree)]
+    runs["solve-inline-swirl"] = [
+        "solve", "--config", "problem.json", "--ladder", "16,32"]
     return runs
 
 
