@@ -6,14 +6,15 @@ the options it reads.  ``main`` runs each the same way: parse; load
 ``--config PATH`` (or ``--config=PATH``) as the defaults of the command
 or probe mode and parse again, so flags win; check the seed; resolve the
 case (solve, convergence, condnum, and ``probe fem``, whose ``--seed``
-seeds a noisy case); echo the resolved configuration to ``config.json``
-in the output directory; run the handler.  Bad input exits with 2, and
-an unknown case, a condition-number setting that cannot run or an
+seeds a noisy case), built-in or ``case_from_problem`` of the config's
+``problem``; echo the resolved configuration to ``config.json`` in the
+output directory; run the handler.  Bad input exits with 2, and an
+unknown or bad case, a condition-number setting that cannot run or an
 ``--out`` that is no directory does so before anything is written;
-numerical failures exit with 3.
-Every CSV table is written by ``experiments._csv_text``; the columns of
-``convergence.csv`` are the fields of ``ConvergenceRow``.  Outputs are
-deterministic for a fixed configuration and seed (timings to stderr).
+numerical failures exit with 3.  Every CSV table is written by
+``experiments._csv_text``; the columns of ``convergence.csv`` are the
+fields of ``ConvergenceRow``.  Outputs are deterministic for a fixed
+configuration and seed (timings to stderr).
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import numpy as np
 
 from . import __version__
 from .experiments import (CaseDefinition, NoiseModel, _csv_text,
-                          derive_source, estimate_rate, get_case,
-                          polynomial_bump, run_case, run_ladder)
-from .forms import ProblemSpec, constant_field, swirl_field, zero_field
-from .mesh import Region, build_unit_square_mesh
+                          case_from_problem, estimate_rate, get_case,
+                          run_case, run_ladder)
+from .mesh import build_unit_square_mesh
 from .saddle import NumericalFailure
 from .stability import (ThreeBallConfig, audit_log_convexity,
                         harmonic_family_sweep, holder_exponent,
@@ -216,70 +216,10 @@ def _apply_config_file(args, sub_parser):
     return problem
 
 
-def _region_from(payload, name) -> Region:
-    region = Region(*([[_finite(c, f"{name} {key}") for c in box]
-                       for box in payload.get(key, [])]
-                      for key in ("boxes", "holes")))
-    if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
-           for x0, x1, y0, y1 in region.boxes):
-        raise ConfigError(f"{name} has a box outside the unit square")
-    if region.is_empty:
-        raise ConfigError(f"{name} has zero area")
-    return region
-
-
-def _finite(value, name) -> float:
-    """A finite inline-problem number; JSON's true and false are not."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _field_from(payload):
-    kind = payload.get("kind", "const")
-    if kind == "const":
-        bx, by = payload.get("value", (1.0, 0.0))
-        return constant_field(_finite(bx, "beta value"),
-                              _finite(by, "beta value"))
-    if kind == "swirl":
-        return swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
-    if kind == "zero":
-        return zero_field()
-    raise ConfigError(f"unknown advection field kind {kind!r}")
-
-
-def _case_from_problem(payload: dict) -> CaseDefinition:
-    """Build a custom case from an inline problem description."""
-    try:
-        beta = _field_from(payload.get("beta", {}))
-        exact = polynomial_bump()
-        sup = payload.get("beta_sup")
-        # the stabilization parameters not given keep ProblemSpec's defaults
-        weights = {key: _finite(payload[key], key) for key in
-                   ("gamma", "gamma_star", "boundary_factor")
-                   if key in payload}
-        spec = ProblemSpec(
-            mu=_finite(payload.get("mu", 1.0), "mu"),
-            beta=beta,
-            omega=_region_from(payload["omega"], "omega"),
-            target=_region_from(payload.get("target", {"boxes": [[0, 1, 0, 1]]}),
-                                "target"),
-            f=None,
-            beta_sup=None if sup is None else _finite(sup, "beta_sup"),
-            **weights,
-        )
-        spec = replace(spec, f=derive_source(exact, spec.mu, beta))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad inline problem: {exc}") from exc
-    return CaseDefinition("custom", spec, exact)
-
-
 def _resolve_case(args, problem) -> CaseDefinition:
     if problem is not None:
-        case = _case_from_problem(problem)
+        with _bad_input():
+            case = case_from_problem(problem)
     else:
         try:
             case = get_case(args.case)

@@ -1,13 +1,14 @@
 """Benchmark cases and convergence studies for the assimilation solver.
 
-All built-in cases share the manufactured solution
+Every case has the manufactured solution
 
     u(x, y) = 30 x (1 - x) y (1 - y),
 
 which has unit L2 norm on the unit square, with the source derived as
-f = -mu*laplace(u) + beta.grad(u).  Three measurement/evaluation geometry
-pairs are combined with a constant advection field and a strong rotational
-one.  Tables record relative errors over the evaluation region, the
+f = -mu*laplace(u) + beta.grad(u).  Each case is ``case_from_problem`` of
+an inline problem; the built-in ones pair three measurement/evaluation
+geometries with a constant advection field and a strong rotational one.
+Tables record relative errors over the evaluation region, the
 stabilizer norms of the discrete error pair and optionally the condition
 number, and fit log-log rates against the mesh size.
 """
@@ -26,7 +27,7 @@ from .mesh import Mesh, Region, build_unit_square_mesh, mesh_size
 from .fem import FeFunction, interpolate, l2_project, quad_points, \
     triangle_geometry, triangle_rule
 from .forms import (AssembledForms, ProblemSpec, assemble_all, constant_field,
-                    swirl_field)
+                    swirl_field, zero_field)
 from .saddle import (SaddleSystem, Solution, _check_dense, _check_estimator,
                      build_system, solve)
 
@@ -37,6 +38,7 @@ __all__ = [
     "NoiseModel",
     "apply_noise",
     "CaseDefinition",
+    "case_from_problem",
     "builtin_cases",
     "get_case",
     "RateFit",
@@ -128,7 +130,7 @@ class CaseDefinition:
     ladder, optional noise and the condition number of each rung's
     ``solve`` (``cond``, ``cond_tol``, ``cond_max_iter``).  Every integral
     uses the degree-4 triangle rule.  A ladder the CLI would refuse
-    (empty, an N below 1 or a repeated N) or a cond setting ``solve``
+    (empty, an N not an integer >= 1, a repeated N) or a cond setting ``solve``
     would refuse on some rung raises a ValueError when the case is made."""
 
     name: str
@@ -141,7 +143,8 @@ class CaseDefinition:
     cond_max_iter: int = 5000
 
     def __post_init__(self):
-        if not self.ladder or any(n < 1 for n in self.ladder):
+        if not self.ladder or any(not np.issubdtype(type(n), np.integer)
+                                  or n < 1 for n in self.ladder):
             raise ValueError(f"bad ladder {self.ladder!r}")
         if len(set(self.ladder)) < len(self.ladder):
             raise ValueError(f"ladder {self.ladder!r} repeats an N")
@@ -153,51 +156,105 @@ class CaseDefinition:
                 _check_dense(2 * (n_cells + 1) ** 2)
 
 
+def _finite(value, name) -> float:
+    """A finite inline-problem number; JSON's true and false are not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _region_from(payload, name) -> Region:
+    region = Region(*([[_finite(c, f"{name} {key}") for c in box]
+                       for box in payload.get(key, [])]
+                      for key in ("boxes", "holes")))
+    if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
+           for x0, x1, y0, y1 in region.boxes):
+        raise ValueError(f"{name} has a box outside the unit square")
+    if region.is_empty:
+        raise ValueError(f"{name} has zero area")
+    return region
+
+
+def _field_from(payload):
+    kind = payload.get("kind", "const")
+    if kind == "const":
+        bx, by = payload.get("value", (1.0, 0.0))
+        return constant_field(*(_finite(b, "beta value") for b in (bx, by)))
+    if kind == "swirl":
+        return swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
+    if kind == "zero":
+        return zero_field()
+    raise ValueError(f"unknown advection field kind {kind!r}")
+
+
+def case_from_problem(problem: dict, name: str = "custom",
+                      noise: Optional[NoiseModel] = None) -> CaseDefinition:
+    """The case of the bump under an inline problem (format: README,
+    Benchmarks); a bad entry raises ValueError("bad inline problem: ...")."""
+    try:
+        exact, beta = polynomial_bump(), _field_from(problem.get("beta", {}))
+        sup = problem.get("beta_sup")
+        # the stabilization parameters not given keep ProblemSpec's defaults
+        weights = {key: _finite(problem[key], key) for key in
+                   ("gamma", "gamma_star", "boundary_factor")
+                   if key in problem}
+        mu = _finite(problem.get("mu", 1.0), "mu")
+        target = problem.get("target", {"boxes": [[0, 1, 0, 1]]})
+        spec = ProblemSpec(mu, beta, _region_from(problem["omega"], "omega"),
+                           _region_from(target, "target"),
+                           derive_source(exact, mu, beta),
+                           None if sup is None else _finite(sup, "beta_sup"),
+                           **weights)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad inline problem: {exc}") from exc
+    return CaseDefinition(name, spec, exact, DEFAULT_LADDER, noise)
+
+
 _GEOMETRIES = {
-    # (measurement region omega, evaluation region B)
-    "ex1": (Region([(0.2, 0.45, 0.2, 0.45)]),
-            Region([(0.2, 0.45, 0.55, 0.8)])),
-    "ex2": (Region([(0.0, 0.125, 0.4, 0.6), (0.875, 1.0, 0.4, 0.6)]),
-            Region([(0.25, 0.75, 0.4, 0.6)])),
-    "ex3": (Region([(0.0, 1.0, 0.0, 1.0)], holes=[(0.0, 0.875, 0.125, 0.875)]),
-            Region([(0.0, 1.0, 0.0, 1.0)], holes=[(0.0, 0.125, 0.125, 0.875)])),
+    # measurement region omega and evaluation region B
+    "ex1": {"omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
+            "target": {"boxes": [[0.2, 0.45, 0.55, 0.8]]}},
+    "ex2": {"omega": {"boxes": [[0.0, 0.125, 0.4, 0.6],
+                                [0.875, 1.0, 0.4, 0.6]]},
+            "target": {"boxes": [[0.25, 0.75, 0.4, 0.6]]}},
+    "ex3": {"omega": {"boxes": [[0.0, 1.0, 0.0, 1.0]],
+                      "holes": [[0.0, 0.875, 0.125, 0.875]]},
+            "target": {"boxes": [[0.0, 1.0, 0.0, 1.0]],
+                       "holes": [[0.0, 0.125, 0.125, 0.875]]}},
 }
 
 _FIELDS = {
-    # (field, exact sup of |beta| on the square)
-    "const": (constant_field(1.0, 0.0), 1.0),
-    "swirl": (swirl_field(100.0), 200.0),
+    # the field and the exact sup of |beta| on the square
+    "const": {"beta": {"kind": "const", "value": [1.0, 0.0]}, "beta_sup": 1.0},
+    "swirl": {"beta": {"kind": "swirl", "scale": 100.0}, "beta_sup": 200.0},
 }
 
+# the inline problem of each noiseless built-in case
+_PROBLEMS = {f"{geom}-{fld}": {**_GEOMETRIES[geom], **_FIELDS[fld]}
+             for geom in _GEOMETRIES for fld in _FIELDS}
 
-def _make_case(geom: str, fld: str, noise: Optional[NoiseModel] = None,
-               suffix: str = "") -> CaseDefinition:
-    exact = polynomial_bump()
-    beta, sup = _FIELDS[fld]
-    omega, target = _GEOMETRIES[geom]
-    spec = ProblemSpec(mu=1.0, beta=beta, omega=omega, target=target,
-                       f=derive_source(exact, 1.0, beta), beta_sup=sup)
-    return CaseDefinition(f"{geom}-{fld}{suffix}", spec, exact, DEFAULT_LADDER,
-                          noise)
+# built once, so that ``get_case`` is a lookup
+_BUILTIN = {name: case_from_problem(problem, name)
+            for name, problem in _PROBLEMS.items()}
+_BUILTIN.update({name: case_from_problem(_PROBLEMS["ex1-const"], name,
+                                         NoiseModel(law))
+                 for name, law in (("ex1-const-noise-h", 1.0),
+                                   ("ex1-const-noise-sqrt", 0.5))})
 
 
 def builtin_cases() -> list[CaseDefinition]:
     """The six noiseless benchmarks plus two noisy variants of ex1-const."""
-    cases = [_make_case(g, f) for g in ("ex1", "ex2", "ex3")
-             for f in ("const", "swirl")]
-    cases.append(_make_case("ex1", "const", NoiseModel(law=1.0),
-                            "-noise-h"))
-    cases.append(_make_case("ex1", "const", NoiseModel(law=0.5),
-                            "-noise-sqrt"))
-    return cases
+    return list(_BUILTIN.values())
 
 
 def get_case(name: str) -> CaseDefinition:
-    for case in builtin_cases():
-        if case.name == name:
-            return case
-    known = ", ".join(c.name for c in builtin_cases())
-    raise KeyError(f"unknown case {name!r}; known cases: {known}")
+    if name not in _BUILTIN:
+        raise KeyError(f"unknown case {name!r}; known cases: "
+                       + ", ".join(_BUILTIN))
+    return _BUILTIN[name]
 
 
 @dataclass(frozen=True)
@@ -295,7 +352,8 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region):
         else np.ones(pts.shape[:2], dtype=bool)
     if not mask.any():
         warnings.warn("evaluation region contains no quadrature point; "
-                      "error norms are zero", stacklevel=2)
+                      f"error norms are zero at N={mesh.cells_per_side}",
+                      stacklevel=2)
     w = rule.weights[None, :] * areas[:, None] * mask
 
     diff = uex - uh

@@ -170,7 +170,8 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     mask = spec.omega.contains(flat).reshape(pts.shape[:2])
     if not mask.any():
         warnings.warn("data region contains no quadrature point; "
-                      "data-fitting matrix is zero", stacklevel=2)
+                      "data-fitting matrix is zero at "
+                      f"N={mesh.cells_per_side}", stacklevel=2)
     beta_flat = np.asarray(spec.beta(flat), dtype=float)
     sampled = float(np.sqrt((beta_flat**2).sum(axis=1)).max())
     bsup = sampled if spec.beta_sup is None else spec.beta_sup

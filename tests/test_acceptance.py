@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with -rA or on failure)
 and asserts the criterion at its stated tolerance.  The expensive inputs
-(the six-case convergence tables, the noisy reruns and the condition
-ladder) are computed once per session.
+(the six-case convergence tables, ex1-const's with its condition
+estimates, and the noisy reruns) are computed once per session.
 """
 
 import dataclasses
@@ -15,11 +15,11 @@ import scipy.sparse as sp
 
 import dense_oracle
 from assembled import assembled
-from ucfem.experiments import (builtin_cases, discretize, estimate_rate,
-                               get_case, polynomial_bump, run_case)
+from ucfem.experiments import (estimate_rate, get_case, polynomial_bump,
+                               run_case, run_ladder)
 from ucfem.fem import interpolate, mass_matrix, triangle_geometry
 from ucfem.forms import assemble_all, constant_field, swirl_field
-from ucfem.mesh import UNIT_SQUARE, Region, build_unit_square_mesh, mesh_size
+from ucfem.mesh import UNIT_SQUARE, build_unit_square_mesh, mesh_size
 from ucfem.saddle import build_system, exact_condition_number, solve
 from ucfem.stability import (ThreeBallConfig, audit_log_convexity,
                              harmonic_family_sweep, harmonic_member,
@@ -42,7 +42,11 @@ RATE_TOL = 0.15
 
 @pytest.fixture(scope="module")
 def tables():
-    return {name: run_case(get_case(name)) for name in NOISELESS}
+    cases = {name: get_case(name) for name in NOISELESS}
+    # ex1-const's rows carry criterion 2's condition estimates as well
+    cases["ex1-const"] = dataclasses.replace(cases["ex1-const"],
+                                             cond="estimate", cond_tol=1e-6)
+    return {name: run_case(case) for name, case in cases.items()}
 
 
 @pytest.fixture(scope="module")
@@ -77,34 +81,22 @@ def test_criterion_1_rate_reproduction(tables):
 
 
 @pytest.fixture(scope="module")
-def cond_ladder():
-    case = get_case("ex1-const")
-
-    def system_at(n):
-        mesh, _, system = discretize(case, n)
-        return system, mesh
-
-    pairs = []
-    for n in case.ladder:
-        system, mesh = system_at(n)
-        est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond
-        pairs.append((mesh_size(mesh), est.value, est.converged))
-    agreement = []
-    for n in (4, 8):
-        system, mesh = system_at(n)
-        exact = exact_condition_number(system)
-        est = solve(system, mesh, cond="estimate", cond_tol=1e-6).cond.value
-        agreement.append((n, exact, est))
-    return pairs, agreement
+def cond_agreement():
+    """(N, exact, estimate) of ex1-const's condition number at N = 4, 8."""
+    case = dataclasses.replace(get_case("ex1-const"), ladder=(4, 8),
+                               cond="estimate", cond_tol=1e-6)
+    return run_ladder(case, lambda rung: (
+        rung.N, exact_condition_number(rung.system),
+        rung.solution.cond.value))
 
 
-def test_criterion_2_condition_number(cond_ladder):
-    pairs, agreement = cond_ladder
+def test_criterion_2_condition_number(tables, cond_agreement):
+    rows = tables["ex1-const"].rows
     failures = []
-    for _, _, converged in pairs:
-        if not converged:
+    for row in rows:
+        if not row.cond_converged:
             failures.append("condition estimate did not converge")
-    fit = estimate_rate([(h, v) for h, v, _ in pairs])
+    fit = estimate_rate([(row.h, row.cond) for row in rows])
     for i, slope in enumerate(fit.per_step):
         if not (-3.6 <= slope <= -2.8):
             failures.append(f"per-step slope {i}: {slope:.3f} outside "
@@ -112,7 +104,7 @@ def test_criterion_2_condition_number(cond_ladder):
         if slope < -4.0:
             failures.append(f"per-step slope {i}: {slope:.3f} exceeds the "
                             f"theoretical -4 bound")
-    for n, exact, est in agreement:
+    for n, exact, est in cond_agreement:
         if abs(est - exact) > 0.05 * exact:
             failures.append(f"N={n}: exact {exact:.4e} vs estimate "
                             f"{est:.4e} differ by more than 5%")

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ucfem import __version__
+from ucfem import __version__, experiments
 from ucfem.cli import main
 from ucfem.experiments import get_case, run_case
 from ucfem.stability import ThreeBallConfig, probe_fem_solution
@@ -442,6 +443,36 @@ def test_target_with_no_quadrature_point_warns(tmp_path):
                                          "quadrature point"):
         assert _run_with_config(tmp_path, ["convergence", "--ladder", "4,8"],
                                 {"problem": problem}) == 0
+
+
+@pytest.mark.parametrize("name", ["ex1-const", "ex1-swirl", "ex2-const",
+                                  "ex2-swirl", "ex3-const", "ex3-swirl"])
+def test_builtin_case_is_its_inline_problem(tmp_path, name):
+    # --case and the case's payload as the config's problem run the same
+    argv = ["convergence", "--ladder", "4,8"]
+    assert main([*argv, "--case", name, "--out", str(tmp_path / "case")]) == 0
+    assert _run_with_config(tmp_path, argv,
+                            {"problem": experiments._PROBLEMS[name]}) == 0
+    for output in ("convergence.csv", "rates.json"):
+        assert (tmp_path / "run" / output).read_bytes() \
+            == (tmp_path / "case" / output).read_bytes()
+
+
+def test_target_with_no_quadrature_point_warns_on_every_rung(tmp_path):
+    # each rung's nan row is announced: the message names its N, so
+    # Python's default filter, which shows a message once per place,
+    # shows every rung's
+    problem = {"omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
+               "target": {"boxes": [[0.5, 0.5001, 0.5, 0.5001]]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert _run_with_config(tmp_path,
+                                ["convergence", "--ladder", "4,8,16"],
+                                {"problem": problem}) == 0
+    prefix = "evaluation region contains no quadrature point"
+    assert [str(w.message) for w in caught
+            if str(w.message).startswith(prefix)] == [
+        f"{prefix}; error norms are zero at N={n}" for n in (4, 8, 16)]
 
 
 def test_declared_beta_sup_below_the_sampled_one_warns(tmp_path):

@@ -208,7 +208,7 @@ def test_error_norms_warn_when_the_region_holds_no_quadrature_point():
     speck = Region([(0.5, 0.5001, 0.5, 0.5001)])
     with pytest.warns(UserWarning, match="^evaluation region contains no "
                                          "quadrature point; error norms are "
-                                         "zero$"):
+                                         "zero at N=4$"):
         norms = error_norms(case.exact, fe, speck)
     assert norms == (0.0, 0.0, 0.0, 0.0)
 
@@ -271,8 +271,13 @@ def test_run_case_argument_validation():
     (dict(ladder=()), "bad ladder ()"),
     (dict(ladder=(8, 0, 16)), "bad ladder (8, 0, 16)"),
     (dict(ladder=(8, 8)), "ladder (8, 8) repeats an N"),
+    # N must be an integer: 4.5 would mesh 4 cells, True one
+    (dict(ladder=(4.5, 8)), "bad ladder (4.5, 8)"),
+    (dict(ladder=(True, 4)), "bad ladder (True, 4)"),
+    (dict(ladder=("8", 16)), "bad ladder ('8', 16)"),
 ], ids=["unknown-cond", "tol", "cap", "exact-beyond-dense-limit",
-        "empty-ladder", "ladder-below-one", "ladder-repeats-n"])
+        "empty-ladder", "ladder-below-one", "ladder-repeats-n",
+        "ladder-float", "ladder-bool", "ladder-string"])
 def test_bad_cond_setting_is_refused_before_any_work(monkeypatch, settings,
                                                      message):
     # the case refuses what solve or --ladder would, with solve's message
@@ -285,6 +290,11 @@ def test_bad_cond_setting_is_refused_before_any_work(monkeypatch, settings,
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_case(replace(get_case("ex1-const"), **settings))
     assert len(meshed) == 0
+
+
+def test_numpy_integer_ladder_entries_are_integers():
+    case = replace(get_case("ex1-const"), ladder=(np.int64(4), np.int32(8)))
+    assert [row.N for row in run_case(case).rows] == [4, 8]
 
 
 def recorded_solutions(monkeypatch):

@@ -1,6 +1,7 @@
 """Bilinear forms: dense-oracle equivalence, structure, and inequalities."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,19 @@ def test_empty_data_region_warns():
     with pytest.warns(UserWarning):
         mat = assembled(spec, mesh).data_mass
     assert mat.nnz == 0 or np.abs(mat.toarray()).max() == 0.0
+
+
+def test_empty_data_region_warns_on_every_mesh():
+    # the message names N, so Python's default filter, which shows a
+    # message once per place, shows each mesh's
+    spec = make_spec(omega=Region([(0.9991, 0.9993, 0.4, 0.6)]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for n_cells in (4, 8, 16):
+            assembled(spec, build_unit_square_mesh(n_cells))
+    assert [str(w.message) for w in caught] == [
+        "data region contains no quadrature point; data-fitting matrix is "
+        f"zero at N={n_cells}" for n_cells in (4, 8, 16)]
 
 
 def test_convection_diffusion_consistent_for_affine_solution():

@@ -56,9 +56,19 @@ EPS = sys.float_info.epsilon
 CASES = ("ex1-const", "ex1-swirl", "ex2-const", "ex2-swirl", "ex3-const",
          "ex3-swirl", "ex1-const-noise-h", "ex1-const-noise-sqrt")
 
-# a swirl problem without beta_sup, so |beta| is sampled at assembly
-INLINE_PROBLEM = {"problem": {"beta": {"kind": "swirl", "scale": 100.0},
-                              "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}}}
+# config file -> its inline problem
+INLINE_PROBLEMS = {
+    # a swirl problem without beta_sup, so |beta| is sampled at assembly
+    "problem.json": {"beta": {"kind": "swirl", "scale": 100.0},
+                     "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}},
+    # ex3-swirl written out: regions with holes and a declared beta_sup
+    "ex3-swirl.json": {"omega": {"boxes": [[0.0, 1.0, 0.0, 1.0]],
+                                 "holes": [[0.0, 0.875, 0.125, 0.875]]},
+                       "target": {"boxes": [[0.0, 1.0, 0.0, 1.0]],
+                                  "holes": [[0.0, 0.125, 0.125, 0.875]]},
+                       "beta": {"kind": "swirl", "scale": 100.0},
+                       "beta_sup": 200.0},
+}
 
 
 def command_matrix() -> dict[str, list[str]]:
@@ -125,6 +135,8 @@ def command_matrix() -> dict[str, list[str]]:
     runs["mesh-info-32"] = ["mesh-info", "32"]
     runs["solve-inline-swirl"] = [
         "solve", "--config", "problem.json", "--ladder", "16,32"]
+    runs["convergence-inline-ex3-swirl"] = [
+        "convergence", "--config", "ex3-swirl.json", "--ladder", "8,16,32"]
     return runs
 
 
@@ -139,7 +151,8 @@ def unpack(rev: str, dest: Path) -> None:
 def run_matrix(src: Path, workdir: Path) -> None:
     """Run every command of the matrix with ``src`` on the path."""
     workdir.mkdir(parents=True)
-    (workdir / "problem.json").write_text(json.dumps(INLINE_PROBLEM))
+    for name, problem in INLINE_PROBLEMS.items():
+        (workdir / name).write_text(json.dumps({"problem": problem}))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for label, args in command_matrix().items():
         proc = subprocess.run([sys.executable, "-m", "ucfem", *args,
