@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: mesh-info, solve, convergence, condnum, probe; each probe
+Subcommands: mesh-info, solve, convergence, probe; each probe
 mode (audit, kappa, harmonic, fem) is a subcommand of ``probe`` with only
 the options it reads.  ``main`` runs each the same way: parse; load
 ``--config PATH`` (or ``--config=PATH``) as the defaults of the command
 or probe mode and parse again, so flags win; check the seed; resolve the
-case (solve, convergence, condnum, and ``probe fem``, whose ``--seed``
+case (solve, convergence and ``probe fem``, whose ``--seed``
 seeds a noisy case), built-in or ``case_from_problem`` of the config's
 ``problem``; echo the resolved configuration to ``config.json`` in the
 output directory; run the handler.  Bad input exits with 2, and an
@@ -30,8 +30,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (CaseDefinition, NoiseModel, _csv_text,
-                          case_from_problem, estimate_rate, get_case,
-                          run_case, run_ladder)
+                          case_from_problem, get_case, run_case, run_ladder)
 from .mesh import build_unit_square_mesh
 from .saddle import NumericalFailure
 from .stability import (ThreeBallConfig, audit_log_convexity,
@@ -125,32 +124,24 @@ def _build_parser():
                        default=None, help="override the case noise model")
         p.add_argument("--boundary-factor", type=float, default=None,
                        help="override the dual boundary weight factor")
+        p.add_argument("--cond", choices=["none", "exact", "estimate"],
+                       default="none", help="condition number per rung")
         p.add_argument("--out", default=".", help="output directory")
 
     solve_p = sub.add_parser("solve", help="solve one or more meshes")
     common(solve_p, ladder_default=(32,))
-    solve_p.add_argument("--cond", choices=["none", "exact", "estimate"],
-                         default="none")
 
     conv_p = sub.add_parser("convergence", help="run a mesh ladder")
     common(conv_p)
-    conv_p.add_argument("--cond", choices=["none", "exact", "estimate"],
-                        default="none")
+    conv_p.add_argument("--cond-tol", type=float, default=1e-3)
+    conv_p.add_argument("--cond-cap", type=int, default=5000,
+                        help="iteration cap for the estimator")
     conv_p.add_argument("--projection", choices=["l2", "nodal"], default="l2",
                         help="comparison function for the stabilizer norm")
 
-    cond_p = sub.add_parser("condnum", help="condition-number ladder")
-    common(cond_p)
-    cond_p.add_argument("--cond", choices=["exact", "estimate"],
-                        default="estimate")
-    cond_p.add_argument("--cond-tol", type=float, default=1e-3)
-    cond_p.add_argument("--cond-cap", type=int, default=5000,
-                        help="iteration cap for the estimator")
-
     probe_p = sub.add_parser("probe", help="stability probes")
     modes = probe_p.add_subparsers(dest="mode", required=True)
-    commands = {"mesh-info": mesh_p, "solve": solve_p, "convergence": conv_p,
-                "condnum": cond_p}
+    commands = {"mesh-info": mesh_p, "solve": solve_p, "convergence": conv_p}
     for mode, (help_text, flags) in _PROBE_MODES.items():
         mode_p = modes.add_parser(mode, help=help_text)
         for flag in ("--config", *flags, "--out"):
@@ -183,16 +174,16 @@ def _config_value(action, key, val):
     return tuple(items) if many else items[0]
 
 
-_PROBLEM_COMMANDS = ("solve", "convergence", "condnum")
+_PROBLEM_COMMANDS = ("solve", "convergence")
 
 
 def _apply_config_file(args, sub_parser):
     """Use the values of the ``--config`` file as defaults of the invoked
     command (for ``probe``, its mode), so that flags parsed again still win.
 
-    Every key must be an option of the command, or ``problem`` for solve,
-    convergence and condnum; every value passes the option's type and
-    choices.  Returns the inline problem, if any.
+    Every key must be an option of the command, or ``problem`` for solve
+    and convergence; every value passes the option's type and choices.
+    Returns the inline problem, if any.
     """
     try:
         with open(args.config) as fh:
@@ -291,32 +282,6 @@ def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     return 0
 
 
-def _cmd_condnum(args, case: CaseDefinition, out: Path) -> int:
-    def visit(rung):
-        est = rung.solution.cond
-        bracket = None if est.bracket is None else list(est.bracket)
-        flag = "" if est.converged else f"  (cap hit, bracket {bracket})"
-        print(f"N={rung.N}: cond={est.value:.6e}{flag}")
-        return {"N": rung.N, "h": rung.h, "cond": est.value,
-                "converged": est.converged, "bracket": bracket}
-
-    rows = run_ladder(case, visit)
-
-    (out / "condition.csv").write_text(_csv_text(
-        ("N", "h", "cond", "cond_converged"),
-        [(r["N"], r["h"], r["cond"], r["converged"]) for r in rows]),
-        newline="")
-    summary = {"rows": rows}
-    if len(rows) >= 2 and all(r["cond"] > 0 for r in rows):
-        fit = estimate_rate([(r["h"], r["cond"]) for r in rows])
-        summary["slope"] = fit.slope
-        summary["per_step"] = list(fit.per_step)
-        print(f"slope = {fit.slope:.3f}; per-step = "
-              + ", ".join(f"{s:.3f}" for s in fit.per_step))
-    _write_json(out / "condition.json", summary)
-    return 0
-
-
 def _probe_audit(args, case, out: Path) -> int:
     report = audit_log_convexity(args.samples, args.seed)
     report = {k: v for k, v in report.items() if k != "worst_instance"}
@@ -364,10 +329,10 @@ def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
 
 # keyed by command, or by mode for probe
 _HANDLERS = {"solve": _cmd_solve, "convergence": _cmd_convergence,
-             "condnum": _cmd_condnum, "fem": _probe_fem,
-             "mesh-info": _cmd_mesh_info, "audit": _probe_audit,
-             "kappa": _probe_kappa, "harmonic": _probe_harmonic}
-_CASE_JOBS = ("solve", "convergence", "condnum", "fem")
+             "fem": _probe_fem, "mesh-info": _cmd_mesh_info,
+             "audit": _probe_audit, "kappa": _probe_kappa,
+             "harmonic": _probe_harmonic}
+_CASE_JOBS = ("solve", "convergence", "fem")
 
 
 def main(argv=None) -> int:

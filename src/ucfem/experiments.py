@@ -167,9 +167,11 @@ def _finite(value, name) -> float:
 
 
 def _region_from(payload, name) -> Region:
-    region = Region(*([[_finite(c, f"{name} {key}") for c in box]
-                       for box in payload.get(key, [])]
-                      for key in ("boxes", "holes")))
+    with warnings.catch_warnings():  # a zero area is refused below instead
+        warnings.filterwarnings("ignore", "region has zero area")
+        region = Region(*([[_finite(c, f"{name} {key}") for c in box]
+                           for box in payload.get(key, [])]
+                          for key in ("boxes", "holes")))
     if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
            for x0, x1, y0, y1 in region.boxes):
         raise ValueError(f"{name} has a box outside the unit square")

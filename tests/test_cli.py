@@ -119,17 +119,28 @@ def test_convergence_outputs(tmp_path, capsys):
     assert config["version"] == __version__
 
 
-def test_condnum_estimate_cap_reports_bracket(tmp_path, capsys):
-    assert main(["condnum", "--case", "ex1-const", "--ladder", "8",
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_condnum_estimate_cap_leaves_the_flag_false(tmp_path, capsys):
+    assert main(["convergence", "--case", "ex1-const", "--ladder", "8",
                  "--cond", "estimate", "--cond-tol", "1e-14",
                  "--cond-cap", "1", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "cap hit" in out and "bracket" in out
-    assert "np.float64" not in out
-    summary = json.loads((tmp_path / "condition.json").read_text())
-    row = summary["rows"][0]
-    assert row["converged"] is False
-    assert row["bracket"][0] <= row["cond"] <= row["bracket"][1]
+    assert "np.float64" not in capsys.readouterr().out
+    [row] = _csv_rows(tmp_path / "convergence.csv")
+    assert row["cond_converged"] == "False" and float(row["cond"]) > 1.0
+
+
+def test_condnum_is_an_unknown_command(tmp_path, capsys):
+    # condition numbers along a ladder come from convergence --cond
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["condnum", "--ladder", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'condnum'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
@@ -145,13 +156,13 @@ def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["condnum", "--ladder", "4", "--cond-tol", "1e-6", "--cond-cap", "7"],
-     ("estimate", 1e-6, 7)),
+    (["convergence", "--ladder", "4", "--cond", "estimate",
+      "--cond-tol", "1e-6", "--cond-cap", "7"], ("estimate", 1e-6, 7)),
     (["solve", "--ladder", "4", "--cond", "exact"], ("exact", 1e-3, 5000)),
     (["convergence", "--ladder", "4", "--cond", "estimate"],
      ("estimate", 1e-3, 5000)),
     (["probe", "fem", "--ladder", "4"], ("none", 1e-3, 5000)),
-], ids=["condnum", "solve", "convergence", "probe-fem"])
+], ids=["convergence-tol-cap", "solve", "convergence", "probe-fem"])
 def test_cond_settings_reach_solve_through_the_case(tmp_path, monkeypatch,
                                                     argv, expected):
     # --cond, --cond-tol and --cond-cap fold into the case; run_ladder
@@ -174,27 +185,28 @@ def test_cond_settings_reach_solve_through_the_case(tmp_path, monkeypatch,
 
 
 def test_condnum_exact_ladder_with_slope(tmp_path, capsys):
-    assert main(["condnum", "--case", "ex1-const", "--ladder", "4,8",
+    assert main(["convergence", "--case", "ex1-const", "--ladder", "4,8",
                  "--cond", "exact", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "slope =" in out
-    csv_lines = (tmp_path / "condition.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "N,h,cond,cond_converged"
-    assert len(csv_lines) == 3
-    summary = json.loads((tmp_path / "condition.json").read_text())
-    assert summary["slope"] < 0  # conditioning degrades under refinement
-    assert len(summary["per_step"]) == 1
+    assert "rate[cond]" in capsys.readouterr().out
+    rows = _csv_rows(tmp_path / "convergence.csv")
+    assert [r["N"] for r in rows] == ["4", "8"]
+    assert all(float(r["cond"]) > 1.0 for r in rows)
+    fit = json.loads((tmp_path / "rates.json").read_text())["cond"]
+    assert fit["slope"] < 0  # conditioning degrades under refinement
+    assert len(fit["per_step"]) == 1
 
 
 def test_condnum_csv_carries_the_estimator_flag(tmp_path):
-    assert main(["condnum", "--case", "ex1-swirl", "--ladder", "4,8",
-                 "--cond-cap", "3", "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "condition.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    assert main(["convergence", "--case", "ex1-swirl", "--ladder", "4,8",
+                 "--cond", "estimate", "--cond-cap", "3",
+                 "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "convergence.csv")
     assert [r["cond_converged"] for r in rows] == ["False", "False"]
-    summary = json.loads((tmp_path / "condition.json").read_text())
-    assert [float(r["cond"]) for r in rows] == \
-        [r["cond"] for r in summary["rows"]]
+    # --cond-cap folds into the case as its cond_max_iter
+    case = replace(get_case("ex1-swirl"), ladder=(4, 8), cond="estimate",
+                   cond_max_iter=3)
+    assert (tmp_path / "convergence.csv").read_bytes() == \
+        run_case(case).to_csv_string().encode()
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -317,7 +329,7 @@ def test_config_values_pass_the_flag_type_and_choices(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, config", [
-    (["condnum", "--ladder", "4"], {"cond_tool": 1e-9}),
+    (["convergence", "--ladder", "4"], {"cond_tool": 1e-9}),
     (["solve", "--ladder", "4"], {"cond_tol": 1e-9}),
     (["solve", "--ladder", "4"], {"version": "0"}),
 ], ids=["misspelt", "other-command", "not-an-option"])
@@ -333,7 +345,7 @@ def test_config_values_are_typed_and_flags_still_win(tmp_path, joined):
     out = tmp_path / "run"
     config = {"cond_tol": 0.25, "cond-cap": 7, "seed": "3",
               "ladder": "4,8"}
-    assert _run_with_config(tmp_path, ["condnum", "--ladder", "4"],
+    assert _run_with_config(tmp_path, ["convergence", "--ladder", "4"],
                             config, joined) == 0
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["cond_tol"] == 0.25 and echoed["cond_cap"] == 7
@@ -396,6 +408,20 @@ def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
     _assert_config_error(tmp_path, capsys)
 
 
+def test_zero_area_inline_region_is_refused_without_a_warning(tmp_path,
+                                                             capsys):
+    # the refusal names the region; Region's own warning would only repeat it
+    problem = {**SWIRL_PROBLEM, "omega": {"boxes": []}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                                {"problem": problem}) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config",
+                   "detail": "bad inline problem: omega has zero area"}
+    assert not (tmp_path / "run").exists()
+
+
 def test_probe_rejects_an_inline_problem(tmp_path, capsys):
     assert _run_with_config(tmp_path, ["probe", "fem", "--ladder", "4"],
                             {"problem": SWIRL_PROBLEM}) == 2
@@ -410,7 +436,7 @@ def test_projection_is_an_option_of_convergence_only(tmp_path):
 
 @pytest.mark.parametrize("command, option, value", [
     ("solve", "quad-degree", "2"), ("convergence", "quad-degree", "4"),
-    ("condnum", "quad-degree", "2"), ("convergence", "h1", "semi"),
+    ("convergence", "h1", "semi"),
 ])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_removed_quadrature_and_h1_options_exit_two(tmp_path, capsys, command,
@@ -524,20 +550,22 @@ def _count_splu(monkeypatch):
 
 def test_condnum_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
     calls = _count_splu(monkeypatch)
-    assert main(["condnum", "--case", "ex1-const-noise-h", "--ladder", "4,8",
-                 "--cond", "estimate", "--out", str(tmp_path)]) == 0
+    assert main(["convergence", "--case", "ex1-const-noise-h",
+                 "--ladder", "4,8", "--cond", "estimate",
+                 "--out", str(tmp_path)]) == 0
     assert calls == ["NATURAL", "NATURAL"]
-    summary = json.loads((tmp_path / "condition.json").read_text())
-    assert all(row["converged"] for row in summary["rows"])
+    rows = _csv_rows(tmp_path / "convergence.csv")
+    assert [r["cond_converged"] for r in rows] == ["True", "True"]
 
 
 def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
     import ucfem.saddle as saddle
     from test_saddle import force_pivot_free_gate_miss
 
+    argv = ["convergence", "--case", "ex1-swirl", "--ladder", "8",
+            "--cond", "estimate"]
     clean = tmp_path / "clean"
-    assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
-                 "--out", str(clean)]) == 0
+    assert main([*argv, "--out", str(clean)]) == 0
     force_pivot_free_gate_miss(monkeypatch)
     patched_splu, made, received = saddle.spla.splu, [], []
 
@@ -555,16 +583,15 @@ def test_condnum_gate_miss_estimates_on_colamd(tmp_path, monkeypatch):
     monkeypatch.setattr(saddle, "estimate_condition_number",
                         recording_estimate)
     missed = tmp_path / "missed"
-    assert main(["condnum", "--case", "ex1-swirl", "--ladder", "8",
-                 "--out", str(missed)]) == 0
+    assert main([*argv, "--out", str(missed)]) == 0
     assert [spec for spec, _ in made] == ["NATURAL", None]
     assert len(received) == 1 and received[0] is made[-1][1]
-    cond = [json.loads((d / "condition.json").read_text())["rows"][0]["cond"]
+    cond = [float(_csv_rows(d / "convergence.csv")[0]["cond"])
             for d in (clean, missed)]
     assert cond[1] == pytest.approx(cond[0], rel=1e-6)
 
 
-@pytest.mark.parametrize("command", ["solve", "convergence", "condnum"])
+@pytest.mark.parametrize("command", ["solve", "convergence"])
 def test_cond_exact_rejects_rungs_beyond_the_dense_limit(tmp_path, capsys,
                                                          command):
     # N = 30 gives dimension 1922 <= 2000, N = 31 gives 2048
@@ -637,17 +664,17 @@ def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
 
 
 @pytest.mark.parametrize("argv, config", [
-    (["condnum", "--ladder", "4", "--cond-cap", "0"], None),
-    (["condnum", "--ladder", "4", "--cond-tol", "-1"], None),
+    (["convergence", "--ladder", "4", "--cond-cap", "0"], None),
+    (["convergence", "--ladder", "4", "--cond-tol", "-1"], None),
     (["solve", "--case", "ex1-const-noise-h", "--ladder", "4",
       "--seed", "-1"], None),
     (["probe", "audit", "--samples", "10", "--seed", "-1"], None),
     (["convergence", "--ladder", "4"], {"seed": -2}),
     # a tolerance of 1 or more takes any two iterates as converged
-    (["condnum", "--ladder", "4,8", "--cond-tol", "1"], None),
-    (["condnum", "--ladder", "4,8", "--cond-tol", "inf"], None),
-    (["condnum", "--ladder", "4,8", "--cond-tol", "nan"], None),
-    (["condnum", "--ladder", "4,8"], {"cond_tol": 5}),
+    (["convergence", "--ladder", "4,8", "--cond-tol", "1"], None),
+    (["convergence", "--ladder", "4,8", "--cond-tol", "inf"], None),
+    (["convergence", "--ladder", "4,8", "--cond-tol", "nan"], None),
+    (["convergence", "--ladder", "4,8"], {"cond_tol": 5}),
 ], ids=["cond-cap-0", "cond-tol-negative", "seed-noisy-solve",
         "seed-probe-audit", "seed-config-file", "cond-tol-one",
         "cond-tol-inf", "cond-tol-nan", "cond-tol-config-file"])
@@ -664,11 +691,11 @@ def test_bad_seed_or_estimator_setting_exits_two(tmp_path, capsys, argv,
     assert not out.exists()  # rejected before anything was written
 
 
-@pytest.mark.parametrize("command", ["convergence", "condnum"])
+@pytest.mark.parametrize("command", ["convergence"])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_repeated_ladder_entry_exits_two(tmp_path, capsys, command, how):
     # a repeated N would put a 0/0 per-step rate (NaN, not JSON) into
-    # rates.json or condition.json
+    # rates.json
     out = tmp_path / "run"
     if how == "flag":
         with pytest.raises(SystemExit) as exc:

@@ -98,18 +98,18 @@ def command_matrix() -> dict[str, list[str]]:
     # about 1.3e-12 -> 2.9e-13); the built-in-case rungs above take none
     runs["solve-ex1-const-n128"] = [
         "solve", "--case", "ex1-const", "--ladder", "128"]
-    runs["condnum-ex1-const"] = [
-        "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
+    runs["convergence-ex1-const-cond"] = [
+        "convergence", "--case", "ex1-const", "--ladder", "8,16,32",
         "--cond", "estimate"]
     # criterion 2's tolerance: hundreds of sigma_max iterations per rung,
     # where a change in a stopping test shows first
-    runs["condnum-ex1-const-tol1e-6"] = [
-        "condnum", "--case", "ex1-const", "--ladder", "8,16,32",
-        "--cond-tol", "1e-6"]
+    runs["convergence-ex1-const-cond-tol1e-6"] = [
+        "convergence", "--case", "ex1-const", "--ladder", "8,16,32",
+        "--cond", "estimate", "--cond-tol", "1e-6"]
     runs["convergence-ex2-swirl-cond"] = [
         "convergence", "--case", "ex2-swirl", "--ladder", "8,16,32",
         "--cond", "estimate"]
-    for command in ("solve", "convergence", "condnum"):
+    for command in ("solve", "convergence"):
         runs[f"{command}-ex1-const-cond-exact"] = [
             command, "--case", "ex1-const", "--ladder", "4,8",
             "--cond", "exact"]
@@ -118,9 +118,9 @@ def command_matrix() -> dict[str, list[str]]:
     runs["solve-ex3-const-n5-9"] = [
         "solve", "--case", "ex3-const", "--ladder", "5,9"]
     # the estimator hits its iteration cap on both rungs
-    runs["condnum-ex1-swirl-cap"] = [
-        "condnum", "--case", "ex1-swirl", "--ladder", "4,8",
-        "--cond-cap", "3"]
+    runs["convergence-ex1-swirl-cond-cap"] = [
+        "convergence", "--case", "ex1-swirl", "--ladder", "4,8",
+        "--cond", "estimate", "--cond-cap", "3"]
     runs["probe-fem"] = ["probe", "fem", "--ladder", "8,16,32"]
     # the gradient term of the disc norms
     runs["probe-fem-h1"] = ["probe", "fem", "--ladder", "8,16", "--norm", "h1"]
