@@ -25,7 +25,7 @@ import numpy as np
 
 from .mesh import Mesh, Region, build_unit_square_mesh, mesh_size
 from .fem import FeFunction, interpolate, l2_project, quad_points, \
-    triangle_geometry, triangle_rule
+    triangle_geometry, TRIANGLE_RULE
 from .forms import (AssembledForms, ProblemSpec, assemble_all, constant_field,
                     swirl_field, zero_field)
 from .saddle import (SaddleSystem, Solution, _check_dense, _check_estimator,
@@ -338,16 +338,15 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region):
     when the region holds no quadrature point: every norm is then 0.
     """
     mesh = fe.mesh
-    rule = triangle_rule()
     grads, areas = triangle_geometry(mesh)
-    pts = quad_points(mesh, rule)
+    pts = quad_points(mesh)
     flat = pts.reshape(-1, 2)
 
     uex = np.asarray(exact.value(flat), dtype=float).reshape(pts.shape[:2])
     gex = np.asarray(exact.gradient(flat),
                      dtype=float).reshape(*pts.shape[:2], 2)
     cf = fe.coefficients[mesh.triangles]
-    uh = cf @ rule.points.T                                          # (t, q)
+    uh = cf @ TRIANGLE_RULE.points.T                                 # (t, q)
     gh = np.einsum("tk,tkd->td", cf, grads)
 
     mask = region.contains(flat).reshape(pts.shape[:2]) if region is not None \
@@ -356,7 +355,7 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region):
         warnings.warn("evaluation region contains no quadrature point; "
                       f"error norms are zero at N={mesh.cells_per_side}",
                       stacklevel=2)
-    w = rule.weights[None, :] * areas[:, None] * mask
+    w = TRIANGLE_RULE.weights[None, :] * areas[:, None] * mask
 
     diff = uex - uh
     gdiff = gex - gh[:, None, :]

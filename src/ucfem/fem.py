@@ -19,7 +19,7 @@ from .mesh import Mesh, locate_points
 
 __all__ = [
     "QuadratureRule",
-    "triangle_rule",
+    "TRIANGLE_RULE",
     "triangle_geometry",
     "FeFunction",
     "interpolate",
@@ -46,7 +46,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-# 6-point rule, exact through degree 4
+# the 6-point rule, exact through degree 4: the one rule of every integral
 _A1, _W1 = 0.44594849091596488632, 0.22338158967801146570
 _A2, _W2 = 0.09157621350977074346, 0.10995174365532186764
 _TRI_P4 = np.array([
@@ -54,34 +54,19 @@ _TRI_P4 = np.array([
     [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2],
 ])
 _TRI_W4 = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+TRIANGLE_RULE = QuadratureRule(_TRI_P4, _TRI_W4)
 
-
-def triangle_rule(refine: int = 0) -> QuadratureRule:
-    """The symmetric 6-point triangle rule, exact through degree 4: the
-    one rule of every integral.
-
-    ``refine`` applies uniform 4-way subdivision levels to the rule; this
-    keeps the polynomial exactness while sampling discontinuous weights
-    (region indicators) on a finer grid.
-    """
-    pts, wts = _TRI_P4, _TRI_W4
-    for _ in range(refine):
-        pts, wts = _subdivide(pts, wts)
-    return QuadratureRule(pts, wts)
-
-
-def _subdivide(pts, wts):
-    m = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    e = np.eye(3)
-    corners = [
-        np.array([e[0], m[0], m[2]]),
-        np.array([m[0], e[1], m[1]]),
-        np.array([m[2], m[1], e[2]]),
-        np.array([m[0], m[1], m[2]]),
-    ]
-    new_pts = np.vstack([pts @ c for c in corners])
-    new_wts = np.tile(wts / 4.0, 4)
-    return new_pts, new_wts
+# (q, 9) tensor with ``[q, 3i + j] = w_q (phi_i(x_q) phi_j(x_q))``, so that
+# a (t, q) array of weights times it gives the (t, 9) local masses,
+# symmetric in (i, j) bit for bit: the hat product is formed first
+_MASS_TENSOR = (_TRI_W4[:, None, None]
+                * (_TRI_P4[:, :, None] * _TRI_P4[:, None, :])).reshape(-1, 9)
+# (q, 3) tensor ``w_q phi_i(x_q)``: a (t, q) array of values times it
+# gives the (t, 3) local load vectors
+_WEIGHTED_HATS = _TRI_W4[:, None] * _TRI_P4
+# every integral shares these arrays, so none may be written in place
+for _a in (_TRI_P4, _TRI_W4, _MASS_TENSOR, _WEIGHTED_HATS):
+    _a.setflags(write=False)
 
 
 def _hat_gradients(v, det):
@@ -101,9 +86,9 @@ def triangle_geometry(mesh: Mesh):
             mesh.tri_areas)
 
 
-def quad_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
-    """Physical quadrature points, shape (n_tri, q, 2)."""
-    return rule.points @ mesh.nodes[mesh.triangles]
+def quad_points(mesh: Mesh) -> np.ndarray:
+    """Physical points of ``TRIANGLE_RULE``, shape (n_tri, q, 2)."""
+    return _TRI_P4 @ mesh.nodes[mesh.triangles]
 
 
 class FeFunction:
@@ -154,21 +139,6 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _scatter(mesh, mesh.tri_areas[:, None, None] * _MASS_BLOCK)
 
 
-def _mass_tensor(rule: QuadratureRule) -> np.ndarray:
-    """(q, 9) tensor with ``[q, 3i + j] = w_q (phi_i(x_q) phi_j(x_q))``, so
-    that a (t, q) array of weights times it gives the (t, 9) local masses,
-    symmetric in (i, j) bit for bit: the hat product is formed first."""
-    p = rule.points
-    return (rule.weights[:, None, None]
-            * (p[:, :, None] * p[:, None, :])).reshape(len(p), 9)
-
-
-def _weighted_hats(rule: QuadratureRule) -> np.ndarray:
-    """(q, 3) tensor ``w_q phi_i(x_q)``: a (t, q) array of values times it
-    gives the (t, 3) local load vectors."""
-    return rule.weights[:, None] * rule.points
-
-
 def _scatter(mesh: Mesh, local_blocks) -> sp.csr_matrix:
     """Sum (t, 3, 3) local blocks, in (triangle, row, column) order, into
     the global P1 matrix; scipy's COO -> CSR conversion sums duplicates."""
@@ -191,11 +161,10 @@ def l2_project(u, mesh: Mesh) -> FeFunction:
     its relative residual exceeds 1e-12, a sparse direct solve replaces it
     and must meet the same gate, or NumericalFailure is raised.
     """
-    rule = triangle_rule()
-    pts = quad_points(mesh, rule)
+    pts = quad_points(mesh)
     uvals = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     rhs = _scatter_load(mesh, (mesh.tri_areas[:, None] * uvals)
-                        @ _weighted_hats(rule))
+                        @ _WEIGHTED_HATS)
 
     mm = mass_matrix(mesh)
     scale = np.linalg.norm(rhs)

@@ -30,8 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, Region, mesh_size
-from .fem import (quad_points, triangle_geometry, triangle_rule,
-                  _mass_tensor, _scatter, _scatter_load, _weighted_hats)
+from .fem import (quad_points, triangle_geometry, _MASS_TENSOR, _scatter,
+                  _scatter_load, _WEIGHTED_HATS)
 
 __all__ = [
     "ProblemSpec",
@@ -160,10 +160,9 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     if spec.f is None:
         raise ValueError("spec has no source term f")
     h = mesh_size(mesh)
-    rule = triangle_rule()
     grads, areas = triangle_geometry(mesh)
     edges = mesh.edges()
-    pts = quad_points(mesh, rule)
+    pts = quad_points(mesh)
     flat = pts.reshape(-1, 2)
     stiff = (grads @ grads.transpose(0, 2, 1)) \
         * (spec.mu * areas)[:, None, None]
@@ -183,9 +182,8 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     # PDE form: (beta.grad phi_j) phi_i with rows as test functions, the
     # diffusion blocks and the boundary flux that replaces boundary data
     # conv[t, i, j] = area_t sum_q w_q phi_i(x_q) beta(x_q).grad phi_j
-    whats = _weighted_hats(rule)
     bgrad = beta_flat.reshape(*pts.shape[:2], 2) @ grads.transpose(0, 2, 1)
-    conv = (whats.T @ bgrad) * areas[:, None, None]
+    conv = (_WEIGHTED_HATS.T @ bgrad) * areas[:, None, None]
     conv += stiff
     del beta_flat, bgrad  # no (t, q) array outlives its own form
     # each boundary term goes into the block of the edge's owner triangle,
@@ -203,8 +201,7 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     del conv
 
     w_data = spec.mu + bsup * h
-    s_data = _scatter(mesh, (w_data * areas[:, None] * mask)
-                      @ _mass_tensor(rule))
+    s_data = _scatter(mesh, (w_data * areas[:, None] * mask) @ _MASS_TENSOR)
     s_jump = _jump_matrix(mesh, edges, grads,
                           spec.gamma * h * w_data * edges.face_lengths)
     # the dual's weighted boundary mass, in the same owner blocks; the
@@ -215,6 +212,6 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     s_dual = spec.gamma_star * (_scatter(mesh, stiff) + s_jump)
 
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
-    b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ whats)
+    b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ _WEIGHTED_HATS)
     return AssembledForms(pde, s_data, s_jump, s_data + s_jump,
                           s_dual, b_source, h, bsup, bsup * h / spec.mu)

@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 
 from ucfem import fem
 from ucfem.experiments import builtin_cases
-from ucfem.fem import (FeFunction, interpolate, l2_project, mass_matrix,
-                       quad_points, triangle_geometry, triangle_rule)
+from ucfem.fem import (TRIANGLE_RULE, FeFunction, interpolate, l2_project,
+                       mass_matrix, quad_points, triangle_geometry)
 from ucfem.forms import assemble_all
 from ucfem.mesh import UNIT_SQUARE, build_unit_square_mesh, mesh_size
 
@@ -22,11 +22,11 @@ def reference_monomial_integral(a, b):
 
 
 @pytest.mark.parametrize("degree", range(5))
-def test_triangle_rule_monomial_exactness(degree):
+def test_rule_monomial_exactness(degree):
     # the one rule integrates each monomial of total degree <= 4 to
     # rounding: weights within 1 ulp of 1, monomials within 4 ulp
     eps = np.finfo(float).eps
-    rule = triangle_rule()
+    rule = TRIANGLE_RULE
     assert abs(rule.weights.sum() - 1.0) <= eps
     for a in range(degree + 1):
         b = degree - a
@@ -36,17 +36,13 @@ def test_triangle_rule_monomial_exactness(degree):
         assert abs(got - exact) <= 4 * eps * exact, (a, b)
 
 
-def test_refined_rule_improves_high_degree():
-    # degree-6 monomial: the plain degree-4 rule misses it, one barycentric
-    # refinement cuts the error by roughly 2^6
-    exact = reference_monomial_integral(6, 0)
-    coarse = triangle_rule()
-    fine = triangle_rule(refine=1)
-    assert np.isclose(fine.weights.sum(), 1.0)
-    err_c = abs(0.5 * np.sum(coarse.weights * coarse.points[:, 1] ** 6)
-                - exact)
-    err_f = abs(0.5 * np.sum(fine.weights * fine.points[:, 1] ** 6) - exact)
-    assert err_f < err_c / 30
+def test_rule_arrays_are_read_only():
+    # every integral shares these arrays: an in-place write must fail
+    # rather than corrupt the integrals after it
+    for arr in (TRIANGLE_RULE.points, TRIANGLE_RULE.weights,
+                fem._MASS_TENSOR, fem._WEIGHTED_HATS):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] *= 2.0
 
 
 def test_p1_gradients_partition_of_unity():
@@ -84,28 +80,26 @@ def test_p1_gradients_exact_for_affine():
 
 def test_quad_points_cover_domain():
     mesh = build_unit_square_mesh(3)
-    rule = triangle_rule()
-    pts = quad_points(mesh, rule)
-    assert pts.shape == (mesh.n_triangles, len(rule.weights), 2)
+    pts = quad_points(mesh)
+    assert pts.shape == (mesh.n_triangles, len(TRIANGLE_RULE.weights), 2)
     assert pts.min() >= 0.0 and pts.max() <= 1.0
     # integrating 1 with the mapped rule gives the area
     _, areas = triangle_geometry(mesh)
-    total = np.sum(areas[:, None] * rule.weights[None, :])
+    total = np.sum(areas[:, None] * TRIANGLE_RULE.weights[None, :])
     assert np.isclose(total, 1.0)
 
 
 @pytest.mark.parametrize("n_cells", [2, 4])
 def test_reference_tensors_match_their_einsum_definitions(n_cells):
-    rule = triangle_rule()
-    w, p = rule.weights, rule.points
-    np.testing.assert_allclose(fem._mass_tensor(rule).reshape(-1, 3, 3),
+    w, p = TRIANGLE_RULE.weights, TRIANGLE_RULE.points
+    np.testing.assert_allclose(fem._MASS_TENSOR.reshape(-1, 3, 3),
                                np.einsum("q,qi,qj->qij", w, p, p),
                                rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(fem._weighted_hats(rule),
+    np.testing.assert_array_equal(fem._WEIGHTED_HATS,
                                   np.einsum("q,qi->qi", w, p))
     mesh = build_unit_square_mesh(n_cells)
     np.testing.assert_allclose(
-        quad_points(mesh, rule),
+        quad_points(mesh),
         np.einsum("qk,tkd->tqd", p, mesh.nodes[mesh.triangles]),
         rtol=0, atol=1e-15)
 
@@ -158,47 +152,45 @@ def test_l2_projection_is_projection_and_orthogonal():
     # residual u - ph is L2-orthogonal to V_h: M-weighted coefficients of
     # the projection equal the load of u itself
     mass = mass_matrix(mesh)
-    rule = triangle_rule()
-    pts = quad_points(mesh, rule)
+    pts = quad_points(mesh)
     _, areas = triangle_geometry(mesh)
     uvals = u(pts.reshape(-1, 2)).reshape(pts.shape[:2])
     load = np.zeros(mesh.n_nodes)
-    local = np.einsum("q,tq,qi,t->ti", rule.weights, uvals, rule.points,
-                      areas)
+    local = np.einsum("q,tq,qi,t->ti", TRIANGLE_RULE.weights, uvals,
+                      TRIANGLE_RULE.points, areas)
     np.add.at(load, mesh.triangles.ravel(), local.ravel())
     assert np.allclose(mass @ ph.coefficients, load, atol=1e-12)
 
 
-@pytest.mark.parametrize("refine", [0, 1, 2, 3])
 @pytest.mark.parametrize("n_cells", [2, 4])
-def test_mass_tensor_is_symmetric_bit_for_bit(n_cells, refine):
+def test_mass_tensor_is_symmetric_bit_for_bit(n_cells):
     # a data mass built from it passes solve's bit-symmetry gate: the
     # local blocks, and their sum over an N-cell mesh under arbitrary
     # per-point weights
-    rule = triangle_rule(refine)
-    tensor = fem._mass_tensor(rule)
-    local = tensor.reshape(-1, 3, 3)
+    local = fem._MASS_TENSOR.reshape(-1, 3, 3)
     np.testing.assert_array_equal(local, local.transpose(0, 2, 1))
     mesh = build_unit_square_mesh(n_cells)
     weights = np.random.default_rng(n_cells).uniform(
-        size=(mesh.n_triangles, len(rule.weights)))
+        size=(mesh.n_triangles, len(TRIANGLE_RULE.weights)))
     data_mass = fem._scatter(mesh, (mesh.tri_areas[:, None] * weights)
-                             @ tensor)
+                             @ fem._MASS_TENSOR)
     assert (data_mass != data_mass.T).nnz == 0
 
 
 def test_l2_projection_rate_two_for_smooth_field():
     u = lambda p: 30.0 * p[:, 0] * (1 - p[:, 0]) * p[:, 1] * (1 - p[:, 1])
+    # the oracle's collapsed Gauss rule, 25 points, integrates the squared
+    # error, of degree 8 on each triangle, exactly
+    ref_pts, ref_w = dense_oracle.duffy_rule(5)
+    bary = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])
     errs, hs = [], []
     for n in (8, 16, 32, 64):
         mesh = build_unit_square_mesh(n)
         ph = l2_project(u, mesh)
-        diff = lambda p, ph=ph: u(p) - ph(p)
-        rule = triangle_rule(refine=1)
-        pts = quad_points(mesh, rule)
+        flat = (bary @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
         _, areas = triangle_geometry(mesh)
-        vals = diff(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-        err = np.sqrt(np.sum(areas[:, None] * rule.weights[None, :]
+        vals = (u(flat) - ph(flat)).reshape(mesh.n_triangles, -1)
+        err = np.sqrt(np.sum(2.0 * areas[:, None] * ref_w[None, :]
                              * vals ** 2))
         errs.append(err)
         hs.append(1.0 / (n + 1))
@@ -212,13 +204,12 @@ def _smooth(p):
 
 def _spsolve_projection(mesh):
     """Coefficients of _smooth's projection by a sparse direct solve."""
-    rule = triangle_rule()
-    pts = quad_points(mesh, rule)
+    pts = quad_points(mesh)
     _, areas = triangle_geometry(mesh)
     uvals = _smooth(pts.reshape(-1, 2)).reshape(pts.shape[:2])
     load = np.zeros(mesh.n_nodes)
-    local = np.einsum("q,tq,qi,t->ti", rule.weights, uvals, rule.points,
-                      areas)
+    local = np.einsum("q,tq,qi,t->ti", TRIANGLE_RULE.weights, uvals,
+                      TRIANGLE_RULE.points, areas)
     np.add.at(load, mesh.triangles.ravel(), local.ravel())
     return spla.spsolve(mass_matrix(mesh).tocsc(), load)
 

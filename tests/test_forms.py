@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from ucfem.fem import (interpolate, mass_matrix, quad_points,
-                       triangle_geometry, triangle_rule)
+from ucfem.fem import (TRIANGLE_RULE, interpolate, mass_matrix, quad_points,
+                       triangle_geometry)
 from ucfem.forms import (ProblemSpec, assemble_all, constant_field,
                          swirl_field, zero_field)
 from ucfem.mesh import Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
@@ -33,9 +33,9 @@ def pde_load_from_field(spec, mesh, gradient):
     For the exact solution this must equal the source load, since the two
     sides differ by an integration by parts.
     """
-    rule = triangle_rule()
+    rule = TRIANGLE_RULE
     grads, areas = triangle_geometry(mesh)
-    pts = quad_points(mesh, rule)
+    pts = quad_points(mesh)
     flat = pts.reshape(-1, 2)
     gu = np.asarray(gradient(flat), dtype=float).reshape(*pts.shape[:2], 2)
     bvals = np.asarray(spec.beta(flat), dtype=float).reshape(*pts.shape[:2], 2)
@@ -194,6 +194,8 @@ def test_gradient_jump_is_symmetric_positive_semidefinite(n):
     assert np.linalg.eigvalsh(jump).min() >= -1e-12 * scale
 
 
+# at N = 1 the ex1 omega boxes hold no quadrature point
+@pytest.mark.filterwarnings("ignore:data region contains no quadrature point")
 @pytest.mark.parametrize("n", range(1, 10))
 def test_gradient_jump_pattern_is_the_union_of_face_blocks(n):
     # every face couples the four nodes of its two triangles
@@ -342,7 +344,7 @@ def test_assemble_all_samples_beta_once():
         calls.clear()
         blocks = assemble_all(spec, mesh)
         assert len(calls) == 1
-        pts = quad_points(mesh, triangle_rule()).reshape(-1, 2)
+        pts = quad_points(mesh).reshape(-1, 2)
         sampled = np.sqrt((swirl_field()(pts) ** 2).sum(axis=1)).max()
         assert blocks.beta_sup == (sampled if beta_sup is None
                                    else beta_sup)
