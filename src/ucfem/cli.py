@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: mesh-info, solve, convergence, probe; each probe
-mode (audit, kappa, harmonic, fem) is a subcommand of ``probe`` with only
-the options it reads.  ``main`` runs each the same way: parse; load
-``--config PATH`` (or ``--config=PATH``) as the defaults of the command
-or probe mode and parse again, so flags win; check the seed; resolve the
-case (solve, convergence and ``probe fem``, whose ``--seed``
-seeds a noisy case), built-in or ``case_from_problem`` of the config's
-``problem``; echo the resolved configuration to ``config.json`` in the
+Subcommands: mesh-info, solve, convergence, probe; each probe mode (audit,
+kappa, harmonic, fem) is a subcommand of ``probe`` with only the options
+it reads.  ``main`` runs each the same way: parse; load ``--config PATH``
+(or ``--config=PATH``) as the defaults of the command or probe mode and
+parse again, so flags win; check the seed; resolve the case (solve,
+convergence and ``probe fem``): built-in or ``case_from_problem`` of the
+config's ``problem``, with ``--ladder``, the cond flags and ``--seed``
+folded in; echo the resolved configuration to ``config.json`` in the
 output directory; run the handler.  Bad input exits with 2, and an
 unknown or bad case, a condition-number setting that cannot run or an
 ``--out`` that is no directory does so before anything is written;
@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (CaseDefinition, NoiseModel, _csv_text,
-                          case_from_problem, get_case, run_case, run_ladder)
+from .experiments import (CaseDefinition, _csv_text, case_from_problem,
+                          get_case, run_case, run_ladder)
 from .mesh import build_unit_square_mesh
 from .saddle import NumericalFailure
 from .stability import (ThreeBallConfig, audit_log_convexity,
@@ -120,10 +120,6 @@ def _build_parser():
         p.add_argument("--ladder", type=_ladder, default=ladder_default,
                        help="comma-separated mesh resolutions")
         p.add_argument("--seed", type=int, default=0, help="noise seed")
-        p.add_argument("--noise", choices=["none", "sqrt_h", "h"],
-                       default=None, help="override the case noise model")
-        p.add_argument("--boundary-factor", type=float, default=None,
-                       help="override the dual boundary weight factor")
         p.add_argument("--cond", choices=["none", "exact", "estimate"],
                        default="none", help="condition number per rung")
         p.add_argument("--out", default=".", help="output directory")
@@ -216,20 +212,10 @@ def _resolve_case(args, problem) -> CaseDefinition:
             case = get_case(args.case)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    noise = case.noise
-    if getattr(args, "noise", None) is not None:
-        noise = {"none": None,
-                 "sqrt_h": NoiseModel(0.5, args.seed),
-                 "h": NoiseModel(1.0, args.seed)}[args.noise]
-    elif noise is not None:
-        noise = NoiseModel(noise.law, args.seed)
-    spec = case.spec
-    ladder = args.ladder if getattr(args, "ladder", None) else case.ladder
     with _bad_input():  # the case refuses a cond setting solve would refuse
-        if getattr(args, "boundary_factor", None) is not None:
-            spec = replace(spec, boundary_factor=args.boundary_factor)
         return replace(
-            case, spec=spec, ladder=tuple(ladder), noise=noise,
+            case, ladder=tuple(args.ladder or case.ladder),
+            noise=case.noise and replace(case.noise, seed=args.seed),
             cond=getattr(args, "cond", case.cond),
             cond_tol=getattr(args, "cond_tol", case.cond_tol),
             cond_max_iter=getattr(args, "cond_cap", case.cond_max_iter))

@@ -7,10 +7,10 @@ Every case has the manufactured solution
 which has unit L2 norm on the unit square, with the source derived as
 f = -mu*laplace(u) + beta.grad(u).  Each case is ``case_from_problem`` of
 an inline problem; the built-in ones pair three measurement/evaluation
-geometries with a constant advection field and a strong rotational one.
-Tables record relative errors over the evaluation region, the
-stabilizer norms of the discrete error pair and optionally the condition
-number, and fit log-log rates against the mesh size.
+geometries with a constant and a strong rotational advection field, and two
+add noise to ex1-const.  Tables record relative errors over the evaluation
+region, the stabilizer norms of the discrete error pair and optionally the
+condition number, and fit log-log rates against the mesh size.
 """
 
 from __future__ import annotations
@@ -166,7 +166,17 @@ def _finite(value, name) -> float:
     return value
 
 
+def _keys(payload, allowed, name):
+    """Refuse a payload that is no object or has a key not in ``allowed``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be an object, got {payload!r}")
+    for key in payload:
+        if key not in allowed:
+            raise ValueError(f"{name} has unknown key {key!r}")
+
+
 def _region_from(payload, name) -> Region:
+    _keys(payload, ("boxes", "holes"), name)
     with warnings.catch_warnings():  # a zero area is refused below instead
         warnings.filterwarnings("ignore", "region has zero area")
         region = Region(*([[_finite(c, f"{name} {key}") for c in box]
@@ -183,20 +193,24 @@ def _region_from(payload, name) -> Region:
 def _field_from(payload):
     kind = payload.get("kind", "const")
     if kind == "const":
+        _keys(payload, ("kind", "value"), "beta")
         bx, by = payload.get("value", (1.0, 0.0))
         return constant_field(*(_finite(b, "beta value") for b in (bx, by)))
     if kind == "swirl":
+        _keys(payload, ("kind", "scale"), "beta")
         return swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
     if kind == "zero":
+        _keys(payload, ("kind",), "beta")
         return zero_field()
     raise ValueError(f"unknown advection field kind {kind!r}")
 
 
-def case_from_problem(problem: dict, name: str = "custom",
-                      noise: Optional[NoiseModel] = None) -> CaseDefinition:
-    """The case of the bump under an inline problem (format: README,
-    Benchmarks); a bad entry raises ValueError("bad inline problem: ...")."""
+def case_from_problem(problem: dict, name: str = "custom") -> CaseDefinition:
+    """The case of the bump under an inline problem (README, Benchmarks);
+    a bad value or unknown key raises ValueError("bad inline problem: ...")."""
     try:
+        _keys(problem, ("omega", "target", "beta", "beta_sup", "mu", "gamma",
+                        "gamma_star", "boundary_factor", "noise"), "problem")
         exact, beta = polynomial_bump(), _field_from(problem.get("beta", {}))
         sup = problem.get("beta_sup")
         # the stabilization parameters not given keep ProblemSpec's defaults
@@ -210,9 +224,13 @@ def case_from_problem(problem: dict, name: str = "custom",
                            derive_source(exact, mu, beta),
                            None if sup is None else _finite(sup, "beta_sup"),
                            **weights)
+        noise = problem.get("noise")  # amplitude h or sqrt(h)
+        if noise not in (None, "h", "sqrt_h"):
+            raise ValueError(f"noise must be 'h' or 'sqrt_h', got {noise!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad inline problem: {exc}") from exc
-    return CaseDefinition(name, spec, exact, DEFAULT_LADDER, noise)
+    return CaseDefinition(name, spec, exact, noise=noise and NoiseModel(
+        1.0 if noise == "h" else 0.5))
 
 
 _GEOMETRIES = {
@@ -234,17 +252,16 @@ _FIELDS = {
     "swirl": {"beta": {"kind": "swirl", "scale": 100.0}, "beta_sup": 200.0},
 }
 
-# the inline problem of each noiseless built-in case
+# the inline problem of each built-in case; the noisy ones are ex1-const's
 _PROBLEMS = {f"{geom}-{fld}": {**_GEOMETRIES[geom], **_FIELDS[fld]}
              for geom in _GEOMETRIES for fld in _FIELDS}
+_PROBLEMS |= {"ex1-const-noise-h": {**_PROBLEMS["ex1-const"], "noise": "h"},
+              "ex1-const-noise-sqrt": {**_PROBLEMS["ex1-const"],
+                                       "noise": "sqrt_h"}}
 
 # built once, so that ``get_case`` is a lookup
 _BUILTIN = {name: case_from_problem(problem, name)
             for name, problem in _PROBLEMS.items()}
-_BUILTIN.update({name: case_from_problem(_PROBLEMS["ex1-const"], name,
-                                         NoiseModel(law))
-                 for name, law in (("ex1-const-noise-h", 1.0),
-                                   ("ex1-const-noise-sqrt", 0.5))})
 
 
 def builtin_cases() -> list[CaseDefinition]:
@@ -330,7 +347,7 @@ class ConvergenceTable:
                 for name, fit in self.rates.items()}
 
 
-def error_norms(exact: ExactSolution, fe: FeFunction, region):
+def error_norms(exact: ExactSolution, fe: FeFunction, region: Region):
     """Absolute and reference norms of (exact - fe) over a region.
 
     Returns (err_l2, err_h1, ref_l2, ref_h1) where the reference norms are
@@ -349,8 +366,7 @@ def error_norms(exact: ExactSolution, fe: FeFunction, region):
     uh = cf @ TRIANGLE_RULE.points.T                                 # (t, q)
     gh = np.einsum("tk,tkd->td", cf, grads)
 
-    mask = region.contains(flat).reshape(pts.shape[:2]) if region is not None \
-        else np.ones(pts.shape[:2], dtype=bool)
+    mask = region.contains(flat).reshape(pts.shape[:2])
     if not mask.any():
         warnings.warn("evaluation region contains no quadrature point; "
                       f"error norms are zero at N={mesh.cells_per_side}",

@@ -79,8 +79,8 @@ class ProblemSpec:
     mu: float
     beta: Callable
     omega: Region
-    target: Optional[Region] = None
-    f: Optional[Callable] = None
+    target: Region
+    f: Callable
     beta_sup: Optional[float] = None
     gamma: float = 1e-5
     gamma_star: float = 1.0
@@ -157,8 +157,6 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     of them outlives the call.  Warns when omega holds no quadrature
     point or a declared ``spec.beta_sup`` is below the largest |beta| at
     the quadrature points."""
-    if spec.f is None:
-        raise ValueError("spec has no source term f")
     h = mesh_size(mesh)
     grads, areas = triangle_geometry(mesh)
     edges = mesh.edges()

@@ -260,7 +260,6 @@ def _gated_solve(system: SaddleSystem):
                            "relative_residual": rel,
                            "refinement_steps": len(history) - 1,
                            "residual_history": history,
-                           "symmetry_defect": defect,
                            "factor_seconds": t_factor,
                            "solve_seconds": t_solve}
         failure = NumericalFailure(

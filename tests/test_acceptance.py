@@ -14,7 +14,6 @@ import pytest
 import scipy.sparse as sp
 
 import dense_oracle
-from assembled import assembled
 from ucfem.experiments import (estimate_rate, get_case, polynomial_bump,
                                run_case, run_ladder)
 from ucfem.fem import interpolate, mass_matrix, triangle_geometry
@@ -168,13 +167,13 @@ def test_criterion_4_property_suites(tables):
     t0 = time.perf_counter()
     mesh4 = build_unit_square_mesh(4)
     spec = get_case("ex1-const").spec
-    jump4 = assembled(spec, mesh4).jump.toarray()
+    jump4 = assemble_all(spec, mesh4).jump.toarray()
     eig = np.linalg.eigvalsh(jump4)
     if not (np.abs(eig[:3]).max() < 1e-12 * max(1, eig[-1]) and
             eig[3] > 1e-12 * eig[-1]):
         failures.append("jump-penalty kernel is not exactly the affines")
     mesh8 = build_unit_square_mesh(8)
-    blocks8 = assembled(spec, mesh8)
+    blocks8 = assemble_all(spec, mesh8)
     for label, mat in (("s_omega", blocks8.data_mass),
                        ("s_jump", blocks8.jump), ("s_star", blocks8.dual)):
         for _ in range(100):
@@ -193,7 +192,7 @@ def test_criterion_4_property_suites(tables):
         for n in (8, 16, 32, 64):
             m = build_unit_square_mesh(n)
             h = mesh_size(m)
-            smat = assembled(pspec, m).primal
+            smat = assemble_all(pspec, m).primal
             grads, areas = triangle_geometry(m)
             local = np.einsum("tid,tjd,t->tij", grads, grads, areas)
             rows = np.repeat(m.triangles, 3, axis=1).ravel()
@@ -223,7 +222,7 @@ def test_criterion_4_property_suites(tables):
             m = build_unit_square_mesh(n)
             h = mesh_size(m)
             c = interpolate(bump.value, m).coefficients
-            jm = assembled(jspec, m).jump
+            jm = assemble_all(jspec, m).jump
             worst = max(worst, (c @ (jm @ c))
                         / (jspec.gamma * (jspec.mu + jspec.beta_sup * h)
                            * h ** 2))

@@ -91,15 +91,18 @@ def test_solve_writes_outputs_and_is_deterministic(tmp_path, capsys):
 
 
 def test_solve_with_noise_is_seed_deterministic(tmp_path):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    for d in (d1, d2):
-        assert main(["solve", "--case", "ex1-const", "--ladder", "8",
-                     "--noise", "h", "--seed", "5", "--out", str(d)]) == 0
-    assert (d1 / "u_N8.csv").read_bytes() == (d2 / "u_N8.csv").read_bytes()
-    d3 = tmp_path / "c"
-    assert main(["solve", "--case", "ex1-const", "--ladder", "8",
-                 "--noise", "h", "--seed", "6", "--out", str(d3)]) == 0
-    assert (d1 / "u_N8.csv").read_bytes() != (d3 / "u_N8.csv").read_bytes()
+    # the payload's noise law, drawn with --seed
+    cfg = tmp_path / "noisy.json"
+    cfg.write_text(json.dumps({"problem": {
+        **experiments._PROBLEMS["ex1-const"], "noise": "h"}}))
+
+    def u_bytes(seed, name):
+        out = tmp_path / name
+        assert main(["solve", "--config", str(cfg), "--ladder", "8",
+                     "--seed", seed, "--out", str(out)]) == 0
+        return (out / "u_N8.csv").read_bytes()
+
+    assert u_bytes("5", "a") == u_bytes("5", "b") != u_bytes("6", "c")
 
 
 def test_convergence_outputs(tmp_path, capsys):
@@ -144,10 +147,12 @@ def test_condnum_is_an_unknown_command(tmp_path, capsys):
 
 
 def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
-    # --ladder and --boundary-factor fold into the case, which run_case reads
-    assert main(["convergence", "--case", "ex1-swirl", "--ladder", "8",
-                 "--boundary-factor", "1.0", "--out", str(tmp_path)]) == 0
-    written = (tmp_path / "convergence.csv").read_bytes()
+    # the payload's boundary_factor and --ladder make the case, which
+    # run_case reads
+    problem = {**experiments._PROBLEMS["ex1-swirl"], "boundary_factor": 1.0}
+    assert _run_with_config(tmp_path, ["convergence", "--ladder", "8"],
+                            {"problem": problem}) == 0
+    written = (tmp_path / "run" / "convergence.csv").read_bytes()
     case = replace(get_case("ex1-swirl"), ladder=(8,))
     folded = run_case(replace(case, spec=replace(
         case.spec, boundary_factor=1.0))).to_csv_string()
@@ -317,8 +322,8 @@ def test_config_ladder_must_be_a_list_or_string(tmp_path, capsys, ladder):
 
 
 @pytest.mark.parametrize("config", [
-    {"cond": "sometimes"}, {"seed": "4x"}, {"noise": "loud"},
-    {"seed": 2.5}, {"seed": True}, {"boundary_factor": None},
+    {"cond": "sometimes"}, {"seed": "4x"}, {"cond": 1},
+    {"seed": 2.5}, {"seed": True}, {"seed": None},
     {"case": ["ex1-const"]},
 ])
 def test_config_values_pass_the_flag_type_and_choices(tmp_path, capsys,
@@ -367,6 +372,8 @@ SWIRL_PROBLEM = {"beta": {"kind": "swirl", "scale": 10.0},
     ("omega", {"boxes": []}),
     ("omega", {"boxes": [[2, 3, 2, 3]]}),
     ("beta_sup", -5),
+    ("noise", "loud"),
+    ("noise", 0.5),
 ])
 def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -408,6 +415,34 @@ def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
     _assert_config_error(tmp_path, capsys)
 
 
+EX1_CONST = experiments._PROBLEMS["ex1-const"]
+
+
+@pytest.mark.parametrize("problem, detail", [
+    ({**EX1_CONST, "gama": 1.0}, "problem has unknown key 'gama'"),
+    ({**EX1_CONST, "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]],
+                             "hole": [[0.3, 0.35, 0.3, 0.35]]}},
+     "omega has unknown key 'hole'"),
+    ({**EX1_CONST, "beta": {"kind": "swirl", "scal": 5}},
+     "beta has unknown key 'scal'"),
+    ({**EX1_CONST, "beta": {"kind": "const", "scale": 5}},
+     "beta has unknown key 'scale'"),
+    ({**EX1_CONST, "beta": {"kind": "zero", "value": [0, 0]}},
+     "beta has unknown key 'value'"),
+    ({**EX1_CONST, "target": {"boxes": [[0, 1, 0, 1]], "box": []}},
+     "target has unknown key 'box'"),
+], ids=["gama", "hole", "scal", "const-scale", "zero-value", "target-box"])
+def test_unknown_inline_problem_key_exits_two(tmp_path, capsys, problem,
+                                              detail):
+    # a misspelt key would otherwise leave its default in force silently
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                            {"problem": problem}) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config",
+                   "detail": f"bad inline problem: {detail}"}
+    assert not (tmp_path / "run").exists()
+
+
 def test_zero_area_inline_region_is_refused_without_a_warning(tmp_path,
                                                              capsys):
     # the refusal names the region; Region's own warning would only repeat it
@@ -437,11 +472,15 @@ def test_projection_is_an_option_of_convergence_only(tmp_path):
 @pytest.mark.parametrize("command, option, value", [
     ("solve", "quad-degree", "2"), ("convergence", "quad-degree", "4"),
     ("convergence", "h1", "semi"),
+    ("solve", "noise", "h"), ("convergence", "noise", "sqrt_h"),
+    ("solve", "boundary-factor", "1.0"),
+    ("convergence", "boundary-factor", "2.0"),
 ])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_removed_quadrature_and_h1_options_exit_two(tmp_path, capsys, command,
                                                     option, value, how):
-    # every integral uses the one degree-4 rule and H1 is the full norm
+    # every integral uses the one degree-4 rule and H1 is the full norm;
+    # the noise law and boundary_factor are keys of the inline problem
     out = tmp_path / "run"
     if how == "flag":
         with pytest.raises(SystemExit) as exc:
@@ -472,10 +511,12 @@ def test_target_with_no_quadrature_point_warns(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["ex1-const", "ex1-swirl", "ex2-const",
-                                  "ex2-swirl", "ex3-const", "ex3-swirl"])
+                                  "ex2-swirl", "ex3-const", "ex3-swirl",
+                                  "ex1-const-noise-h", "ex1-const-noise-sqrt"])
 def test_builtin_case_is_its_inline_problem(tmp_path, name):
-    # --case and the case's payload as the config's problem run the same
-    argv = ["convergence", "--ladder", "4,8"]
+    # --case and the case's payload as the config's problem run the same;
+    # --seed draws the noise of the noisy ones
+    argv = ["convergence", "--ladder", "4,8", "--seed", "5"]
     assert main([*argv, "--case", name, "--out", str(tmp_path / "case")]) == 0
     assert _run_with_config(tmp_path, argv,
                             {"problem": experiments._PROBLEMS[name]}) == 0
@@ -510,15 +551,21 @@ def test_declared_beta_sup_below_the_sampled_one_warns(tmp_path):
     assert (tmp_path / "run" / "u_N4.csv").exists()
 
 
-def test_boundary_factor_override_changes_solution(tmp_path):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
+def test_boundary_factor_override_changes_solution(tmp_path, capsys):
+    # the payload's boundary_factor in place of ex1-const's 50
+    d1 = tmp_path / "a"
     assert main(["solve", "--case", "ex1-const", "--ladder", "8",
                  "--out", str(d1)]) == 0
-    assert main(["solve", "--case", "ex1-const", "--ladder", "8",
-                 "--boundary-factor", "1.0", "--out", str(d2)]) == 0
-    assert (d1 / "u_N8.csv").read_bytes() != (d2 / "u_N8.csv").read_bytes()
-    with pytest.raises(SystemExit):
-        main(["solve", "--boundary-factor", "abc"])
+    problem = {**experiments._PROBLEMS["ex1-const"], "boundary_factor": 1.0}
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "8"],
+                            {"problem": problem}) == 0
+    assert (d1 / "u_N8.csv").read_bytes() \
+        != (tmp_path / "run" / "u_N8.csv").read_bytes()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    assert _run_with_config(bad, ["solve", "--ladder", "8"], {"problem": {
+        **problem, "boundary_factor": "abc"}}) == 2
+    _assert_config_error(bad, capsys)
 
 
 def test_solve_cond_estimate_factorizes_once_per_rung(tmp_path, monkeypatch):
@@ -727,23 +774,19 @@ def test_probe_resolution_must_be_positive(tmp_path, capsys, mode,
     assert not out.exists()  # rejected before anything was written
 
 
-@pytest.mark.parametrize("argv, problem", [
-    (["--boundary-factor", "nan"], None),
-    (["--boundary-factor", "inf"], None),
-    ([], {**SWIRL_PROBLEM, "mu": float("nan")}),
-    ([], {**SWIRL_PROBLEM, "gamma": float("inf")}),
-    ([], {**SWIRL_PROBLEM, "beta_sup": float("nan")}),
+@pytest.mark.parametrize("problem", [
+    {**SWIRL_PROBLEM, "boundary_factor": float("nan")},
+    {**SWIRL_PROBLEM, "boundary_factor": float("inf")},
+    {**SWIRL_PROBLEM, "mu": float("nan")},
+    {**SWIRL_PROBLEM, "gamma": float("inf")},
+    {**SWIRL_PROBLEM, "beta_sup": float("nan")},
 ], ids=["boundary-factor-nan", "boundary-factor-inf", "problem-mu-nan",
         "problem-gamma-inf", "problem-beta-sup-nan"])
-def test_non_finite_problem_parameter_exits_two(tmp_path, capsys, argv,
-                                                problem):
+def test_non_finite_problem_parameter_exits_two(tmp_path, capsys, problem):
     # NaN and infinity pass the sign checks; they must not reach SuperLU
     # (whose breakdown would exit 3)
-    argv = ["solve", "--ladder", "4", *argv]
-    if problem is None:
-        code = main([*argv, "--out", str(tmp_path / "run")])
-    else:
-        code = _run_with_config(tmp_path, argv, {"problem": problem})
+    code = _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                            {"problem": problem})
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and "must be finite" in err["detail"]

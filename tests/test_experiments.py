@@ -16,7 +16,7 @@ from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, ConvergenceRow,
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.saddle import build_system
-from ucfem.mesh import Region, build_unit_square_mesh, mesh_size
+from ucfem.mesh import Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
 
 
 def gauss_grid(n=40):
@@ -175,7 +175,7 @@ def test_error_norms_affine_oracle():
             np.array([1.0, 0.0]), (len(np.atleast_2d(p)), 2)),
         laplacian=lambda p: np.zeros(len(np.atleast_2d(p))))
     fe = interpolate(affine.value, mesh)
-    err_l2, err_h1, ref_l2, ref_h1 = error_norms(affine, fe, None)
+    err_l2, err_h1, ref_l2, ref_h1 = error_norms(affine, fe, UNIT_SQUARE)
     assert err_l2 < 1e-14 and err_h1 < 1e-13
     assert ref_l2 == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-12)
     assert ref_h1 == pytest.approx(np.sqrt(1.0 / 3.0 + 1.0), abs=1e-12)

@@ -16,11 +16,14 @@ from ucfem.mesh import Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
 from ucfem.experiments import derive_source, get_case, polynomial_bump
 
 import dense_oracle
-from assembled import assembled
+
+
+def zero_source(points):
+    return np.zeros(len(np.atleast_2d(points)))
 
 
 def make_spec(beta=None, beta_sup=1.0, omega=UNIT_SQUARE, mu=1.0,
-              gamma=1.0, gamma_star=1.0, boundary_factor=1.0, f=None):
+              gamma=1.0, gamma_star=1.0, boundary_factor=1.0, f=zero_source):
     beta = beta if beta is not None else constant_field(1.0, 0.0)
     return ProblemSpec(mu=mu, beta=beta, omega=omega, target=UNIT_SQUARE,
                        f=f, beta_sup=beta_sup, gamma=gamma,
@@ -74,7 +77,7 @@ def test_convection_diffusion_matches_dense_oracle(n, field):
     spec = make_spec(beta=beta, beta_sup=bsup)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assembled(spec, mesh).pde.toarray()
+    sparse = assemble_all(spec, mesh).pde.toarray()
     dense = dense_oracle.dense_convection_diffusion(mesh, spec.mu, beta, h)
     scale = 1.0 + np.abs(dense).max()
     assert np.abs(sparse - dense).max() <= 1e-10 * scale
@@ -85,7 +88,7 @@ def test_data_mass_matches_dense_oracle_full_domain(n):
     spec = make_spec(beta_sup=2.0)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assembled(spec, mesh).data_mass.toarray()
+    sparse = assemble_all(spec, mesh).data_mass.toarray()
     dense = dense_oracle.dense_data_mass(mesh, spec.mu, spec.beta_sup, h,
                                          UNIT_SQUARE)
     assert np.abs(sparse - dense).max() <= 1e-10
@@ -98,7 +101,7 @@ def test_data_mass_matches_dense_oracle_aligned_subregion():
     spec = make_spec(beta_sup=1.0, omega=omega)
     mesh = build_unit_square_mesh(2)
     h = mesh_size(mesh)
-    sparse = assembled(spec, mesh).data_mass.toarray()
+    sparse = assemble_all(spec, mesh).data_mass.toarray()
     dense = dense_oracle.dense_data_mass(mesh, spec.mu, spec.beta_sup, h,
                                          omega)
     assert np.abs(sparse - dense).max() <= 1e-10
@@ -109,7 +112,7 @@ def test_gradient_jump_matches_dense_oracle(n):
     spec = make_spec(beta_sup=3.0, gamma=0.25)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assembled(spec, mesh).jump.toarray()
+    sparse = assemble_all(spec, mesh).jump.toarray()
     dense = dense_oracle.dense_gradient_jump(mesh, spec.mu, spec.beta_sup,
                                              h, spec.gamma)
     assert np.abs(sparse - dense).max() <= 1e-10
@@ -121,7 +124,7 @@ def test_dual_stabilizer_matches_dense_oracle(n):
                      boundary_factor=50.0)
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
-    sparse = assembled(spec, mesh).dual.toarray()
+    sparse = assemble_all(spec, mesh).dual.toarray()
     dense = dense_oracle.dense_dual_stabilizer(
         mesh, spec.mu, spec.beta_sup, h, spec.gamma, spec.gamma_star,
         spec.boundary_factor)
@@ -138,7 +141,7 @@ def test_loads_match_dense_oracle(n):
     mesh = build_unit_square_mesh(n)
     h = mesh_size(mesh)
     data = interpolate(bump.value, mesh)
-    blocks = assembled(spec, mesh)
+    blocks = assemble_all(spec, mesh)
     b_source, b_data = blocks.b_source, blocks.data_mass @ data.coefficients
     dense_src = dense_oracle.dense_source_load(mesh, spec.f)
     dense_dat = dense_oracle.dense_data_load(mesh, spec.mu, spec.beta_sup, h,
@@ -151,7 +154,7 @@ def test_stabilizers_symmetric_and_psd():
     rng = np.random.default_rng(0)
     case = get_case("ex1-swirl")
     mesh = build_unit_square_mesh(6)
-    blocks = assembled(case.spec, mesh)
+    blocks = assemble_all(case.spec, mesh)
     for mat in (blocks.data_mass, blocks.jump, blocks.dual):
         dense = mat.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-12 * (1 + np.abs(dense).max())
@@ -163,7 +166,7 @@ def test_stabilizers_symmetric_and_psd():
 def test_gradient_jump_kernel_is_exactly_the_affines():
     mesh = build_unit_square_mesh(4)
     spec = make_spec(beta_sup=0.0, beta=zero_field())
-    jump = assembled(spec, mesh).jump.toarray()
+    jump = assemble_all(spec, mesh).jump.toarray()
     eigvals = np.linalg.eigvalsh(jump)
     # kernel = span{1, x, y}: exactly three zero eigenvalues
     assert np.all(np.abs(eigvals[:3]) < 1e-12)
@@ -178,7 +181,7 @@ def test_gradient_jump_corner_hat_value():
     # gamma h (mu) sqrt(2) with h = 1/2
     mesh = build_unit_square_mesh(1)
     spec = make_spec(beta=zero_field(), beta_sup=0.0, gamma=1.0)
-    jump = assembled(spec, mesh).jump.toarray()
+    jump = assemble_all(spec, mesh).jump.toarray()
     hat = np.zeros(4)
     hat[1] = 1.0  # node (1, 0)
     assert np.isclose(hat @ (jump @ hat), np.sqrt(2.0), atol=1e-13)
@@ -188,7 +191,7 @@ def test_gradient_jump_corner_hat_value():
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
 def test_gradient_jump_is_symmetric_positive_semidefinite(n):
     mesh = build_unit_square_mesh(n)
-    jump = assembled(get_case("ex1-swirl").spec, mesh).jump.toarray()
+    jump = assemble_all(get_case("ex1-swirl").spec, mesh).jump.toarray()
     scale = np.abs(jump).max()
     assert np.array_equal(jump, jump.T)
     assert np.linalg.eigvalsh(jump).min() >= -1e-12 * scale
@@ -207,7 +210,7 @@ def test_gradient_jump_pattern_is_the_union_of_face_blocks(n):
     cols = np.tile(nodes, (1, 6)).ravel()
     blocks = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                            shape=(mesh.n_nodes,) * 2).tocsr()
-    jump = assembled(get_case("ex1-swirl").spec, mesh).jump
+    jump = assemble_all(get_case("ex1-swirl").spec, mesh).jump
     for mat in (blocks, jump):
         mat.sort_indices()
     assert np.array_equal(jump.indptr, blocks.indptr)
@@ -221,20 +224,20 @@ def test_dual_stabilizer_on_constants_reduces_to_boundary_mass():
     h = mesh_size(mesh)
     ones = np.ones(mesh.n_nodes)
     spec = make_spec(beta=zero_field(), beta_sup=0.0)
-    s_star = assembled(spec, mesh).dual
+    s_star = assemble_all(spec, mesh).dual
     assert np.isclose(ones @ (s_star @ ones), 4.0 / h, atol=1e-10)
     spec50 = make_spec(beta=zero_field(), beta_sup=0.0, boundary_factor=50.0,
                        gamma_star=2.0)
-    s_star50 = assembled(spec50, mesh).dual
+    s_star50 = assemble_all(spec50, mesh).dual
     assert np.isclose(ones @ (s_star50 @ ones), 2.0 * 50.0 * 4.0 / h,
                       atol=1e-8)
 
 
 def test_data_mass_doubles_with_mu_at_zero_beta():
     mesh = build_unit_square_mesh(3)
-    m1 = assembled(make_spec(beta=zero_field(), beta_sup=0.0, mu=1.0),
+    m1 = assemble_all(make_spec(beta=zero_field(), beta_sup=0.0, mu=1.0),
                    mesh).data_mass
-    m2 = assembled(make_spec(beta=zero_field(), beta_sup=0.0, mu=2.0),
+    m2 = assemble_all(make_spec(beta=zero_field(), beta_sup=0.0, mu=2.0),
                    mesh).data_mass
     assert np.allclose(m2.toarray(), 2.0 * m1.toarray())
 
@@ -243,7 +246,7 @@ def test_data_mass_of_ones_approximates_weighted_region_area():
     case = get_case("ex1-const")
     mesh = build_unit_square_mesh(64)
     h = mesh_size(mesh)
-    s_omega = assembled(case.spec, mesh).data_mass
+    s_omega = assemble_all(case.spec, mesh).data_mass
     ones = np.ones(mesh.n_nodes)
     total = ones @ (s_omega @ ones)
     target = (case.spec.mu + case.spec.beta_sup * h) * case.spec.omega.area
@@ -255,7 +258,7 @@ def test_empty_data_region_warns():
     spec = make_spec(omega=omega)
     mesh = build_unit_square_mesh(4)
     with pytest.warns(UserWarning):
-        mat = assembled(spec, mesh).data_mass
+        mat = assemble_all(spec, mesh).data_mass
     assert mat.nnz == 0 or np.abs(mat.toarray()).max() == 0.0
 
 
@@ -266,7 +269,7 @@ def test_empty_data_region_warns_on_every_mesh():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         for n_cells in (4, 8, 16):
-            assembled(spec, build_unit_square_mesh(n_cells))
+            assemble_all(spec, build_unit_square_mesh(n_cells))
     assert [str(w.message) for w in caught] == [
         "data region contains no quadrature point; data-fitting matrix is "
         f"zero at N={n_cells}" for n_cells in (4, 8, 16)]
@@ -283,7 +286,7 @@ def test_convection_diffusion_consistent_for_affine_solution():
     f = lambda p: np.asarray(beta(p)) @ np.array([2.0, -0.7])
     spec = make_spec(beta=beta, beta_sup=200.0, f=f)
     data = interpolate(u, mesh)
-    blocks = assembled(spec, mesh)
+    blocks = assemble_all(spec, mesh)
     assert np.abs(blocks.pde @ data.coefficients
                   - blocks.b_source).max() < 1e-12
 
@@ -297,7 +300,7 @@ def test_pde_load_from_field_matches_source_load_for_exact_solution():
     spec = make_spec(beta=beta, beta_sup=1.0,
                      f=derive_source(bump, 1.0, beta))
     mesh = build_unit_square_mesh(8)
-    b_source = assembled(spec, mesh).b_source
+    b_source = assemble_all(spec, mesh).b_source
     lhs = pde_load_from_field(spec, mesh, bump.gradient)
     assert np.abs(lhs - b_source).max() < 1e-12
 
@@ -354,7 +357,7 @@ def test_declared_beta_sup_below_the_sampled_one_warns():
     mesh = build_unit_square_mesh(4)
     spec = make_spec(beta=swirl_field(10.0), beta_sup=1.0)
     with pytest.warns(UserWarning, match="declared beta_sup 1.0 is below"):
-        blocks = assembled(spec, mesh)
+        blocks = assemble_all(spec, mesh)
     assert blocks.beta_sup == 1.0
 
 
@@ -380,8 +383,8 @@ def test_problem_spec_rejects_non_finite_numbers(name, value):
 def test_beta_sup_is_sampled_when_unset():
     mesh = build_unit_square_mesh(8)
     spec = ProblemSpec(mu=1.0, beta=swirl_field(), omega=UNIT_SQUARE,
-                       target=UNIT_SQUARE, f=None, beta_sup=None)
-    sampled = assembled(spec, mesh).beta_sup
+                       target=UNIT_SQUARE, f=zero_source, beta_sup=None)
+    sampled = assemble_all(spec, mesh).beta_sup
     # sup over the closed square is 200, quadrature points approach it
     assert 150.0 < sampled <= 200.0
 
@@ -395,7 +398,7 @@ def test_discrete_poincare_ratio_stays_below_frozen_bound():
         for n in (8, 16, 32, 64):
             mesh = build_unit_square_mesh(n)
             h = mesh_size(mesh)
-            smat = assembled(spec, mesh).primal
+            smat = assemble_all(spec, mesh).primal
             grads, areas = triangle_geometry(mesh)
             local = np.einsum("tid,tjd,t->tij", grads, grads, areas)
             rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
@@ -421,7 +424,7 @@ def test_jump_inequality_normalized_quantity_bounded():
         for n in (8, 16, 32, 64, 128):
             mesh = build_unit_square_mesh(n)
             h = mesh_size(mesh)
-            jump = assembled(spec, mesh).jump
+            jump = assemble_all(spec, mesh).jump
             c = interpolate(bump.value, mesh).coefficients
             ratio = (c @ (jump @ c)) / (spec.gamma
                                         * (spec.mu + spec.beta_sup * h)
@@ -445,7 +448,7 @@ def grid_box(draw):
 def test_stabilizers_positive_definite_for_any_grid_box(name, grid):
     n, omega = grid
     spec = dataclasses.replace(get_case(name).spec, omega=omega)
-    blocks = assembled(spec, build_unit_square_mesh(n))
+    blocks = assemble_all(spec, build_unit_square_mesh(n))
     for label in ("primal", "dual"):
         eig = np.linalg.eigvalsh(getattr(blocks, label).toarray())
         assert eig[0] / eig[-1] > 1e-10, \
@@ -458,7 +461,7 @@ def test_data_mass_matches_dense_oracle_for_any_grid_box(name, grid):
     n, omega = grid
     spec = dataclasses.replace(get_case(name).spec, omega=omega)
     mesh = build_unit_square_mesh(n)
-    blocks = assembled(spec, mesh)
+    blocks = assemble_all(spec, mesh)
     dense = dense_oracle.dense_data_mass(mesh, spec.mu, blocks.beta_sup,
                                          mesh_size(mesh), omega)
     assert np.abs(blocks.data_mass.toarray() - dense).max() <= 1e-10
