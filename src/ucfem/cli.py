@@ -2,16 +2,17 @@
 
 Subcommands: mesh-info, solve, convergence, probe; each probe mode (audit,
 kappa, harmonic, fem) is a subcommand of ``probe`` with only the options
-it reads.  ``main`` runs each the same way: parse; load ``--config PATH``
-(or ``--config=PATH``) as the defaults of the command or probe mode and
-parse again, so flags win; check the seed; resolve the case (solve,
-convergence and ``probe fem``): built-in or ``case_from_problem`` of the
-config's ``problem``, with ``--ladder``, the cond flags and ``--seed``
-folded in; echo the resolved configuration to ``config.json`` in the
-output directory; run the handler.  Bad input exits with 2, and an
-unknown or bad case, a condition-number setting that cannot run or an
-``--out`` that is no directory does so before anything is written;
-numerical failures exit with 3.  Every CSV table is written by
+it reads.  Every option is a flag.  ``main`` runs each command the same
+way: parse; check the seed; resolve the case (solve, convergence and
+``probe fem``): ``--case``, or ``case_from_problem`` of the inline problem
+that ``--config PATH`` (or ``--config=PATH``) holds as its one key
+``problem``, with ``--ladder``, the cond flags and ``--seed`` folded in;
+echo the resolved configuration, with the inline problem if any, to
+``config.json`` in the output directory; run the handler.  Bad input
+exits with 2, and an unknown or bad case, a bad ladder, a
+condition-number setting that cannot run or an ``--out`` that is no
+directory does so before anything is written; numerical failures exit
+with 3.  Every CSV table is written by
 ``experiments._csv_text``; the columns of ``convergence.csv`` are the
 fields of ``ConvergenceRow``.  Outputs are deterministic for a fixed
 configuration and seed (timings to stderr).
@@ -29,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (CaseDefinition, _csv_text, case_from_problem,
-                          get_case, run_case, run_ladder)
+from .experiments import (CaseDefinition, _csv_text, _keys,
+                          case_from_problem, get_case, run_case, run_ladder)
 from .mesh import build_unit_square_mesh
 from .saddle import NumericalFailure
 from .stability import (ThreeBallConfig, audit_log_convexity,
@@ -62,20 +63,15 @@ def _positive_int(text):
 
 
 def _ladder(text):
+    # the case refuses an empty ladder, an N below 1 and a repeated N
     try:
-        entries = tuple(int(tok) for tok in text.split(",") if tok)
+        return tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad ladder {text!r}") from exc
-    if not entries or any(n < 1 for n in entries):
-        raise argparse.ArgumentTypeError(f"bad ladder {text!r}")
-    if len(set(entries)) < len(entries):
-        raise argparse.ArgumentTypeError(f"ladder {text!r} repeats an N")
-    return entries
 
 
 # every option of ``probe``; each mode takes only the ones it reads
 _PROBE_OPTIONS = {
-    "--config": dict(default=None, help="JSON file with flag defaults"),
     "--samples": dict(type=_positive_int, default=10_000),
     "--seed": dict(type=int, default=2026),
     "--radii": dict(type=float, nargs=3, default=(0.1, 0.2, 0.4)),
@@ -113,10 +109,11 @@ def _build_parser():
     mesh_p.add_argument("--out", default=None, help="output directory")
 
     def common(p, ladder_default=None):
-        p.add_argument("--config", default=None,
-                       help="JSON file with flag defaults")
-        p.add_argument("--case", default="ex1-const",
-                       help="benchmark case name")
+        problem = p.add_mutually_exclusive_group()
+        problem.add_argument("--config", default=None,
+                             help="JSON file holding an inline problem")
+        problem.add_argument("--case", default="ex1-const",
+                             help="benchmark case name")
         p.add_argument("--ladder", type=_ladder, default=ladder_default,
                        help="comma-separated mesh resolutions")
         p.add_argument("--seed", type=int, default=0, help="noise seed")
@@ -137,84 +134,39 @@ def _build_parser():
 
     probe_p = sub.add_parser("probe", help="stability probes")
     modes = probe_p.add_subparsers(dest="mode", required=True)
-    commands = {"mesh-info": mesh_p, "solve": solve_p, "convergence": conv_p}
     for mode, (help_text, flags) in _PROBE_MODES.items():
         mode_p = modes.add_parser(mode, help=help_text)
-        for flag in ("--config", *flags, "--out"):
+        for flag in (*flags, "--out"):
             mode_p.add_argument(flag, **_PROBE_OPTIONS[flag])
-        commands[mode] = mode_p
-    return parser, commands
+    return parser
 
 
-def _config_value(action, key, val):
-    """A config value converted as the flag's own text would be: a list
-    for an ``nargs`` flag, a list or a comma-separated string for the
-    ladder, a number or a string for any other flag."""
-    if action.dest == "ladder" and isinstance(val, list):
-        val = ",".join(str(v) for v in val)
-    many = isinstance(action.nargs, int)
-    items = val if many else [val]
-    scalar = str if action.dest == "ladder" else (int, float, str)
-    if not isinstance(items, list) or len(items) != (action.nargs or 1) \
-            or any(isinstance(v, bool) or not isinstance(v, scalar)
-                   for v in items):
-        raise ConfigError(f"config {key!r}: bad value {val!r}")
-    try:
-        items = [(action.type or str)(str(v)) for v in items]
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise ConfigError(f"config {key!r}: {exc}") from exc
-    if action.choices is not None and any(v not in action.choices
-                                          for v in items):
-        raise ConfigError(f"config {key!r}: {val!r} is not one of "
-                          f"{list(action.choices)}")
-    return tuple(items) if many else items[0]
-
-
-_PROBLEM_COMMANDS = ("solve", "convergence")
-
-
-def _apply_config_file(args, sub_parser):
-    """Use the values of the ``--config`` file as defaults of the invoked
-    command (for ``probe``, its mode), so that flags parsed again still win.
-
-    Every key must be an option of the command, or ``problem`` for solve
-    and convergence; every value passes the option's type and choices.
-    Returns the inline problem, if any.
-    """
+def _inline_case(args) -> CaseDefinition:
+    """The case of the ``--config`` file's ``problem``, its one key; the
+    payload and the case's name are echoed in ``config.json``."""
     try:
         with open(args.config) as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ConfigError("config file must hold a JSON object")
-    options = {action.dest: action for action in sub_parser._actions
-               if action.option_strings and action.dest != "help"}
-    problem = values.pop("problem", None) \
-        if args.command in _PROBLEM_COMMANDS else None
-    defaults = {}
-    for key, val in values.items():
-        action = options.get(key.replace("-", "_"))
-        if action is None:
-            raise ConfigError(f"config key {key!r} is not an option of "
-                              f"{sub_parser.prog.removeprefix('ucfem ')!r}")
-        defaults[action.dest] = _config_value(action, key, val)
-    sub_parser.set_defaults(**defaults)
-    return problem
+    with _bad_input():
+        _keys(values, ("problem",), "config")
+        case = case_from_problem(values.get("problem"))
+    args.case, args.problem = case.name, values["problem"]
+    return case
 
 
-def _resolve_case(args, problem) -> CaseDefinition:
-    if problem is not None:
-        with _bad_input():
-            case = case_from_problem(problem)
+def _resolve_case(args) -> CaseDefinition:
+    if getattr(args, "config", None) is not None:
+        case = _inline_case(args)
     else:
         try:
             case = get_case(args.case)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    with _bad_input():  # the case refuses a cond setting solve would refuse
+    with _bad_input():  # the case refuses a ladder or cond setting
         return replace(
-            case, ladder=tuple(args.ladder or case.ladder),
+            case, ladder=case.ladder if args.ladder is None else args.ladder,
             noise=case.noise and replace(case.noise, seed=args.seed),
             cond=getattr(args, "cond", case.cond),
             cond_tol=getattr(args, "cond_tol", case.cond_tol),
@@ -322,18 +274,13 @@ _CASE_JOBS = ("solve", "convergence", "fem")
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    args = _build_parser().parse_args(argv)
+    job = getattr(args, "mode", args.command)
     try:
-        args = parser.parse_args(argv)
-        job = getattr(args, "mode", args.command)
-        problem = None
-        if getattr(args, "config", None) is not None:
-            problem = _apply_config_file(args, commands[job])
-            args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be an integer >= 0, "
                               f"got {args.seed!r}")
-        case = _resolve_case(args, problem) if job in _CASE_JOBS else None
+        case = _resolve_case(args) if job in _CASE_JOBS else None
         out = None if args.out is None else Path(args.out)
         if out is not None:
             try:

@@ -283,21 +283,13 @@ def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
     assert ratio(0) == f"{n_cells},{value!r}"
 
 
-def test_config_file_supplies_defaults_and_inline_problem(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "ladder": [8],
-        "problem": {
-            "beta": {"kind": "const", "value": [1.0, 0.5]},
-            "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
-            "beta_sup": 1.5,
-        },
-    }))
-    out = tmp_path / "run"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "u_N8.csv").exists()
-    config = json.loads((out / "config.json").read_text())
-    assert config["ladder"] == [8]
+def test_config_file_supplies_the_inline_problem(tmp_path):
+    problem = {"beta": {"kind": "const", "value": [1.0, 0.5]},
+               "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
+               "beta_sup": 1.5}
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "8"],
+                            {"problem": problem}, joined=True) == 0
+    assert (tmp_path / "run" / "u_N8.csv").exists()
 
 
 def _run_with_config(tmp_path, argv, config, joined=False):
@@ -314,56 +306,54 @@ def _assert_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("ladder", [8, 8.0, True, {"n": 8}, [8, "x"], [8.5],
-                                    []])
-def test_config_ladder_must_be_a_list_or_string(tmp_path, capsys, ladder):
-    assert _run_with_config(tmp_path, ["solve"], {"ladder": ladder}) == 2
-    _assert_config_error(tmp_path, capsys)
-
-
-@pytest.mark.parametrize("config", [
-    {"cond": "sometimes"}, {"seed": "4x"}, {"cond": 1},
-    {"seed": 2.5}, {"seed": True}, {"seed": None},
-    {"case": ["ex1-const"]},
-])
-def test_config_values_pass_the_flag_type_and_choices(tmp_path, capsys,
-                                                      config):
-    assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
-                            config) == 2
-    _assert_config_error(tmp_path, capsys)
-
-
-@pytest.mark.parametrize("argv, config", [
-    (["convergence", "--ladder", "4"], {"cond_tool": 1e-9}),
-    (["solve", "--ladder", "4"], {"cond_tol": 1e-9}),
-    (["solve", "--ladder", "4"], {"version": "0"}),
-], ids=["misspelt", "other-command", "not-an-option"])
-def test_config_keys_must_be_options_of_the_command(tmp_path, capsys, argv,
-                                                    config):
-    assert _run_with_config(tmp_path, argv, config) == 2
-    _assert_config_error(tmp_path, capsys)
-
-
-@pytest.mark.parametrize("joined", [False, True],
-                         ids=["separate", "joined"])
-def test_config_values_are_typed_and_flags_still_win(tmp_path, joined):
-    out = tmp_path / "run"
-    config = {"cond_tol": 0.25, "cond-cap": 7, "seed": "3",
-              "ladder": "4,8"}
-    assert _run_with_config(tmp_path, ["convergence", "--ladder", "4"],
-                            config, joined) == 0
-    echoed = json.loads((out / "config.json").read_text())
-    assert echoed["cond_tol"] == 0.25 and echoed["cond_cap"] == 7
-    assert echoed["seed"] == 3 and echoed["ladder"] == [4]
-    radii = [0.1, 0.2, 0.4]
-    assert _run_with_config(tmp_path, ["probe", "kappa"],
-                            {"radii": radii, "c3": 2}, joined) == 0
-    kappa = json.loads((out / "probe_kappa.json").read_text())
-    assert kappa["radii"] == radii and kappa["c3"] == 2.0
-
-
 SWIRL_PROBLEM = {"beta": {"kind": "swirl", "scale": 10.0},
                  "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}}
+EX1_CONST = experiments._PROBLEMS["ex1-const"]
+
+
+@pytest.mark.parametrize("argv, config, detail", [
+    (["solve", "--ladder", "4"], {"problem": None},
+     "bad inline problem: problem must be an object, got None"),
+    (["solve", "--ladder", "4"], {},
+     "bad inline problem: problem must be an object, got None"),
+    (["convergence"], {"problem": EX1_CONST, "ladder": [4]},
+     "config has unknown key 'ladder'"),
+    (["convergence", "--ladder", "4"], {"problme": EX1_CONST},
+     "config has unknown key 'problme'"),
+    (["solve", "--ladder", "4"], {"cond_tol": 1e-9},
+     "config has unknown key 'cond_tol'"),
+    (["solve", "--ladder", "4"], {"version": "0"},
+     "config has unknown key 'version'"),
+    (["solve", "--ladder", "4"], [EX1_CONST],
+     f"config must be an object, got {[EX1_CONST]!r}"),
+], ids=["null", "empty", "ladder", "misspelt", "cond-tol", "version",
+        "not-an-object"])
+def test_config_holds_only_the_problem(tmp_path, capsys, argv, config,
+                                       detail):
+    # every option is a flag; a file without a real problem runs nothing
+    assert _run_with_config(tmp_path, argv, config) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": detail}
+    assert not (tmp_path / "run").exists()
+
+
+def test_inline_run_echoes_the_problem_it_ran(tmp_path, capsys):
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
+                            {"problem": SWIRL_PROBLEM}) == 0
+    echoed = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert echoed["problem"] == SWIRL_PROBLEM and echoed["case"] == "custom"
+    # a built-in run echoes no problem
+    assert main(["solve", "--ladder", "4", "--out", str(tmp_path / "b")]) == 0
+    assert "problem" not in json.loads((tmp_path / "b" / "config.json")
+                                       .read_text())
+    # --case beside --config names a second problem
+    out = tmp_path / "both"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--case", "ex1-const", "--config",
+              str(tmp_path / "cfg.json"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -415,9 +405,6 @@ def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
     _assert_config_error(tmp_path, capsys)
 
 
-EX1_CONST = experiments._PROBLEMS["ex1-const"]
-
-
 @pytest.mark.parametrize("problem, detail", [
     ({**EX1_CONST, "gama": 1.0}, "problem has unknown key 'gama'"),
     ({**EX1_CONST, "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]],
@@ -458,9 +445,13 @@ def test_zero_area_inline_region_is_refused_without_a_warning(tmp_path,
 
 
 def test_probe_rejects_an_inline_problem(tmp_path, capsys):
-    assert _run_with_config(tmp_path, ["probe", "fem", "--ladder", "4"],
-                            {"problem": SWIRL_PROBLEM}) == 2
-    _assert_config_error(tmp_path, capsys)
+    # no probe mode takes --config
+    with pytest.raises(SystemExit) as exc:
+        _run_with_config(tmp_path, ["probe", "fem", "--ladder", "4"],
+                         {"problem": SWIRL_PROBLEM})
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_projection_is_an_option_of_convergence_only(tmp_path):
@@ -480,7 +471,8 @@ def test_projection_is_an_option_of_convergence_only(tmp_path):
 def test_removed_quadrature_and_h1_options_exit_two(tmp_path, capsys, command,
                                                     option, value, how):
     # every integral uses the one degree-4 rule and H1 is the full norm;
-    # the noise law and boundary_factor are keys of the inline problem
+    # the noise law and boundary_factor are keys of the inline problem,
+    # and a config file holds no option
     out = tmp_path / "run"
     if how == "flag":
         with pytest.raises(SystemExit) as exc:
@@ -493,8 +485,7 @@ def test_removed_quadrature_and_h1_options_exit_two(tmp_path, capsys, command,
                                 {option: value}) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "config",
-                       "detail": f"config key {option!r} is not an option "
-                                 f"of {command!r}"}
+                       "detail": f"config has unknown key {option!r}"}
     assert not out.exists()  # rejected before anything was written
 
 
@@ -694,19 +685,15 @@ def test_probe_counts_must_be_positive(tmp_path, flag):
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
                                              how):
+    # no probe mode takes --config, so neither can carry the option
     out = tmp_path / "run"
-    if how == "flag":
-        with pytest.raises(SystemExit) as exc:
+    with pytest.raises(SystemExit) as exc:
+        if how == "flag":
             main(["probe", mode, *foreign, "--out", str(out)])
-        assert exc.value.code == 2
-    else:
-        key, value = foreign[0].lstrip("-"), foreign[1]
-        assert _run_with_config(tmp_path, ["probe", mode],
-                                {key: value}) == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "config",
-                       "detail": f"config key {key!r} is not an option of "
-                                 f"'probe {mode}'"}
+        else:
+            _run_with_config(tmp_path, ["probe", mode],
+                             {foreign[0].lstrip("-"): foreign[1]})
+    assert exc.value.code == 2
     assert not out.exists()  # rejected before anything was written
 
 
@@ -716,6 +703,7 @@ def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
     (["solve", "--case", "ex1-const-noise-h", "--ladder", "4",
       "--seed", "-1"], None),
     (["probe", "audit", "--samples", "10", "--seed", "-1"], None),
+    # a config file holds no option: its seed or tolerance is refused
     (["convergence", "--ladder", "4"], {"seed": -2}),
     # a tolerance of 1 or more takes any two iterates as converged
     (["convergence", "--ladder", "4,8", "--cond-tol", "1"], None),
@@ -742,13 +730,13 @@ def test_bad_seed_or_estimator_setting_exits_two(tmp_path, capsys, argv,
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_repeated_ladder_entry_exits_two(tmp_path, capsys, command, how):
     # a repeated N would put a 0/0 per-step rate (NaN, not JSON) into
-    # rates.json
+    # rates.json; the case refuses it, and a config file holds no ladder
     out = tmp_path / "run"
     if how == "flag":
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--ladder", "4,8,4", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "repeats an N" in capsys.readouterr().err
+        assert main([command, "--ladder", "4,8,4", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "config",
+                       "detail": "ladder (4, 8, 4) repeats an N"}
     else:
         assert _run_with_config(tmp_path, [command],
                                 {"ladder": [4, 4]}) == 2
@@ -756,21 +744,38 @@ def test_repeated_ladder_entry_exits_two(tmp_path, capsys, command, how):
     assert not out.exists()  # rejected before anything was written
 
 
+@pytest.mark.parametrize("command", [["solve"], ["convergence"],
+                                     ["probe", "fem"]],
+                         ids=["solve", "convergence", "probe-fem"])
+@pytest.mark.parametrize("ladder, detail", [
+    ("", "bad ladder ()"), ("0,8", "bad ladder (0, 8)"),
+    ("8,-4", "bad ladder (8, -4)"),
+], ids=["empty", "zero", "negative"])
+def test_bad_ladder_is_refused_by_the_case(tmp_path, capsys, command, ladder,
+                                           detail):
+    # --ladder only parses integers; an empty one is no default ladder
+    out = tmp_path / "run"
+    assert main([*command, "--ladder", ladder, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": detail}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["harmonic", "fem"])
 @pytest.mark.parametrize("resolution", [["0", "8"], ["8", "0"], ["8", "-3"]])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_probe_resolution_must_be_positive(tmp_path, capsys, mode,
                                            resolution, how):
+    # no probe mode takes --config, so neither can carry the resolution
     out = tmp_path / "run"
     argv = ["probe", mode] + (["--ladder", "4"] if mode == "fem" else [])
-    if how == "flag":
-        with pytest.raises(SystemExit) as exc:
+    with pytest.raises(SystemExit) as exc:
+        if how == "flag":
             main([*argv, "--resolution", *resolution, "--out", str(out)])
-        assert exc.value.code == 2
-    else:
-        config = {"resolution": [int(r) for r in resolution]}
-        assert _run_with_config(tmp_path, argv, config) == 2
-        _assert_config_error(tmp_path, capsys)
+        else:
+            _run_with_config(tmp_path, argv,
+                             {"resolution": [int(r) for r in resolution]})
+    assert exc.value.code == 2
     assert not out.exists()  # rejected before anything was written
 
 
