@@ -157,13 +157,23 @@ class CaseDefinition:
 
 
 def _finite(value, name) -> float:
-    """A finite inline-problem number; JSON's true and false are not."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    """A finite JSON number or numeric string; true and false are not."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _numbers(values, count, name) -> list:
+    """A list of ``count`` finite inline-problem numbers."""
+    if not isinstance(values, (list, tuple)) or len(values) != count:
+        raise ValueError(f"{name}: need {count} numbers, got {values!r}")
+    return [_finite(v, name) for v in values]
 
 
 def _keys(payload, allowed, name):
@@ -177,11 +187,14 @@ def _keys(payload, allowed, name):
 
 def _region_from(payload, name) -> Region:
     _keys(payload, ("boxes", "holes"), name)
+    boxes, holes = ([_numbers(box, 4, f"{name} {key}") for box in
+                     payload.get(key, [])] for key in ("boxes", "holes"))
     with warnings.catch_warnings():  # a zero area is refused below instead
         warnings.filterwarnings("ignore", "region has zero area")
-        region = Region(*([[_finite(c, f"{name} {key}") for c in box]
-                           for box in payload.get(key, [])]
-                          for key in ("boxes", "holes")))
+        try:
+            region = Region(boxes, holes)
+        except ValueError as exc:  # a box with x1 < x0 or y1 < y0
+            raise ValueError(f"{name} has a {exc}") from exc
     if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
            for x0, x1, y0, y1 in region.boxes):
         raise ValueError(f"{name} has a box outside the unit square")
@@ -191,18 +204,19 @@ def _region_from(payload, name) -> Region:
 
 
 def _field_from(payload):
-    kind = payload.get("kind", "const")
+    kind = payload.get("kind", "const") if isinstance(payload, dict) else None
     if kind == "const":
         _keys(payload, ("kind", "value"), "beta")
-        bx, by = payload.get("value", (1.0, 0.0))
-        return constant_field(*(_finite(b, "beta value") for b in (bx, by)))
+        return constant_field(*_numbers(payload.get("value", (1.0, 0.0)), 2,
+                                        "beta value"))
     if kind == "swirl":
         _keys(payload, ("kind", "scale"), "beta")
         return swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
     if kind == "zero":
         _keys(payload, ("kind",), "beta")
         return zero_field()
-    raise ValueError(f"unknown advection field kind {kind!r}")
+    raise ValueError(f"beta must be a const, swirl or zero field, "
+                     f"got {payload!r}")
 
 
 def case_from_problem(problem: dict, name: str = "custom") -> CaseDefinition:

@@ -11,24 +11,24 @@ and S_* the dual stabilizer.  The matrix M is symmetric (indefinite),
 bit for bit as assembled, and ``solve`` refuses one that is not.  It
 exists once, stored in its elimination order, which ``build_system``
 computes on the mesh nodes rather than on the unknowns: u and z live on
-the same nodes, so SuperLU's multiple minimum degree orders the graph of
-M folded onto the nodes, started from that graph's reverse Cuthill-McKee
-numbering (minimum degree breaks ties by the input numbering), and each
-node's u and z follow each other.  The ordering runs before ``solve``
-returns the C heap's free pages, which every solve does once, before
-its first factorization, so the ordering's work arrays do not stay
-resident under the factors.  SuperLU receives the stored CSR arrays as
-the CSC arrays of its transpose, which is the matrix itself, so no copy
-is made for it.  One loop tries two factorizations: the stored order
-without pivoting, then SuperLU's COLAMD order with partial pivoting;
-each solve with them takes at most one refinement step.  The first
-factors that pass the residual gate serve the solve and the condition
-estimate, which is given them and never factorizes; they are released
-when ``solve`` returns.  The estimate runs one power iteration twice:
-on M, and through the factors on M^-1.  Vectors move between the
-natural (u, z) numbering and the stored one only where they enter or
-leave: the solution, the stabilizer norms and the estimator's start
-vectors.
+the same nodes, and the face stencil of S_* couples every node pair that
+M couples, so SuperLU's multiple minimum degree orders the pattern of
+S_*, started from its reverse Cuthill-McKee numbering (minimum degree
+breaks ties by the input numbering), and each node's u and z follow each
+other.  The ordering runs before ``solve`` returns the C heap's free
+pages, which every solve does once, before its first factorization, so
+the ordering's work arrays do not stay resident under the factors.
+SuperLU receives the stored CSR arrays as the CSC arrays of its
+transpose, which is the matrix itself, so no copy is made for it.  One
+loop tries two factorizations: the stored order without pivoting, then
+SuperLU's COLAMD order with partial pivoting; each solve with them takes
+at most one refinement step.  The first factors that pass the residual
+gate serve the solve and the condition estimate, which is given them and
+never factorizes; they are released when ``solve`` returns.  The
+estimate runs one power iteration twice: on M, and through the factors
+on M^-1.  Vectors move between the natural (u, z) numbering and the
+stored one only where they enter or leave: the solution, the stabilizer
+norms and the estimator's start vectors.
 """
 
 from __future__ import annotations
@@ -90,31 +90,16 @@ class SaddleSystem:
                 float(np.sqrt(-(y @ (self.matrix @ y)))))
 
 
-def _node_graph(mat: sp.csr_matrix, n: int) -> sp.csr_matrix:
-    """The stored pattern of ``mat``, 2n by 2n, folded onto the n mesh
-    nodes: entry (i, j) becomes (i mod n, j mod n), symmetrized, with unit
-    off-diagonals and a diagonal of the row's off-diagonal count plus
-    one, so that no pivot of its factorization vanishes."""
-    columns_folded = sp.csr_matrix(
-        (np.ones(mat.nnz), mat.indices % n, mat.indptr), shape=(2 * n, n))
-    graph = (columns_folded[:n] + columns_folded[n:]
-             + sp.identity(n, format="csr"))
-    graph = graph + graph.T
-    graph.data[:] = 1.0
-    graph.setdiag(np.diff(graph.indptr))  # each row holds its diagonal
-    return graph
-
-
-def _node_order(mat: sp.csr_matrix, n: int) -> np.ndarray:
+def _node_order(dual: sp.csr_matrix) -> np.ndarray:
     """Elimination order of the mesh nodes: SuperLU's multiple minimum
-    degree on the node graph of ``mat``, started from the graph's reverse
-    Cuthill-McKee numbering.
+    degree on |S_*| + I (I keeps an all-zero dual orderable), started
+    from that graph's reverse Cuthill-McKee numbering.
 
     ``spilu`` with every off-diagonal dropped is the one call through
     which scipy returns SuperLU's ordering (as ``perm_c``, the position
     of each column) without a full factorization.
     """
-    graph = _node_graph(mat, n)
+    graph = abs(dual) + sp.identity(dual.shape[0], format="csr")
     rcm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
     seeded = graph[rcm][:, rcm]
     # the graph is symmetric, so its CSC view .T is the graph itself
@@ -143,7 +128,7 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     if len(b_data) != n or len(b_source) != n:
         raise ValueError("right-hand side length mismatch")
     mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="csr")
-    nodes = _node_order(mat, n)
+    nodes = _node_order(dual)
     order = np.empty(2 * n, dtype=nodes.dtype)
     order[0::2], order[1::2] = nodes, nodes + n
     stored = mat[order][:, order]

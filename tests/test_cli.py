@@ -258,6 +258,19 @@ def test_probe_fem_ladder(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) > 0
 
 
+def test_probe_fem_h1_norm(tmp_path):
+    def ratio(norm):
+        out = tmp_path / norm
+        assert main(["probe", "fem", "--ladder", "4", "--norm", norm,
+                     "--out", str(out)]) == 0
+        lines = (out / "probe_fem.csv").read_text().strip().splitlines()
+        assert lines[0] == "N,ratio" and len(lines) == 2
+        return float(lines[1].split(",")[1])
+
+    h1 = ratio("h1")
+    assert np.isfinite(h1) and h1 != ratio("l2")
+
+
 def test_probe_fem_non_finite_center_exits_two(tmp_path, capsys):
     # NaN compares False, so it would pass the disc-in-square check
     assert main(["probe", "fem", "--ladder", "4", "--center", "nan", "nan",
@@ -364,6 +377,13 @@ def test_inline_run_echoes_the_problem_it_ran(tmp_path, capsys):
     ("beta_sup", -5),
     ("noise", "loud"),
     ("noise", 0.5),
+    ("beta", 5),
+    ("beta", None),
+    ("beta", {"kind": "spiral"}),
+    ("beta", {"kind": "const", "value": [1]}),
+    ("omega", {"boxes": [[0.2, 0.45, 0.2]]}),
+    ("omega", {"boxes": [[0.45, 0.2, 0.2, 0.45]]}),
+    ("omega", {"boxes": [[0.2, 0.45, 0.2, 0.45]], "holes": [[0.3, 0.35]]}),
 ])
 def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -373,7 +393,22 @@ def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
                  "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
+    # the refusal names the key that holds the bad value
+    assert err["detail"].startswith(f"bad inline problem: {key} ")
     assert not list(tmp_path.glob("**/u_N*.csv"))
+
+
+def test_zero_beta_runs_as_the_zero_constant(tmp_path):
+    def table(beta):
+        problem = {**SWIRL_PROBLEM, "beta": beta}
+        run = tmp_path / beta["kind"]
+        run.mkdir()
+        assert _run_with_config(run, ["convergence", "--ladder", "4,8"],
+                                {"problem": problem}) == 0
+        return (run / "run" / "convergence.csv").read_bytes()
+
+    assert table({"kind": "zero"}) == table({"kind": "const",
+                                             "value": [0, 0]})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -674,6 +709,20 @@ def test_probe_counts_must_be_positive(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["probe", mode, flag, "0", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mesh-info", "4.5"], "not an integer: '4.5'"),
+    (["probe", "audit", "--samples", "ten"], "not an integer: 'ten'"),
+    (["solve", "--ladder", "8,x"], "bad ladder '8,x'"),
+], ids=["mesh-info", "probe-samples", "solve-ladder"])
+def test_non_integer_count_exits_two(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything was written
 
 
 @pytest.mark.parametrize("mode, foreign", [

@@ -7,7 +7,7 @@ import pytest
 
 from ucfem.experiments import get_case
 from ucfem.stability import (LogConvexityInstance, ThreeBallConfig,
-                             _polar_grid, audit_log_convexity,
+                             _disc_norms, _polar_grid, audit_log_convexity,
                              calibrate_exponent, harmonic_family_sweep,
                              harmonic_member, holder_exponent,
                              log_convexity_bound, probe_fem_solution,
@@ -88,6 +88,24 @@ def test_disc_quadrature_polynomial_oracles():
     # centered second moment: integral of (x-x0)^2 over the disc
     assert w @ (pts[:, 0] - center[0]) ** 2 == pytest.approx(
         np.pi * radius**4 / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [(4, 8), (64, 128)])
+def test_disc_norms_closed_form(resolution):
+    # u = x - x0 about (x0, y0): ||u||^2 = pi r^4 / 4 and ||grad u||^2 =
+    # pi r^2 on B_r, both integrated exactly by either grid
+    center, r = (0.4, 0.6), np.array([0.1, 0.2, 0.3])
+
+    def value(pts):
+        return pts[:, 0] - center[0]
+
+    def gradient(pts):
+        return np.column_stack([np.ones(len(pts)), np.zeros(len(pts))])
+
+    l2 = np.pi * r**4 / 4.0
+    for norm, expected in (("l2", l2), ("h1", l2 + np.pi * r**2)):
+        got = _disc_norms(value, gradient, center, r, norm, resolution)
+        np.testing.assert_allclose(np.square(got), expected, rtol=1e-14)
 
 
 def test_harmonic_member_gradient_and_validation():
