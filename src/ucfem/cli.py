@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: mesh-info, solve, convergence, probe; each probe mode (audit,
-kappa, harmonic, fem) is a subcommand of ``probe`` with only the options
-it reads.  Every option is a flag.  ``main`` runs each command the same
+Subcommands: mesh-info, solve, convergence and ``probe fem`` (``fem`` is
+the one mode of ``probe``), each with only the options it reads.  Every
+option is a flag.  ``main`` runs each command the same
 way: parse; check the seed; resolve the case (solve, convergence and
 ``probe fem``): ``--case``, or ``case_from_problem`` of the inline problem
 that ``--config PATH`` (or ``--config=PATH``) holds as its one key
@@ -34,9 +34,7 @@ from .experiments import (CaseDefinition, _csv_text, _keys,
                           case_from_problem, get_case, run_case, run_ladder)
 from .mesh import build_unit_square_mesh
 from .saddle import NumericalFailure
-from .stability import (ThreeBallConfig, audit_log_convexity,
-                        harmonic_family_sweep, holder_exponent,
-                        probe_fem_solution)
+from .stability import ThreeBallConfig, holder_exponent, probe_fem_solution
 
 
 class ConfigError(Exception):
@@ -68,31 +66,6 @@ def _ladder(text):
         return tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad ladder {text!r}") from exc
-
-
-# every option of ``probe``; each mode takes only the ones it reads
-_PROBE_OPTIONS = {
-    "--samples": dict(type=_positive_int, default=10_000),
-    "--seed": dict(type=int, default=2026),
-    "--radii": dict(type=float, nargs=3, default=(0.1, 0.2, 0.4)),
-    "--center": dict(type=float, nargs=2, default=(0.5, 0.5)),
-    "--c3": dict(type=float, default=1.0),
-    "--kmax": dict(type=_positive_int, default=8),
-    "--norm": dict(choices=["l2", "h1"], default="l2"),
-    "--resolution": dict(type=_positive_int, nargs=2, default=(96, 192)),
-    "--case": dict(default="ex1-const"),
-    "--ladder": dict(type=_ladder, default=(8, 16, 32)),
-    "--out": dict(default=".", help="output directory"),
-}
-_PROBE_MODES = {
-    "audit": ("log-convexity audit", ("--samples", "--seed")),
-    "kappa": ("three-ball exponent", ("--radii", "--c3")),
-    "harmonic": ("three-ball ratios of a harmonic family",
-                 ("--radii", "--center", "--kmax", "--norm", "--resolution")),
-    "fem": ("three-ball ratios of reconstructions along a ladder",
-            ("--seed", "--radii", "--center", "--c3", "--norm",
-             "--resolution", "--case", "--ladder")),
-}
 
 
 def _build_parser():
@@ -133,21 +106,31 @@ def _build_parser():
                         help="comparison function for the stabilizer norm")
 
     probe_p = sub.add_parser("probe", help="stability probes")
-    modes = probe_p.add_subparsers(dest="mode", required=True)
-    for mode, (help_text, flags) in _PROBE_MODES.items():
-        mode_p = modes.add_parser(mode, help=help_text)
-        for flag in (*flags, "--out"):
-            mode_p.add_argument(flag, **_PROBE_OPTIONS[flag])
+    fem_p = probe_p.add_subparsers(dest="mode", required=True).add_parser(
+        "fem", help="three-ball ratios of reconstructions along a ladder")
+    # 2026 is the seed earlier releases ran with, so their runs reproduce
+    fem_p.add_argument("--seed", type=int, default=2026)
+    fem_p.add_argument("--radii", type=float, nargs=3, default=(0.1, 0.2, 0.4))
+    fem_p.add_argument("--center", type=float, nargs=2, default=(0.5, 0.5))
+    fem_p.add_argument("--c3", type=float, default=1.0)
+    fem_p.add_argument("--norm", choices=["l2", "h1"], default="l2")
+    fem_p.add_argument("--resolution", type=_positive_int, nargs=2,
+                       default=(96, 192))
+    fem_p.add_argument("--case", default="ex1-const")
+    fem_p.add_argument("--ladder", type=_ladder, default=(8, 16, 32))
+    fem_p.add_argument("--out", default=".", help="output directory")
     return parser
 
 
 def _inline_case(args) -> CaseDefinition:
     """The case of the ``--config`` file's ``problem``, its one key; the
     payload and the case's name are echoed in ``config.json``."""
+    # json.load raises ValueError for text that is no JSON and for an
+    # integer past the 4300-digit limit of int(str)
     try:
         with open(args.config) as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     with _bad_input():
         _keys(values, ("problem",), "config")
@@ -220,38 +203,6 @@ def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     return 0
 
 
-def _probe_audit(args, case, out: Path) -> int:
-    report = audit_log_convexity(args.samples, args.seed)
-    report = {k: v for k, v in report.items() if k != "worst_instance"}
-    _write_json(out / "probe_audit.json", report)
-    print(json.dumps(report, sort_keys=True))
-    return 0 if report["violations"] == 0 else 3
-
-
-def _probe_kappa(args, case, out: Path) -> int:
-    with _bad_input():
-        value = holder_exponent(*args.radii, args.c3)
-    _write_json(out / "probe_kappa.json",
-                {"radii": args.radii, "c3": args.c3, "kappa": value})
-    print(f"kappa = {value}")
-    return 0
-
-
-def _probe_harmonic(args, case, out: Path) -> int:
-    # its ValueErrors come from the disc geometry (ThreeBallConfig)
-    with _bad_input():
-        report = harmonic_family_sweep(tuple(args.center), tuple(args.radii),
-                                       args.kmax, args.norm,
-                                       tuple(args.resolution))
-    (out / "probe_harmonic.csv").write_text(_csv_text(
-        ("k", "ratio"), enumerate(report["ratios"], start=1)), newline="")
-    _write_json(out / "probe_harmonic.json",
-                {k: v for k, v in report.items() if k != "ratios"})
-    print(f"kappa={report['kappa']:.6f} c3={report['c3']:.6f} "
-          f"max ratio={report['max_ratio']:.6f}")
-    return 0
-
-
 def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
     with _bad_input():
         kappa = holder_exponent(*args.radii, args.c3)
@@ -267,9 +218,7 @@ def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
 
 # keyed by command, or by mode for probe
 _HANDLERS = {"solve": _cmd_solve, "convergence": _cmd_convergence,
-             "fem": _probe_fem, "mesh-info": _cmd_mesh_info,
-             "audit": _probe_audit, "kappa": _probe_kappa,
-             "harmonic": _probe_harmonic}
+             "fem": _probe_fem, "mesh-info": _cmd_mesh_info}
 _CASE_JOBS = ("solve", "convergence", "fem")
 
 

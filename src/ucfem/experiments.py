@@ -164,6 +164,9 @@ def _finite(value, name) -> float:
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large "
+                         f"for a double") from None
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -187,8 +190,12 @@ def _keys(payload, allowed, name):
 
 def _region_from(payload, name) -> Region:
     _keys(payload, ("boxes", "holes"), name)
-    boxes, holes = ([_numbers(box, 4, f"{name} {key}") for box in
-                     payload.get(key, [])] for key in ("boxes", "holes"))
+    lists = {key: payload.get(key, []) for key in ("boxes", "holes")}
+    for key, value in lists.items():
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} {key} must be a list, got {value!r}")
+    boxes, holes = ([_numbers(box, 4, f"{name} {key}") for box in boxes]
+                    for key, boxes in lists.items())
     with warnings.catch_warnings():  # a zero area is refused below instead
         warnings.filterwarnings("ignore", "region has zero area")
         try:
@@ -225,6 +232,8 @@ def case_from_problem(problem: dict, name: str = "custom") -> CaseDefinition:
     try:
         _keys(problem, ("omega", "target", "beta", "beta_sup", "mu", "gamma",
                         "gamma_star", "boundary_factor", "noise"), "problem")
+        if "omega" not in problem:
+            raise ValueError("omega is missing: the measurement region")
         exact, beta = polynomial_bump(), _field_from(problem.get("beta", {}))
         sup = problem.get("beta_sup")
         # the stabilization parameters not given keep ProblemSpec's defaults

@@ -224,31 +224,6 @@ def test_out_that_is_no_directory_exits_two(tmp_path, capsys, sub):
     assert err["error"] == "config" and str(afile) in err["detail"]
 
 
-def test_probe_kappa(tmp_path, capsys):
-    assert main(["probe", "kappa", "--radii", "0.1", "0.2", "0.4",
-                 "--c3", "1.0", "--out", str(tmp_path)]) == 0
-    assert "kappa = 0.5" in capsys.readouterr().out
-    payload = json.loads((tmp_path / "probe_kappa.json").read_text())
-    assert payload["kappa"] == pytest.approx(0.5)
-
-
-def test_probe_audit_small_sample(tmp_path, capsys):
-    assert main(["probe", "audit", "--samples", "200", "--seed", "1",
-                 "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "probe_audit.json").read_text())
-    assert report["violations"] == 0
-    assert report["samples"] == 200
-
-
-def test_probe_harmonic_csv(tmp_path, capsys):
-    assert main(["probe", "harmonic", "--kmax", "4",
-                 "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "probe_harmonic.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,ratio"
-    assert len(lines) == 5
-    assert "max ratio" in capsys.readouterr().out
-
-
 def test_probe_fem_ladder(tmp_path, capsys):
     assert main(["probe", "fem", "--case", "ex1-const", "--ladder", "8",
                  "--out", str(tmp_path)]) == 0
@@ -322,6 +297,7 @@ def _assert_config_error(tmp_path, capsys):
 SWIRL_PROBLEM = {"beta": {"kind": "swirl", "scale": 10.0},
                  "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}}
 EX1_CONST = experiments._PROBLEMS["ex1-const"]
+MISSING = object()  # a key left out of the payload
 
 
 @pytest.mark.parametrize("argv, config, detail", [
@@ -384,10 +360,18 @@ def test_inline_run_echoes_the_problem_it_ran(tmp_path, capsys):
     ("omega", {"boxes": [[0.2, 0.45, 0.2]]}),
     ("omega", {"boxes": [[0.45, 0.2, 0.2, 0.45]]}),
     ("omega", {"boxes": [[0.2, 0.45, 0.2, 0.45]], "holes": [[0.3, 0.35]]}),
+    pytest.param("mu", 10**400, id="mu-beyond-double"),
+    pytest.param("omega", {"boxes": [[0.2, 10**400, 0.2, 0.45]]},
+                 id="omega-box-beyond-double"),
+    pytest.param("omega", {"boxes": 5}, id="omega-boxes-not-a-list"),
+    pytest.param("omega", MISSING, id="omega-missing"),
+    ("boundary_factor", 0.5),
 ])
 def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
+    problem = {k: v for k, v in {**SWIRL_PROBLEM, key: value}.items()
+               if v is not MISSING}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": {**SWIRL_PROBLEM, key: value}}))
+    cfg.write_text(json.dumps({"problem": problem}))
     out = tmp_path / "run"
     assert main(["solve", "--config", str(cfg), "--ladder", "4",
                  "--out", str(out)]) == 2
@@ -691,11 +675,10 @@ def test_cond_exact_obeys_the_solver_dense_limit(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ["kappa", "--c3", "0"],
-    ["kappa", "--radii", "0.3", "0.2", "0.1"],
+    ["fem", "--c3", "0"],
+    ["fem", "--center", "0.05", "0.5"],
     ["fem", "--radii", "0.3", "0.2", "0.1"],
     ["fem", "--radii", "0.1", "0.2", "0.9"],
-    ["harmonic", "--radii", "0.1", "0.2", "0.9"],
 ])
 def test_probe_bad_geometry_exits_two(tmp_path, capsys, argv):
     assert main(["probe", *argv, "--out", str(tmp_path)]) == 2
@@ -703,19 +686,11 @@ def test_probe_bad_geometry_exits_two(tmp_path, capsys, argv):
     assert err["error"] == "config"
 
 
-@pytest.mark.parametrize("flag", ["--kmax", "--samples"])
-def test_probe_counts_must_be_positive(tmp_path, flag):
-    mode = "harmonic" if flag == "--kmax" else "audit"
-    with pytest.raises(SystemExit) as exc:
-        main(["probe", mode, flag, "0", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize("argv, message", [
     (["mesh-info", "4.5"], "not an integer: '4.5'"),
-    (["probe", "audit", "--samples", "ten"], "not an integer: 'ten'"),
+    (["probe", "fem", "--resolution", "8", "x"], "not an integer: 'x'"),
     (["solve", "--ladder", "8,x"], "bad ladder '8,x'"),
-], ids=["mesh-info", "probe-samples", "solve-ladder"])
+], ids=["mesh-info", "probe-resolution", "solve-ladder"])
 def test_non_integer_count_exits_two(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
@@ -725,10 +700,11 @@ def test_non_integer_count_exits_two(tmp_path, capsys, argv, message):
     assert not out.exists()  # rejected before anything was written
 
 
+# options of the deleted probe modes and of other commands
 @pytest.mark.parametrize("mode, foreign", [
-    ("audit", ["--norm", "h1"]),
-    ("kappa", ["--case", "nope"]),
-    ("harmonic", ["--ladder", "4"]),
+    ("fem", ["--kmax", "4"]),
+    ("fem", ["--cond", "exact"]),
+    ("fem", ["--projection", "nodal"]),
     ("fem", ["--samples", "50"]),
 ])
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -746,12 +722,32 @@ def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
     assert not out.exists()  # rejected before anything was written
 
 
+@pytest.mark.parametrize("mode", ["audit", "kappa", "harmonic"])
+def test_removed_probe_modes_exit_two(tmp_path, capsys, mode):
+    # their lemma checks stay in ucfem.stability (tests/test_stability.py)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", mode, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{mode}'" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything was written
+
+
+def test_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer of over 4300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problem": {"mu": 1' + "0" * 5000 + "}}")
+    assert main(["solve", "--config", str(cfg), "--ladder", "4",
+                 "--out", str(tmp_path / "run")]) == 2
+    _assert_config_error(tmp_path, capsys)
+
+
 @pytest.mark.parametrize("argv, config", [
     (["convergence", "--ladder", "4", "--cond-cap", "0"], None),
     (["convergence", "--ladder", "4", "--cond-tol", "-1"], None),
     (["solve", "--case", "ex1-const-noise-h", "--ladder", "4",
       "--seed", "-1"], None),
-    (["probe", "audit", "--samples", "10", "--seed", "-1"], None),
+    (["probe", "fem", "--seed", "-1"], None),
     # a config file holds no option: its seed or tolerance is refused
     (["convergence", "--ladder", "4"], {"seed": -2}),
     # a tolerance of 1 or more takes any two iterates as converged
@@ -760,7 +756,7 @@ def test_probe_mode_rejects_a_foreign_option(tmp_path, capsys, mode, foreign,
     (["convergence", "--ladder", "4,8", "--cond-tol", "nan"], None),
     (["convergence", "--ladder", "4,8"], {"cond_tol": 5}),
 ], ids=["cond-cap-0", "cond-tol-negative", "seed-noisy-solve",
-        "seed-probe-audit", "seed-config-file", "cond-tol-one",
+        "seed-probe-fem", "seed-config-file", "cond-tol-one",
         "cond-tol-inf", "cond-tol-nan", "cond-tol-config-file"])
 def test_bad_seed_or_estimator_setting_exits_two(tmp_path, capsys, argv,
                                                  config):
@@ -810,14 +806,14 @@ def test_bad_ladder_is_refused_by_the_case(tmp_path, capsys, command, ladder,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["harmonic", "fem"])
+@pytest.mark.parametrize("mode", ["fem"])
 @pytest.mark.parametrize("resolution", [["0", "8"], ["8", "0"], ["8", "-3"]])
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_probe_resolution_must_be_positive(tmp_path, capsys, mode,
                                            resolution, how):
     # no probe mode takes --config, so neither can carry the resolution
     out = tmp_path / "run"
-    argv = ["probe", mode] + (["--ladder", "4"] if mode == "fem" else [])
+    argv = ["probe", mode, "--ladder", "4"]
     with pytest.raises(SystemExit) as exc:
         if how == "flag":
             main([*argv, "--resolution", *resolution, "--out", str(out)])

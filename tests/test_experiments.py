@@ -12,7 +12,7 @@ from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, ConvergenceRow,
                                NoiseModel, apply_noise, builtin_cases,
                                derive_source, discretize, error_norms,
                                estimate_rate, get_case, polynomial_bump,
-                               run_case, ExactSolution)
+                               run_case, run_ladder, ExactSolution)
 from ucfem.fem import interpolate
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.saddle import build_system
@@ -329,6 +329,19 @@ def test_run_case_short_ladder_basics(monkeypatch):
     rd = table.rates_dict()
     assert isinstance(rd["err_l2_B"]["slope"], float)
     assert len(rd["err_l2_B"]["per_step"]) == 1
+
+
+def test_nodal_projection_changes_only_the_primal_stabilizer_norm():
+    case = replace(get_case("ex1-const"), ladder=(8,))
+    [l2], [nodal] = (run_case(case, projection=p).rows
+                     for p in ("l2", "nodal"))
+    assert (nodal.err_l2_B, nodal.err_h1_B, nodal.sstar_norm) == \
+        (l2.err_l2_B, l2.err_h1_B, l2.sstar_norm)
+    # s(e, e)^(1/2) of e = I_h u - u_h, the nodal interpolant's error
+    [by_hand] = run_ladder(case, lambda rung: rung.system.stabilizer_norms(
+        interpolate(case.exact.value, rung.mesh).coefficients
+        - rung.solution.u.coefficients, rung.solution.z.coefficients)[0])
+    assert nodal.s_norm == by_hand != l2.s_norm
 
 
 def test_run_case_noisy_is_deterministic():

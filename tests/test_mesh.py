@@ -164,6 +164,15 @@ def test_region_with_hole_is_open_complement():
     assert frame.contains(on_frame).all()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Mesh(0), "cells_per_side must be >= 1"),
+    (lambda: Region([(0.2, float("nan"), 0.2, 0.4)]), "non-finite box"),
+], ids=["mesh-zero-cells", "region-nan-box"])
+def test_mesh_and_region_refuse_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_empty_region_warns():
     with pytest.warns(UserWarning):
         region = Region([(0.2, 0.2, 0.3, 0.4)])

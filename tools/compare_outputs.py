@@ -133,10 +133,6 @@ def command_matrix() -> dict[str, list[str]]:
     runs["probe-fem-noise-h-seed0"] = [
         "probe", "fem", "--case", "ex1-const-noise-h", "--ladder", "8",
         "--seed", "0"]
-    runs["probe-audit"] = ["probe", "audit", "--samples", "200"]
-    runs["probe-kappa"] = ["probe", "kappa"]
-    runs["probe-harmonic"] = ["probe", "harmonic", "--kmax", "3",
-                              "--resolution", "16", "32"]
     runs["mesh-info-32"] = ["mesh-info", "32"]
     runs["solve-inline-swirl"] = [
         "solve", "--config", "problem.json", "--ladder", "16,32"]
