@@ -1,21 +1,20 @@
 """Command-line front end.
 
-Subcommands: mesh-info, solve, convergence and ``probe fem`` (``fem`` is
-the one mode of ``probe``), each with only the options it reads.  Every
-option is a flag.  ``main`` runs each command the same
-way: parse; check the seed; resolve the case (solve, convergence and
-``probe fem``): ``--case``, or ``case_from_problem`` of the inline problem
-that ``--config PATH`` (or ``--config=PATH``) holds as its one key
-``problem``, with ``--ladder``, the cond flags and ``--seed`` folded in;
-echo the resolved configuration, with the inline problem if any, to
-``config.json`` in the output directory; run the handler.  Bad input
-exits with 2, and an unknown or bad case, a bad ladder, a
-condition-number setting that cannot run or an ``--out`` that is no
-directory does so before anything is written; numerical failures exit
-with 3.  Every CSV table is written by
-``experiments._csv_text``; the columns of ``convergence.csv`` are the
-fields of ``ConvergenceRow``.  Outputs are deterministic for a fixed
-configuration and seed (timings to stderr).
+Subcommands: solve, convergence and ``probe fem`` (``fem`` is the one mode
+of ``probe``), each with only the options it reads.  Every option is a
+flag.  ``main`` runs every command the same way: parse; check the seed;
+resolve the run: the case (``--case``, or ``case_from_problem`` of the
+inline problem that ``--config PATH`` (or ``--config=PATH``) holds as its
+one key ``problem``, with ``--ladder``, the cond flags and ``--seed``
+folded in), and for ``probe fem`` its ``ThreeBallConfig``; echo the
+configuration, with the inline problem if any, to ``config.json`` in the
+output directory; run the handler.  Bad input exits with 2, and an
+unknown or bad case, a bad ladder, a condition-number setting that
+cannot run, a bad disc geometry or ``--c3`` and an ``--out`` that is no
+directory do so before anything is written; numerical failures exit with
+3.  Every CSV table is written by ``experiments._csv_text``; the columns
+of ``convergence.csv`` are the fields of ``ConvergenceRow``.  Outputs are
+deterministic for a fixed configuration and seed (timings to stderr).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from . import __version__
 from .experiments import (CaseDefinition, _csv_text, _keys,
                           case_from_problem, get_case, run_case, run_ladder)
-from .mesh import build_unit_square_mesh
 from .saddle import NumericalFailure
 from .stability import ThreeBallConfig, holder_exponent, probe_fem_solution
 
@@ -75,11 +73,6 @@ def _build_parser():
                     "diffusion problems on the unit square.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    mesh_p = sub.add_parser("mesh-info", help="mesh counts and size")
-    mesh_p.add_argument("cells", type=_positive_int,
-                        help="cells per side (>= 1)")
-    mesh_p.add_argument("--out", default=None, help="output directory")
 
     def common(p, ladder_default=None):
         problem = p.add_mutually_exclusive_group()
@@ -139,7 +132,9 @@ def _inline_case(args) -> CaseDefinition:
     return case
 
 
-def _resolve_case(args) -> CaseDefinition:
+def _resolve_run(args) -> tuple:
+    """The handler's inputs after ``args`` and ``out``: the case, and for
+    ``probe fem`` its discs; every refusal of a command is raised here."""
     if getattr(args, "config", None) is not None:
         case = _inline_case(args)
     else:
@@ -148,12 +143,17 @@ def _resolve_case(args) -> CaseDefinition:
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
     with _bad_input():  # the case refuses a ladder or cond setting
-        return replace(
+        case = replace(
             case, ladder=case.ladder if args.ladder is None else args.ladder,
             noise=case.noise and replace(case.noise, seed=args.seed),
             cond=getattr(args, "cond", case.cond),
             cond_tol=getattr(args, "cond_tol", case.cond_tol),
             cond_max_iter=getattr(args, "cond_cap", case.cond_max_iter))
+        if args.command != "probe":
+            return (case,)
+        kappa = holder_exponent(*args.radii, args.c3)
+        return case, ThreeBallConfig(tuple(args.center), tuple(args.radii),
+                                     kappa, args.norm)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -162,15 +162,7 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _cmd_mesh_info(args, case, out) -> int:
-    summary = build_unit_square_mesh(args.cells).summary()
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if out is not None:
-        _write_json(out / "mesh.json", summary)
-    return 0
-
-
-def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
+def _cmd_solve(args, out: Path, case: CaseDefinition) -> int:
     def visit(rung):
         sol = rung.solution
         sol.u.to_csv(out / f"u_N{rung.N}.csv")
@@ -192,7 +184,7 @@ def _cmd_solve(args, case: CaseDefinition, out: Path) -> int:
     return 0
 
 
-def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
+def _cmd_convergence(args, out: Path, case: CaseDefinition) -> int:
     table = run_case(case, projection=args.projection)
     text = table.to_csv_string()
     (out / "convergence.csv").write_text(text, newline="")
@@ -203,11 +195,8 @@ def _cmd_convergence(args, case: CaseDefinition, out: Path) -> int:
     return 0
 
 
-def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
-    with _bad_input():
-        kappa = holder_exponent(*args.radii, args.c3)
-        config = ThreeBallConfig(tuple(args.center), tuple(args.radii),
-                                 kappa, args.norm)
+def _probe_fem(args, out: Path, case: CaseDefinition,
+               config: ThreeBallConfig) -> int:
     pairs = probe_fem_solution(case, config, tuple(args.resolution))
     (out / "probe_fem.csv").write_text(_csv_text(("N", "ratio"), pairs),
                                        newline="")
@@ -216,30 +205,25 @@ def _probe_fem(args, case: CaseDefinition, out: Path) -> int:
     return 0
 
 
-# keyed by command, or by mode for probe
 _HANDLERS = {"solve": _cmd_solve, "convergence": _cmd_convergence,
-             "fem": _probe_fem, "mesh-info": _cmd_mesh_info}
-_CASE_JOBS = ("solve", "convergence", "fem")
+             "probe": _probe_fem}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    job = getattr(args, "mode", args.command)
     try:
-        if getattr(args, "seed", 0) < 0:
+        if args.seed < 0:
             raise ConfigError(f"--seed must be an integer >= 0, "
                               f"got {args.seed!r}")
-        case = _resolve_case(args) if job in _CASE_JOBS else None
-        out = None if args.out is None else Path(args.out)
-        if out is not None:
-            try:
-                out.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ConfigError(f"--out {out}: {exc}") from exc
-            if job != "mesh-info":  # every other run echoes its config
-                _write_json(out / "config.json",
-                            {**vars(args), "version": __version__})
-        return _HANDLERS[job](args, case, out)
+        run = _resolve_run(args)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: {exc}") from exc
+        _write_json(out / "config.json",
+                    {**vars(args), "version": __version__})
+        return _HANDLERS[args.command](args, out, *run)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}),
               file=sys.stderr)

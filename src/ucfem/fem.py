@@ -170,17 +170,17 @@ def l2_project(u, mesh: Mesh) -> FeFunction:
     scale = np.linalg.norm(rhs)
 
     def residual(c):
-        return np.linalg.norm(mm @ c - rhs) / scale if scale > 0 else 0.0
+        return np.linalg.norm(mm @ c - rhs) / scale if scale != 0 else 0.0
 
     # Jacobi-preconditioned P1 mass matrices have condition number <= 4
     # (Wathen 1987), so CG gains a factor 3 per step; the cap only stops
     # a stagnating iteration, which then takes the direct path.
     coeffs, info = spla.cg(mm, rhs, rtol=1e-14, maxiter=100,
                            M=sp.diags(1.0 / mm.diagonal()))
-    if info != 0 or residual(coeffs) > 1e-12:
+    if info != 0 or not residual(coeffs) <= 1e-12:
         coeffs = spla.spsolve(mm.tocsc(), rhs)
         rel = residual(coeffs)
-        if rel > 1e-12:
+        if not rel <= 1e-12:
             raise NumericalFailure(
                 f"mass solve residual {rel:.3e} exceeds 1e-12")
     return FeFunction(mesh, coeffs)

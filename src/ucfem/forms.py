@@ -92,10 +92,10 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.gamma <= 0 or self.gamma_star <= 0:
-            raise ValueError("stabilization parameters must be positive")
+        for name in ("mu", "gamma", "gamma_star"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)}")
         if self.beta_sup is not None and self.beta_sup < 0:
             raise ValueError(
                 f"beta_sup must be non-negative, got {self.beta_sup}")

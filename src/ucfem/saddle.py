@@ -128,12 +128,15 @@ def build_system(pde, primal, dual, b_data, b_source) -> SaddleSystem:
     if len(b_data) != n or len(b_source) != n:
         raise ValueError("right-hand side length mismatch")
     mat = sp.bmat([[primal, pde.T], [pde, -dual]], format="csr")
+    rhs = np.concatenate([b_data, b_source])
+    # a finite parameter near the largest double can overflow assembly
+    if not (np.isfinite(mat.data).all() and np.isfinite(rhs).all()):
+        raise NumericalFailure("assembled system has non-finite entries")
     nodes = _node_order(dual)
     order = np.empty(2 * n, dtype=nodes.dtype)
     order[0::2], order[1::2] = nodes, nodes + n
     stored = mat[order][:, order]
     stored.sort_indices()  # canonical: splu then leaves the arrays alone
-    rhs = np.concatenate([b_data, b_source])
     return SaddleSystem(stored, rhs[order], n, order)
 
 
@@ -333,7 +336,7 @@ def _check_estimator(tol, max_iter):
     """Reject a tolerance outside (0, 1) or an iteration cap below 1."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    if not max_iter >= 1:
+    if not (np.issubdtype(type(max_iter), np.integer) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer >= 1, "
                          f"got {max_iter!r}")
 

@@ -1,33 +1,24 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import copy
 import csv
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucfem import __version__, experiments
 from ucfem.cli import main
 from ucfem.experiments import get_case, run_case
 from ucfem.stability import ThreeBallConfig, probe_fem_solution
-
-
-def test_mesh_info_outputs(tmp_path, capsys):
-    assert main(["mesh-info", "8", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    summary = json.loads(out)
-    assert summary["nodes"] == 81
-    assert summary["triangles"] == 128
-    assert summary["h"] == pytest.approx(1.0 / 9.0)
-    assert (tmp_path / "mesh.json").read_text().strip() == out.strip()
-
-
-def test_mesh_info_rejects_zero_cells():
-    with pytest.raises(SystemExit) as exc:
-        main(["mesh-info", "0"])
-    assert exc.value.code == 2
 
 
 def test_version_flag(capsys):
@@ -137,13 +128,15 @@ def test_condnum_estimate_cap_leaves_the_flag_false(tmp_path, capsys):
 
 
 def test_condnum_is_an_unknown_command(tmp_path, capsys):
-    # condition numbers along a ladder come from convergence --cond
+    # condition numbers along a ladder come from convergence --cond, and
+    # mesh counts from Mesh(n).summary(): every command reconstructs
     out = tmp_path / "run"
-    with pytest.raises(SystemExit) as exc:
-        main(["condnum", "--ladder", "4", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "invalid choice: 'condnum'" in capsys.readouterr().err
-    assert not out.exists()
+    for argv in (["condnum", "--ladder", "4"], ["mesh-info", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_convergence_csv_is_run_case_of_the_resolved_case(tmp_path):
@@ -248,11 +241,12 @@ def test_probe_fem_h1_norm(tmp_path):
 
 def test_probe_fem_non_finite_center_exits_two(tmp_path, capsys):
     # NaN compares False, so it would pass the disc-in-square check
+    out = tmp_path / "run"
     assert main(["probe", "fem", "--ladder", "4", "--center", "nan", "nan",
-                 "--resolution", "8", "8", "--out", str(tmp_path)]) == 2
+                 "--resolution", "8", "8", "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and "finite" in err["detail"]
-    assert not list(tmp_path.glob("probe_*"))
+    assert not out.exists()
 
 
 def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
@@ -366,6 +360,8 @@ def test_inline_run_echoes_the_problem_it_ran(tmp_path, capsys):
     pytest.param("omega", {"boxes": 5}, id="omega-boxes-not-a-list"),
     pytest.param("omega", MISSING, id="omega-missing"),
     ("boundary_factor", 0.5),
+    ("gamma", -1),
+    ("gamma_star", 0),
 ])
 def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
     problem = {k: v for k, v in {**SWIRL_PROBLEM, key: value}.items()
@@ -380,6 +376,77 @@ def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
     # the refusal names the key that holds the bad value
     assert err["detail"].startswith(f"bad inline problem: {key} ")
     assert not list(tmp_path.glob("**/u_N*.csv"))
+
+
+@pytest.mark.parametrize("key", ["mu", "gamma", "gamma_star",
+                                 "boundary_factor", "beta_sup"])
+def test_overflowing_inline_number_exits_three(tmp_path, capsys, key):
+    # finite, so the case takes it, but assembly overflows to inf
+    assert _run_with_config(tmp_path, ["solve", "--ladder", "2"],
+                            {"problem": {**SWIRL_PROBLEM, key: 1e308}}) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "numerical",
+                   "detail": "assembled system has non-finite entries"}
+
+
+# every key of an inline problem, also those no built-in payload holds
+_PROBLEM_KEYS = ("omega", "target", "beta", "beta_sup", "mu", "gamma",
+                 "gamma_star", "boundary_factor", "noise")
+_SWAPS = st.one_of(
+    st.sampled_from([None, True, "x", "-1", 10**400, 1e308, [], {},
+                     {"x": 1.0}]),
+    st.sampled_from([1, 3, 5]).flatmap(
+        lambda n: st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)))
+
+
+def _key_paths(value, path=()):
+    """Every key path into a JSON value: dict keys and list indices."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield path + (key,)
+            yield from _key_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_payloads(draw):
+    """A built-in payload with one dict key dropped or one value swapped
+    for a JSON value of another kind, and the first key of that path."""
+    name = draw(st.sampled_from(sorted(experiments._PROBLEMS)))
+    problem = copy.deepcopy(experiments._PROBLEMS[name])
+    # each key is as likely as any other, however deep its value
+    key = draw(st.sampled_from(_PROBLEM_KEYS))
+    path = draw(st.sampled_from([(key,), *_key_paths(problem.get(key),
+                                                     (key,))]))
+    parent = reduce(lambda node, step: node[step], path[:-1], problem)
+    if isinstance(parent, dict) and path[-1] in parent and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_SWAPS)
+    return problem, key
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_mutated_payloads())
+def test_any_payload_mutation_exits_zero_two_or_three(mutation):
+    # exit 2 names the key and writes nothing; no exception escapes
+    problem, key = mutation
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # the two documented warnings; any other UserWarning still fails
+        warnings.filterwarnings("ignore", "declared beta_sup")
+        warnings.filterwarnings("ignore", "data region contains no "
+                                          "quadrature point")
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "run"
+        cfg.write_text(json.dumps({"problem": problem}))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["solve", "--config", str(cfg), "--ladder", "2",
+                         "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            detail = json.loads(err.getvalue().splitlines()[-1])["detail"]
+            assert detail.startswith(f"bad inline problem: {key} ")
+            assert not out.exists()
 
 
 def test_zero_beta_runs_as_the_zero_constant(tmp_path):
@@ -679,18 +746,20 @@ def test_cond_exact_obeys_the_solver_dense_limit(tmp_path, capsys,
     ["fem", "--center", "0.05", "0.5"],
     ["fem", "--radii", "0.3", "0.2", "0.1"],
     ["fem", "--radii", "0.1", "0.2", "0.9"],
+    ["fem", "--radii", "nan", "0.2", "0.4"],
 ])
 def test_probe_bad_geometry_exits_two(tmp_path, capsys, argv):
-    assert main(["probe", *argv, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "run"
+    assert main(["probe", *argv, "--ladder", "4", "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
+    assert not out.exists()  # the discs are checked before config.json
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["mesh-info", "4.5"], "not an integer: '4.5'"),
     (["probe", "fem", "--resolution", "8", "x"], "not an integer: 'x'"),
     (["solve", "--ladder", "8,x"], "bad ladder '8,x'"),
-], ids=["mesh-info", "probe-resolution", "solve-ladder"])
+], ids=["probe-resolution", "solve-ladder"])
 def test_non_integer_count_exits_two(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:

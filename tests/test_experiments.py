@@ -264,6 +264,7 @@ def test_run_case_argument_validation():
     (dict(cond="sometimes"), "unknown cond mode 'sometimes'"),
     (dict(cond="estimate", cond_tol=5), "tol must lie in (0, 1), got 5"),
     (dict(cond_max_iter=0), "max_iter must be an integer >= 1, got 0"),
+    (dict(cond_max_iter=2.5), "max_iter must be an integer >= 1, got 2.5"),
     # N = 64 gives dimension 2 * 65**2 = 8450
     (dict(cond="exact", ladder=(8, 64)),
      "dense SVD guarded to dimension 2000, got 8450"),
@@ -275,7 +276,8 @@ def test_run_case_argument_validation():
     (dict(ladder=(4.5, 8)), "bad ladder (4.5, 8)"),
     (dict(ladder=(True, 4)), "bad ladder (True, 4)"),
     (dict(ladder=("8", 16)), "bad ladder ('8', 16)"),
-], ids=["unknown-cond", "tol", "cap", "exact-beyond-dense-limit",
+], ids=["unknown-cond", "tol", "cap", "cap-float",
+        "exact-beyond-dense-limit",
         "empty-ladder", "ladder-below-one", "ladder-repeats-n",
         "ladder-float", "ladder-bool", "ladder-string"])
 def test_bad_cond_setting_is_refused_before_any_work(monkeypatch, settings,

@@ -251,6 +251,13 @@ def test_l2_project_raises_when_both_paths_miss_the_gate(monkeypatch):
         l2_project(_smooth, mesh)
 
 
+def test_l2_project_raises_on_nan_data():
+    # NaN meets no "> 1e-12" test, so each gate reads "not <= 1e-12"
+    with pytest.raises(fem.NumericalFailure, match="residual nan"):
+        l2_project(lambda p: np.full(len(p), np.nan),
+                   build_unit_square_mesh(4))
+
+
 @pytest.mark.parametrize("case", builtin_cases(), ids=lambda c: c.name)
 def test_l2_project_cg_agrees_with_direct_solve(monkeypatch, case):
     mesh = build_unit_square_mesh(32)

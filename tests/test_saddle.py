@@ -427,6 +427,21 @@ def test_build_system_validates_shapes():
         build_system(a, a, a, np.zeros(3), np.zeros(4))
 
 
+
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_build_system_refuses_non_finite_entries(where):
+    # a finite parameter near the largest double overflows assembly; the
+    # node order (spilu) would fail on it with a bare RuntimeError
+    a = sp.eye(4, format="lil")
+    b = np.zeros(4)
+    if where == "matrix":
+        a[1, 2] = a[2, 1] = np.inf
+    else:
+        b[3] = np.inf
+    a = a.tocsr()
+    with pytest.raises(NumericalFailure, match="non-finite entries"):
+        build_system(a, sp.eye(4, format="csr"), a, b, np.zeros(4))
+
 # definite, and symmetric indefinite with the sign structure of M: the
 # power iteration runs on the square, where both signs look alike
 @pytest.mark.parametrize("diag", [[4.0, 2.0, 1.0, 0.5],
@@ -774,7 +789,7 @@ def test_estimate_rejects_a_tolerance_outside_the_unit_interval(tol):
         estimate_condition_number(system, factors(system), tol=tol)
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5])
 def test_estimate_rejects_an_iteration_cap_below_one(max_iter):
     _, _, _, system = case_system("ex1-const", n=4)
     with pytest.raises(ValueError, match="max_iter"):
@@ -783,9 +798,10 @@ def test_estimate_rejects_an_iteration_cap_below_one(max_iter):
 
 @pytest.mark.parametrize("setting", [{"cond_tol": 5}, {"cond_tol": 0.0},
                                      {"cond_max_iter": 0},
-                                     {"cond_max_iter": -3}],
+                                     {"cond_max_iter": -3},
+                                     {"cond_max_iter": 2.5}],
                          ids=["tol-5", "tol-0", "max-iter-0",
-                              "max-iter-minus-3"])
+                              "max-iter-minus-3", "max-iter-2.5"])
 def test_solve_checks_the_estimator_before_factorizing(monkeypatch, setting):
     _, mesh, _, system = case_system("ex1-const", n=4)
     calls = []

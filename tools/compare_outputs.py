@@ -133,7 +133,8 @@ def command_matrix() -> dict[str, list[str]]:
     runs["probe-fem-noise-h-seed0"] = [
         "probe", "fem", "--case", "ex1-const-noise-h", "--ladder", "8",
         "--seed", "0"]
-    runs["mesh-info-32"] = ["mesh-info", "32"]
+    # a refused disc geometry: exit 2 and nothing written
+    runs["probe-fem-bad-c3"] = ["probe", "fem", "--ladder", "4", "--c3", "0"]
     runs["solve-inline-swirl"] = [
         "solve", "--config", "problem.json", "--ladder", "16,32"]
     runs["convergence-inline-ex3-swirl"] = [
