@@ -196,12 +196,10 @@ def _region_from(payload, name) -> Region:
             raise ValueError(f"{name} {key} must be a list, got {value!r}")
     boxes, holes = ([_numbers(box, 4, f"{name} {key}") for box in boxes]
                     for key, boxes in lists.items())
-    with warnings.catch_warnings():  # a zero area is refused below instead
-        warnings.filterwarnings("ignore", "region has zero area")
-        try:
-            region = Region(boxes, holes)
-        except ValueError as exc:  # a box with x1 < x0 or y1 < y0
-            raise ValueError(f"{name} has a {exc}") from exc
+    try:
+        region = Region(boxes, holes)
+    except ValueError as exc:  # a box with x1 < x0 or y1 < y0
+        raise ValueError(f"{name} has a {exc}") from exc
     if any(x0 < 0 or x1 > 1 or y0 < 0 or y1 > 1
            for x0, x1, y0, y1 in region.boxes):
         raise ValueError(f"{name} has a box outside the unit square")
@@ -210,32 +208,38 @@ def _region_from(payload, name) -> Region:
     return region
 
 
-def _field_from(payload):
+def _field_from(payload) -> tuple[Callable, float]:
+    """The field of ``beta`` and its sup on the unit square, which every
+    kind reaches at (1, 1): |(a, b)| for const, 2|s| for swirl, 0 for zero."""
     kind = payload.get("kind", "const") if isinstance(payload, dict) else None
     if kind == "const":
         _keys(payload, ("kind", "value"), "beta")
-        return constant_field(*_numbers(payload.get("value", (1.0, 0.0)), 2,
-                                        "beta value"))
-    if kind == "swirl":
+        field = constant_field(*_numbers(payload.get("value", (1.0, 0.0)), 2,
+                                         "beta value"))
+    elif kind == "swirl":
         _keys(payload, ("kind", "scale"), "beta")
-        return swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
-    if kind == "zero":
+        field = swirl_field(_finite(payload.get("scale", 100.0), "beta scale"))
+    elif kind == "zero":
         _keys(payload, ("kind",), "beta")
-        return zero_field()
-    raise ValueError(f"beta must be a const, swirl or zero field, "
-                     f"got {payload!r}")
+        field = zero_field()
+    else:
+        raise ValueError(f"beta must be a const, swirl or zero field, "
+                         f"got {payload!r}")
+    with np.errstate(over="ignore"):  # assemble_all's |beta|, so they agree
+        sup = np.sqrt((field([1.0, 1.0]) ** 2).sum())
+    return field, _finite(sup, "beta sup")
 
 
 def case_from_problem(problem: dict, name: str = "custom") -> CaseDefinition:
     """The case of the bump under an inline problem (README, Benchmarks);
     a bad value or unknown key raises ValueError("bad inline problem: ...")."""
     try:
-        _keys(problem, ("omega", "target", "beta", "beta_sup", "mu", "gamma",
+        _keys(problem, ("omega", "target", "beta", "mu", "gamma",
                         "gamma_star", "boundary_factor", "noise"), "problem")
         if "omega" not in problem:
             raise ValueError("omega is missing: the measurement region")
-        exact, beta = polynomial_bump(), _field_from(problem.get("beta", {}))
-        sup = problem.get("beta_sup")
+        exact = polynomial_bump()
+        beta, beta_sup = _field_from(problem.get("beta", {}))
         # the stabilization parameters not given keep ProblemSpec's defaults
         weights = {key: _finite(problem[key], key) for key in
                    ("gamma", "gamma_star", "boundary_factor")
@@ -244,8 +248,7 @@ def case_from_problem(problem: dict, name: str = "custom") -> CaseDefinition:
         target = problem.get("target", {"boxes": [[0, 1, 0, 1]]})
         spec = ProblemSpec(mu, beta, _region_from(problem["omega"], "omega"),
                            _region_from(target, "target"),
-                           derive_source(exact, mu, beta),
-                           None if sup is None else _finite(sup, "beta_sup"),
+                           derive_source(exact, mu, beta), beta_sup,
                            **weights)
         noise = problem.get("noise")  # amplitude h or sqrt(h)
         if noise not in (None, "h", "sqrt_h"):
@@ -270,9 +273,8 @@ _GEOMETRIES = {
 }
 
 _FIELDS = {
-    # the field and the exact sup of |beta| on the square
-    "const": {"beta": {"kind": "const", "value": [1.0, 0.0]}, "beta_sup": 1.0},
-    "swirl": {"beta": {"kind": "swirl", "scale": 100.0}, "beta_sup": 200.0},
+    "const": {"beta": {"kind": "const", "value": [1.0, 0.0]}},
+    "swirl": {"beta": {"kind": "swirl", "scale": 100.0}},
 }
 
 # the inline problem of each built-in case; the noisy ones are ex1-const's

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,9 +68,10 @@ def swirl_field(scale: float = 100.0) -> Callable:
 class ProblemSpec:
     """Continuous problem data plus stabilization parameters.
 
-    ``beta_sup`` is the |beta| of the stabilizer weights; left None,
-    ``assemble_all`` takes the largest |beta| at the mesh quadrature points,
-    and it warns when a declared value is below that maximum.
+    ``beta_sup`` is the sup of |beta| on the unit square, the |beta| of the
+    stabilizer weights and of the Peclet number; ``case_from_problem``
+    derives it from the field, and ``assemble_all`` warns when it is below
+    the largest |beta| at the mesh quadrature points.
     ``boundary_factor`` >= 1 rescales only the boundary mass term of the
     dual stabilizer.  The defaults of ``gamma``, ``gamma_star`` and
     ``boundary_factor`` are the values of every built-in case.
@@ -81,7 +82,7 @@ class ProblemSpec:
     omega: Region
     target: Region
     f: Callable
-    beta_sup: Optional[float] = None
+    beta_sup: float
     gamma: float = 1e-5
     gamma_star: float = 1.0
     boundary_factor: float = 50.0
@@ -90,13 +91,13 @@ class ProblemSpec:
         for name in ("mu", "gamma", "gamma_star", "boundary_factor",
                      "beta_sup"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for name in ("mu", "gamma", "gamma_star"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, "
                                  f"got {getattr(self, name)}")
-        if self.beta_sup is not None and self.beta_sup < 0:
+        if self.beta_sup < 0:
             raise ValueError(
                 f"beta_sup must be non-negative, got {self.beta_sup}")
         if self.boundary_factor < 1:
@@ -145,7 +146,6 @@ class AssembledForms:
     dual: sp.csr_matrix
     b_source: np.ndarray
     h: float
-    beta_sup: float
     peclet: float
 
 
@@ -155,8 +155,8 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     connectivity, the degree-4 rule's points, beta there, |beta|, the
     diffusion blocks and the omega indicator are computed once, and none
     of them outlives the call.  Warns when omega holds no quadrature
-    point or a declared ``spec.beta_sup`` is below the largest |beta| at
-    the quadrature points."""
+    point or ``spec.beta_sup`` is below the largest |beta| at the
+    quadrature points."""
     h = mesh_size(mesh)
     grads, areas = triangle_geometry(mesh)
     edges = mesh.edges()
@@ -171,7 +171,7 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
                       f"N={mesh.cells_per_side}", stacklevel=2)
     beta_flat = np.asarray(spec.beta(flat), dtype=float)
     sampled = float(np.sqrt((beta_flat**2).sum(axis=1)).max())
-    bsup = sampled if spec.beta_sup is None else spec.beta_sup
+    bsup = spec.beta_sup
     if bsup < sampled:
         warnings.warn(f"declared beta_sup {bsup!r} is below the largest "
                       f"|beta| {sampled!r} at the quadrature points",
@@ -212,4 +212,4 @@ def assemble_all(spec: ProblemSpec, mesh: Mesh) -> AssembledForms:
     fvals = np.asarray(spec.f(flat), dtype=float).reshape(pts.shape[:2])
     b_source = _scatter_load(mesh, (fvals * areas[:, None]) @ _WEIGHTED_HATS)
     return AssembledForms(pde, s_data, s_jump, s_data + s_jump,
-                          s_dual, b_source, h, bsup, bsup * h / spec.mu)
+                          s_dual, b_source, h, bsup * h / spec.mu)

@@ -11,7 +11,6 @@ interior-penalty and boundary assembly read, is built by each call of
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -179,8 +178,6 @@ class Region:
             if x1 < x0 or y1 < y0:
                 raise ValueError(f"malformed box ({x0}, {x1}, {y0}, {y1})")
         self.area = self._exact_area()
-        if self.area == 0.0:
-            warnings.warn("region has zero area", stacklevel=2)
 
     @property
     def is_empty(self) -> bool:

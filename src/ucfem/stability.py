@@ -75,24 +75,27 @@ def log_convexity_bound(inst: LogConvexityInstance):
     return kappa, const, float(bound)
 
 
-# the lambda grid of the convexity audit: points on [lambda0, lambda0 + span]
+# the convexity audit: its premise sets and their seed, and the lambda grid
+# of each, points on [lambda0, lambda0 + span]
+_AUDIT_SAMPLES = 10_000
+_AUDIT_SEED = 2026
 _AUDIT_GRID_POINTS = 20_001
 _AUDIT_SPAN = 40.0
 
 
-def audit_log_convexity(n_samples: int = 10_000, seed: int = 2026) -> dict:
-    """Randomized audit of the convexity lemma.
+def audit_log_convexity() -> dict:
+    """Randomized audit of the convexity lemma on 10,000 premise sets.
 
     For each sample the premise value c is manufactured directly from the
     envelope, as min(b, min over a lambda grid of exp(p*l)*a+exp(-q*l)*b)
     on (lambda0, lambda0 + 40], so the lemma's hypotheses hold by
     construction.  Returns violation count and the worst ratio c/bound.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_AUDIT_SEED)
     violations = 0
     worst = 0.0
     worst_inst = None
-    for _ in range(n_samples):
+    for _ in range(_AUDIT_SAMPLES):
         a = rng.uniform(0.0, 10.0) or 1e-12
         b = rng.uniform(0.0, 10.0) or 1e-12
         p = rng.uniform(0.0, 5.0) or 1e-12
@@ -109,8 +112,6 @@ def audit_log_convexity(n_samples: int = 10_000, seed: int = 2026) -> dict:
         if c > bound:
             violations += 1
     return {
-        "samples": n_samples,
-        "seed": seed,
         "violations": violations,
         "worst_ratio": worst,
         "worst_instance": worst_inst,
@@ -255,15 +256,15 @@ def harmonic_member(k: int, center=(0.5, 0.5)):
     return value, gradient, laplacian
 
 
-def calibrate_exponent(value, gradient, config_center, radii, norm="l2",
-                       resolution=(64, 128)):
+def calibrate_exponent(value, gradient, config_center, radii):
     """Fix the exponent so the three-ball inequality is tight for one field.
 
-    Returns (kappa, c3) such that the given field attains ratio exactly one;
-    c3 is the constant that reproduces this kappa through holder_exponent.
+    Returns (kappa, c3) such that the given field attains ratio exactly one
+    in the L2 disc norms; c3 is the constant that reproduces this kappa
+    through holder_exponent.
     """
-    n1, n2, n3 = _disc_norms(value, gradient, config_center, radii, norm,
-                             resolution)
+    n1, n2, n3 = _disc_norms(value, gradient, config_center, radii, "l2",
+                             (64, 128))
     if n1 <= 0 or n2 <= 0 or n3 <= 0 or n1 == n3:
         raise ValueError("calibration field has degenerate disc norms")
     kappa = float(np.log(n3 / n2) / np.log(n3 / n1))
@@ -274,20 +275,17 @@ def calibrate_exponent(value, gradient, config_center, radii, norm="l2",
     return kappa, c3
 
 
-def harmonic_family_sweep(center=(0.5, 0.5), radii=(0.1, 0.2, 0.4),
-                          k_max: int = 8, norm: str = "l2",
-                          resolution=(64, 128)) -> dict:
-    """Three-ball ratios of the harmonic family after k=1 calibration."""
-    v1, g1, _ = harmonic_member(1, center)
-    kappa, c3 = calibrate_exponent(v1, g1, center, radii, norm, resolution)
-    config = ThreeBallConfig(center, tuple(radii), kappa, norm)
-    ratios = []
-    for k in range(1, k_max + 1):
-        val, grad, lap = harmonic_member(k, center)
-        ratios.append(three_ball_ratio(val, grad, config, resolution,
-                                       laplacian=lap))
-    return {"kappa": kappa, "c3": c3, "radii": tuple(radii), "norm": norm,
-            "ratios": ratios, "max_ratio": max(ratios)}
+def harmonic_family_sweep() -> dict:
+    """L2 three-ball ratios of the harmonic members k = 1..8 on the discs
+    of radii (0.1, 0.2, 0.4) about (0.5, 0.5), after k=1 calibration."""
+    center, radii = (0.5, 0.5), (0.1, 0.2, 0.4)
+    v1, g1, _ = harmonic_member(1)  # members centred at (0.5, 0.5)
+    kappa, c3 = calibrate_exponent(v1, g1, center, radii)
+    config = ThreeBallConfig(center, radii, kappa)
+    ratios = [three_ball_ratio(val, grad, config, laplacian=lap)
+              for val, grad, lap in map(harmonic_member, range(1, 9))]
+    return {"kappa": kappa, "c3": c3, "ratios": ratios,
+            "max_ratio": max(ratios)}
 
 
 def probe_fem_solution(case: CaseDefinition, config: ThreeBallConfig,

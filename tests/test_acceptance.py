@@ -250,7 +250,7 @@ def test_criterion_4_property_suites(tables):
 
 def test_criterion_5_stability_probe():
     failures = []
-    report = audit_log_convexity(10_000, seed=2026)
+    report = audit_log_convexity()
     if report["violations"] != 0:
         failures.append(f"convexity audit found {report['violations']} "
                         f"violations")

@@ -249,6 +249,18 @@ def test_probe_fem_non_finite_center_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_probe_fem_disc_norm_underflow_exits_two(tmp_path, capsys):
+    # the discs are valid, but their norms underflow to zero, which only
+    # the run can find: exit 2 after config.json, and no probe_fem.csv
+    out = tmp_path / "run"
+    assert main(["probe", "fem", "--ladder", "2", "--radii", "1e-300",
+                 "2e-300", "3e-300", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": "degenerate field: zero "
+                                                "norm on a probe disc"}
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+
 def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
     def ratio(seed):
         out = tmp_path / f"s{seed}"
@@ -267,8 +279,7 @@ def test_probe_fem_seed_seeds_the_case_noise(tmp_path):
 
 def test_config_file_supplies_the_inline_problem(tmp_path):
     problem = {"beta": {"kind": "const", "value": [1.0, 0.5]},
-               "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
-               "beta_sup": 1.5}
+               "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}}
     assert _run_with_config(tmp_path, ["solve", "--ladder", "8"],
                             {"problem": problem}, joined=True) == 0
     assert (tmp_path / "run" / "u_N8.csv").exists()
@@ -344,7 +355,9 @@ def test_inline_run_echoes_the_problem_it_ran(tmp_path, capsys):
     ("beta", {"kind": "swirl", "scale": "big"}),
     ("omega", {"boxes": []}),
     ("omega", {"boxes": [[2, 3, 2, 3]]}),
-    ("beta_sup", -5),
+    # finite, but |beta| overflows a double
+    pytest.param("beta", {"kind": "const", "value": [1e200, 0]},
+                 id="beta-value-overflows"),
     ("noise", "loud"),
     ("noise", 0.5),
     ("beta", 5),
@@ -359,6 +372,8 @@ def test_inline_run_echoes_the_problem_it_ran(tmp_path, capsys):
                  id="omega-box-beyond-double"),
     pytest.param("omega", {"boxes": 5}, id="omega-boxes-not-a-list"),
     pytest.param("omega", MISSING, id="omega-missing"),
+    pytest.param("beta", {"kind": "swirl", "scale": 1e308},
+                 id="beta-scale-overflows"),
     ("boundary_factor", 0.5),
     ("gamma", -1),
     ("gamma_star", 0),
@@ -379,7 +394,7 @@ def test_bad_inline_problem_exits_two(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key", ["mu", "gamma", "gamma_star",
-                                 "boundary_factor", "beta_sup"])
+                                 "boundary_factor"])
 def test_overflowing_inline_number_exits_three(tmp_path, capsys, key):
     # finite, so the case takes it, but assembly overflows to inf
     assert _run_with_config(tmp_path, ["solve", "--ladder", "2"],
@@ -390,10 +405,10 @@ def test_overflowing_inline_number_exits_three(tmp_path, capsys, key):
 
 
 # every key of an inline problem, also those no built-in payload holds
-_PROBLEM_KEYS = ("omega", "target", "beta", "beta_sup", "mu", "gamma",
-                 "gamma_star", "boundary_factor", "noise")
+_PROBLEM_KEYS = ("omega", "target", "beta", "mu", "gamma", "gamma_star",
+                 "boundary_factor", "noise")
 _SWAPS = st.one_of(
-    st.sampled_from([None, True, "x", "-1", 10**400, 1e308, [], {},
+    st.sampled_from([None, True, "x", "-1", 10**400, 1e308, 1e200, [], {},
                      {"x": 1.0}]),
     st.sampled_from([1, 3, 5]).flatmap(
         lambda n: st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)))
@@ -432,8 +447,7 @@ def test_any_payload_mutation_exits_zero_two_or_three(mutation):
     # exit 2 names the key and writes nothing; no exception escapes
     problem, key = mutation
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # the two documented warnings; any other UserWarning still fails
-        warnings.filterwarnings("ignore", "declared beta_sup")
+        # the one documented warning; any other UserWarning still fails
         warnings.filterwarnings("ignore", "data region contains no "
                                           "quadrature point")
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "run"
@@ -476,13 +490,12 @@ def test_non_finite_inline_problem_exits_two(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("mu", True), ("gamma", True), ("boundary_factor", True),
-    ("beta_sup", True),
     ("beta", {"kind": "const", "value": [True, 0]}),
     ("beta", {"kind": "swirl", "scale": True}),
     ("omega", {"boxes": [[0.2, 0.45, 0.2, True]]}),
     ("target", {"boxes": [[False, 1, 0, 1]]}),
-], ids=["mu", "gamma", "boundary-factor", "beta-sup", "const-value",
-        "swirl-scale", "omega-box", "target-box"])
+], ids=["mu", "gamma", "boundary-factor", "const-value", "swirl-scale",
+        "omega-box", "target-box"])
 def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
                                                  value):
     # JSON's true and false would otherwise be read as 1.0 and 0.0
@@ -493,6 +506,8 @@ def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
 
 @pytest.mark.parametrize("problem, detail", [
     ({**EX1_CONST, "gama": 1.0}, "problem has unknown key 'gama'"),
+    # the field fixes its sup: 1.0 here, 2|s| for a swirl
+    ({**EX1_CONST, "beta_sup": 1.0}, "problem has unknown key 'beta_sup'"),
     ({**EX1_CONST, "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]],
                              "hole": [[0.3, 0.35, 0.3, 0.35]]}},
      "omega has unknown key 'hole'"),
@@ -504,7 +519,8 @@ def test_inline_problem_booleans_are_not_numbers(tmp_path, capsys, key,
      "beta has unknown key 'value'"),
     ({**EX1_CONST, "target": {"boxes": [[0, 1, 0, 1]], "box": []}},
      "target has unknown key 'box'"),
-], ids=["gama", "hole", "scal", "const-scale", "zero-value", "target-box"])
+], ids=["gama", "beta-sup", "hole", "scal", "const-scale", "zero-value",
+        "target-box"])
 def test_unknown_inline_problem_key_exits_two(tmp_path, capsys, problem,
                                               detail):
     # a misspelt key would otherwise leave its default in force silently
@@ -617,15 +633,6 @@ def test_target_with_no_quadrature_point_warns_on_every_rung(tmp_path):
     assert [str(w.message) for w in caught
             if str(w.message).startswith(prefix)] == [
         f"{prefix}; error norms are zero at N={n}" for n in (4, 8, 16)]
-
-
-def test_declared_beta_sup_below_the_sampled_one_warns(tmp_path):
-    # the swirl of scale 10 reaches |beta| near 20 at the quadrature points
-    problem = {**SWIRL_PROBLEM, "beta_sup": 1.0}
-    with pytest.warns(UserWarning, match="declared beta_sup 1.0 is below"):
-        assert _run_with_config(tmp_path, ["solve", "--ladder", "4"],
-                                {"problem": problem}) == 0
-    assert (tmp_path / "run" / "u_N4.csv").exists()
 
 
 def test_boundary_factor_override_changes_solution(tmp_path, capsys):
@@ -898,9 +905,8 @@ def test_probe_resolution_must_be_positive(tmp_path, capsys, mode,
     {**SWIRL_PROBLEM, "boundary_factor": float("inf")},
     {**SWIRL_PROBLEM, "mu": float("nan")},
     {**SWIRL_PROBLEM, "gamma": float("inf")},
-    {**SWIRL_PROBLEM, "beta_sup": float("nan")},
 ], ids=["boundary-factor-nan", "boundary-factor-inf", "problem-mu-nan",
-        "problem-gamma-inf", "problem-beta-sup-nan"])
+        "problem-gamma-inf"])
 def test_non_finite_problem_parameter_exits_two(tmp_path, capsys, problem):
     # NaN and infinity pass the sign checks; they must not reach SuperLU
     # (whose breakdown would exit 3)

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from ucfem.experiments import (CSV_HEADER, DEFAULT_LADDER, ConvergenceRow,
                                NoiseModel, apply_noise, builtin_cases,
-                               derive_source, discretize, error_norms,
+                               case_from_problem, derive_source, discretize,
+                               error_norms,
                                estimate_rate, get_case, polynomial_bump,
                                run_case, run_ladder, ExactSolution)
-from ucfem.fem import interpolate
+from ucfem.fem import interpolate, quad_points
 from ucfem.forms import assemble_all, constant_field, swirl_field
 from ucfem.saddle import build_system
 from ucfem.mesh import Region, UNIT_SQUARE, build_unit_square_mesh, mesh_size
@@ -126,6 +128,38 @@ def test_builtin_case_registry():
     assert get_case("ex1-const-noise-sqrt").noise.law == 0.5
     with pytest.raises(KeyError):
         get_case("not-a-case")
+
+
+@pytest.mark.parametrize("name, declared", [
+    ("ex1-const", 1.0), ("ex1-swirl", 200.0), ("ex2-const", 1.0),
+    ("ex2-swirl", 200.0), ("ex3-const", 1.0), ("ex3-swirl", 200.0),
+    ("ex1-const-noise-h", 1.0), ("ex1-const-noise-sqrt", 1.0)])
+def test_builtin_beta_sup_is_the_value_its_payload_declared(name, declared):
+    # derived from the field, bit for bit the 1.0 = |(1, 0)| and
+    # 200.0 = 2 * 100 that the payloads used to declare
+    beta_sup = get_case(name).spec.beta_sup
+    assert type(beta_sup) is float and beta_sup.hex() == declared.hex()
+
+
+@pytest.mark.parametrize("beta, sup", [
+    ({"kind": "const", "value": [0.6, -0.8]}, 1.0),
+    ({"kind": "const", "value": [0.1, 0.7]}, None),
+    ({"kind": "swirl", "scale": -50}, 100.0),
+    ({"kind": "zero"}, 0.0),
+], ids=["const-unit", "const-sampled", "swirl-negative", "zero"])
+def test_inline_beta_sup_is_the_sup_of_the_field(beta, sup):
+    spec = case_from_problem({"omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
+                              "beta": beta}).spec
+    for n_cells in (2, 8, 64):
+        mesh = build_unit_square_mesh(n_cells)
+        flat = quad_points(mesh).reshape(-1, 2)
+        sampled = np.sqrt((spec.beta(flat) ** 2).sum(axis=1)).max()
+        # a const field's sup is its |beta| at every quadrature point
+        assert spec.beta_sup == (sampled if sup is None else sup)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            blocks = assemble_all(spec, mesh)
+        assert blocks.peclet == spec.beta_sup * blocks.h / spec.mu
 
 
 def test_case_geometries_have_expected_areas():

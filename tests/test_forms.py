@@ -310,30 +310,27 @@ def test_assemble_all_collects_consistent_blocks():
     mesh = build_unit_square_mesh(8)
     blocks = assemble_all(case.spec, mesh)
     assert np.isclose(blocks.h, mesh_size(mesh))
-    assert blocks.beta_sup == 200.0
-    assert np.isclose(blocks.peclet, blocks.beta_sup * blocks.h / case.spec.mu)
+    assert np.isclose(blocks.peclet, 200.0 * blocks.h / case.spec.mu)
     primal = blocks.data_mass + blocks.jump
     assert np.abs((blocks.primal - primal).toarray()).max() < 1e-14
 
 
-def test_dual_jump_part_is_the_primal_jump_at_sampled_beta_sup():
-    # the jump part of the dual is the part linear in gamma; with |beta|
-    # sampled at the quadrature points it must be gamma_* times the primal
-    # jump matrix, sampled at the same points
-    spec = make_spec(beta=swirl_field(), beta_sup=None, gamma_star=0.5,
+def test_dual_jump_part_is_the_primal_jump():
+    # the jump part of the dual is the part linear in gamma; it must be
+    # gamma_* times the primal jump matrix, with the same |beta|
+    spec = make_spec(beta=swirl_field(), beta_sup=200.0, gamma_star=0.5,
                      f=lambda p: np.ones(len(np.atleast_2d(p))))
     mesh = build_unit_square_mesh(4)
     blocks = assemble_all(spec, mesh)
     doubled = assemble_all(dataclasses.replace(spec, gamma=2.0), mesh)
     jump_part = (doubled.dual - blocks.dual).toarray()
-    assert blocks.beta_sup < 200.0  # sampled, not declared
     assert np.abs(jump_part - spec.gamma_star * blocks.jump.toarray()).max() \
         <= 1e-12 * np.abs(blocks.dual.toarray()).max()
 
 
 def test_assemble_all_samples_beta_once():
-    # beta is evaluated once per assemble_all; the sampled |beta| is the
-    # maximum over those same values
+    # beta is evaluated once per assemble_all, for the convection form
+    # and for the check of beta_sup against the sampled |beta|
     bump, calls = polynomial_bump(), []
 
     def counting_beta(pts):
@@ -341,16 +338,10 @@ def test_assemble_all_samples_beta_once():
         return swirl_field()(pts)
 
     mesh = build_unit_square_mesh(4)
-    for beta_sup in (None, 200.0):
-        spec = make_spec(beta=counting_beta, beta_sup=beta_sup,
-                         f=derive_source(bump, 1.0, swirl_field()))
-        calls.clear()
-        blocks = assemble_all(spec, mesh)
-        assert len(calls) == 1
-        pts = quad_points(mesh).reshape(-1, 2)
-        sampled = np.sqrt((swirl_field()(pts) ** 2).sum(axis=1)).max()
-        assert blocks.beta_sup == (sampled if beta_sup is None
-                                   else beta_sup)
+    spec = make_spec(beta=counting_beta, beta_sup=200.0,
+                     f=derive_source(bump, 1.0, swirl_field()))
+    assemble_all(spec, mesh)
+    assert calls == [len(quad_points(mesh).reshape(-1, 2))]
 
 
 def test_declared_beta_sup_below_the_sampled_one_warns():
@@ -358,7 +349,7 @@ def test_declared_beta_sup_below_the_sampled_one_warns():
     spec = make_spec(beta=swirl_field(10.0), beta_sup=1.0)
     with pytest.warns(UserWarning, match="declared beta_sup 1.0 is below"):
         blocks = assemble_all(spec, mesh)
-    assert blocks.beta_sup == 1.0
+    assert blocks.peclet == blocks.h  # the declared value, not the sampled
 
 
 def test_problem_spec_validation():
@@ -378,15 +369,6 @@ def test_problem_spec_rejects_non_finite_numbers(name, value):
     # NaN passes every ordering check, so finiteness is checked on its own
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         make_spec(**{name: value})
-
-
-def test_beta_sup_is_sampled_when_unset():
-    mesh = build_unit_square_mesh(8)
-    spec = ProblemSpec(mu=1.0, beta=swirl_field(), omega=UNIT_SQUARE,
-                       target=UNIT_SQUARE, f=zero_source, beta_sup=None)
-    sampled = assemble_all(spec, mesh).beta_sup
-    # sup over the closed square is 200, quadrature points approach it
-    assert 150.0 < sampled <= 200.0
 
 
 def test_discrete_poincare_ratio_stays_below_frozen_bound():
@@ -462,6 +444,6 @@ def test_data_mass_matches_dense_oracle_for_any_grid_box(name, grid):
     spec = dataclasses.replace(get_case(name).spec, omega=omega)
     mesh = build_unit_square_mesh(n)
     blocks = assemble_all(spec, mesh)
-    dense = dense_oracle.dense_data_mass(mesh, spec.mu, blocks.beta_sup,
+    dense = dense_oracle.dense_data_mass(mesh, spec.mu, spec.beta_sup,
                                          mesh_size(mesh), omega)
     assert np.abs(blocks.data_mass.toarray() - dense).max() <= 1e-10

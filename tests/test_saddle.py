@@ -250,12 +250,9 @@ def test_system_is_symmetric(name):
 def test_system_is_symmetric_on_meshes_of_any_size(name, n):
     # off the powers of two the face weights are not exact binary
     # fractions, and only a jump form symmetric by construction is; solve
-    # refuses a system that is not, so this holds for every assembled one:
-    # declared and sampled |beta|
-    spec = get_case(name).spec
-    for custom in (spec, dataclasses.replace(spec, beta_sup=None)):
-        _, _, _, system = case_system(name, n=n, spec=custom)
-        assert system.symmetry_defect() == 0.0
+    # refuses a system that is not, so this holds for every assembled one
+    _, _, _, system = case_system(name, n=n)
+    assert system.symmetry_defect() == 0.0
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -294,13 +291,13 @@ def test_sign_flip_quadratic_form_recovers_stabilizers():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs) + abs(rhs))
 
 
-@pytest.mark.parametrize("sampled_beta", [True, False])
+@pytest.mark.parametrize("doubled_beta_sup", [True, False])
 @pytest.mark.parametrize("name", [c.name for c in builtin_cases()])
-def test_stabilizer_norms_match_the_blocks(name, sampled_beta):
-    # with |beta| declared or sampled at assembly, whose weights differ
+def test_stabilizer_norms_match_the_blocks(name, doubled_beta_sup):
+    # with the case's |beta| or twice it, whose weights differ
     spec = get_case(name).spec
-    if sampled_beta:
-        spec = dataclasses.replace(spec, beta_sup=None)
+    if doubled_beta_sup:
+        spec = dataclasses.replace(spec, beta_sup=2 * spec.beta_sup)
     _, _, blocks, system = case_system(name, n=8, spec=spec)
     rng = np.random.default_rng(7)
     e = rng.standard_normal(system.n)

@@ -58,21 +58,23 @@ CASES = ("ex1-const", "ex1-swirl", "ex2-const", "ex2-swirl", "ex3-const",
 
 # config file -> its inline problem
 INLINE_PROBLEMS = {
-    # a swirl problem without beta_sup, so |beta| is sampled at assembly
+    # a swirl problem on the default target: |beta| is 2 * 100 = 200
     "problem.json": {"beta": {"kind": "swirl", "scale": 100.0},
                      "omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]}},
-    # ex3-swirl written out: regions with holes and a declared beta_sup
+    # ex3-swirl written out: regions with holes
     "ex3-swirl.json": {"omega": {"boxes": [[0.0, 1.0, 0.0, 1.0]],
                                  "holes": [[0.0, 0.875, 0.125, 0.875]]},
                        "target": {"boxes": [[0.0, 1.0, 0.0, 1.0]],
                                   "holes": [[0.0, 0.125, 0.125, 0.875]]},
-                       "beta": {"kind": "swirl", "scale": 100.0},
-                       "beta_sup": 200.0},
+                       "beta": {"kind": "swirl", "scale": 100.0}},
     # ex1-const-noise-h written out: the noise law is a key of the problem
     "ex1-const-noise-h.json": {"omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
                                "target": {"boxes": [[0.2, 0.45, 0.55, 0.8]]},
                                "beta": {"kind": "const", "value": [1.0, 0.0]},
-                               "beta_sup": 1.0, "noise": "h"},
+                               "noise": "h"},
+    # an oblique constant field of unit |beta|, |(0.6, -0.8)| = 1.0
+    "const-oblique.json": {"omega": {"boxes": [[0.2, 0.45, 0.2, 0.45]]},
+                           "beta": {"kind": "const", "value": [0.6, -0.8]}},
 }
 
 
@@ -135,8 +137,14 @@ def command_matrix() -> dict[str, list[str]]:
         "--seed", "0"]
     # a refused disc geometry: exit 2 and nothing written
     runs["probe-fem-bad-c3"] = ["probe", "fem", "--ladder", "4", "--c3", "0"]
+    # disc norms that underflow to zero: exit 2 after config.json
+    runs["probe-fem-tiny-radii"] = [
+        "probe", "fem", "--ladder", "2", "--radii", "1e-300", "2e-300",
+        "3e-300"]
     runs["solve-inline-swirl"] = [
         "solve", "--config", "problem.json", "--ladder", "16,32"]
+    runs["solve-inline-const-oblique"] = [
+        "solve", "--config", "const-oblique.json", "--ladder", "8,16"]
     runs["convergence-inline-ex3-swirl"] = [
         "convergence", "--config", "ex3-swirl.json", "--ladder", "8,16,32"]
     runs["convergence-inline-noise-h-seed3"] = [
